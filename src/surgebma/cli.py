@@ -1,8 +1,9 @@
 """Command-line pipeline: preprocess, fit-priors, calibrate, evidence,
 project, report, plus synthetic-fixture generation and a run-all driver.
 
-Exit codes: 0 success, 1 computation gate failure (e.g. unconverged chains
-without --force), 2 input or configuration error.
+Exit codes: 0 success, 1 computation gate failure (unconverged chains without
+--force, every draw flagged, a collapsed bridge iteration), 2 input or
+configuration error.
 """
 
 from __future__ import annotations
@@ -57,17 +58,13 @@ from .priors import (
     save_priors,
 )
 from .sampler import PosteriorEnsemble, pool_and_thin, run_chains
-from .utils import dump_json, format_float, load_json
+from .utils import GateError, dump_json, format_float, load_json
 
 log = logging.getLogger("surgebma")
 
 EXIT_OK, EXIT_GATE, EXIT_INPUT = 0, 1, 2
 
 PACKAGED_MLE_PACK = "data/mle_fixtures.json"
-
-
-class GateError(RuntimeError):
-    """Convergence or coverage gate failed; maps to exit code 1."""
 
 
 def stage_seed(seed: int, *tags) -> int:
@@ -139,7 +136,7 @@ def _station_mles(config: RunConfig, path: Path, index: int) -> dict[str, list]:
     out = {}
     for s in structures:
         cov = None if s.level is NonstatLevel.ST else covs[s.covariate]
-        out[s.id] = mle_fit(s, record, cov, rng=rng).active(s.level).tolist()
+        out[s.id] = mle_fit(s, record, cov, rng=rng).tolist()
     log.info("fitted %s (%d structures)", path.name, len(structures))
     return out
 
@@ -215,7 +212,7 @@ def _calibrate_one(config: RunConfig, sid: str) -> dict:
     except RuntimeError as exc:
         raise GateError(str(exc)) from exc
     ensemble.diagnostics["config_sha256"] = config.config_hash
-    ensemble.diagnostics["mle"] = dict(zip(raw.param_names, mle.active(structure.level).tolist()))
+    ensemble.diagnostics["mle"] = dict(zip(raw.param_names, mle.tolist()))
 
     ens_path = config.out("ensembles", f"{sid}.csv")
     diag_path = config.out("diagnostics", f"{sid}.json")
@@ -431,6 +428,14 @@ def cmd_report(config: RunConfig) -> int:
     print(
         f"T={headline:g} return level in {config.projection_year}: "
         f"median {med:.3f} m, 90% range [{lo:.3f}, {hi:.3f}] m"
+    )
+    components = [per_structure[sid][headline] for sid in per_structure]
+    n_flagged = sum(c.n_flagged for c in components)
+    n_clamped = sum(c.n_clamped for c in components)
+    n_draws = sum(c.samples.size + c.n_flagged for c in components)
+    print(
+        f"T={headline:g} draws: {n_flagged} flagged and dropped, {n_clamped} rate-clamped, "
+        f"of {n_draws} across {len(components)} structures"
     )
     # diagnostic only: the mixture median normally falls inside the span of
     # the component medians; a value outside it flags a lopsided mixture

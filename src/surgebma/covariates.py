@@ -85,7 +85,9 @@ class CovariateSeries:
 def winter_mean_nao(monthly: Iterable[tuple[int, int, float]]) -> dict[int, float]:
     """Winter (DJF) mean: Dec of the previous year with Jan and Feb of year y.
 
-    Years missing any of the three member months are omitted with a warning.
+    Only winters inside the record can be complete: the first year has no
+    December before it and the last no January after it. An interior year
+    missing any of its three member months is omitted with a warning.
     """
     table: dict[tuple[int, int], float] = {}
     for year, month, value in monthly:
@@ -96,7 +98,7 @@ def winter_mean_nao(monthly: Iterable[tuple[int, int, float]]) -> dict[int, floa
     years = sorted({y for (y, _m) in table})
     out: dict[int, float] = {}
     skipped = []
-    for y in range(years[0], years[-1] + 2):
+    for y in range(years[0] + 1, years[-1] + 1):
         members = [(y - 1, 12), (y, 1), (y, 2)]
         if all(m in table for m in members):
             out[y] = float(np.mean([table[m] for m in members]))

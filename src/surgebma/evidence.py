@@ -22,7 +22,7 @@ from scipy.special import logsumexp
 from .covariates import CovariateKind
 from .models import ModelStructure, NonstatLevel, all_structures
 from .sampler import PosteriorEnsemble
-from .utils import dump_json, format_float
+from .utils import GateError, dump_json, format_float
 
 log = logging.getLogger(__name__)
 
@@ -116,9 +116,7 @@ def bridge_evidence(
             den = 1.0 / (s1 * np.exp(l1 - lstar) + s2 * r)
         r_new = (np.sum(num) / n2) / (np.sum(den) / n1)
         if not math.isfinite(r_new) or r_new <= 0.0:
-            raise ValueError(
-                "bridge iteration collapsed; proposal does not overlap the posterior"
-            )
+            raise GateError("bridge iteration collapsed; proposal does not overlap the posterior")
         rel = abs(r_new - r) / r_new
         r = r_new
         if rel < tol:

@@ -23,13 +23,11 @@ import numpy as np
 
 from .covariates import CovariateSeries
 from .evidence import BmaWeights
-from .models import ModelStructure, NonstatLevel, ParameterVector, params_at
+from .models import DAYS_PER_YEAR, XI_EPS, ModelStructure, NonstatLevel, effective_params
 from .sampler import PosteriorEnsemble
-from .utils import dump_json, empirical_quantile, format_float
+from .utils import GateError, dump_json, empirical_quantile, format_float
 
-DAYS_PER_YEAR = 365.25
 RATE_FLOOR = 1e-8  # per day; extrapolated nonpositive rates clamp here
-XI_EPS = 1e-8
 
 DEFAULT_RETURN_PERIODS = (2, 5, 10, 20, 50, 100, 200, 500, 1000)
 DEFAULT_QUANTILE_LEVELS = (0.025, 0.05, 0.25, 0.5, 0.75, 0.95, 0.975)
@@ -89,22 +87,25 @@ def _invert_rate(lam_yr, sig, xi, mu: float, period: float):
 
 
 def return_level(
-    theta: ParameterVector,
+    row,
     structure: ModelStructure,
     phi_year: float,
     mu: float,
     period: float,
 ) -> float:
-    """Level exceeded once per ``period`` years on average, at covariate phi."""
+    """Level exceeded once per ``period`` years on average, at covariate phi.
+
+    ``row`` holds the active parameters of ``structure`` in their canonical order.
+    """
     if period <= 0:
         raise ValueError("return period must be positive")
-    eff = params_at(theta, structure.level, phi_year)
-    if eff.sig <= 0:
+    lam, sig, xi = effective_params(row, structure.level, phi_year)
+    if sig <= 0:
         raise ValueError("nonpositive scale")
-    lam_yr = eff.lam * DAYS_PER_YEAR
+    lam_yr = lam * DAYS_PER_YEAR
     if period * lam_yr <= 1.0:
         raise ValueError("return period below threshold regime")
-    return float(_invert_rate(lam_yr, eff.sig, eff.xi, mu, period))
+    return float(_invert_rate(lam_yr, sig, xi, mu, period))
 
 
 def ensemble_return_levels(
@@ -121,21 +122,13 @@ def ensemble_return_levels(
     excluded from the sample set.
     """
     structure = ensemble.structure
-    level = structure.level
-    if level is NonstatLevel.ST:
+    if structure.level is NonstatLevel.ST:
         phi = 0.0
     else:
         if cov is None:
             raise ValueError("nonstationary structure requires a covariate series")
         phi = cov.value_for_year(year)
-
-    cols = {name: ensemble.draws[:, i] for i, name in enumerate(ensemble.param_names)}
-    lam = cols["lam0"] + cols.get("lam1", 0.0) * phi
-    if level in (NonstatLevel.ST, NonstatLevel.NS1):
-        sig = cols["sig0"]
-    else:
-        sig = np.exp(cols["sig0"] + cols.get("sig1", 0.0) * phi)
-    xi = cols["xi0"] + cols.get("xi1", 0.0) * phi
+    lam, sig, xi = effective_params(ensemble.draws, structure.level, phi)
 
     n_clamped = int(np.sum(lam <= 0))
     lam = np.maximum(lam, RATE_FLOOR)
@@ -143,7 +136,7 @@ def ensemble_return_levels(
     ok = (period * lam_yr > 1.0) & (sig > 0)
     n_flagged = int(np.sum(~ok))
     if not np.any(ok):
-        raise ValueError(f"all draws flagged for {structure.id} at T={period}")
+        raise GateError(f"all draws flagged for {structure.id} at T={period}")
     samples = _invert_rate(lam_yr[ok], sig[ok], xi[ok], mu, period)
     return ReturnLevelEnsemble(year, period, samples, structure.id, n_clamped, n_flagged)
 

@@ -13,13 +13,21 @@ rate, the GPD scale (through its log), and the GPD shape linearly:
 Thirteen candidate structures arise from four nonstationarity levels crossed
 with four covariates (the fully stationary structure is shared). All
 probability math is done in log space.
+
+Parameters travel as active-parameter rows: float arrays in
+``ACTIVE_PARAMS[level]`` order, the order of ensemble columns and MLE tables.
+The MLE, the likelihood and posterior closures, the sampler, bridge sampling
+and the return-level inversion all take rows, and ``effective_params`` is
+the one place the rule above turns rows into (rate, scale, shape).
+``ParameterVector`` names the parameters for simulation specs and for the
+public ``log_likelihood``/``log_posterior``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -32,6 +40,7 @@ if TYPE_CHECKING:
     from .priors import PriorSet
 
 XI_EPS = 1e-8  # below this |xi| the exponential limit of the GPD is used
+DAYS_PER_YEAR = 365.25
 
 
 class NonstatLevel(str, enum.Enum):
@@ -47,6 +56,9 @@ ACTIVE_PARAMS: dict[NonstatLevel, tuple[str, ...]] = {
     NonstatLevel.NS2: ("lam0", "lam1", "sig0", "sig1", "xi0"),
     NonstatLevel.NS3: ("lam0", "lam1", "sig0", "sig1", "xi0", "xi1"),
 }
+
+# levels whose sig0 is the GPD scale itself rather than its log
+DIRECT_SCALE = (NonstatLevel.ST, NonstatLevel.NS1)
 
 
 @dataclass(frozen=True)
@@ -99,67 +111,35 @@ class ParameterVector:
     xi1: float = 0.0
 
     def active(self, level: NonstatLevel) -> np.ndarray:
-        return np.array([getattr(self, p) for p in ACTIVE_PARAMS[level]], dtype=float)
-
-    @classmethod
-    def from_active(cls, level: NonstatLevel, values) -> "ParameterVector":
+        """The active row of ``level``; refuses a nonzero inactive entry."""
         names = ACTIVE_PARAMS[level]
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(names),):
-            raise ValueError(f"expected {len(names)} values for {level.value}")
-        return cls(**dict(zip(names, values)))
+        stray = [f.name for f in fields(self) if f.name not in names and getattr(self, f.name)]
+        if stray:
+            raise ValueError(f"{', '.join(stray)} not active at level {level.value}")
+        return np.array([getattr(self, p) for p in names], dtype=float)
 
 
-@dataclass(frozen=True)
-class EffectiveParams:
-    """Year-resolved (rate, scale, shape) triple."""
+def effective_params(rows, level: NonstatLevel, phi):
+    """Effective (rate, scale, shape) of active-parameter rows at covariate ``phi``.
 
-    lam: float  # exceedances per day
-    sig: float  # meters
-    xi: float  # dimensionless
-
-
-def params_at(theta: ParameterVector, level: NonstatLevel, phi: float) -> EffectiveParams:
-    """Resolve the effective PP/GPD parameters at covariate value ``phi``."""
-    lam = theta.lam0 + theta.lam1 * phi
-    if level in (NonstatLevel.ST, NonstatLevel.NS1):
-        sig = theta.sig0
-    else:
-        sig = math.exp(theta.sig0 + theta.sig1 * phi)
-    xi = theta.xi0 + theta.xi1 * phi
-    return EffectiveParams(lam, sig, xi)
-
-
-# ---------------------------------------------------------------------------
-# densities
-# ---------------------------------------------------------------------------
-
-
-def gpd_logpdf(x: float, mu: float, sig: float, xi: float) -> float:
-    """Log density of the generalized Pareto distribution at ``x``.
-
-    Uses the exponential limit for |xi| < 1e-8 to avoid cancellation, and
-    returns -inf above the bounded upper endpoint when xi < 0.
+    ``rows`` is one row or a stack of rows in ``ACTIVE_PARAMS[level]`` order;
+    ``phi`` is a scalar or an array that broadcasts against the stack. A slope
+    the level does not carry contributes nothing, so ST ignores ``phi``.
+    Returns (lam per day, sig in meters, xi) as arrays of the broadcast shape.
     """
-    if sig <= 0 or x < mu:
-        raise ValueError("outside support")
-    z = (x - mu) / sig
-    if abs(xi) < XI_EPS:
-        return -math.log(sig) - z
-    t = xi * z
-    if 1.0 + t <= 0.0:
-        return -math.inf
-    return -math.log(sig) - (1.0 + 1.0 / xi) * math.log1p(t)
+    rows = np.asarray(rows, dtype=float)
+    p = dict(zip(ACTIVE_PARAMS[level], np.moveaxis(rows, -1, 0)))
+    phi = np.asarray(phi, dtype=float)
 
+    def linear(name):
+        slope = p.get(name + "1")
+        return p[name + "0"] if slope is None else p[name + "0"] + slope * phi
 
-def poisson_logpmf(n: int, lam: float, dt: float) -> float:
-    """Log pmf of a Poisson count with rate ``lam`` per day over ``dt`` days."""
-    if lam <= 0 or dt <= 0:
-        raise ValueError("lam and dt must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    mean = lam * dt
-    return n * math.log(mean) - mean - float(gammaln(n + 1))
+    lam, sig, xi = linear("lam"), linear("sig"), linear("xi")
+    if level not in DIRECT_SCALE:
+        sig = np.exp(sig)
+    shape = np.broadcast_shapes(rows.shape[:-1], phi.shape)
+    return tuple(np.broadcast_to(v, shape) for v in (lam, sig, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -208,27 +188,30 @@ class LikelihoodData:
         )
 
 
-def _loglik_from_arrays(theta: ParameterVector, level: NonstatLevel, d: LikelihoodData) -> float:
-    lam = theta.lam0 + theta.lam1 * d.phi
+def _loglik_from_arrays(row, level: NonstatLevel, d: LikelihoodData) -> float:
+    p = dict(zip(ACTIVE_PARAMS[level], row))
+    lam0, lam1, sig0 = p["lam0"], p.get("lam1", 0.0), p["sig0"]
+    xi0, xi1 = p["xi0"], p.get("xi1", 0.0)
+
+    lam = lam0 + lam1 * d.phi
     if np.any(lam <= 0):
         return -math.inf
 
     mean = lam * d.durations
     pois = float(np.sum(d.counts * np.log(mean) - mean)) - d.lgamma_counts
 
-    direct_scale = level in (NonstatLevel.ST, NonstatLevel.NS1)
-    if direct_scale:
-        if theta.sig0 <= 0:
+    if level in DIRECT_SCALE:
+        if sig0 <= 0:
             return -math.inf
-        z = d.excess / theta.sig0
-        log_sig_sum = d.excess.size * math.log(theta.sig0)
+        z = d.excess / sig0
+        log_sig_sum = d.excess.size * math.log(sig0)
     else:
-        log_sig = theta.sig0 + theta.sig1 * d.phi_event
+        log_sig = sig0 + p["sig1"] * d.phi_event
         z = d.excess * np.exp(-log_sig)
         log_sig_sum = float(np.sum(log_sig))
 
-    if theta.xi1 == 0.0:
-        xi = theta.xi0
+    if xi1 == 0.0:
+        xi = xi0
         if abs(xi) < XI_EPS:
             gpd_sum = -float(np.sum(z))
         else:
@@ -237,7 +220,7 @@ def _loglik_from_arrays(theta: ParameterVector, level: NonstatLevel, d: Likeliho
                 return -math.inf
             gpd_sum = -(1.0 + 1.0 / xi) * float(np.sum(np.log1p(t)))
     else:
-        xi_ev = theta.xi0 + theta.xi1 * d.phi_event
+        xi_ev = xi0 + xi1 * d.phi_event
         t = xi_ev * z
         if np.any(1.0 + t <= 0.0):
             return -math.inf
@@ -253,13 +236,13 @@ def _loglik_from_arrays(theta: ParameterVector, level: NonstatLevel, d: Likeliho
 
 def make_loglik(
     structure: ModelStructure, data: ExceedanceSet, cov: CovariateSeries | None
-) -> Callable[[ParameterVector], float]:
-    """Precompute the data arrays and return a fast theta -> log L closure."""
+) -> Callable[[np.ndarray], float]:
+    """Precompute the data arrays and return a fast row -> log L closure."""
     arrays = LikelihoodData.build(data, cov, structure)
     level = structure.level
 
-    def loglik(theta: ParameterVector) -> float:
-        return _loglik_from_arrays(theta, level, arrays)
+    def loglik(row: np.ndarray) -> float:
+        return _loglik_from_arrays(row, level, arrays)
 
     return loglik
 
@@ -276,7 +259,7 @@ def log_likelihood(
     whenever any year has a nonpositive rate or scale, or an event falls
     outside the GPD support.
     """
-    return _loglik_from_arrays(theta, structure.level, LikelihoodData.build(data, cov, structure))
+    return make_loglik(structure, data, cov)(theta.active(structure.level))
 
 
 def log_prior(theta: ParameterVector, structure: ModelStructure, priors: "PriorSet") -> float:
@@ -285,7 +268,7 @@ def log_prior(theta: ParameterVector, structure: ModelStructure, priors: "PriorS
         raise ValueError(
             f"prior set fitted for {priors.structure.id}, not {structure.id}"
         )
-    return priors.logpdf(theta)
+    return priors.logpdf(theta.active(structure.level))
 
 
 def make_logpost(
@@ -293,19 +276,28 @@ def make_logpost(
     data: ExceedanceSet,
     cov: CovariateSeries | None,
     priors: "PriorSet",
-) -> Callable[[ParameterVector], float]:
-    """Unnormalized log-posterior closure; -inf from either factor propagates."""
+) -> Callable[[np.ndarray], float]:
+    """Unnormalized log-posterior closure over active-parameter rows.
+
+    -inf from either factor propagates; the likelihood is skipped when the
+    prior is already -inf.
+    """
     loglik = make_loglik(structure, data, cov)
     if priors.structure.id != structure.id:
         raise ValueError(f"prior set fitted for {priors.structure.id}, not {structure.id}")
 
-    def logpost(theta: ParameterVector) -> float:
-        lp = priors.logpdf(theta)
+    def logpost(row: np.ndarray) -> float:
+        lp = priors.logpdf(row)
         if lp == -math.inf:
             return -math.inf
-        return lp + loglik(theta)
+        return lp + loglik(row)
 
     return logpost
+
+
+# a second name for the same factory: the evidence stage calls it by this
+# name, so its density evals can be wrapped apart from the sampler's
+make_logpost_on_active = make_logpost
 
 
 def log_posterior(
@@ -315,20 +307,4 @@ def log_posterior(
     cov: CovariateSeries | None,
     priors: "PriorSet",
 ) -> float:
-    return make_logpost(structure, data, cov, priors)(theta)
-
-
-def make_logpost_on_active(
-    structure: ModelStructure,
-    data: ExceedanceSet,
-    cov: CovariateSeries | None,
-    priors: "PriorSet",
-) -> Callable[[np.ndarray], float]:
-    """Like ``make_logpost`` but taking the active-parameter row directly."""
-    logpost = make_logpost(structure, data, cov, priors)
-    level = structure.level
-
-    def on_active(row: np.ndarray) -> float:
-        return logpost(ParameterVector.from_active(level, row))
-
-    return on_active
+    return make_logpost(structure, data, cov, priors)(theta.active(structure.level))

@@ -19,13 +19,7 @@ from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from .covariates import CovariateSeries
-from .models import (
-    ACTIVE_PARAMS,
-    ModelStructure,
-    NonstatLevel,
-    ParameterVector,
-    make_loglik,
-)
+from .models import ACTIVE_PARAMS, DIRECT_SCALE, ModelStructure, NonstatLevel, make_loglik
 from .preprocess import ExceedanceSet
 from .utils import dump_json, load_json
 
@@ -67,7 +61,7 @@ def prior_family_for(param: str, level: NonstatLevel) -> str:
     """Support rule: gamma where the support is half-infinite, else normal."""
     if param == "lam0":
         return "gamma"
-    if param == "sig0" and level in (NonstatLevel.ST, NonstatLevel.NS1):
+    if param == "sig0" and level in DIRECT_SCALE:
         return "gamma"
     return "normal"
 
@@ -88,10 +82,11 @@ class PriorSet:
             if spec.family != want:
                 raise ValueError(f"{name} requires a {want} prior, got {spec.family}")
 
-    def logpdf(self, theta: ParameterVector) -> float:
+    def logpdf(self, row) -> float:
+        """Joint log density of an active-parameter row; stops at the first -inf."""
         total = 0.0
-        for name in self.structure.active_params:
-            total += self.specs[name].logpdf(getattr(theta, name))
+        for name, x in zip(self.structure.active_params, row):
+            total += self.specs[name].logpdf(x)
             if total == -math.inf:
                 return -math.inf
         return total
@@ -133,7 +128,7 @@ def _moment_start(
     excess = np.array([r.height - data.threshold for r in data.all_records()])
     spread = float(excess.std()) if excess.size > 1 else 0.1
     spread = max(spread, 1e-3)
-    if structure.level in (NonstatLevel.ST, NonstatLevel.NS1):
+    if structure.level in DIRECT_SCALE:
         sig0 = spread
     else:
         sig0 = math.log(spread)
@@ -147,12 +142,12 @@ def mle_fit(
     cov: CovariateSeries | None,
     n_restarts: int = 5,
     rng: np.random.Generator | None = None,
-) -> ParameterVector:
+) -> np.ndarray:
     """Maximize the log-likelihood by Nelder-Mead simplex search with restarts.
 
     Each restart perturbs the moment-based start; the best converged optimum
     wins. Convergence requires the simplex log-likelihood spread to fall
-    below 1e-8.
+    below 1e-8. Returns the active-parameter row of the optimum.
     """
     if data.n_events == 0:
         raise ValueError("no exceedances to fit")
@@ -161,7 +156,7 @@ def mle_fit(
     level = structure.level
 
     def objective(x: np.ndarray) -> float:
-        return -loglik(ParameterVector.from_active(level, x))
+        return -loglik(x)
 
     base = _moment_start(structure, data)
     best_x, best_f = None, math.inf
@@ -170,12 +165,9 @@ def mle_fit(
         if k > 0:
             scale = np.maximum(np.abs(base), 0.05)
             x0 = base + 0.3 * scale * rng.standard_normal(base.size)
-            # keep positivity constraints satisfied at the start point
-            names = structure.active_params
-            for i, name in enumerate(names):
-                if name == "lam0" or (
-                    name == "sig0" and level in (NonstatLevel.ST, NonstatLevel.NS1)
-                ):
+            # keep the half-infinite (gamma-prior) parameters positive at the start
+            for i, name in enumerate(structure.active_params):
+                if prior_family_for(name, level) == "gamma":
                     x0[i] = abs(x0[i]) or base[i]
         if not math.isfinite(objective(x0)):
             continue
@@ -196,7 +188,7 @@ def mle_fit(
             best_x, best_f = res.x, res.fun
     if best_x is None:
         raise ValueError("no feasible start")
-    return ParameterVector.from_active(level, best_x)
+    return best_x
 
 
 # ---------------------------------------------------------------------------

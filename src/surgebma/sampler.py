@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .models import ModelStructure, ParameterVector
+from .models import ModelStructure
 from .utils import dump_json, format_float, load_json
 
 
@@ -41,20 +41,6 @@ class ChainConfig:
         if self.n_chains < 1 or self.thinned_size < 1:
             raise ValueError("n_chains and thinned_size must be positive")
 
-    @classmethod
-    def desk_scale(cls, seed: int = 0) -> "ChainConfig":
-        return cls(seed=seed)
-
-    @classmethod
-    def paper_scale(cls, seed: int = 0) -> "ChainConfig":
-        return cls(
-            n_iterations=100_000,
-            n_chains=10,
-            burn_in=10_000,
-            thinned_size=10_000,
-            seed=seed,
-        )
-
 
 @dataclass
 class RawChains:
@@ -76,9 +62,6 @@ class PosteriorEnsemble:
     draws: np.ndarray  # (thinned_size, d)
     diagnostics: dict = field(default_factory=dict)
 
-    def theta(self, i: int) -> ParameterVector:
-        return ParameterVector.from_active(self.structure.level, self.draws[i])
-
     def save(self, csv_path, diagnostics_path=None) -> None:
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -97,6 +80,8 @@ class PosteriorEnsemble:
         with open(csv_path, newline="") as fh:
             reader = csv.reader(fh)
             names = tuple(next(reader))
+            if names != structure.active_params:
+                raise ValueError(f"{csv_path}: columns {names} are not those of {structure.id}")
             draws = np.array([[float(v) for v in row] for row in reader])
         diags = {}
         if diagnostics_path is not None:
@@ -161,24 +146,23 @@ def initial_proposal_factor(start: np.ndarray) -> np.ndarray:
 
 def run_chains(
     structure: ModelStructure,
-    log_posterior: Callable[[ParameterVector], float],
-    start: ParameterVector,
+    log_posterior: Callable[[np.ndarray], float],
+    start: np.ndarray,
     config: ChainConfig,
 ) -> RawChains:
     """Run ``config.n_chains`` independent adaptive chains from ``start``.
 
-    Chains are initialized at the maximum likelihood estimate and driven by
-    independent RNG streams spawned from the configured seed, so results are
-    deterministic given (seed, config, inputs).
+    ``start`` and the rows passed to ``log_posterior`` are active-parameter
+    rows. Chains are initialized at the maximum likelihood estimate and
+    driven by independent RNG streams spawned from the configured seed, so
+    results are deterministic given (seed, config, inputs).
     """
-    level = structure.level
     names = structure.active_params
-    x0 = start.active(level)
+    x0 = np.array(start, dtype=float)
+    if x0.shape != (len(names),):
+        raise ValueError(f"expected {len(names)} start values for {structure.id}")
 
-    def logpost_vec(x: np.ndarray) -> float:
-        return log_posterior(ParameterVector.from_active(level, x))
-
-    lp0 = logpost_vec(x0)
+    lp0 = log_posterior(x0)
     if not math.isfinite(lp0):
         raise ValueError("chain start has non-finite log-posterior")
 
@@ -197,7 +181,7 @@ def run_chains(
                 log_p,
                 chol,
                 n,
-                logpost_vec,
+                log_posterior,
                 rng,
                 config.target_acceptance,
                 config.adaptation_decay,

@@ -17,17 +17,17 @@ import numpy as np
 
 from .covariates import CovariateKind, CovariateSeries
 from .models import (
+    DAYS_PER_YEAR,
+    XI_EPS,
     ModelStructure,
     NonstatLevel,
     ParameterVector,
     all_structures,
-    params_at,
+    effective_params,
 )
 from .preprocess import ExceedanceRecord, ExceedanceSet, YearBlock
 from .utils import empirical_quantile
 
-XI_EPS = 1e-8
-DAYS_PER_YEAR = 365.25
 EVENT_SPACING_DAYS = 3  # assigned event dates keep at least this separation
 
 
@@ -44,11 +44,18 @@ class SimulationSpec:
     def __post_init__(self):
         if self.last_year < self.first_year:
             raise ValueError("empty year range")
-        for year in range(self.first_year, self.last_year + 1):
-            phi = 0.0 if self.structure.level is NonstatLevel.ST else self.cov.value_for_year(year)
-            eff = params_at(self.theta, self.structure.level, phi)
-            if eff.lam <= 0 or eff.sig <= 0:
-                raise ValueError(f"nonpositive rate or scale in year {year}")
+        lam, sig, _ = self.yearly_params()
+        bad = (lam <= 0) | (sig <= 0)
+        if np.any(bad):
+            year = self.first_year + int(np.argmax(bad))
+            raise ValueError(f"nonpositive rate or scale in year {year}")
+
+    def yearly_params(self):
+        """Effective (lam, sig, xi) arrays, one entry per simulated year."""
+        years = np.arange(self.first_year, self.last_year + 1)
+        level = self.structure.level
+        phi = np.zeros(years.size) if level is NonstatLevel.ST else self.cov.values_for_years(years)
+        return effective_params(self.theta.active(level), level, phi)
 
 
 def gpd_sample(sig: float, xi: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -78,11 +85,10 @@ def simulate_record(spec: SimulationSpec) -> ExceedanceSet:
     """
     rng = np.random.default_rng(spec.seed)
     blocks = []
-    for year in range(spec.first_year, spec.last_year + 1):
-        phi = 0.0 if spec.structure.level is NonstatLevel.ST else spec.cov.value_for_year(year)
-        eff = params_at(spec.theta, spec.structure.level, phi)
+    years = range(spec.first_year, spec.last_year + 1)
+    for year, lam, sig, xi in zip(years, *spec.yearly_params()):
         dt = 366 if calendar.isleap(year) else 365
-        heights = simulate_year(eff.lam, eff.sig, eff.xi, spec.threshold, dt, rng)
+        heights = simulate_year(float(lam), float(sig), float(xi), spec.threshold, dt, rng)
         max_events = (dt - EVENT_SPACING_DAYS) // EVENT_SPACING_DAYS
         if heights.size > max_events:
             raise ValueError(f"year {year}: {heights.size} events exceed the date grid")
@@ -96,7 +102,7 @@ def simulate_record(spec: SimulationSpec) -> ExceedanceSet:
 
 
 def empirical_return_level(
-    theta: ParameterVector,
+    row,
     structure: ModelStructure,
     phi_year: float,
     mu: float,
@@ -106,17 +112,18 @@ def empirical_return_level(
 ) -> float:
     """Monte-Carlo return level: the (1 - 1/T) quantile of simulated annual maxima.
 
-    Years without exceedances contribute an annual maximum of -inf (below
-    the threshold regime). Independent of the analytic inversion.
+    ``row`` holds the active parameters of ``structure``. Years without
+    exceedances contribute an annual maximum of -inf (below the threshold
+    regime). Independent of the analytic inversion.
     """
     if n_sim_years < 100 * period:
         raise ValueError("need at least 100*T simulated years")
-    eff = params_at(theta, structure.level, phi_year)
-    counts = rng.poisson(eff.lam * DAYS_PER_YEAR, size=n_sim_years)
+    lam, sig, xi = map(float, effective_params(row, structure.level, phi_year))
+    counts = rng.poisson(lam * DAYS_PER_YEAR, size=n_sim_years)
     total = int(counts.sum())
     if total == 0:
         raise ValueError("no exceedances simulated")
-    heights = mu + gpd_sample(eff.sig, eff.xi, total, rng)
+    heights = mu + gpd_sample(sig, xi, total, rng)
     maxima = np.full(n_sim_years, -np.inf)
     nonzero = counts > 0
     ends = np.cumsum(counts)
@@ -221,8 +228,7 @@ def make_mle_fixture_pack(
     for record in records:
         for structure in all_structures():
             cov = None if structure.level is NonstatLevel.ST else covs[structure.covariate]
-            theta_hat = mle_fit(structure, record, cov, rng=fit_rng)
-            table[structure.id].append(theta_hat.active(structure.level))
+            table[structure.id].append(mle_fit(structure, record, cov, rng=fit_rng))
     return {sid: np.vstack(rows) for sid, rows in table.items()}
 
 

@@ -1,4 +1,5 @@
-"""Small shared helpers: the package-wide quantile rule and stable file output."""
+"""Small shared helpers: the gate error, the package-wide quantile rule and
+stable file output."""
 
 from __future__ import annotations
 
@@ -7,6 +8,13 @@ import json
 from pathlib import Path
 
 import numpy as np
+
+
+class GateError(ValueError):
+    """A computation failed a convergence or coverage gate; the CLI exits 1.
+
+    A ``ValueError`` so that library callers catching bad input still catch it.
+    """
 
 
 def empirical_quantile(values, q):

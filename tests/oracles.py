@@ -1,15 +1,44 @@
 """Independent reference implementations used by several test modules.
 
 These deliberately avoid the package's own code paths: the likelihood oracle
-is a double loop in extended precision, and the declustering oracle builds
-clusters by transitive closure in O(n^2).
+is a double loop in extended precision, the scalar GPD and Poisson densities
+are written out term by term, and the declustering oracle builds clusters by
+transitive closure in O(n^2).
 """
 
 import math
 
 import mpmath
+from scipy.special import gammaln
 
 from surgebma.models import NonstatLevel
+
+
+def gpd_logpdf(x: float, mu: float, sig: float, xi: float) -> float:
+    """Log density of the generalized Pareto distribution at ``x``.
+
+    Uses the exponential limit for |xi| < 1e-8 to avoid cancellation, and
+    returns -inf above the bounded upper endpoint when xi < 0.
+    """
+    if sig <= 0 or x < mu:
+        raise ValueError("outside support")
+    z = (x - mu) / sig
+    if abs(xi) < 1e-8:
+        return -math.log(sig) - z
+    t = xi * z
+    if 1.0 + t <= 0.0:
+        return -math.inf
+    return -math.log(sig) - (1.0 + 1.0 / xi) * math.log1p(t)
+
+
+def poisson_logpmf(n: int, lam: float, dt: float) -> float:
+    """Log pmf of a Poisson count with rate ``lam`` per day over ``dt`` days."""
+    if lam <= 0 or dt <= 0:
+        raise ValueError("lam and dt must be positive")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    mean = lam * dt
+    return n * math.log(mean) - mean - float(gammaln(n + 1))
 
 
 def naive_loglik(theta, structure, data, cov):

@@ -18,7 +18,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from oracles import brute_force_decluster, naive_loglik
+from oracles import brute_force_decluster, gpd_logpdf, naive_loglik
 from surgebma.cli import main
 from surgebma.covariates import CovariateKind, CovariateSeries
 from surgebma.evidence import aggregate_by_covariate, bma_weights, bridge_evidence
@@ -28,7 +28,6 @@ from surgebma.models import (
     NonstatLevel,
     ParameterVector,
     all_structures,
-    gpd_logpdf,
     log_likelihood,
     make_logpost,
     make_logpost_on_active,
@@ -177,7 +176,7 @@ def test_criterion_5_return_level_matches_simulation():
     t0 = time.perf_counter()
     mu, lam0, sig0 = 1.0, 0.01, 0.2
     for i, xi in enumerate((-0.2, 0.0, 0.3)):
-        theta = ParameterVector(lam0=lam0, sig0=sig0, xi0=xi)
+        theta = [lam0, sig0, xi]
         for j, period in enumerate((20.0, 50.0, 100.0)):
             rng = np.random.default_rng(7000 + 10 * i + j)
             emp = empirical_return_level(theta, ST, 0.0, mu, period, 200_000, rng)

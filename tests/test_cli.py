@@ -155,6 +155,33 @@ def test_evidence_and_report_artifacts(pipeline_dir):
     assert rl[0] == "T10,T100"
 
 
+def test_report_prints_flagged_and_clamped_draws(pipeline_dir, capsys):
+    assert main(["report", "--config", str(pipeline_dir / "run.ini")]) == 0
+    line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("T=100 draws:")]
+    flagged = clamped = 0
+    for sid in ("ST", "NS1-time"):
+        rows = (pipeline_dir / "out" / "return_levels" / f"{sid}.csv").read_text().splitlines()
+        counts = dict(kv.split("=") for kv in rows[1].split(",")[1].split(";"))
+        flagged += int(counts["flagged"])
+        clamped += int(counts["clamped"])
+    assert line == [
+        f"T=100 draws: {flagged} flagged and dropped, {clamped} rate-clamped, "
+        "of 2000 across 2 structures"
+    ]
+
+
+def test_all_draws_flagged_exits_1(pipeline_dir, tmp_path, capsys):
+    work = tmp_path / "pipeline"
+    shutil.copytree(pipeline_dir, work)
+    ens = work / "out" / "ensembles" / "ST.csv"
+    header, *rows = ens.read_text().splitlines()
+    assert header.split(",")[0] == "lam0"
+    # a rate of one event per million years cannot reach the T=10 regime
+    ens.write_text("\n".join([header] + ["1e-9," + r.split(",", 1)[1] for r in rows]) + "\n")
+    assert main(["project", "--config", str(work / "run.ini"), "--structures", "ST"]) == 1
+    assert "all draws flagged for ST" in capsys.readouterr().err
+
+
 def test_weights_csv_row_sums_to_one(pipeline_dir):
     lines = (pipeline_dir / "out" / "weights_all.csv").read_text().splitlines()[1:]
     total = sum(float(line.split(",")[1]) for line in lines)

@@ -38,6 +38,15 @@ def test_winter_mean_missing_month_omits_year(caplog):
     assert "omitted" in caplog.text
 
 
+def test_winter_mean_complete_record_logs_nothing(caplog):
+    # the record's edge winters lack December before or Jan/Feb after; no warning
+    monthly = [(y, m, 0.5) for y in range(1990, 1995) for m in range(1, 13)]
+    with caplog.at_level("WARNING"):
+        out = winter_mean_nao(monthly)
+    assert sorted(out) == [1991, 1992, 1993, 1994]
+    assert not caplog.records
+
+
 def test_winter_mean_matches_scan_oracle():
     rng = np.random.default_rng(0)
     monthly = [(y, m, float(rng.normal())) for y in range(1990, 2000) for m in range(1, 13)]

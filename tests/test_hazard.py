@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from surgebma.covariates import CovariateKind
+from surgebma.covariates import CovariateKind, CovariateSeries
 from surgebma.evidence import BmaWeights
 from surgebma.hazard import (
     DEFAULT_QUANTILE_LEVELS,
@@ -17,12 +17,13 @@ from surgebma.hazard import (
     write_curve_json,
     write_quantile_table_csv,
 )
-from surgebma.models import ModelStructure, NonstatLevel, ParameterVector
+from surgebma.models import ModelStructure, NonstatLevel
 from surgebma.sampler import PosteriorEnsemble
 from surgebma.simulate import synthetic_covariates
 
 ST = ModelStructure(NonstatLevel.ST, None)
 NS1 = ModelStructure(NonstatLevel.NS1, CovariateKind.TIME)
+NS3 = ModelStructure(NonstatLevel.NS3, CovariateKind.TIME)
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +32,7 @@ NS1 = ModelStructure(NonstatLevel.NS1, CovariateKind.TIME)
 
 
 def test_return_level_exponential_branch():
-    theta = ParameterVector(lam0=0.01, sig0=0.2, xi0=0.0)
+    theta = [0.01, 0.2, 0.0]
     # lam_yr = 3.6525, T = 100 -> z = 1 + 0.2 ln(365.25)
     z = return_level(theta, ST, 0.0, 1.0, 100.0)
     assert z == pytest.approx(1.0 + 0.2 * math.log(365.25), rel=1e-12)
@@ -41,37 +42,37 @@ def test_return_level_equals_threshold_at_unit_rate():
     lam0 = 0.01
     period = 1.0 / (lam0 * 365.25) * (1.0 + 1e-13)
     for xi in (0.3, 0.0, -0.2):
-        theta = ParameterVector(lam0=lam0, sig0=0.2, xi0=xi)
+        theta = [lam0, 0.2, xi]
         assert return_level(theta, ST, 0.0, 1.0, period) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_return_level_below_threshold_regime_errors():
-    theta = ParameterVector(lam0=0.001, sig0=0.2, xi0=0.1)
+    theta = [0.001, 0.2, 0.1]
     with pytest.raises(ValueError, match="below threshold regime"):
         return_level(theta, ST, 0.0, 1.0, 2.0)  # T*lam_yr = 0.73 < 1
 
 
 def test_return_level_monotonicity():
-    theta = ParameterVector(lam0=0.01, sig0=0.2, xi0=0.1)
+    theta = [0.01, 0.2, 0.1]
     levels = [return_level(theta, ST, 0.0, 1.0, t) for t in DEFAULT_RETURN_PERIODS]
     assert np.all(np.diff(levels) > 0)
     # increasing in scale and rate
-    up_sig = return_level(ParameterVector(lam0=0.01, sig0=0.3, xi0=0.1), ST, 0.0, 1.0, 100)
-    up_lam = return_level(ParameterVector(lam0=0.02, sig0=0.2, xi0=0.1), ST, 0.0, 1.0, 100)
+    up_sig = return_level([0.01, 0.3, 0.1], ST, 0.0, 1.0, 100)
+    up_lam = return_level([0.02, 0.2, 0.1], ST, 0.0, 1.0, 100)
     base = return_level(theta, ST, 0.0, 1.0, 100)
     assert up_sig > base and up_lam > base
 
 
 def test_return_level_bounded_for_negative_shape():
-    theta = ParameterVector(lam0=0.01, sig0=0.2, xi0=-0.25)
+    theta = [0.01, 0.2, -0.25]
     bound = 1.0 + 0.2 / 0.25
     for t in (10, 100, 1000, 100000):
         assert return_level(theta, ST, 0.0, 1.0, t) < bound
 
 
 def test_return_level_continuous_across_xi_branch():
-    theta_pos = ParameterVector(lam0=0.01, sig0=0.2, xi0=5e-9)
-    theta_zero = ParameterVector(lam0=0.01, sig0=0.2, xi0=0.0)
+    theta_pos = [0.01, 0.2, 5e-9]
+    theta_zero = [0.01, 0.2, 0.0]
     a = return_level(theta_pos, ST, 0.0, 1.0, 100)
     b = return_level(theta_zero, ST, 0.0, 1.0, 100)
     assert a == pytest.approx(b, abs=1e-6)
@@ -98,7 +99,7 @@ def test_st_ensemble_year_invariant():
 def test_single_draw_ensemble_matches_scalar():
     ens = make_ensemble(ST, [[0.01, 0.2, 0.1]])
     out = ensemble_return_levels(ens, None, 2065, 1.0, 100)
-    want = return_level(ParameterVector(lam0=0.01, sig0=0.2, xi0=0.1), ST, 0.0, 1.0, 100)
+    want = return_level([0.01, 0.2, 0.1], ST, 0.0, 1.0, 100)
     assert out.samples.size == 1
     assert out.samples[0] == pytest.approx(want, rel=1e-12)
 
@@ -116,6 +117,28 @@ def test_ensemble_flags_and_clamps_bad_rates():
     all_bad = make_ensemble(NS1, [[0.005, -0.02, 0.2, 0.1]])
     with pytest.raises(ValueError, match="all draws flagged"):
         ensemble_return_levels(all_bad, cov, 2065, 1.0, 100)
+
+
+def test_ns3_ensemble_equals_per_draw_return_level_bit_for_bit():
+    # both routes resolve (rate, scale, shape) through the same rule
+    rng = np.random.default_rng(8)
+    n = 1000
+    rows = np.column_stack(
+        [
+            rng.uniform(0.008, 0.012, n),
+            rng.normal(0.0, 0.001, n),
+            rng.normal(np.log(0.12), 0.3, n),
+            rng.normal(0.0, 0.4, n),
+            rng.normal(0.1, 0.1, n),
+            rng.normal(0.0, 0.1, n),
+        ]
+    )
+    years = np.array([2000, 2001, 2002])
+    cov = CovariateSeries(CovariateKind.TIME, years, np.array([0.0, 1.0, 1.61]), (2000, 2001))
+    out = ensemble_return_levels(make_ensemble(NS3, rows), cov, 2002, 1.0, 100)
+    assert out.n_flagged == 0 and out.n_clamped == 0
+    want = np.array([return_level(row, NS3, 1.61, 1.0, 100) for row in rows])
+    assert out.samples.tobytes() == want.tobytes()
 
 
 def test_ensemble_median_nondecreasing_in_period():

@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import gpd_logpdf, naive_loglik, poisson_logpmf
 from surgebma.covariates import CovariateKind, CovariateSeries
 from surgebma.models import (
     ModelStructure,
     NonstatLevel,
     ParameterVector,
     all_structures,
-    gpd_logpdf,
+    effective_params,
     log_likelihood,
     log_posterior,
     log_prior,
     make_loglik,
-    params_at,
-    poisson_logpmf,
 )
 from surgebma.preprocess import ExceedanceRecord, ExceedanceSet, YearBlock
 from surgebma.priors import PriorSet, PriorSpec
@@ -48,24 +47,49 @@ def make_data(threshold, year_events, durations=None):
 
 
 # ---------------------------------------------------------------------------
-# params_at
+# effective_params
 # ---------------------------------------------------------------------------
 
-
-def test_params_at_linear_rate():
-    theta = ParameterVector(lam0=0.01, lam1=0.005, sig0=0.1, xi0=0.0)
-    assert params_at(theta, NonstatLevel.NS1, 1.0).lam == pytest.approx(0.015)
-
-
-def test_params_at_log_scale_intercept():
-    theta = ParameterVector(lam0=0.01, sig0=-1.5, sig1=0.2, xi0=0.0)
-    eff = params_at(theta, NonstatLevel.NS3, 0.0)
-    assert eff.sig == pytest.approx(math.exp(-1.5))
+# one active row per level; sig0 is a direct scale for ST/NS1, a log scale above
+EFFECTIVE_ROWS = {
+    "ST": [0.01, 0.2, 0.1],
+    "NS1": [0.01, 0.005, 0.2, 0.1],
+    "NS2": [0.01, 0.005, -1.5, 0.2, 0.1],
+    "NS3": [0.01, 0.005, -1.5, 0.2, 0.1, -0.05],
+}
 
 
-def test_params_at_st_ignores_covariate():
-    theta = ParameterVector(lam0=0.01, sig0=0.2, xi0=0.1)
-    assert params_at(theta, NonstatLevel.ST, 0.0) == params_at(theta, NonstatLevel.ST, 1.0)
+def effective_by_hand(level, phi):
+    """The (lam, sig, xi) rule of the module docstring, one level at a time."""
+    if level == "ST":
+        return 0.01, 0.2, 0.1
+    lam = 0.01 + 0.005 * phi
+    if level == "NS1":
+        return lam, 0.2, 0.1
+    sig = math.exp(-1.5 + 0.2 * phi)
+    return lam, sig, (0.1 - 0.05 * phi if level == "NS3" else 0.1)
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.0, np.array([0.0, 0.5, 1.0, 1.61])], ids=["phi0", "phi1", "array"])
+@pytest.mark.parametrize("level", list(EFFECTIVE_ROWS))
+def test_effective_params_rule(level, phi):
+    row = EFFECTIVE_ROWS[level]
+    lam, sig, xi = effective_params(row, NonstatLevel(level), phi)
+    assert lam.shape == sig.shape == xi.shape == np.shape(phi)
+    for k, p in enumerate(np.atleast_1d(phi)):
+        got = [float(np.atleast_1d(v)[k]) for v in (lam, sig, xi)]
+        assert got == pytest.approx(effective_by_hand(level, float(p)), rel=1e-15)
+    if level == "ST":  # the stationary structure ignores the covariate
+        assert [v.tolist() for v in effective_params(row, NonstatLevel.ST, 1.0)] == [
+            v.tolist() for v in effective_params(row, NonstatLevel.ST, 0.0)
+        ]
+    # a stack of rows resolves row by row, bit for bit
+    stack = np.array([row, np.multiply(row, 1.1)])
+    for v_stack, v_row in zip(
+        effective_params(stack, NonstatLevel(level), 0.7),
+        effective_params(stack[1], NonstatLevel(level), 0.7),
+    ):
+        assert v_stack.shape == (2,) and v_stack[1] == v_row
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +185,6 @@ def test_loglik_year_order_invariance():
         log_likelihood(theta, ST, shuffled, None), rel=1e-14
     )
 
-
-from oracles import naive_loglik
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -314,4 +336,4 @@ def test_make_loglik_closure_matches_public_function():
     cov = make_cov([2000, 2001])
     theta = ParameterVector(lam0=0.012, lam1=0.003, sig0=0.1, xi0=0.02)
     fast = make_loglik(NS1, data, cov)
-    assert fast(theta) == log_likelihood(theta, NS1, data, cov)
+    assert fast(theta.active(NS1.level)) == log_likelihood(theta, NS1, data, cov)

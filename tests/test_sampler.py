@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from surgebma.covariates import CovariateKind
 from surgebma.models import ModelStructure, NonstatLevel, ParameterVector
 from surgebma.priors import PriorSet, PriorSpec, mle_fit
 from surgebma.sampler import (
@@ -141,20 +142,21 @@ def test_ram_detailed_balance_frozen_adaptation():
 
 
 def toy_logpost_factory():
-    def logpost(theta: ParameterVector) -> float:
-        if theta.lam0 <= 0 or theta.sig0 <= 0:
+    def logpost(row: np.ndarray) -> float:
+        lam0, sig0, xi0 = row
+        if lam0 <= 0 or sig0 <= 0:
             return -math.inf
         return (
-            -0.5 * ((theta.lam0 - 0.01) / 0.002) ** 2
-            - 0.5 * ((theta.sig0 - 0.1) / 0.02) ** 2
-            - 0.5 * (theta.xi0 / 0.1) ** 2
+            -0.5 * ((lam0 - 0.01) / 0.002) ** 2
+            - 0.5 * ((sig0 - 0.1) / 0.02) ** 2
+            - 0.5 * (xi0 / 0.1) ** 2
         )
 
     return logpost
 
 
 def test_run_chains_deterministic_given_seed():
-    start = ParameterVector(lam0=0.01, sig0=0.1, xi0=0.0)
+    start = np.array([0.01, 0.1, 0.0])
     config = ChainConfig(n_iterations=500, n_chains=2, seed=7, burn_in=100, thinned_size=100)
     a = run_chains(ST, toy_logpost_factory(), start, config)
     b = run_chains(ST, toy_logpost_factory(), start, config)
@@ -166,9 +168,11 @@ def test_run_chains_deterministic_given_seed():
 
 
 def test_run_chains_requires_finite_start():
-    start = ParameterVector(lam0=-1.0, sig0=0.1, xi0=0.0)
+    start = np.array([-1.0, 0.1, 0.0])
     with pytest.raises(ValueError, match="non-finite"):
         run_chains(ST, toy_logpost_factory(), start, ChainConfig(n_iterations=100, burn_in=10, thinned_size=10))
+    with pytest.raises(ValueError, match="expected 3 start values"):
+        run_chains(ST, toy_logpost_factory(), start[:2], ChainConfig(n_iterations=100, burn_in=10, thinned_size=10))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +335,8 @@ def test_ensemble_csv_roundtrip(tmp_path, st_calibration):
     assert back.param_names == ens.param_names
     assert np.array_equal(back.draws, ens.draws)
     assert back.diagnostics["seed"] == 11
+    with pytest.raises(ValueError, match="not those of NS1-time"):
+        PosteriorEnsemble.load(csv_path, ModelStructure(NonstatLevel.NS1, CovariateKind.TIME))
 
 
 def test_initial_proposal_factor_scales_with_magnitude():

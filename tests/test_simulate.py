@@ -113,7 +113,7 @@ def test_simulate_record_survives_declustering():
 
 
 def test_empirical_return_level_monotone_in_period():
-    theta = ParameterVector(lam0=0.01, sig0=0.2, xi0=0.1)
+    theta = [0.01, 0.2, 0.1]
     rng = np.random.default_rng(12)
     levels = [
         empirical_return_level(theta, ST, 0.0, 1.0, t, 20_000, rng) for t in (5, 20, 100)
@@ -122,7 +122,7 @@ def test_empirical_return_level_monotone_in_period():
 
 
 def test_empirical_return_level_respects_bounded_tail():
-    theta = ParameterVector(lam0=0.01, sig0=0.2, xi0=-0.3)
+    theta = [0.01, 0.2, -0.3]
     rng = np.random.default_rng(13)
     bound = 1.0 - 0.2 / -0.3
     for t in (10, 50):
@@ -131,7 +131,7 @@ def test_empirical_return_level_respects_bounded_tail():
 
 def test_empirical_matches_analytic_return_level():
     # two fully independent routes to the same quantity
-    theta = ParameterVector(lam0=0.01, sig0=0.2, xi0=0.1)
+    theta = [0.01, 0.2, 0.1]
     rng = np.random.default_rng(14)
     got = empirical_return_level(theta, ST, 0.0, 1.0, 50, 200_000, rng)
     want = return_level(theta, ST, 0.0, 1.0, 50)
@@ -144,6 +144,9 @@ def test_simulation_spec_validates_rates():
     bad = ParameterVector(lam0=0.005, lam1=-0.01, sig0=0.1, xi0=0.0)
     with pytest.raises(ValueError, match="nonpositive"):
         SimulationSpec(bad, structure, cov, 2000, 2010, 1.0, seed=1)
+    stray = ParameterVector(lam0=0.005, sig0=0.1, xi1=0.1)  # NS1 has no shape slope
+    with pytest.raises(ValueError, match="xi1 not active"):
+        SimulationSpec(stray, structure, cov, 2000, 2010, 1.0, seed=1)
 
 
 def test_loglik_profile_peaks_near_truth():
