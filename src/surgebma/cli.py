@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import dataclasses
 import datetime
 import hashlib
@@ -41,12 +42,15 @@ from .hazard import (
     write_curve_json,
     write_quantile_table_csv,
 )
+# make_logpost is not called in this module; bench/tracing.py wraps the density
+# factories under their names here, so both row factories stay importable from it
 from .models import (
     ModelStructure,
     NonstatLevel,
     ParameterVector,
     make_logpost,
     make_logpost_on_active,
+    make_logpost_rows,
 )
 from .preprocess import ExceedanceSet, preprocess_station, read_hourly_csv
 from .priors import (
@@ -193,8 +197,12 @@ def _load_inputs(config: RunConfig):
 
 
 def _calibrate_one(config: RunConfig, sid: str) -> dict:
+    """One structure with its own input load: the unit of work of the worker pool."""
+    return _calibrate_structure(config, sid, *_load_inputs(config))
+
+
+def _calibrate_structure(config: RunConfig, sid: str, data, priors, covs) -> dict:
     structure = ModelStructure.parse(sid)
-    data, priors, covs = _load_inputs(config)
     if sid not in priors:
         raise ValueError(f"no priors for {sid}")
     cov = None if structure.level is NonstatLevel.ST else covs[structure.covariate]
@@ -203,8 +211,8 @@ def _calibrate_one(config: RunConfig, sid: str) -> dict:
         structure, data, cov, rng=np.random.default_rng(stage_seed(config.seed, sid, "mle"))
     )
     chain_config = dataclasses.replace(config.sampler, seed=stage_seed(config.seed, sid, "chains"))
-    logpost = make_logpost(structure, data, cov, priors[sid])
-    raw = run_chains(structure, logpost, mle, chain_config)
+    logpost_rows = make_logpost_rows(structure, data, cov, priors[sid])
+    raw = run_chains(structure, logpost_rows, mle, chain_config)
     try:
         ensemble = pool_and_thin(
             raw, np.random.default_rng(stage_seed(config.seed, sid, "thin")), force=config.force
@@ -229,8 +237,9 @@ def cmd_calibrate(config: RunConfig, only: str | None = None) -> int:
             for sid, future in futures.items():
                 results[sid] = future.result()
     else:
+        inputs = _load_inputs(config)
         for sid in sids:
-            results[sid] = _calibrate_one(config, sid)
+            results[sid] = _calibrate_structure(config, sid, *inputs)
             log.info("calibrated %s", sid)
 
     paths = []
@@ -296,12 +305,10 @@ def cmd_project(config: RunConfig) -> int:
 
 
 def _write_return_level_csv(columns: dict[float, ReturnLevelEnsemble], path: Path) -> None:
-    import csv as _csv
-
     periods = sorted(columns)
     n_rows = max(c.samples.size for c in columns.values())
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow([f"T{t:g}" for t in periods])
         writer.writerow([f"flagged={columns[t].n_flagged};clamped={columns[t].n_clamped}" for t in periods])
         for i in range(n_rows):
@@ -314,10 +321,8 @@ def _write_return_level_csv(columns: dict[float, ReturnLevelEnsemble], path: Pat
 
 
 def _read_return_level_csv(path: Path, sid: str, year: int) -> dict[float, ReturnLevelEnsemble]:
-    import csv as _csv
-
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader)
         periods = [float(h[1:]) for h in header]
         flags = next(reader)
@@ -362,9 +367,7 @@ def cmd_report(config: RunConfig) -> int:
 
     weights_csv = config.out("weights_all.csv")
     with open(weights_csv, "w", newline="") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["structure", "bma_weight"])
         for est in estimates:
             writer.writerow([est.structure.id, format_float(weights.weights[est.structure.id])])
@@ -380,9 +383,7 @@ def cmd_report(config: RunConfig) -> int:
         per_cov = weights_by_level_within_covariate(estimates)
         per_cov_path = config.out("weights_by_covariate.csv")
         with open(per_cov_path, "w", newline="") as fh:
-            import csv as _csv
-
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["covariate", "ST", "NS1", "NS2", "NS3"])
             for kind in CovariateKind:
                 row = per_cov[kind.value]

@@ -18,7 +18,9 @@ Parameters travel as active-parameter rows: float arrays in
 ``ACTIVE_PARAMS[level]`` order, the order of ensemble columns and MLE tables.
 The MLE, the likelihood and posterior closures, the sampler, bridge sampling
 and the return-level inversion all take rows, and ``effective_params`` is
-the one place the rule above turns rows into (rate, scale, shape).
+the one place the rule above turns rows into (rate, scale, shape). The
+sampler evaluates a (K, d) stack of rows per call (``make_logpost_rows``),
+with values equal to the row closure's bit for bit.
 ``ParameterVector`` names the parameters for simulation specs and for the
 public ``log_likelihood``/``log_posterior``.
 """
@@ -234,6 +236,63 @@ def _loglik_from_arrays(row, level: NonstatLevel, d: LikelihoodData) -> float:
     return pois + gpd_sum - log_sig_sum
 
 
+@np.errstate(all="ignore")
+def _loglik_rows(rows: np.ndarray, level: NonstatLevel, d: LikelihoodData) -> np.ndarray:
+    """Log-likelihood of each row of a (K, d) stack, as a (K,) array.
+
+    Every term is a (K, n) array reduced along axis 1, in the operation order
+    of ``_loglik_from_arrays``, so each value equals the row kernel's bit for
+    bit. A row failing a support check is -inf; the other rows' terms are
+    computed regardless, hence the silenced floating-point warnings. NS3 rows
+    with ``xi1 == 0.0`` go through the row kernel, whose constant-shape branch
+    sums the GPD terms in another order.
+    """
+    p = dict(zip(ACTIVE_PARAMS[level], rows.T[:, :, None]))  # (K, 1) columns
+    lam0, sig0 = p["lam0"], p["sig0"]
+
+    lam = lam0 + p.get("lam1", 0.0) * d.phi
+    dead = (lam <= 0).any(axis=1)
+    mean = lam * d.durations
+    pois = (d.counts * np.log(mean) - mean).sum(axis=1) - d.lgamma_counts
+
+    if level in DIRECT_SCALE:
+        dead |= sig0[:, 0] <= 0
+        z = d.excess / sig0
+        # math.log, as in the row kernel: np.log can differ in the last bit
+        log_sig_sum = np.array(
+            [d.excess.size * math.log(s) if s > 0 else math.nan for s in sig0[:, 0].tolist()]
+        )
+    else:
+        log_sig = sig0 + p["sig1"] * d.phi_event
+        z = d.excess * np.exp(-log_sig)
+        log_sig_sum = log_sig.sum(axis=1)
+
+    # t <= -1 is the row kernel's 1 + t <= 0: that sum is exact for t in [-2, -0.5]
+    if level is NonstatLevel.NS3:
+        xi_ev = p["xi0"] + p["xi1"] * d.phi_event
+        t = xi_ev * z
+        dead |= (t <= -1.0).any(axis=1)
+        terms = -(1.0 + 1.0 / xi_ev) * np.log1p(t)
+        small = np.abs(xi_ev) < XI_EPS
+        if small.any():
+            terms = np.where(small, -z, terms)
+        gpd_sum = terms.sum(axis=1)
+    else:
+        xi = p["xi0"][:, 0]
+        t = p["xi0"] * z
+        gpd_sum = -(1.0 + 1.0 / xi) * np.log1p(t).sum(axis=1)
+        small = np.abs(xi) < XI_EPS
+        dead |= ~small & (t <= -1.0).any(axis=1)
+        if small.any():
+            gpd_sum = np.where(small, -z.sum(axis=1), gpd_sum)
+
+    out = np.where(dead, -math.inf, pois + gpd_sum - log_sig_sum)
+    if level is NonstatLevel.NS3:
+        for k in np.flatnonzero(p["xi1"][:, 0] == 0.0):
+            out[k] = _loglik_from_arrays(rows[k], level, d)
+    return out
+
+
 def make_loglik(
     structure: ModelStructure, data: ExceedanceSet, cov: CovariateSeries | None
 ) -> Callable[[np.ndarray], float]:
@@ -262,12 +321,14 @@ def log_likelihood(
     return make_loglik(structure, data, cov)(theta.active(structure.level))
 
 
+def _check_priors(priors: "PriorSet", structure: ModelStructure) -> None:
+    if priors.structure.id != structure.id:
+        raise ValueError(f"prior set fitted for {priors.structure.id}, not {structure.id}")
+
+
 def log_prior(theta: ParameterVector, structure: ModelStructure, priors: "PriorSet") -> float:
     """Sum of per-parameter prior log densities over the active parameters."""
-    if priors.structure.id != structure.id:
-        raise ValueError(
-            f"prior set fitted for {priors.structure.id}, not {structure.id}"
-        )
+    _check_priors(priors, structure)
     return priors.logpdf(theta.active(structure.level))
 
 
@@ -280,11 +341,11 @@ def make_logpost(
     """Unnormalized log-posterior closure over active-parameter rows.
 
     -inf from either factor propagates; the likelihood is skipped when the
-    prior is already -inf.
+    prior is already -inf. Bridge sampling evaluates one row at a time, where
+    this closure is faster than a one-row stack of ``make_logpost_rows``.
     """
     loglik = make_loglik(structure, data, cov)
-    if priors.structure.id != structure.id:
-        raise ValueError(f"prior set fitted for {priors.structure.id}, not {structure.id}")
+    _check_priors(priors, structure)
 
     def logpost(row: np.ndarray) -> float:
         lp = priors.logpdf(row)
@@ -296,8 +357,32 @@ def make_logpost(
 
 
 # a second name for the same factory: the evidence stage calls it by this
-# name, so its density evals can be wrapped apart from the sampler's
+# name, so its density evals can be wrapped apart from other callers'
 make_logpost_on_active = make_logpost
+
+
+def make_logpost_rows(
+    structure: ModelStructure,
+    data: ExceedanceSet,
+    cov: CovariateSeries | None,
+    priors: "PriorSet",
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Stacked log-posterior: a (K, d) stack of active rows -> (K,) values.
+
+    Value k equals ``make_logpost(...)(rows[k])`` bit for bit, so the lockstep
+    sampler draws the same chains as one row closure per chain. The prior is
+    the scalar ``PriorSet.logpdf`` per row; a row whose prior is -inf is -inf
+    whatever its likelihood.
+    """
+    arrays = LikelihoodData.build(data, cov, structure)
+    _check_priors(priors, structure)
+    level = structure.level
+
+    def logpost_rows(rows: np.ndarray) -> np.ndarray:
+        lp = np.array([priors.logpdf(row) for row in rows.tolist()])
+        return np.where(lp == -math.inf, -math.inf, lp + _loglik_rows(rows, level, arrays))
+
+    return logpost_rows
 
 
 def log_posterior(

@@ -12,7 +12,7 @@ sample of station estimates involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -33,21 +33,27 @@ class PriorSpec:
     family: str  # "normal" | "gamma"
     p1: float  # mean | shape
     p2: float  # sd | rate
+    _log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in ("normal", "gamma"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.p2 <= 0 or (self.family == "gamma" and self.p1 <= 0):
             raise ValueError("family parameters must be positive")
+        # the leading, x-free terms of logpdf, computed once in the same order
+        if self.family == "normal":
+            log_norm = math.log(self.p2)
+        else:
+            log_norm = self.p1 * math.log(self.p2) - float(gammaln(self.p1))
+        object.__setattr__(self, "_log_norm", log_norm)
 
     def logpdf(self, x: float) -> float:
         if self.family == "normal":
             z = (x - self.p1) / self.p2
-            return -0.5 * (LOG_2PI + z * z) - math.log(self.p2)
+            return -0.5 * (LOG_2PI + z * z) - self._log_norm
         if x <= 0:
             return -math.inf
-        a, b = self.p1, self.p2
-        return a * math.log(b) - float(gammaln(a)) + (a - 1.0) * math.log(x) - b * x
+        return self._log_norm + (self.p1 - 1.0) * math.log(x) - self.p2 * x
 
     def to_dict(self) -> dict:
         return {"family": self.family, "p1": self.p1, "p2": self.p2}

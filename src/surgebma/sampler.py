@@ -2,6 +2,8 @@
 
 The proposal covariance factor adapts by a rank-one update that coerces the
 acceptance rate toward a target (Vihola 2012, Stat. Comput. 22:997-1008).
+All chains of a structure advance in lockstep, with one call of a stacked
+log-posterior per iteration and one random stream per chain.
 Convergence across parallel chains is monitored with the potential scale
 reduction factor of Gelman and Rubin (1992), after which the post-burn-in
 iterates are pooled and thinned into the final posterior ensemble.
@@ -12,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -96,47 +98,64 @@ class PosteriorEnsemble:
 
 def ram_step(
     theta: np.ndarray,
-    log_p: float,
+    log_p: np.ndarray,
     chol: np.ndarray,
     iteration: int,
-    log_posterior: Callable[[np.ndarray], float],
-    rng: np.random.Generator,
+    log_posterior: Callable[[np.ndarray], np.ndarray],
+    rngs: Sequence[np.random.Generator],
     target_acceptance: float = 0.234,
     adaptation_decay: float = 0.66,
     adapt: bool = True,
 ):
-    """One Metropolis step with rank-one coercion of the proposal factor.
+    """One Metropolis step of K chains in lockstep, with rank-one coercion.
 
-    Proposes theta + S u with u standard normal, accepts with probability
-    alpha = min(1, exp(dlogp)), then rescales S along u so the long-run
-    acceptance rate is pulled toward the target. Returns
-    (theta', log_p', S', accepted, alpha). A non-finite proposal density
+    ``theta`` is (K, d), ``log_p`` (K,), ``chol`` (K, d, d) lower-triangular
+    with positive diagonal (``check_proposal_factor``; the Cholesky update
+    keeps it so), and ``log_posterior`` maps a (K, d) stack to (K,) values.
+    Chain k proposes theta_k + S_k u_k with u_k drawn from ``rngs[k]``,
+    accepts with probability alpha_k = min(1, exp(dlogp)), then rescales S_k
+    along u_k so its long-run acceptance rate is pulled toward the target.
+    Each generator draws ``standard_normal(d)`` and then a uniform only when
+    alpha_k > 0, the order of a chain stepped on its own. Returns
+    (theta', log_p', S', accepted, alpha); a non-finite proposal density
     counts as a rejection, not an error.
     """
-    d = theta.size
-    if np.any(np.diag(chol) <= 0) or np.any(np.triu(chol, 1) != 0.0):
-        raise ValueError("proposal factor must be lower-triangular with positive diagonal")
-
-    u = rng.standard_normal(d)
-    proposal = theta + chol @ u
+    k, d = theta.shape
+    draws = [rng.standard_normal(d) for rng in rngs]
+    u = np.array(draws)
+    proposal = theta + np.matmul(chol, u[:, :, None])[:, :, 0]
     log_p_prop = log_posterior(proposal)
-    if math.isfinite(log_p_prop):
-        alpha = min(1.0, math.exp(min(log_p_prop - log_p, 0.0)))
-    else:
-        alpha = 0.0
 
-    accepted = alpha > 0.0 and rng.uniform() < alpha
-    if accepted:
-        theta, log_p = proposal, log_p_prop
+    alpha = [
+        min(1.0, math.exp(min(new - old, 0.0))) if math.isfinite(new) else 0.0
+        for new, old in zip(log_p_prop.tolist(), log_p.tolist())
+    ]
+    # random() is the value and the stream position of uniform(), without its bounds arithmetic
+    accepted = np.array([a > 0.0 and rng.random() < a for a, rng in zip(alpha, rngs)])
+    theta = np.where(accepted[:, None], proposal, theta)
+    log_p = np.where(accepted, log_p_prop, log_p)
 
     if adapt:
-        norm2 = float(u @ u)
-        if norm2 > 0.0:
-            eta = min(1.0, d * iteration ** (-adaptation_decay))
-            m = (eta * (alpha - target_acceptance) / norm2) * np.outer(u, u)
-            m.flat[:: d + 1] += 1.0
-            chol = np.linalg.cholesky(chol @ m @ chol.T)
-    return theta, log_p, chol, accepted, alpha
+        eta = min(1.0, d * iteration ** (-adaptation_decay))
+        # one dot product per chain: a stacked sum of squares differs in the last bit
+        norm2 = [v.dot(v) for v in draws]
+        coef = [eta * (a - target_acceptance) / n if n > 0.0 else 0.0 for a, n in zip(alpha, norm2)]
+        m = np.array(coef)[:, None, None] * (u[:, :, None] * u[:, None, :])
+        m.reshape(k, -1)[:, :: d + 1] += 1.0
+        updated = np.linalg.cholesky(chol @ m @ chol.transpose(0, 2, 1))
+        if min(norm2) > 0.0:
+            chol = updated
+        else:  # u = 0 leaves its chain's factor as it is
+            chol = np.where((np.array(norm2) > 0.0)[:, None, None], updated, chol)
+    return theta, log_p, chol, accepted, np.array(alpha)
+
+
+def check_proposal_factor(chol: np.ndarray) -> None:
+    """Refuse a factor (or stack of factors) that is not lower-triangular
+    with a positive diagonal."""
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    if np.any(~(diag > 0)) or np.any(np.triu(chol, 1) != 0.0):
+        raise ValueError("proposal factor must be lower-triangular with positive diagonal")
 
 
 def initial_proposal_factor(start: np.ndarray) -> np.ndarray:
@@ -146,49 +165,51 @@ def initial_proposal_factor(start: np.ndarray) -> np.ndarray:
 
 def run_chains(
     structure: ModelStructure,
-    log_posterior: Callable[[np.ndarray], float],
+    log_posterior: Callable[[np.ndarray], np.ndarray],
     start: np.ndarray,
     config: ChainConfig,
 ) -> RawChains:
-    """Run ``config.n_chains`` independent adaptive chains from ``start``.
+    """Run ``config.n_chains`` adaptive chains from ``start`` in lockstep.
 
-    ``start`` and the rows passed to ``log_posterior`` are active-parameter
-    rows. Chains are initialized at the maximum likelihood estimate and
-    driven by independent RNG streams spawned from the configured seed, so
-    results are deterministic given (seed, config, inputs).
+    ``start`` is an active-parameter row, and ``log_posterior`` is a stacked
+    density (``models.make_logpost_rows``): it maps a (K, d) stack of rows to
+    (K,) values, and is called once per iteration for all chains. Chains are
+    initialized at the maximum likelihood estimate and driven by independent
+    RNG streams spawned from the configured seed, so results are
+    deterministic given (seed, config, inputs), and chain c is the chain
+    that ``ram_step`` on chain c alone would draw.
     """
     names = structure.active_params
     x0 = np.array(start, dtype=float)
     if x0.shape != (len(names),):
         raise ValueError(f"expected {len(names)} start values for {structure.id}")
 
-    lp0 = log_posterior(x0)
+    lp0 = float(log_posterior(x0[None, :])[0])
     if not math.isfinite(lp0):
         raise ValueError("chain start has non-finite log-posterior")
 
-    d = x0.size
-    streams = np.random.SeedSequence(config.seed).spawn(config.n_chains)
-    chains = np.empty((config.n_chains, config.n_iterations, d))
-    acceptance = np.empty(config.n_chains)
-    for c in range(config.n_chains):
-        rng = np.random.default_rng(streams[c])
-        theta, log_p = x0.copy(), lp0
-        chol = initial_proposal_factor(x0)
-        n_accept = 0
-        for n in range(1, config.n_iterations + 1):
-            theta, log_p, chol, accepted, _ = ram_step(
-                theta,
-                log_p,
-                chol,
-                n,
-                log_posterior,
-                rng,
-                config.target_acceptance,
-                config.adaptation_decay,
-            )
-            chains[c, n - 1] = theta
-            n_accept += accepted
-        acceptance[c] = n_accept / config.n_iterations
+    n_chains, d = config.n_chains, x0.size
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(n_chains)]
+    theta = np.tile(x0, (n_chains, 1))
+    log_p = np.full(n_chains, lp0)
+    chol = np.tile(initial_proposal_factor(x0), (n_chains, 1, 1))
+    check_proposal_factor(chol)
+    chains = np.empty((n_chains, config.n_iterations, d))
+    n_accept = np.zeros(n_chains, dtype=np.int64)
+    for n in range(1, config.n_iterations + 1):
+        theta, log_p, chol, accepted, _ = ram_step(
+            theta,
+            log_p,
+            chol,
+            n,
+            log_posterior,
+            rngs,
+            config.target_acceptance,
+            config.adaptation_decay,
+        )
+        chains[:, n - 1] = theta
+        n_accept += accepted
+    acceptance = n_accept / config.n_iterations
     return RawChains(structure, names, chains, acceptance, config)
 
 

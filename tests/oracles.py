@@ -2,13 +2,15 @@
 
 These deliberately avoid the package's own code paths: the likelihood oracle
 is a double loop in extended precision, the scalar GPD and Poisson densities
-are written out term by term, and the declustering oracle builds clusters by
-transitive closure in O(n^2).
+are written out term by term, the declustering oracle builds clusters by
+transitive closure in O(n^2), and the sampler oracle steps one chain at a
+time on a row density.
 """
 
 import math
 
 import mpmath
+import numpy as np
 from scipy.special import gammaln
 
 from surgebma.models import NonstatLevel
@@ -98,3 +100,53 @@ def brute_force_decluster(days, heights, sep):
                 best = m
         kept.append((days[best], heights[best]))
     return sorted(kept)
+
+
+def ram_step_one_chain(theta, log_p, chol, iteration, log_posterior, rng,
+                       target_acceptance=0.234, adaptation_decay=0.66):
+    """One robust adaptive Metropolis step of a single chain on a row density."""
+    d = theta.size
+    u = rng.standard_normal(d)
+    proposal = theta + chol @ u
+    log_p_prop = log_posterior(proposal)
+    if math.isfinite(log_p_prop):
+        alpha = min(1.0, math.exp(min(log_p_prop - log_p, 0.0)))
+    else:
+        alpha = 0.0
+    accepted = alpha > 0.0 and rng.uniform() < alpha
+    if accepted:
+        theta, log_p = proposal, log_p_prop
+    norm2 = float(u @ u)
+    if norm2 > 0.0:
+        eta = min(1.0, d * iteration ** (-adaptation_decay))
+        m = (eta * (alpha - target_acceptance) / norm2) * np.outer(u, u)
+        m.flat[:: d + 1] += 1.0
+        chol = np.linalg.cholesky(chol @ m @ chol.T)
+    return theta, log_p, chol, accepted
+
+
+def run_chains_one_by_one(log_posterior, start, config):
+    """Each chain run to the end before the next starts, one row eval per step.
+
+    Same seeding and initial factor as ``sampler.run_chains``; returns
+    (chains of shape (n_chains, n_iterations, d), acceptance per chain).
+    """
+    x0 = np.array(start, dtype=float)
+    lp0 = log_posterior(x0)
+    streams = np.random.SeedSequence(config.seed).spawn(config.n_chains)
+    chains = np.empty((config.n_chains, config.n_iterations, x0.size))
+    acceptance = np.empty(config.n_chains)
+    for c in range(config.n_chains):
+        rng = np.random.default_rng(streams[c])
+        theta, log_p = x0.copy(), lp0
+        chol = np.diag(np.maximum(np.abs(x0), 0.1) * 0.1)
+        n_accept = 0
+        for n in range(1, config.n_iterations + 1):
+            theta, log_p, chol, accepted = ram_step_one_chain(
+                theta, log_p, chol, n, log_posterior, rng,
+                config.target_acceptance, config.adaptation_decay,
+            )
+            chains[c, n - 1] = theta
+            n_accept += accepted
+        acceptance[c] = n_accept / config.n_iterations
+    return chains, acceptance

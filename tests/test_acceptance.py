@@ -29,8 +29,8 @@ from surgebma.models import (
     ParameterVector,
     all_structures,
     log_likelihood,
-    make_logpost,
     make_logpost_on_active,
+    make_logpost_rows,
 )
 from surgebma.preprocess import DailySeries, decluster
 from surgebma.priors import fit_all_priors, load_mle_table, mle_fit
@@ -118,19 +118,21 @@ def test_criterion_3_sampler_on_correlated_gaussian():
         d = x - mean_true
         return -0.5 * float(d @ prec @ d)
 
+    def logpost_rows(rows):
+        return np.array([logpost(r) for r in rows])
+
     n_steps, burn = 50_000, 5_000
+    rngs = [np.random.default_rng(300 + c) for c in range(4)]
+    theta = np.zeros((4, 3))
+    lp = logpost_rows(theta)
+    S = np.stack([np.eye(3) * 0.5] * 4)
     chains = np.empty((4, n_steps, 3))
-    acceptance = np.empty(4)
-    for c in range(4):
-        rng = np.random.default_rng(300 + c)
-        theta, lp = np.zeros(3), logpost(np.zeros(3))
-        S = np.eye(3) * 0.5
-        accepted = 0
-        for n in range(1, n_steps + 1):
-            theta, lp, S, a, _ = ram_step(theta, lp, S, n, logpost, rng)
-            chains[c, n - 1] = theta
-            accepted += a
-        acceptance[c] = accepted / n_steps
+    accepted = np.zeros(4)
+    for n in range(1, n_steps + 1):
+        theta, lp, S, a, _ = ram_step(theta, lp, S, n, logpost_rows, rngs)
+        chains[:, n - 1] = theta
+        accepted += a
+    acceptance = accepted / n_steps
 
     assert np.all(np.abs(acceptance - 0.234) < 0.05), acceptance
     psrf = gelman_rubin(chains, burn_in=burn)
@@ -203,7 +205,7 @@ def test_criterion_6_identifiability_of_stationary_truth():
             config = ChainConfig(
                 n_iterations=2500, n_chains=3, burn_in=500, thinned_size=1000, seed=seed * 100 + k
             )
-            raw = run_chains(s, make_logpost(s, record, cov, priors[s.id]), mle, config)
+            raw = run_chains(s, make_logpost_rows(s, record, cov, priors[s.id]), mle, config)
             ens = pool_and_thin(raw, np.random.default_rng(seed * 7 + k), force=True)
             estimates.append(
                 bridge_evidence(

@@ -17,12 +17,16 @@ from surgebma.models import (
     log_posterior,
     log_prior,
     make_loglik,
+    make_logpost,
+    make_logpost_rows,
 )
+from surgebma.models import LikelihoodData, _loglik_from_arrays, _loglik_rows
 from surgebma.preprocess import ExceedanceRecord, ExceedanceSet, YearBlock
 from surgebma.priors import PriorSet, PriorSpec
 
 ST = ModelStructure(NonstatLevel.ST, None)
 NS1 = ModelStructure(NonstatLevel.NS1, CovariateKind.TIME)
+NS2 = ModelStructure(NonstatLevel.NS2, CovariateKind.TIME)
 NS3 = ModelStructure(NonstatLevel.NS3, CovariateKind.TIME)
 
 
@@ -337,3 +341,84 @@ def test_make_loglik_closure_matches_public_function():
     theta = ParameterVector(lam0=0.012, lam1=0.003, sig0=0.1, xi0=0.02)
     fast = make_loglik(NS1, data, cov)
     assert fast(theta.active(NS1.level)) == log_likelihood(theta, NS1, data, cov)
+
+
+# ---------------------------------------------------------------------------
+# stacked log-likelihood and log-posterior
+# ---------------------------------------------------------------------------
+
+# rows that each take one branch of the row kernel, by level; the random rows
+# added in the test take the ordinary path
+BRANCH_ROWS = {
+    "ST": [
+        [0.01, -0.1, 0.1],  # direct-scale sig0 <= 0
+        [0.01, 0.0, 0.1],  # sig0 == 0
+        [0.01, 0.1, -0.5],  # 1 + xi z <= 0 for the largest excess
+        [0.01, 0.1, 0.0],  # |xi0| < XI_EPS
+        [0.01, 0.1, 5e-9],
+        [-0.01, 0.1, 0.1],  # nonpositive rate in every year, gamma prior -inf
+    ],
+    "NS1": [
+        [0.01, -0.02, 0.1, 0.1],  # lam <= 0 in the last year only
+        [0.01, 0.005, -0.1, 0.1],
+        [0.01, 0.005, 0.1, -0.6],
+        [0.01, 0.005, 0.1, -1e-9],
+    ],
+    "NS2": [
+        [0.01, -0.011, -2.0, 0.2, 0.1],
+        [0.01, 0.005, -2.0, 0.3, -0.5],
+        [0.01, 0.005, -2.0, 0.3, 0.0],
+        [0.0, 0.005, -2.0, 0.3, 0.1],  # gamma-prior lam0 at 0
+    ],
+    "NS3": [
+        [0.01, 0.005, -2.0, 0.3, 0.1, 0.0],  # xi1 == 0.0: the row kernel's scalar shape
+        [0.01, 0.005, -2.0, 0.3, 0.0, 0.0],
+        [0.01, 0.005, -2.0, 0.3, 0.1, -0.0],
+        [0.01, 0.005, -2.0, 0.3, 5e-9, -1e-8],  # |xi| < XI_EPS for some events only
+        [0.01, 0.005, -2.0, 0.3, 0.0, 1e-9],  # ... for every event
+        [0.01, 0.005, -2.0, 0.3, 0.1, -0.9],  # 1 + xi z <= 0 in late years
+        [0.01, -0.02, -2.0, 0.3, 0.1, 0.05],
+        [-0.01, 0.005, -2.0, 0.3, 0.1, 0.05],
+    ],
+}
+LEVEL_STRUCTURES = {"ST": ST, "NS1": NS1, "NS2": NS2, "NS3": NS3}
+
+
+def stack_fixture(level):
+    rng = np.random.default_rng(17)
+    years = list(range(2000, 2008))
+    cov = make_cov(years, rng.uniform(0, 1, size=len(years)))
+    events = {y: list(1.0 + rng.exponential(0.15, size=rng.integers(0, 5))) for y in years}
+    events[2007] = [1.9]  # a large excess late in the record
+    data = make_data(1.0, events, durations=list(rng.integers(300, 366, size=len(years))))
+    center = np.array(EFFECTIVE_ROWS[level])
+    random_rows = center + rng.normal(size=(12, center.size)) * np.maximum(np.abs(center), 0.01) * 0.3
+    rows = np.vstack([random_rows, BRANCH_ROWS[level]])
+    return LEVEL_STRUCTURES[level], data, cov, rows
+
+
+@pytest.mark.parametrize("level", list(BRANCH_ROWS))
+def test_stacked_loglik_equals_row_kernel_bit_for_bit(level):
+    structure, data, cov, rows = stack_fixture(level)
+    arrays = LikelihoodData.build(data, cov, structure)
+    want = [_loglik_from_arrays(r, structure.level, arrays) for r in rows]
+    assert _loglik_rows(rows, structure.level, arrays).tolist() == want
+    assert -math.inf in want and any(math.isfinite(v) for v in want)
+    # one-row stacks, including each branch row on its own
+    for row, value in zip(rows, want):
+        assert _loglik_rows(row[None], structure.level, arrays).tolist() == [value]
+
+
+@pytest.mark.parametrize("level", list(BRANCH_ROWS))
+def test_stacked_logpost_equals_row_closure_bit_for_bit(level):
+    structure, data, cov, rows = stack_fixture(level)
+    priors = make_priorset(structure)
+    row_closure = make_logpost(structure, data, cov, priors)
+    want = [row_closure(r) for r in rows]
+    logpost_rows = make_logpost_rows(structure, data, cov, priors)
+    assert logpost_rows(rows).tolist() == want
+    assert logpost_rows(rows[:1]).tolist() == want[:1]
+    if level != "NS1":  # a gamma-prior parameter <= 0: -inf whatever the likelihood
+        assert any(r[0] <= 0 and v == -math.inf for r, v in zip(rows, want))
+    with pytest.raises(ValueError, match="prior set fitted for"):
+        make_logpost_rows(structure, data, cov, make_priorset(ST if level != "ST" else NS1))

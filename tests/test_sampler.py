@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import run_chains_one_by_one
 from surgebma.covariates import CovariateKind
-from surgebma.models import ModelStructure, NonstatLevel, ParameterVector
+from surgebma.models import ModelStructure, NonstatLevel, ParameterVector, make_logpost_rows
 from surgebma.priors import PriorSet, PriorSpec, mle_fit
 from surgebma.sampler import (
     ChainConfig,
     PosteriorEnsemble,
+    check_proposal_factor,
     gelman_rubin,
     initial_proposal_factor,
     pool_and_thin,
@@ -31,8 +33,21 @@ class StubRng:
     def standard_normal(self, d):
         return np.array(self._normals.pop(0), dtype=float)
 
-    def uniform(self):
+    def random(self):
         return self._uniforms.pop(0)
+
+
+def stacked(logpost):
+    """A (K, d) -> (K,) density from a row density, one row at a time."""
+    return lambda rows: np.array([logpost(r) for r in rows])
+
+
+def step_one(theta, lp, S, n, logpost, rng, **kw):
+    """ram_step on a single chain; returns row, scalar log p, factor, accepted, alpha."""
+    theta, lp, S, accepted, alpha = ram_step(
+        theta[None], np.array([lp]), S[None], n, stacked(logpost), [rng], **kw
+    )
+    return theta[0], lp[0], S[0], accepted[0], alpha[0]
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +60,7 @@ def test_ram_step_always_accepts_uphill():
         return float(x[0])  # proposal with positive u is always uphill
 
     rng = StubRng([[1.0]], [0.999999])
-    theta, lp, S, accepted, alpha = ram_step(
-        np.zeros(1), 0.0, np.eye(1), 1, logpost, rng
-    )
+    theta, lp, S, accepted, alpha = step_one(np.zeros(1), 0.0, np.eye(1), 1, logpost, rng)
     assert accepted and alpha == 1.0
     assert theta[0] == pytest.approx(1.0)
 
@@ -60,7 +73,7 @@ def test_ram_step_no_update_at_target_acceptance():
         return c * float(x[0])  # step of +1 gives alpha exactly = target
 
     rng = StubRng([[1.0]], [0.5])
-    _, _, S_new, _, alpha = ram_step(
+    _, _, S_new, _, alpha = step_one(
         np.zeros(1), 0.0, np.eye(1), 3, logpost, rng, target_acceptance=target
     )
     assert alpha == pytest.approx(target, abs=1e-15)
@@ -72,14 +85,31 @@ def test_ram_step_nonfinite_proposal_is_rejection():
         return -math.inf if x[0] > 0 else 0.0
 
     rng = StubRng([[1.0]], [0.0])
-    theta, lp, S, accepted, alpha = ram_step(np.zeros(1), 0.0, np.eye(1), 1, logpost, rng)
+    theta, lp, S, accepted, alpha = step_one(np.zeros(1), 0.0, np.eye(1), 1, logpost, rng)
     assert not accepted and alpha == 0.0 and theta[0] == 0.0
     assert S[0, 0] < 1.0  # rejection shrinks the factor
 
 
-def test_ram_step_validates_factor():
-    with pytest.raises(ValueError, match="lower-triangular"):
-        ram_step(np.zeros(2), 0.0, np.array([[1.0, 0.5], [0.0, 1.0]]), 1, lambda x: 0.0, StubRng([[0, 0]], [0.5]))
+def test_ram_step_steps_chains_independently():
+    # chain 0 goes uphill and is accepted, chain 1 hits -inf and draws no uniform
+    def logpost(x):
+        return -math.inf if x[0] < 0 else float(x[0])
+
+    rngs = [StubRng([[1.0]], [0.5]), StubRng([[-1.0]], [])]
+    theta, lp, S, accepted, alpha = ram_step(
+        np.zeros((2, 1)), np.zeros(2), np.stack([np.eye(1)] * 2), 1, stacked(logpost), rngs
+    )
+    assert accepted.tolist() == [True, False] and alpha.tolist() == [1.0, 0.0]
+    assert theta.tolist() == [[1.0], [0.0]] and lp.tolist() == [1.0, 0.0]
+    assert S[0, 0, 0] > 1.0 > S[1, 0, 0]
+    assert rngs[0]._uniforms == [] and rngs[0]._normals == rngs[1]._normals == []
+
+
+def test_check_proposal_factor():
+    check_proposal_factor(np.stack([np.eye(2), np.array([[1.0, 0.0], [0.5, 2.0]])]))
+    for bad in (np.array([[1.0, 0.5], [0.0, 1.0]]), np.diag([1.0, 0.0]), np.diag([1.0, np.nan])):
+        with pytest.raises(ValueError, match="lower-triangular"):
+            check_proposal_factor(bad)
 
 
 def test_ram_acceptance_coerced_on_gaussian():
@@ -92,7 +122,7 @@ def test_ram_acceptance_coerced_on_gaussian():
     accepted = 0
     n_steps = 50_000
     for n in range(1, n_steps + 1):
-        theta, lp, S, a, _ = ram_step(theta, lp, S, n, logpost, rng)
+        theta, lp, S, a, _ = step_one(theta, lp, S, n, logpost, rng)
         accepted += a
     assert abs(accepted / n_steps - 0.234) < 0.05
 
@@ -111,7 +141,7 @@ def test_ram_acceptance_coercion_other_dimensions(d):
     accepted = 0
     n_steps = 50_000
     for n in range(1, n_steps + 1):
-        theta, lp, S, a, _ = ram_step(theta, lp, S, n, logpost, rng)
+        theta, lp, S, a, _ = step_one(theta, lp, S, n, logpost, rng)
         accepted += a
     assert abs(accepted / n_steps - 0.234) < 0.05
 
@@ -125,12 +155,10 @@ def test_ram_detailed_balance_frozen_adaptation():
     theta, lp = np.zeros(1), 0.0
     S = np.eye(1)
     for n in range(1, 10_001):
-        theta, lp, S, _, _ = ram_step(theta, lp, S, n, logpost, rng)
+        theta, lp, S, _, _ = step_one(theta, lp, S, n, logpost, rng)
     draws = np.empty(100_000)
     for i in range(draws.size):
-        theta, lp, S, _, _ = ram_step(
-            theta, lp, S, 10_001 + i, logpost, rng, adapt=False
-        )
+        theta, lp, S, _, _ = step_one(theta, lp, S, 10_001 + i, logpost, rng, adapt=False)
         draws[i] = theta[0]
     stat, _ = stats.kstest(draws, stats.norm.cdf)
     assert stat < 0.02
@@ -141,38 +169,58 @@ def test_ram_detailed_balance_frozen_adaptation():
 # ---------------------------------------------------------------------------
 
 
-def toy_logpost_factory():
-    def logpost(row: np.ndarray) -> float:
-        lam0, sig0, xi0 = row
-        if lam0 <= 0 or sig0 <= 0:
-            return -math.inf
-        return (
-            -0.5 * ((lam0 - 0.01) / 0.002) ** 2
-            - 0.5 * ((sig0 - 0.1) / 0.02) ** 2
-            - 0.5 * (xi0 / 0.1) ** 2
-        )
-
-    return logpost
+def toy_logpost(row: np.ndarray) -> float:
+    lam0, sig0, xi0 = row
+    if lam0 <= 0 or sig0 <= 0:
+        return -math.inf
+    return (
+        -0.5 * ((lam0 - 0.01) / 0.002) ** 2
+        - 0.5 * ((sig0 - 0.1) / 0.02) ** 2
+        - 0.5 * (xi0 / 0.1) ** 2
+    )
 
 
 def test_run_chains_deterministic_given_seed():
     start = np.array([0.01, 0.1, 0.0])
     config = ChainConfig(n_iterations=500, n_chains=2, seed=7, burn_in=100, thinned_size=100)
-    a = run_chains(ST, toy_logpost_factory(), start, config)
-    b = run_chains(ST, toy_logpost_factory(), start, config)
+    a = run_chains(ST, stacked(toy_logpost), start, config)
+    b = run_chains(ST, stacked(toy_logpost), start, config)
     assert np.array_equal(a.chains, b.chains)
 
-    c = run_chains(ST, toy_logpost_factory(), start, ChainConfig(
+    c = run_chains(ST, stacked(toy_logpost), start, ChainConfig(
         n_iterations=500, n_chains=2, seed=8, burn_in=100, thinned_size=100))
     assert not np.array_equal(a.chains, c.chains)
 
 
 def test_run_chains_requires_finite_start():
     start = np.array([-1.0, 0.1, 0.0])
+    config = ChainConfig(n_iterations=100, burn_in=10, thinned_size=10)
     with pytest.raises(ValueError, match="non-finite"):
-        run_chains(ST, toy_logpost_factory(), start, ChainConfig(n_iterations=100, burn_in=10, thinned_size=10))
+        run_chains(ST, stacked(toy_logpost), start, config)
     with pytest.raises(ValueError, match="expected 3 start values"):
-        run_chains(ST, toy_logpost_factory(), start[:2], ChainConfig(n_iterations=100, burn_in=10, thinned_size=10))
+        run_chains(ST, stacked(toy_logpost), start[:2], config)
+
+
+@pytest.mark.parametrize("n_chains", [1, 3])
+def test_lockstep_chains_equal_one_chain_at_a_time(n_chains):
+    # the initial factor steps lam0 by its own size, so early proposals often
+    # land where the density is -inf and get alpha = 0 (no uniform drawn)
+    calls = []
+
+    def density(rows):
+        values = stacked(toy_logpost)(rows)
+        calls.append((rows.shape[0], int(np.sum(values == -math.inf))))
+        return values
+
+    start = np.array([0.01, 0.1, 0.0])
+    config = ChainConfig(n_iterations=400, n_chains=n_chains, seed=21, burn_in=100, thinned_size=100)
+    raw = run_chains(ST, density, start, config)
+    chains, acceptance = run_chains_one_by_one(toy_logpost, start, config)
+    assert np.array_equal(raw.chains, chains)
+    assert np.array_equal(raw.acceptance, acceptance)
+    assert len(calls) == 1 + config.n_iterations  # the start, then one call per iteration
+    assert {k for k, _ in calls} == {1} | {n_chains}
+    assert sum(n for _, n in calls) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +262,13 @@ def test_psrf_converged_ram_chains():
     def logpost(x):
         return -0.5 * float(x @ x)
 
+    rngs = [np.random.default_rng(50 + c) for c in range(4)]
+    theta, lp = np.zeros((4, 2)), np.zeros(4)
+    S = np.stack([np.eye(2)] * 4)
     chains = np.empty((4, 4000, 2))
-    for c in range(4):
-        rng = np.random.default_rng(50 + c)
-        theta, lp = np.zeros(2), 0.0
-        S = np.eye(2)
-        for n in range(1, 4001):
-            theta, lp, S, _, _ = ram_step(theta, lp, S, n, logpost, rng)
-            chains[c, n - 1] = theta
+    for n in range(1, 4001):
+        theta, lp, S, _, _ = ram_step(theta, lp, S, n, stacked(logpost), rngs)
+        chains[:, n - 1] = theta
     psrf = gelman_rubin(chains, burn_in=400)
     assert np.all(psrf < 1.05)
 
@@ -305,12 +352,10 @@ def st_calibration():
             "xi0": PriorSpec("normal", 0.05, 0.2),
         },
     )
-    from surgebma.models import make_logpost
-
-    logpost = make_logpost(ST, record, None, priors)
+    logpost_rows = make_logpost_rows(ST, record, None, priors)
     mle = mle_fit(ST, record, None, rng=np.random.default_rng(0))
     config = ChainConfig(n_iterations=4000, n_chains=4, burn_in=400, thinned_size=1000, seed=11)
-    raw = run_chains(ST, logpost, mle, config)
+    raw = run_chains(ST, logpost_rows, mle, config)
     return truth, record, raw
 
 
