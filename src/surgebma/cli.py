@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import datetime
 import hashlib
@@ -24,21 +23,24 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, build_covariates, load_config, needed_covariate_kinds
-from .covariates import CovariateKind
 from .evidence import (
-    EvidenceEstimate,
-    bma_weights,
     aggregate_by_covariate,
+    bma_weights,
     bridge_evidence,
+    load_evidence,
+    save_evidence,
     save_evidence_report,
     weights_by_level_within_covariate,
     write_aggregated_weights_csv,
+    write_level_weights_csv,
+    write_weights_csv,
 )
 from .hazard import (
-    ReturnLevelEnsemble,
     bma_mixture,
     ensemble_return_levels,
     hazard_report,
+    load_return_levels,
+    save_return_levels,
     write_curve_json,
     write_quantile_table_csv,
 )
@@ -46,7 +48,6 @@ from .hazard import (
 # factories under their names here, so both row factories stay importable from it
 from .models import (
     ModelStructure,
-    NonstatLevel,
     ParameterVector,
     make_logpost,
     make_logpost_on_active,
@@ -62,7 +63,7 @@ from .priors import (
     save_priors,
 )
 from .sampler import PosteriorEnsemble, pool_and_thin, run_chains
-from .utils import GateError, dump_json, format_float, load_json
+from .utils import GateError, dump_json, load_json
 
 log = logging.getLogger("surgebma")
 
@@ -94,10 +95,10 @@ def _note_artifacts(config: RunConfig, *paths: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_preprocess(config: RunConfig) -> int:
-    series = read_hourly_csv(config.station_csv)
-    data = preprocess_station(
-        series,
+def _preprocess(config: RunConfig, path: Path) -> ExceedanceSet:
+    """One hourly station record through the configured preprocessing chain."""
+    return preprocess_station(
+        read_hourly_csv(path),
         config.calibration_start,
         config.calibration_end,
         window_days=config.detrend_window_days,
@@ -105,6 +106,10 @@ def cmd_preprocess(config: RunConfig) -> int:
         threshold_quantile=config.threshold_quantile,
         separation_days=config.separation_days,
     )
+
+
+def cmd_preprocess(config: RunConfig) -> int:
+    data = _preprocess(config, config.station_csv)
     path = config.out("exceedances.json")
     dump_json({"config_sha256": config.config_hash, **data.to_dict()}, path)
     _note_artifacts(config, path)
@@ -126,21 +131,11 @@ def _station_mles(config: RunConfig, path: Path, index: int) -> dict[str, list]:
     """All-structure MLE fits for one station record; order-independent."""
     structures = config.structure_list()
     covs = build_covariates(config, needed_covariate_kinds(config))
-    series = read_hourly_csv(path)
-    record = preprocess_station(
-        series,
-        config.calibration_start,
-        config.calibration_end,
-        window_days=config.detrend_window_days,
-        min_valid_hours=config.min_valid_hours,
-        threshold_quantile=config.threshold_quantile,
-        separation_days=config.separation_days,
-    )
+    record = _preprocess(config, path)
     rng = np.random.default_rng(stage_seed(config.seed, "station-mle", index))
     out = {}
     for s in structures:
-        cov = None if s.level is NonstatLevel.ST else covs[s.covariate]
-        out[s.id] = mle_fit(s, record, cov, rng=rng).tolist()
+        out[s.id] = mle_fit(s, record, covs.get(s.covariate), rng=rng).tolist()
     log.info("fitted %s (%d structures)", path.name, len(structures))
     return out
 
@@ -196,16 +191,30 @@ def _load_inputs(config: RunConfig):
     return data, priors, covs
 
 
+_worker_inputs: tuple | Exception | None = None  # set once per calibrate worker process
+
+
+def _load_worker_inputs(config: RunConfig) -> None:
+    """Initializer of a calibrate worker process: its inputs, or the error loading them."""
+    global _worker_inputs
+    try:
+        _worker_inputs = _load_inputs(config)
+    except Exception as exc:  # raised from an initializer, it would break the pool and get lost
+        _worker_inputs = exc
+
+
 def _calibrate_one(config: RunConfig, sid: str) -> dict:
-    """One structure with its own input load: the unit of work of the worker pool."""
-    return _calibrate_structure(config, sid, *_load_inputs(config))
+    """One structure on its worker's inputs: the unit of work of the worker pool."""
+    if isinstance(_worker_inputs, Exception):
+        raise _worker_inputs
+    return _calibrate_structure(config, sid, *_worker_inputs)
 
 
 def _calibrate_structure(config: RunConfig, sid: str, data, priors, covs) -> dict:
     structure = ModelStructure.parse(sid)
     if sid not in priors:
         raise ValueError(f"no priors for {sid}")
-    cov = None if structure.level is NonstatLevel.ST else covs[structure.covariate]
+    cov = covs.get(structure.covariate)
 
     mle = mle_fit(
         structure, data, cov, rng=np.random.default_rng(stage_seed(config.seed, sid, "mle"))
@@ -232,7 +241,9 @@ def cmd_calibrate(config: RunConfig, only: str | None = None) -> int:
     sids = [only] if only else [s.id for s in config.structure_list()]
     results: dict[str, dict] = {}
     if config.workers > 1 and len(sids) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=config.workers, initializer=_load_worker_inputs, initargs=(config,)
+        ) as pool:
             futures = {sid: pool.submit(_calibrate_one, config, sid) for sid in sids}
             for sid, future in futures.items():
                 results[sid] = future.result()
@@ -254,155 +265,88 @@ def cmd_calibrate(config: RunConfig, only: str | None = None) -> int:
     return EXIT_OK
 
 
+def _load_ensemble(config: RunConfig, structure: ModelStructure) -> PosteriorEnsemble:
+    path = config.out("ensembles", f"{structure.id}.csv")
+    if not path.exists():
+        raise ValueError(f"missing ensemble for {structure.id}; run calibrate first")
+    return PosteriorEnsemble.load(path, structure)
+
+
 def cmd_evidence(config: RunConfig) -> int:
     data, priors, covs = _load_inputs(config)
-    payload = {}
+    estimates = []
     for structure in config.structure_list():
         sid = structure.id
-        ens_path = config.out("ensembles", f"{sid}.csv")
-        if not ens_path.exists():
-            raise ValueError(f"missing ensemble for {sid}; run calibrate first")
-        ensemble = PosteriorEnsemble.load(ens_path, structure)
-        cov = None if structure.level is NonstatLevel.ST else covs[structure.covariate]
+        ensemble = _load_ensemble(config, structure)
+        cov = covs.get(structure.covariate)
         log_density = make_logpost_on_active(structure, data, cov, priors[sid])
         est = bridge_evidence(
             ensemble, log_density, np.random.default_rng(stage_seed(config.seed, sid, "bridge"))
         )
-        payload[sid] = {
-            "log_evidence": est.log_evidence,
-            "iterations_used": est.iterations_used,
-            "relative_change_at_stop": est.relative_change_at_stop,
-        }
+        estimates.append(est)
         log.info("evidence %s: %.3f", sid, est.log_evidence)
     path = config.out("evidence.json")
-    dump_json({"config_sha256": config.config_hash, "structures": payload}, path)
+    save_evidence(estimates, path, config.config_hash)
     _note_artifacts(config, path)
-    print(f"log evidence estimated for {len(payload)} structures")
+    print(f"log evidence estimated for {len(estimates)} structures")
     return EXIT_OK
 
 
 def cmd_project(config: RunConfig) -> int:
     data, _, covs = _load_inputs(config)
-    mu = data.threshold
     paths = []
     for structure in config.structure_list():
-        sid = structure.id
-        ens_path = config.out("ensembles", f"{sid}.csv")
-        if not ens_path.exists():
-            raise ValueError(f"missing ensemble for {sid}; run calibrate first")
-        ensemble = PosteriorEnsemble.load(ens_path, structure)
-        cov = None if structure.level is NonstatLevel.ST else covs[structure.covariate]
-        columns = {}
-        for period in config.return_periods:
-            rl = ensemble_return_levels(ensemble, cov, config.projection_year, mu, period)
-            columns[period] = rl
-        path = config.out("return_levels", f"{sid}.csv")
-        _write_return_level_csv(columns, path)
+        ensemble = _load_ensemble(config, structure)
+        cov = covs.get(structure.covariate)
+        columns = {
+            period: ensemble_return_levels(
+                ensemble, cov, config.projection_year, data.threshold, period
+            )
+            for period in config.return_periods
+        }
+        path = config.out("return_levels", f"{structure.id}.csv")
+        save_return_levels(columns, path)
         paths.append(path)
     _note_artifacts(config, *paths)
     print(f"return levels projected for year {config.projection_year}")
     return EXIT_OK
 
 
-def _write_return_level_csv(columns: dict[float, ReturnLevelEnsemble], path: Path) -> None:
-    periods = sorted(columns)
-    n_rows = max(c.samples.size for c in columns.values())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"T{t:g}" for t in periods])
-        writer.writerow([f"flagged={columns[t].n_flagged};clamped={columns[t].n_clamped}" for t in periods])
-        for i in range(n_rows):
-            writer.writerow(
-                [
-                    format_float(columns[t].samples[i]) if i < columns[t].samples.size else ""
-                    for t in periods
-                ]
-            )
-
-
-def _read_return_level_csv(path: Path, sid: str, year: int) -> dict[float, ReturnLevelEnsemble]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        periods = [float(h[1:]) for h in header]
-        flags = next(reader)
-        cols: list[list[float]] = [[] for _ in periods]
-        for row in reader:
-            for j, cell in enumerate(row):
-                if cell:
-                    cols[j].append(float(cell))
-    out = {}
-    for j, t in enumerate(periods):
-        n_flagged = int(flags[j].split(";")[0].split("=")[1])
-        n_clamped = int(flags[j].split(";")[1].split("=")[1])
-        out[t] = ReturnLevelEnsemble(year, t, np.array(cols[j]), sid, n_clamped, n_flagged)
-    return out
-
-
 def cmd_report(config: RunConfig) -> int:
     evidence_path = config.out("evidence.json")
     if not evidence_path.exists():
         raise ValueError("missing evidence.json; run evidence first")
-    stored = load_json(evidence_path)["structures"]
+    stored = load_evidence(evidence_path)
 
     structures = config.structure_list()
     missing = [s.id for s in structures if s.id not in stored]
     if missing:
         raise ValueError(f"evidence missing for structures: {missing}")
-    estimates = [
-        EvidenceEstimate(
-            ModelStructure.parse(sid),
-            stored[sid]["log_evidence"],
-            stored[sid]["iterations_used"],
-            stored[sid]["relative_change_at_stop"],
-        )
-        for sid in (s.id for s in structures)
-    ]
+    estimates = [stored[s.id] for s in structures]
     weights = bma_weights(estimates)
 
-    paths = []
-    report_path = config.out("weights.json")
+    report_path, weights_path = config.out("weights.json"), config.out("weights_all.csv")
     save_evidence_report(estimates, weights, report_path)
-    paths.append(report_path)
-
-    weights_csv = config.out("weights_all.csv")
-    with open(weights_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["structure", "bma_weight"])
-        for est in estimates:
-            writer.writerow([est.structure.id, format_float(weights.weights[est.structure.id])])
-    paths.append(weights_csv)
+    write_weights_csv(weights, weights_path)
+    paths = [report_path, weights_path]
 
     full_set = len(structures) == 13
     if full_set:
         table1 = aggregate_by_covariate(weights)
-        table1_path = config.out("table1.csv")
+        table1_path, per_cov_path = config.out("table1.csv"), config.out("weights_by_covariate.csv")
         write_aggregated_weights_csv(table1, table1_path)
-        paths.append(table1_path)
-
-        per_cov = weights_by_level_within_covariate(estimates)
-        per_cov_path = config.out("weights_by_covariate.csv")
-        with open(per_cov_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["covariate", "ST", "NS1", "NS2", "NS3"])
-            for kind in CovariateKind:
-                row = per_cov[kind.value]
-                writer.writerow(
-                    [kind.value] + [format_float(row[k]) for k in ("ST", "NS1", "NS2", "NS3")]
-                )
-        paths.append(per_cov_path)
+        write_level_weights_csv(weights_by_level_within_covariate(estimates), per_cov_path)
+        paths += [table1_path, per_cov_path]
     else:
         log.warning("aggregated weight tables need all 13 structures; skipping")
 
     # model-averaged return-level mixture per period
-    per_structure: dict[str, dict[float, ReturnLevelEnsemble]] = {}
+    per_structure = {}
     for structure in structures:
         path = config.out("return_levels", f"{structure.id}.csv")
         if not path.exists():
             raise ValueError(f"missing return levels for {structure.id}; run project first")
-        per_structure[structure.id] = _read_return_level_csv(
-            path, structure.id, config.projection_year
-        )
+        per_structure[structure.id] = load_return_levels(path, structure.id, config.projection_year)
 
     mixtures = {}
     for period in config.return_periods:
@@ -492,18 +436,16 @@ def cmd_simulate(args) -> int:
         print(f"wrote {args.out} ({args.stations} stations x {len(table)} structures)")
     elif args.what == "record":
         structure = ModelStructure.parse(args.structure)
-        cov = None
-        if structure.level is not NonstatLevel.ST:
-            covs = sim.synthetic_covariates(
-                args.first_year, args.last_year, (args.first_year, args.last_year)
-            )
-            cov = covs[structure.covariate]
+        covs = {} if structure.covariate is None else sim.synthetic_covariates(
+            args.first_year, args.last_year, (args.first_year, args.last_year)
+        )
         theta = ParameterVector(
             lam0=args.lam0, lam1=args.lam1, sig0=args.sig0, sig1=args.sig1,
             xi0=args.xi0, xi1=args.xi1,
         )
         spec = sim.SimulationSpec(
-            theta, structure, cov, args.first_year, args.last_year, args.threshold, args.seed
+            theta, structure, covs.get(structure.covariate), args.first_year, args.last_year,
+            args.threshold, args.seed,
         )
         sim.simulate_record(spec).save(args.out)
         print(f"wrote {args.out}")

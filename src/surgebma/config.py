@@ -14,7 +14,6 @@ from pathlib import Path
 from .covariates import (
     CovariateKind,
     CovariateSeries,
-    annualize,
     normalize_minmax,
     read_annual_csv,
     read_monthly_csv,
@@ -22,13 +21,13 @@ from .covariates import (
     time_covariate,
     winter_mean_nao,
 )
-from .hazard import DEFAULT_QUANTILE_LEVELS, DEFAULT_RETURN_PERIODS
+from .hazard import DEFAULT_QUANTILE_LEVELS, DEFAULT_RETURN_PERIODS, REPORTED_QUANTILE_LEVELS
 from .models import ModelStructure, all_structures
 from .sampler import ChainConfig
 from .utils import sha256_of_text
 
 SAMPLER_PROFILES = {
-    "desk": dict(n_iterations=10_000, n_chains=4, burn_in=1_000, thinned_size=1_000),
+    "desk": {},  # ChainConfig's defaults
     "paper": dict(n_iterations=100_000, n_chains=10, burn_in=10_000, thinned_size=10_000),
 }
 
@@ -71,6 +70,16 @@ class RunConfig:
         for sid in self.structures:
             if sid not in known:
                 raise ValueError(f"unknown structure {sid!r}")
+        if not self.return_periods or not all(t > 0 for t in self.return_periods):
+            raise ValueError("return_periods must list one or more positive periods")
+        levels = self.quantile_levels
+        if not all(0 < q < 1 for q in levels) or not set(REPORTED_QUANTILE_LEVELS) <= set(levels):
+            raise ValueError(
+                "quantile_levels must lie in (0, 1) and include "
+                + ", ".join(f"{q:g}" for q in REPORTED_QUANTILE_LEVELS)
+            )
+        if self.mixture_size < 1:
+            raise ValueError("mixture_size must be at least 1")
 
     @property
     def config_hash(self) -> str:
@@ -91,80 +100,73 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(x) for x in text.replace(" ", "").split(",") if x)
 
 
+def _parse_structures(text: str) -> tuple:
+    sids = tuple(sid for sid in text.replace(" ", "").split(",") if sid)
+    return () if sids == ("all",) else sids
+
+
+# INI section -> option -> parser; each option sets the RunConfig field of its name
+_RUN_OPTIONS = {
+    "window": dict.fromkeys(("calibration_start", "calibration_end", "projection_year"), int),
+    "preprocess": {"detrend_window_days": float, "min_valid_hours": int,
+                   "threshold_quantile": float, "separation_days": int},
+    "projection": {"return_periods": _parse_floats, "quantile_levels": _parse_floats,
+                   "mixture_size": int},
+    "run": {"seed": int, "workers": int, "structures": _parse_structures},
+}
+# [sampler] option -> parser; each option sets the ChainConfig field of its name
+_SAMPLER_OPTIONS = {
+    **dict.fromkeys(("n_iterations", "n_chains", "burn_in", "thinned_size"), int),
+    **dict.fromkeys(("target_acceptance", "adaptation_decay", "psrf_gate"), float),
+}
+
+
 def load_config(path) -> RunConfig:
+    """Parse an INI run configuration; an omitted option keeps the default of
+    its ``RunConfig`` or ``ChainConfig`` field."""
     path = Path(path)
     text = path.read_text()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.read_string(text)
     base = path.parent
 
-    def resolve(p: str) -> Path:
+    def resolve(p) -> Path:
         q = Path(p)
         return q if q.is_absolute() else base / q
+
+    def section(name: str):
+        return parser[name] if parser.has_section(name) else {}
 
     station = parser.get("station", "hourly_csv", fallback=None)
     if station is None:
         raise ValueError("config needs [station] hourly_csv")
 
-    window = parser["window"] if parser.has_section("window") else {}
-    pre = parser["preprocess"] if parser.has_section("preprocess") else {}
-    priors = parser["priors"] if parser.has_section("priors") else {}
-    proj = parser["projection"] if parser.has_section("projection") else {}
-    run = parser["run"] if parser.has_section("run") else {}
+    fields = {}
+    for name, options in _RUN_OPTIONS.items():
+        values = section(name)
+        fields.update({key: parse(values[key]) for key, parse in options.items() if key in values})
+    fields["output_dir"] = resolve(section("run").get("output_dir", RunConfig.output_dir))
+    for key in ("mle_pack", "stations_dir"):
+        value = section("priors").get(key, "").strip()
+        if value:
+            fields[key] = resolve(value)
+    fields["covariate_files"] = {
+        key: resolve(value.strip()) for key, value in section("covariates").items() if value.strip()
+    }
 
-    covariate_files = {}
-    if parser.has_section("covariates"):
-        for key, value in parser.items("covariates"):
-            if value.strip():
-                covariate_files[key] = resolve(value.strip())
-
-    sampler_kwargs = dict(SAMPLER_PROFILES[parser.get("sampler", "profile", fallback="desk")])
-    force = False
-    if parser.has_section("sampler"):
-        s = parser["sampler"]
-        for key in ("n_iterations", "n_chains", "burn_in", "thinned_size"):
-            if key in s:
-                sampler_kwargs[key] = s.getint(key)
-        for key in ("target_acceptance", "adaptation_decay", "psrf_gate"):
-            if key in s:
-                sampler_kwargs[key] = s.getfloat(key)
-        force = s.getboolean("force", fallback=False)
-
-    seed = int(run.get("seed", "0"))
-    sampler_kwargs["seed"] = seed
-    structures = tuple(
-        sid for sid in run.get("structures", "all").replace(" ", "").split(",") if sid
-    )
-    if structures == ("all",):
-        structures = ()
-
-    mle_pack = priors.get("mle_pack", "").strip() if priors else ""
-    stations_dir = priors.get("stations_dir", "").strip() if priors else ""
+    sampler = section("sampler")
+    profile = sampler.get("profile", "desk")
+    if profile not in SAMPLER_PROFILES:
+        raise ValueError(f"unknown sampler profile {profile!r}")
+    chain = dict(SAMPLER_PROFILES[profile])
+    chain.update({k: parse(sampler[k]) for k, parse in _SAMPLER_OPTIONS.items() if k in sampler})
+    if "seed" in fields:
+        chain["seed"] = fields["seed"]
+    if "force" in sampler:
+        fields["force"] = sampler.getboolean("force")
 
     return RunConfig(
-        station_csv=resolve(station),
-        calibration_start=int(window.get("calibration_start", "1928")),
-        calibration_end=int(window.get("calibration_end", "2013")),
-        projection_year=int(window.get("projection_year", "2065")),
-        detrend_window_days=float(pre.get("detrend_window_days", "365.25")),
-        min_valid_hours=int(pre.get("min_valid_hours", "12")),
-        threshold_quantile=float(pre.get("threshold_quantile", "0.99")),
-        separation_days=int(pre.get("separation_days", "3")),
-        covariate_files=covariate_files,
-        mle_pack=resolve(mle_pack) if mle_pack else None,
-        stations_dir=resolve(stations_dir) if stations_dir else None,
-        sampler=ChainConfig(**sampler_kwargs),
-        force=force,
-        return_periods=_parse_floats(proj.get("return_periods", "2,5,10,20,50,100,200,500,1000")),
-        quantile_levels=_parse_floats(
-            proj.get("quantile_levels", "0.025,0.05,0.25,0.5,0.75,0.95,0.975")
-        ),
-        mixture_size=int(proj.get("mixture_size", "100000")),
-        structures=structures,
-        seed=seed,
-        output_dir=resolve(run.get("output_dir", "out")),
-        workers=int(run.get("workers", "1")),
-        raw_text=text,
+        station_csv=resolve(station), sampler=ChainConfig(**chain), raw_text=text, **fields
     )
 
 
@@ -195,8 +197,8 @@ def build_covariates(
         hist_path, proj_path = files.get(f"{prefix}_hist"), files.get(f"{prefix}_proj")
         if hist_path is None:
             raise ValueError(f"missing covariate file option {prefix}_hist")
-        hist = annualize(read_annual_csv(hist_path).items())
-        proj = annualize(read_annual_csv(proj_path).items()) if proj_path else {}
+        hist = read_annual_csv(hist_path)
+        proj = read_annual_csv(proj_path) if proj_path else {}
         out[kind] = _finish(kind, hist, proj, config)
 
     if CovariateKind.NAO in kinds:

@@ -10,11 +10,10 @@ window maps onto [0, 1]; projection-era values may fall outside that range.
 from __future__ import annotations
 
 import csv
-import datetime as _dt
 import enum
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -109,26 +108,6 @@ def winter_mean_nao(monthly: Iterable[tuple[int, int, float]]) -> dict[int, floa
     return out
 
 
-def annualize(series: Iterable[tuple[object, float]]) -> dict[int, float]:
-    """Per-year arithmetic mean; passes annual inputs through unchanged."""
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    n = 0
-    for t, v in series:
-        n += 1
-        if isinstance(t, (_dt.date, _dt.datetime)):
-            year = t.year
-        elif isinstance(t, np.datetime64):
-            year = int(t.astype("datetime64[Y]").astype(np.int64)) + 1970
-        else:
-            year = int(t)
-        sums[year] = sums.get(year, 0.0) + float(v)
-        counts[year] = counts.get(year, 0) + 1
-    if n == 0:
-        raise ValueError("empty input")
-    return {y: sums[y] / counts[y] for y in sorted(sums)}
-
-
 def splice(
     historical: Mapping[int, float], projection: Mapping[int, float], switch_year: int
 ) -> dict[int, float]:
@@ -176,41 +155,30 @@ def time_covariate(
 # ---------------------------------------------------------------------------
 
 
-def read_annual_csv(path) -> dict[int, float]:
-    """Read ``year,value`` rows."""
-    out: dict[int, float] = {}
+def _read_rows(path, parse: Callable[[list[str]], tuple]) -> list[tuple]:
+    """``parse`` of each data row after the header; blank rows are skipped."""
+    out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        if next(reader, None) is None:
             raise ValueError("empty input")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             try:
-                out[int(row[0])] = float(row[1])
+                out.append(parse(row))
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad row {row!r}") from exc
     if not out:
         raise ValueError("empty input")
     return out
+
+
+def read_annual_csv(path) -> dict[int, float]:
+    """Read ``year,value`` rows; a repeated year keeps its last value."""
+    return dict(_read_rows(path, lambda row: (int(row[0]), float(row[1]))))
 
 
 def read_monthly_csv(path) -> list[tuple[int, int, float]]:
     """Read ``year,month,value`` rows (monthly NAO input)."""
-    out: list[tuple[int, int, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty input")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                out.append((int(row[0]), int(row[1]), float(row[2])))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad row {row!r}") from exc
-    if not out:
-        raise ValueError("empty input")
-    return out
+    return _read_rows(path, lambda row: (int(row[0]), int(row[1]), float(row[2])))

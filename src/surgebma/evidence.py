@@ -9,7 +9,6 @@ evidences under a (default uniform) prior over the candidate structures.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -22,11 +21,14 @@ from scipy.special import logsumexp
 from .covariates import CovariateKind
 from .models import ModelStructure, NonstatLevel, all_structures
 from .sampler import PosteriorEnsemble
-from .utils import GateError, dump_json, format_float
+from .utils import GateError, dump_json, format_float, load_json, write_csv
 
 log = logging.getLogger(__name__)
 
-WEIGHT_SUM_TOL = 1e-12
+WEIGHT_SUM_TOL = 1e-9
+BRIDGE_TOL = 1e-10  # relative change of the evidence that stops the fixed point
+BRIDGE_MAX_ITER = 1000
+PROPOSAL_JITTER = 1e-10  # added to the proposal covariance diagonal
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class BmaWeights:
 
     def __post_init__(self):
         total = sum(self.weights.values())
-        if abs(total - 1.0) > 1e-9 or any(w < 0 for w in self.weights.values()):
+        if abs(total - 1.0) > WEIGHT_SUM_TOL or any(w < 0 for w in self.weights.values()):
             raise ValueError("weights must be nonnegative and sum to 1")
 
 
@@ -66,9 +68,6 @@ def bridge_evidence(
     posterior: PosteriorEnsemble,
     log_density: Callable[[np.ndarray], float],
     rng: np.random.Generator,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
-    jitter: float = 1e-10,
 ) -> EvidenceEstimate:
     """Estimate log p(x | M) from a posterior ensemble by bridge sampling.
 
@@ -76,7 +75,7 @@ def bridge_evidence(
     parameters. The first half of the ensemble moment-matches the normal
     proposal; the second half and an equal number of proposal draws feed the
     fixed-point iteration, which stops once the relative change of the
-    evidence estimate drops below ``tol``.
+    evidence estimate drops below ``BRIDGE_TOL``.
     """
     draws = np.asarray(posterior.draws, dtype=float)
     if draws.shape[0] < 1000:
@@ -86,7 +85,7 @@ def bridge_evidence(
     fit, it = draws[:n_fit], draws[n_fit:]
     mean = fit.mean(axis=0)
     cov = np.cov(fit, rowvar=False).reshape(fit.shape[1], fit.shape[1])
-    cov = cov + jitter * np.eye(cov.shape[0])
+    cov = cov + PROPOSAL_JITTER * np.eye(cov.shape[0])
     if not np.all(np.isfinite(cov)):
         raise ValueError("non-finite proposal covariance")
     chol = np.linalg.cholesky(cov)
@@ -109,7 +108,7 @@ def bridge_evidence(
     r = 1.0
     rel = math.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, BRIDGE_MAX_ITER + 1):
         # written to stay finite when the exponentials overflow either way
         with np.errstate(over="ignore"):
             num = 1.0 / (s1 + s2 * r * np.exp(-(l2 - lstar)))
@@ -119,14 +118,14 @@ def bridge_evidence(
             raise GateError("bridge iteration collapsed; proposal does not overlap the posterior")
         rel = abs(r_new - r) / r_new
         r = r_new
-        if rel < tol:
+        if rel < BRIDGE_TOL:
             break
     else:
         log.warning(
             "bridge sampling for %s stopped at relative change %.3e after %d iterations",
             posterior.structure.id,
             rel,
-            max_iter,
+            BRIDGE_MAX_ITER,
         )
     return EvidenceEstimate(posterior.structure, math.log(r) + lstar, iterations, rel)
 
@@ -200,26 +199,52 @@ def weights_by_level_within_covariate(
 # ---------------------------------------------------------------------------
 
 
+def _estimate_dict(e: EvidenceEstimate) -> dict:
+    return {
+        "log_evidence": e.log_evidence,
+        "iterations_used": e.iterations_used,
+        "relative_change_at_stop": e.relative_change_at_stop,
+    }
+
+
+def save_evidence(evidences: list[EvidenceEstimate], path, config_sha256: str) -> None:
+    """The ``evidence`` stage's artifact: one estimate per structure id."""
+    structures = {e.structure.id: _estimate_dict(e) for e in evidences}
+    dump_json({"config_sha256": config_sha256, "structures": structures}, path)
+
+
+def load_evidence(path) -> dict[str, EvidenceEstimate]:
+    """Estimates saved by ``save_evidence``, keyed by structure id."""
+    stored = load_json(path)["structures"]
+    return {sid: EvidenceEstimate(ModelStructure.parse(sid), **d) for sid, d in stored.items()}
+
+
 def save_evidence_report(
     evidences: list[EvidenceEstimate], weights: BmaWeights, path
 ) -> None:
     payload = {
-        e.structure.id: {
-            "log_evidence": e.log_evidence,
-            "iterations_used": e.iterations_used,
-            "relative_change_at_stop": e.relative_change_at_stop,
-            "weight": weights.weights[e.structure.id],
-        }
+        e.structure.id: {**_estimate_dict(e), "weight": weights.weights[e.structure.id]}
         for e in evidences
     }
     dump_json(payload, path)
 
 
+def write_weights_csv(weights: BmaWeights, path) -> None:
+    """One row per structure, in the order the weights were computed."""
+    write_csv(path, ["structure", "bma_weight"],
+              ([sid, format_float(w)] for sid, w in weights.weights.items()))
+
+
 def write_aggregated_weights_csv(aggregated: dict[str, float], path) -> None:
     """One row per covariate plus the stationary model, in report order."""
     order = [k.value for k in CovariateKind] + ["ST"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["covariate", "bma_weight"])
-        for key in order:
-            writer.writerow([key, format_float(aggregated[key])])
+    write_csv(path, ["covariate", "bma_weight"],
+              ([key, format_float(aggregated[key])] for key in order))
+
+
+def write_level_weights_csv(per_covariate: dict[str, dict[str, float]], path) -> None:
+    """One row per covariate: the weights of its own four candidates, by level."""
+    levels = [lvl.value for lvl in NonstatLevel]
+    write_csv(path, ["covariate", *levels],
+              ([kind.value] + [format_float(per_covariate[kind.value][lv]) for lv in levels]
+               for kind in CovariateKind))

@@ -25,12 +25,14 @@ from .covariates import CovariateSeries
 from .evidence import BmaWeights
 from .models import DAYS_PER_YEAR, XI_EPS, ModelStructure, NonstatLevel, effective_params
 from .sampler import PosteriorEnsemble
-from .utils import GateError, dump_json, empirical_quantile, format_float
+from .utils import GateError, dump_json, empirical_quantile, format_float, write_csv
 
 RATE_FLOOR = 1e-8  # per day; extrapolated nonpositive rates clamp here
 
-DEFAULT_RETURN_PERIODS = (2, 5, 10, 20, 50, 100, 200, 500, 1000)
+# floats: a period's text form names its mixture seed and its curve.json entry
+DEFAULT_RETURN_PERIODS = (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 DEFAULT_QUANTILE_LEVELS = (0.025, 0.05, 0.25, 0.5, 0.75, 0.95, 0.975)
+REPORTED_QUANTILE_LEVELS = (0.05, 0.5, 0.95)  # the median and the 90% credible range
 
 
 @dataclass(frozen=True)
@@ -196,13 +198,37 @@ def hazard_report(
     return HazardReport(year, periods, tuple(levels), table)
 
 
+def save_return_levels(columns: dict[float, ReturnLevelEnsemble], path) -> None:
+    """One column per period: a ``T<period>`` header, a ``flagged=<n>;clamped=<n>``
+    row, then the samples (shorter columns end in empty cells)."""
+    periods = sorted(columns)
+    cols = [columns[t] for t in periods]
+    flags = [f"flagged={c.n_flagged};clamped={c.n_clamped}" for c in cols]
+    samples = (
+        [format_float(c.samples[i]) if i < c.samples.size else "" for c in cols]
+        for i in range(max(c.samples.size for c in cols))
+    )
+    write_csv(path, [f"T{t:g}" for t in periods], [flags, *samples])
+
+
+def load_return_levels(path, source: str, year: int) -> dict[float, ReturnLevelEnsemble]:
+    """Columns saved by ``save_return_levels``, keyed by period."""
+    with open(path, newline="") as fh:
+        header, flags, *rows = csv.reader(fh)
+    out = {}
+    for j, t in enumerate(float(h[1:]) for h in header):
+        samples = np.array([float(row[j]) for row in rows if row[j]])
+        counts = dict(kv.split("=") for kv in flags[j].split(";"))
+        out[t] = ReturnLevelEnsemble(
+            year, t, samples, source, int(counts["clamped"]), int(counts["flagged"])
+        )
+    return out
+
+
 def write_quantile_table_csv(report: HazardReport, path) -> None:
     header = ["return_period_years"] + [f"q{100 * lv:g}" for lv in report.levels]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, row in zip(report.periods, report.table):
-            writer.writerow([f"{t:g}"] + [format_float(v) for v in row])
+    write_csv(path, header, ([f"{t:g}"] + [format_float(v) for v in row]
+                             for t, row in zip(report.periods, report.table)))
 
 
 def write_curve_json(report: HazardReport, path) -> None:

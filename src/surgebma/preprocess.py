@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .utils import dump_json, empirical_quantile, load_json
+from .utils import dump_json, empirical_quantile, load_json, write_csv
 
 HOURS_PER_DAY = 24
 
@@ -194,11 +194,10 @@ def read_hourly_csv(path) -> HourlySeries:
 
 
 def write_hourly_csv(path, series: HourlySeries) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "level_m"])
-        for t, v in zip(series.times, series.levels):
-            writer.writerow([str(t), "" if not np.isfinite(v) else repr(float(v))])
+    write_csv(path, ["timestamp", "level_m"], (
+        [str(t), "" if not np.isfinite(v) else repr(float(v))]
+        for t, v in zip(series.times, series.levels)
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .preprocess import ExceedanceSet
 from .utils import dump_json, load_json
 
 LOG_2PI = math.log(2.0 * math.pi)
+MLE_RESTARTS = 5  # Nelder-Mead searches: the moment start, then perturbed starts
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,6 @@ def mle_fit(
     structure: ModelStructure,
     data: ExceedanceSet,
     cov: CovariateSeries | None,
-    n_restarts: int = 5,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Maximize the log-likelihood by Nelder-Mead simplex search with restarts.
@@ -166,7 +166,7 @@ def mle_fit(
 
     base = _moment_start(structure, data)
     best_x, best_f = None, math.inf
-    for k in range(n_restarts):
+    for k in range(MLE_RESTARTS):
         x0 = base.copy()
         if k > 0:
             scale = np.maximum(np.abs(base), 0.05)

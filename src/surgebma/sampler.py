@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .models import ModelStructure
-from .utils import dump_json, format_float, load_json
+from .utils import dump_json, format_float, load_json, write_csv
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,12 @@ class ChainConfig:
             raise ValueError("burn_in must be smaller than n_iterations")
         if self.n_chains < 1 or self.thinned_size < 1:
             raise ValueError("n_chains and thinned_size must be positive")
+        pooled = self.n_chains * (self.n_iterations - self.burn_in)
+        if self.thinned_size > pooled:
+            raise ValueError(
+                f"thinned_size {self.thinned_size} exceeds the pooled sample of "
+                f"n_chains x (n_iterations - burn_in) = {pooled}"
+            )
 
 
 @dataclass
@@ -65,11 +71,8 @@ class PosteriorEnsemble:
     diagnostics: dict = field(default_factory=dict)
 
     def save(self, csv_path, diagnostics_path=None) -> None:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.param_names)
-            for row in self.draws:
-                writer.writerow([format_float(v) for v in row])
+        rows = ([format_float(v) for v in row] for row in self.draws)
+        write_csv(csv_path, self.param_names, rows)
         if diagnostics_path is not None:
             dump_json(
                 {"structure": self.structure.id, "param_names": list(self.param_names),
@@ -103,8 +106,8 @@ def ram_step(
     iteration: int,
     log_posterior: Callable[[np.ndarray], np.ndarray],
     rngs: Sequence[np.random.Generator],
-    target_acceptance: float = 0.234,
-    adaptation_decay: float = 0.66,
+    target_acceptance: float = ChainConfig.target_acceptance,
+    adaptation_decay: float = ChainConfig.adaptation_decay,
     adapt: bool = True,
 ):
     """One Metropolis step of K chains in lockstep, with rank-one coercion.
@@ -242,45 +245,36 @@ def gelman_rubin(chains: np.ndarray, burn_in: int = 0) -> np.ndarray:
 
 
 def pool_and_thin(
-    raw: RawChains,
-    rng: np.random.Generator,
-    burn_in: int | None = None,
-    thinned_size: int | None = None,
-    psrf_gate: float | None = None,
-    force: bool = False,
+    raw: RawChains, rng: np.random.Generator, force: bool = False
 ) -> PosteriorEnsemble:
     """Pool post-burn-in iterates of all chains and draw a uniform subsample.
 
+    Burn-in, subsample size and PSRF gate are those of ``raw.config``, whose
+    construction guarantees the pool holds ``thinned_size`` iterates.
     Refuses to pool when any parameter's PSRF exceeds the gate, unless
     ``force`` is set (the offending parameters are then recorded in the
     diagnostics instead).
     """
     cfg = raw.config
-    burn_in = cfg.burn_in if burn_in is None else burn_in
-    thinned_size = cfg.thinned_size if thinned_size is None else thinned_size
-    psrf_gate = cfg.psrf_gate if psrf_gate is None else psrf_gate
-
-    psrf = gelman_rubin(raw.chains, burn_in)
-    offenders = [name for name, r in zip(raw.param_names, psrf) if r >= psrf_gate]
+    psrf = gelman_rubin(raw.chains, cfg.burn_in)
+    offenders = [name for name, r in zip(raw.param_names, psrf) if r >= cfg.psrf_gate]
     if offenders and not force:
         raise RuntimeError(
-            f"PSRF gate {psrf_gate} violated for {raw.structure.id}: "
+            f"PSRF gate {cfg.psrf_gate} violated for {raw.structure.id}: "
             + ", ".join(f"{n}={r:.4f}" for n, r in zip(raw.param_names, psrf) if n in offenders)
         )
 
-    pooled = raw.chains[:, burn_in:, :].reshape(-1, raw.chains.shape[2])
-    if thinned_size > pooled.shape[0]:
-        raise ValueError("thinned_size exceeds the pooled sample")
-    idx = rng.choice(pooled.shape[0], size=thinned_size, replace=False)
+    pooled = raw.chains[:, cfg.burn_in:, :].reshape(-1, raw.chains.shape[2])
+    idx = rng.choice(pooled.shape[0], size=cfg.thinned_size, replace=False)
     diagnostics = {
         "psrf": {name: float(r) for name, r in zip(raw.param_names, psrf)},
         "acceptance": [float(a) for a in raw.acceptance],
         "seed": cfg.seed,
         "n_iterations": cfg.n_iterations,
         "n_chains": cfg.n_chains,
-        "burn_in": burn_in,
-        "thinned_size": thinned_size,
-        "psrf_gate": psrf_gate,
+        "burn_in": cfg.burn_in,
+        "thinned_size": cfg.thinned_size,
+        "psrf_gate": cfg.psrf_gate,
         "forced": bool(offenders),
         "psrf_gate_failed": offenders,
     }

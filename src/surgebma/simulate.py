@@ -26,7 +26,7 @@ from .models import (
     effective_params,
 )
 from .preprocess import ExceedanceRecord, ExceedanceSet, YearBlock
-from .utils import empirical_quantile
+from .utils import empirical_quantile, write_csv
 
 EVENT_SPACING_DAYS = 3  # assigned event dates keep at least this separation
 
@@ -227,8 +227,9 @@ def make_mle_fixture_pack(
     fit_rng = np.random.default_rng(seed + 1)
     for record in records:
         for structure in all_structures():
-            cov = None if structure.level is NonstatLevel.ST else covs[structure.covariate]
-            table[structure.id].append(mle_fit(structure, record, cov, rng=fit_rng))
+            table[structure.id].append(
+                mle_fit(structure, record, covs.get(structure.covariate), rng=fit_rng)
+            )
     return {sid: np.vstack(rows) for sid, rows in table.items()}
 
 
@@ -296,7 +297,6 @@ def write_covariate_fixtures(
 
     Returns the file paths keyed by config option name.
     """
-    import csv as _csv
     from pathlib import Path
 
     outdir = Path(outdir)
@@ -315,11 +315,8 @@ def write_covariate_fixtures(
         hist = outdir / f"{name}_hist.csv"
         proj = outdir / f"{name}_proj.csv"
         for p, mask in ((hist, years_all <= last_year), (proj, years_all > last_year)):
-            with open(p, "w", newline="") as fh:
-                w = _csv.writer(fh)
-                w.writerow(["year", "value"])
-                for y, v in zip(years_all[mask], series[mask]):
-                    w.writerow([int(y), repr(float(v))])
+            write_csv(p, ["year", "value"],
+                      ([int(y), repr(float(v))] for y, v in zip(years_all[mask], series[mask])))
         paths[f"{name}_hist"] = str(hist)
         paths[f"{name}_proj"] = str(proj)
 
@@ -327,14 +324,14 @@ def write_covariate_fixtures(
     # first winter mean is defined
     nao_hist = outdir / "nao_hist.csv"
     nao_proj = outdir / "nao_proj.csv"
+
+    def nao_row(y: int, m: int) -> list:
+        v = math.sin(2 * math.pi * (y + m / 12.0) / 7.3) + 0.4 * rng.standard_normal()
+        return [y, m, repr(float(v))]
+
     for p, (y0, y1) in ((nao_hist, (first_year - 1, last_year)), (nao_proj, (last_year, projection_year + 1))):
-        with open(p, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["year", "month", "value"])
-            for y in range(y0, y1 + 1):
-                for m in range(1, 13):
-                    v = math.sin(2 * math.pi * (y + m / 12.0) / 7.3) + 0.4 * rng.standard_normal()
-                    w.writerow([y, m, repr(float(v))])
+        write_csv(p, ["year", "month", "value"],
+                  (nao_row(y, m) for y in range(y0, y1 + 1) for m in range(1, 13)))
     paths["nao_hist"] = str(nao_hist)
     paths["nao_proj"] = str(nao_proj)
     return paths

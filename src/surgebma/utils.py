@@ -3,6 +3,7 @@ stable file output."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -41,6 +42,15 @@ def dump_json(obj, path) -> None:
 
 def load_json(path):
     return json.loads(Path(path).read_text())
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then ``rows``, in the one CSV dialect of every artifact
+    (the csv module's default: comma-separated, ``\\r\\n`` line ends)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def format_float(x: float) -> str:

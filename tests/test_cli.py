@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import shutil
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from surgebma import cli
 from surgebma.cli import main
 from surgebma.utils import load_json
 
@@ -326,3 +329,55 @@ def test_parallel_workers_reproduce_serial_artifacts(tmp_path):
     assert main(["calibrate", "--config", str(config), "--workers", "2"]) == 0
     for sid, blob in serial.items():
         assert (tmp_path / "out" / "ensembles" / f"{sid}.csv").read_bytes() == blob
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("mixture_size = 20000", "mixture_size = 20000\nquantile_levels = 0.25, 0.75"),
+        ("mixture_size = 20000", "mixture_size = 20000\nquantile_levels = 0.05, 0.5, 0.95, 1"),
+        ("return_periods = 10, 100", "return_periods = 0, 100"),
+        ("return_periods = 10, 100", "return_periods = -5, 100"),
+        ("mixture_size = 20000", "mixture_size = 0"),
+        # 2 chains x (400 - 200) iterations cannot pool thinned_size = 1000 draws
+        ("n_iterations = 1200", "n_iterations = 400"),
+    ],
+    ids=["no_median", "level_1", "zero_period", "negative_period", "mixture_size", "thinned_size"],
+)
+def test_bad_config_values_exit_2_before_any_stage(tmp_path, capsys, old, new):
+    config = make_workspace(tmp_path, structures="ST")
+    config.write_text(config.read_text().replace(old, new))
+    assert main(["run-all", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_inputs_exit_2_with_workers(tmp_path):
+    config = make_workspace(tmp_path)
+    assert main(["calibrate", "--config", str(config), "--workers", "2"]) == 2
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="counts through a patched module global, which only forked workers inherit",
+)
+def test_calibrate_workers_load_inputs_once_per_process(tmp_path, monkeypatch):
+    config = make_workspace(tmp_path, structures="ST, NS1-time, NS1-sealevel")
+    config.write_text(config.read_text().replace("n_iterations = 1200", "n_iterations = 700"))
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["fit-priors", "--config", str(config)]) == 0
+
+    calls = tmp_path / "loads.txt"
+    load = cli._load_inputs
+
+    def counted(run_config):
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return load(run_config)
+
+    monkeypatch.setattr(cli, "_load_inputs", counted)
+    assert main(["calibrate", "--config", str(config), "--workers", "2"]) == 0
+    pids = calls.read_text().split()
+    # one load per worker process, not one per structure
+    assert 1 <= len(pids) <= 2 and len(set(pids)) == len(pids)
+    assert os.getpid() not in map(int, pids)

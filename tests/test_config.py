@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from surgebma.config import build_covariates, load_config
+from surgebma.config import SAMPLER_PROFILES, RunConfig, build_covariates, load_config
 from surgebma.covariates import CovariateKind
+from surgebma.sampler import ChainConfig
 from surgebma.simulate import write_covariate_fixtures
 
 CONFIG_TEXT = """
@@ -108,3 +111,35 @@ def test_build_covariates_reports_gaps(config_dir):
     config = load_config(config_dir / "run.ini")
     with pytest.raises(ValueError, match="sealevel"):
         build_covariates(config)
+
+
+def test_omitted_options_take_the_dataclass_defaults(tmp_path):
+    text = "[station]\nhourly_csv = station.csv\n"
+    (tmp_path / "run.ini").write_text(text)
+    config = load_config(tmp_path / "run.ini")
+    assert config.station_csv == tmp_path / "station.csv"
+    assert config.raw_text == text
+    # a relative output_dir resolves against the config's directory, the default too
+    assert config.output_dir == tmp_path / RunConfig.output_dir
+    for f in dataclasses.fields(RunConfig):
+        if f.name in ("station_csv", "raw_text", "output_dir"):
+            continue
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        assert getattr(config, f.name) == default, f.name
+    assert config.sampler == ChainConfig()
+    assert config.return_periods and all(type(t) is float for t in config.return_periods)
+
+
+def test_sampler_profiles(tmp_path):
+    def sampler(profile_lines):
+        (tmp_path / "run.ini").write_text(
+            "[station]\nhourly_csv = station.csv\n[sampler]\n" + profile_lines
+        )
+        return load_config(tmp_path / "run.ini").sampler
+
+    assert sampler("profile = desk\n") == ChainConfig()
+    assert sampler("profile = paper\n") == ChainConfig(**SAMPLER_PROFILES["paper"])
+    assert sampler("profile = paper\nn_chains = 3\n").n_chains == 3
+    with pytest.raises(ValueError, match="unknown sampler profile"):
+        sampler("profile = laptop\n")
+

@@ -4,7 +4,6 @@ import pytest
 from surgebma.covariates import (
     CovariateKind,
     CovariateSeries,
-    annualize,
     normalize_minmax,
     read_annual_csv,
     read_monthly_csv,
@@ -56,28 +55,6 @@ def test_winter_mean_matches_scan_oracle():
         want = (table[(y - 1, 12)] + table[(y, 1)] + table[(y, 2)]) / 3.0
         assert out[y] == pytest.approx(want)
     assert 1990 not in out  # December 1989 unavailable
-
-
-# ---------------------------------------------------------------------------
-# annualize
-# ---------------------------------------------------------------------------
-
-
-def test_annualize_identity_on_annual_input():
-    assert annualize([(2001, 1.5), (2002, 2.5)]) == {2001: 1.5, 2002: 2.5}
-
-
-def test_annualize_twelve_equal_months():
-    series = [(np.datetime64(f"2003-{m:02d}-15"), 4.2) for m in range(1, 13)]
-    assert annualize(series) == {2003: pytest.approx(4.2)}
-
-
-def test_annualize_matches_naive_mean():
-    rng = np.random.default_rng(1)
-    rows = [(y, float(rng.normal())) for y in (2000, 2000, 2000, 2001, 2001)]
-    out = annualize(rows)
-    assert out[2000] == pytest.approx(np.mean([v for y, v in rows if y == 2000]))
-    assert out[2001] == pytest.approx(np.mean([v for y, v in rows if y == 2001]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,21 @@ import pytest
 from scipy import stats
 
 from surgebma.evidence import (
+    WEIGHT_SUM_TOL,
     BmaWeights,
     EvidenceEstimate,
     aggregate_by_covariate,
     bma_weights,
     bridge_evidence,
+    load_evidence,
+    save_evidence,
+    save_evidence_report,
     weights_by_level_within_covariate,
     write_aggregated_weights_csv,
+    write_level_weights_csv,
+    write_weights_csv,
 )
+from surgebma.utils import load_json
 from surgebma.models import ModelStructure, NonstatLevel, all_structures
 from surgebma.sampler import PosteriorEnsemble
 
@@ -129,6 +136,12 @@ def test_weights_invariant_to_common_shift():
     assert sum(a.weights.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_weights_must_sum_to_one_within_the_tolerance():
+    BmaWeights({"ST": 0.5, "NS1-time": 0.5 + 0.5 * WEIGHT_SUM_TOL}, {})
+    with pytest.raises(ValueError, match="sum to 1"):
+        BmaWeights({"ST": 0.5, "NS1-time": 0.5 + 2.0 * WEIGHT_SUM_TOL}, {})
+
+
 def test_nonfinite_evidence_is_rejected():
     with pytest.raises(ValueError, match="ST"):
         EvidenceEstimate(ST, math.nan, 1, 0.0)
@@ -182,3 +195,40 @@ def test_aggregated_csv_layout(tmp_path):
     assert lines[0] == "covariate,bma_weight"
     assert len(lines) == 6
     assert lines[1].startswith("time,") and lines[-1].startswith("ST,")
+
+def test_evidence_save_load_roundtrip(tmp_path):
+    estimates = [EvidenceEstimate(ModelStructure.parse(sid), -120.5 - k, 7 + k, 1e-11 * (k + 1))
+                 for k, sid in enumerate(("ST", "NS2-nao"))]
+    path = tmp_path / "evidence.json"
+    save_evidence(estimates, path, "abc")
+    assert load_json(path)["config_sha256"] == "abc"
+    assert load_evidence(path) == {e.structure.id: e for e in estimates}
+
+    # the weights report carries the same per-estimate fields plus the weight
+    report = tmp_path / "weights.json"
+    save_evidence_report(estimates, bma_weights(estimates), report)
+    stored = load_json(path)["structures"]
+    for sid, entry in load_json(report).items():
+        assert {k: v for k, v in entry.items() if k != "weight"} == stored[sid]
+
+
+def test_weight_csv_layouts(tmp_path):
+    rng = np.random.default_rng(15)
+    evidences = [evidence_for(s.id, float(rng.normal(-300, 2))) for s in all_structures()]
+    weights = bma_weights(evidences)
+    write_weights_csv(weights, tmp_path / "weights_all.csv")
+    raw = (tmp_path / "weights_all.csv").read_bytes()
+    assert raw.startswith(b"structure,bma_weight\r\nST,")
+    rows = [line.split(",") for line in raw.decode().splitlines()[1:]]
+    assert [r[0] for r in rows] == [s.id for s in all_structures()]
+    assert [float(r[1]) for r in rows] == [weights.weights[r[0]] for r in rows]
+
+    per_cov = weights_by_level_within_covariate(evidences)
+    write_level_weights_csv(per_cov, tmp_path / "weights_by_covariate.csv")
+    header, *rows = (tmp_path / "weights_by_covariate.csv").read_text().splitlines()
+    assert header == "covariate,ST,NS1,NS2,NS3"
+    assert [r.split(",")[0] for r in rows] == ["time", "temperature", "sealevel", "nao"]
+    for row in rows:
+        kind, *values = row.split(",")
+        want = [per_cov[kind][lv] for lv in ("ST", "NS1", "NS2", "NS3")]
+        assert [float(v) for v in values] == want

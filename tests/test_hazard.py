@@ -13,7 +13,9 @@ from surgebma.hazard import (
     bma_mixture,
     ensemble_return_levels,
     hazard_report,
+    load_return_levels,
     return_level,
+    save_return_levels,
     write_curve_json,
     write_quantile_table_csv,
 )
@@ -244,3 +246,23 @@ def test_report_csv_and_curve_json(tmp_path):
     assert curve["year"] == 2065
     assert [row["T"] for row in curve["curve"]] == sorted(DEFAULT_RETURN_PERIODS)
     assert set(curve["curve"][0]) == {"T", "q2.5", "q5", "q25", "q50", "q75", "q95", "q97.5"}
+
+
+def test_return_levels_save_load_roundtrip(tmp_path):
+    columns = {
+        10.0: ReturnLevelEnsemble(2065, 10.0, np.array([1.25, 1.5, 1.0 / 3.0]), "NS1-time", 2, 4),
+        100.0: ReturnLevelEnsemble(2065, 100.0, np.array([2.5, 0.1]), "NS1-time", 0, 5),
+    }
+    path = tmp_path / "NS1-time.csv"
+    save_return_levels(columns, path)
+    assert path.read_bytes().splitlines()[:2] == [
+        b"T10,T100", b"flagged=4;clamped=2,flagged=5;clamped=0"
+    ]
+    assert path.read_bytes().endswith(b"0.3333333333333333,\r\n")  # the shorter column ends empty
+    loaded = load_return_levels(path, "NS1-time", 2065)
+    assert list(loaded) == [10.0, 100.0]
+    for t, want in columns.items():
+        got = loaded[t]
+        assert (got.year, got.period_years, got.source) == (2065, t, "NS1-time")
+        assert (got.n_clamped, got.n_flagged) == (want.n_clamped, want.n_flagged)
+        assert np.array_equal(got.samples, want.samples)

@@ -388,3 +388,10 @@ def test_initial_proposal_factor_scales_with_magnitude():
     S = initial_proposal_factor(np.array([0.01, 2.0]))
     assert S[0, 0] == pytest.approx(0.01)  # floor of 0.1 scaled by 0.1
     assert S[1, 1] == pytest.approx(0.2)
+
+
+def test_chain_config_refuses_thinned_size_above_the_pool():
+    # 2 chains x (400 - 50) post-burn-in iterations pool 700 draws
+    ChainConfig(n_iterations=400, n_chains=2, burn_in=50, thinned_size=700)
+    with pytest.raises(ValueError, match="thinned_size 701 exceeds the pooled sample"):
+        ChainConfig(n_iterations=400, n_chains=2, burn_in=50, thinned_size=701)
