@@ -511,7 +511,6 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
         updates["output_dir"] = Path(args.output_dir)
     if args.seed is not None:
         updates["seed"] = args.seed
-        updates["sampler"] = dataclasses.replace(config.sampler, seed=args.seed)
     if args.workers is not None:
         updates["workers"] = args.workers
     if args.force:

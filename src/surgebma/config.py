@@ -160,8 +160,6 @@ def load_config(path) -> RunConfig:
         raise ValueError(f"unknown sampler profile {profile!r}")
     chain = dict(SAMPLER_PROFILES[profile])
     chain.update({k: parse(sampler[k]) for k, parse in _SAMPLER_OPTIONS.items() if k in sampler})
-    if "seed" in fields:
-        chain["seed"] = fields["seed"]
     if "force" in sampler:
         fields["force"] = sampler.getboolean("force")
 

@@ -154,7 +154,7 @@ class LikelihoodData:
     """Exceedance data flattened into arrays for fast repeated evaluation."""
 
     threshold: float
-    counts: np.ndarray  # events per year block
+    counts: np.ndarray  # events per year block, as floats
     durations: np.ndarray  # observed days per year block
     phi: np.ndarray  # covariate value per year block
     excess: np.ndarray  # event height - threshold, flattened
@@ -181,7 +181,7 @@ class LikelihoodData:
         phi_event = np.repeat(phi, counts)
         return cls(
             data.threshold,
-            counts,
+            counts.astype(float),
             durations,
             phi,
             heights - data.threshold,
@@ -191,16 +191,18 @@ class LikelihoodData:
 
 
 def _loglik_from_arrays(row, level: NonstatLevel, d: LikelihoodData) -> float:
-    p = dict(zip(ACTIVE_PARAMS[level], row))
+    # Python floats and ndarray methods: the MLE objective calls this once per
+    # Nelder-Mead step, where numpy's scalar and wrapper overheads dominate
+    p = dict(zip(ACTIVE_PARAMS[level], row.tolist()))
     lam0, lam1, sig0 = p["lam0"], p.get("lam1", 0.0), p["sig0"]
     xi0, xi1 = p["xi0"], p.get("xi1", 0.0)
 
     lam = lam0 + lam1 * d.phi
-    if np.any(lam <= 0):
+    if (lam <= 0).any():
         return -math.inf
 
     mean = lam * d.durations
-    pois = float(np.sum(d.counts * np.log(mean) - mean)) - d.lgamma_counts
+    pois = float((d.counts * np.log(mean) - mean).sum()) - d.lgamma_counts
 
     if level in DIRECT_SCALE:
         if sig0 <= 0:
@@ -210,21 +212,21 @@ def _loglik_from_arrays(row, level: NonstatLevel, d: LikelihoodData) -> float:
     else:
         log_sig = sig0 + p["sig1"] * d.phi_event
         z = d.excess * np.exp(-log_sig)
-        log_sig_sum = float(np.sum(log_sig))
+        log_sig_sum = float(log_sig.sum())
 
     if xi1 == 0.0:
         xi = xi0
         if abs(xi) < XI_EPS:
-            gpd_sum = -float(np.sum(z))
+            gpd_sum = -float(z.sum())
         else:
             t = xi * z
-            if np.any(1.0 + t <= 0.0):
+            if (1.0 + t <= 0.0).any():
                 return -math.inf
-            gpd_sum = -(1.0 + 1.0 / xi) * float(np.sum(np.log1p(t)))
+            gpd_sum = -(1.0 + 1.0 / xi) * float(np.log1p(t).sum())
     else:
         xi_ev = xi0 + xi1 * d.phi_event
         t = xi_ev * z
-        if np.any(1.0 + t <= 0.0):
+        if (1.0 + t <= 0.0).any():
             return -math.inf
         small = np.abs(xi_ev) < XI_EPS
         terms = np.where(
@@ -232,7 +234,7 @@ def _loglik_from_arrays(row, level: NonstatLevel, d: LikelihoodData) -> float:
             -z,
             -(1.0 + 1.0 / np.where(small, 1.0, xi_ev)) * np.log1p(np.where(small, 0.0, t)),
         )
-        gpd_sum = float(np.sum(terms))
+        gpd_sum = float(terms.sum())
     return pois + gpd_sum - log_sig_sum
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,10 @@ import numpy as np
 from .utils import dump_json, empirical_quantile, load_json, write_csv
 
 HOURS_PER_DAY = 24
+# chunk sizes of the hourly CSV reader (characters) and writer (rows): they
+# bound the memory per numpy call and change no result
+READ_CHUNK_CHARS = 1 << 16
+WRITE_CHUNK_ROWS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -152,39 +157,39 @@ class ExceedanceSet:
 def read_hourly_csv(path) -> HourlySeries:
     """Read ``timestamp,level_m`` CSV (ISO-8601 UTC, empty field = missing).
 
-    The output grid is regularized: hours absent from the file become NaN.
+    Rows are parsed in chunks of about ``READ_CHUNK_CHARS``: one numpy
+    conversion per column and chunk, with a row-by-row scan only to name the
+    line of a bad row. The output grid is regularized: hours absent from the
+    file become NaN.
     """
-    times: list[np.datetime64] = []
-    levels: list[float] = []
+    stamps = [np.empty(0, dtype="datetime64[h]")]
+    values = [np.empty(0)]
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError("empty input")
         if [c.strip().lower() for c in header[:2]] != ["timestamp", "level_m"]:
             raise ValueError(f"expected header 'timestamp,level_m', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
+        lineno = 2
+        while lines := fh.readlines(READ_CHUNK_CHARS):
+            rows = None
+            columns = _plain_columns(lines)
+            if columns is None:
+                rows = _csv_rows(lines, fh)
+                columns = _row_columns(rows)
             try:
-                ts = np.datetime64(row[0].strip().replace("Z", ""), "h")
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc
-            raw = row[1].strip() if len(row) > 1 else ""
-            if raw == "":
-                val = np.nan
-            else:
-                try:
-                    val = float(raw)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad level {raw!r}") from exc
-            times.append(ts)
-            levels.append(val)
-    if not times:
+                t, v = _parse_columns(*columns)
+            except ValueError:
+                _raise_bad_row(path, csv.reader(lines) if rows is None else rows, lineno)
+                raise
+            stamps.append(t)
+            values.append(v)
+            lineno += len(lines) if rows is None else len(rows)
+    t = np.concatenate(stamps)
+    if not t.size:
         raise ValueError("empty input")
-    t = np.array(times, dtype="datetime64[h]")
     order = np.argsort(t)
-    t, vals = t[order], np.array(levels, dtype=float)[order]
+    t, vals = t[order], np.concatenate(values)[order]
     if np.any(np.diff(t.astype(np.int64)) == 0):
         raise ValueError("duplicate timestamps in input")
     grid = np.arange(t[0], t[-1] + np.timedelta64(1, "h"), dtype="datetime64[h]")
@@ -193,11 +198,87 @@ def read_hourly_csv(path) -> HourlySeries:
     return HourlySeries(grid, full)
 
 
+def _plain_columns(lines):
+    """Stripped timestamp and level fields of ``lines``, or None unless every
+    line is a plain ``timestamp,level`` row: no quote, exactly one comma, a
+    non-blank timestamp and no field over the csv module's size limit. Such
+    lines split into fields without a list per row."""
+    joined = ",".join(lines)
+    limit = csv.field_size_limit()
+    if '"' in joined or (len(joined) > limit and max(map(len, lines)) > limit):
+        return None
+    fields = joined.split(",")
+    stamps = fields[0::2]
+    # 2n fields mean n commas in the n lines; no line end in an even (timestamp)
+    # field means an odd number of commas in every line, so one in each
+    heads = "".join(stamps)
+    if len(fields) != 2 * len(lines) or "\n" in heads or "\r" in heads:
+        return None
+    stamps = list(map(str.strip, stamps))
+    if "" in stamps:  # a blank row or a missing timestamp
+        return None
+    return stamps, list(map(str.strip, fields[1::2]))
+
+
+def _csv_rows(lines, fh) -> list[list[str]]:
+    """The csv rows of ``lines``, reading on from ``fh`` to the end of a quoted
+    field left open by the last line."""
+    reader = csv.reader(chain(lines, fh))
+    rows = []
+    while reader.line_num < len(lines):
+        rows.append(next(reader))
+    return rows
+
+
+def _row_columns(rows):
+    """Stripped timestamp and level fields of the non-blank ``rows``."""
+    kept = [row for row in rows if any(c.strip() for c in row)]
+    return ([row[0].strip() for row in kept],
+            [row[1].strip() if len(row) > 1 else "" for row in kept])
+
+
+def _parse_columns(stamps, levels):
+    """datetime64[h] and float arrays of the stripped fields; an empty level is
+    NaN. Raises ValueError on any bad field."""
+    t = np.array([s.replace("Z", "") for s in stamps], dtype="datetime64[h]")
+    if np.isnat(t).any():  # numpy reads "" and "NaT" as NaT without raising
+        raise ValueError("missing timestamp")
+    return t, np.array([v or "nan" for v in levels], dtype=float)  # float("nan") is np.nan
+
+
+def _raise_bad_row(path, rows, first_lineno) -> None:
+    """Raise the ``path:line`` error of the first bad row, scanning row by row."""
+    for lineno, row in enumerate(rows, start=first_lineno):
+        if not any(c.strip() for c in row):
+            continue
+        try:
+            ts = np.datetime64(row[0].strip().replace("Z", ""), "h")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc
+        if np.isnat(ts):
+            raise ValueError(f"{path}:{lineno}: bad timestamp {row[0]!r}")
+        raw = row[1].strip() if len(row) > 1 else ""
+        if raw:
+            try:
+                float(raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad level {raw!r}") from exc
+
+
 def write_hourly_csv(path, series: HourlySeries) -> None:
-    write_csv(path, ["timestamp", "level_m"], (
-        [str(t), "" if not np.isfinite(v) else repr(float(v))]
-        for t, v in zip(series.times, series.levels)
+    write_csv(path, ["timestamp", "level_m"], chain.from_iterable(
+        _hourly_rows(series.times[i:i + WRITE_CHUNK_ROWS], series.levels[i:i + WRITE_CHUNK_ROWS])
+        for i in range(0, series.times.size, WRITE_CHUNK_ROWS)
     ))
+
+
+def _hourly_rows(times, levels):
+    """CSV rows of one chunk: timestamps as ``str`` writes them, finite levels
+    in their shortest round-trip form, other levels empty."""
+    texts = list(map(repr, levels.tolist()))
+    for k in np.flatnonzero(~np.isfinite(levels)).tolist():
+        texts[k] = ""
+    return zip(np.datetime_as_string(times).tolist(), texts)
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,20 @@ These deliberately avoid the package's own code paths: the likelihood oracle
 is a double loop in extended precision, the scalar GPD and Poisson densities
 are written out term by term, the declustering oracle builds clusters by
 transitive closure in O(n^2), and the sampler oracle steps one chain at a
-time on a row density.
+time on a row density. The row-kernel, hourly CSV reader and writer oracles
+are earlier versions kept as the bit-for-bit references: numpy wrappers on
+numpy scalars, and one row at a time.
 """
 
+import csv
 import math
 
 import mpmath
 import numpy as np
 from scipy.special import gammaln
 
-from surgebma.models import NonstatLevel
+from surgebma.models import ACTIVE_PARAMS, DIRECT_SCALE, XI_EPS, NonstatLevel
+from surgebma.preprocess import HourlySeries
 
 
 def gpd_logpdf(x: float, mu: float, sig: float, xi: float) -> float:
@@ -150,3 +154,104 @@ def run_chains_one_by_one(log_posterior, start, config):
             n_accept += accepted
         acceptance[c] = n_accept / config.n_iterations
     return chains, acceptance
+
+
+def loglik_row_kernel(row, level, d):
+    """The row log-likelihood on ``LikelihoodData`` ``d`` with numpy scalars
+    and the ``np.sum``/``np.any`` wrappers."""
+    p = dict(zip(ACTIVE_PARAMS[level], row))
+    lam0, lam1, sig0 = p["lam0"], p.get("lam1", 0.0), p["sig0"]
+    xi0, xi1 = p["xi0"], p.get("xi1", 0.0)
+
+    lam = lam0 + lam1 * d.phi
+    if np.any(lam <= 0):
+        return -math.inf
+
+    mean = lam * d.durations
+    pois = float(np.sum(d.counts * np.log(mean) - mean)) - d.lgamma_counts
+
+    if level in DIRECT_SCALE:
+        if sig0 <= 0:
+            return -math.inf
+        z = d.excess / sig0
+        log_sig_sum = d.excess.size * math.log(sig0)
+    else:
+        log_sig = sig0 + p["sig1"] * d.phi_event
+        z = d.excess * np.exp(-log_sig)
+        log_sig_sum = float(np.sum(log_sig))
+
+    if xi1 == 0.0:
+        xi = xi0
+        if abs(xi) < XI_EPS:
+            gpd_sum = -float(np.sum(z))
+        else:
+            t = xi * z
+            if np.any(1.0 + t <= 0.0):
+                return -math.inf
+            gpd_sum = -(1.0 + 1.0 / xi) * float(np.sum(np.log1p(t)))
+    else:
+        xi_ev = xi0 + xi1 * d.phi_event
+        t = xi_ev * z
+        if np.any(1.0 + t <= 0.0):
+            return -math.inf
+        small = np.abs(xi_ev) < XI_EPS
+        terms = np.where(
+            small,
+            -z,
+            -(1.0 + 1.0 / np.where(small, 1.0, xi_ev)) * np.log1p(np.where(small, 0.0, t)),
+        )
+        gpd_sum = float(np.sum(terms))
+    return pois + gpd_sum - log_sig_sum
+
+
+def read_hourly_csv_rows(path):
+    """Hourly CSV reader converting one row at a time.
+
+    It does not refuse a timestamp that numpy reads as NaT (empty, ``NaT``):
+    such a row fails later, in ``np.arange``, with no line number.
+    """
+    times, levels = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty input")
+        if [c.strip().lower() for c in header[:2]] != ["timestamp", "level_m"]:
+            raise ValueError(f"expected header 'timestamp,level_m', got {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                ts = np.datetime64(row[0].strip().replace("Z", ""), "h")
+            except (ValueError, IndexError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc
+            raw = row[1].strip() if len(row) > 1 else ""
+            if raw == "":
+                val = np.nan
+            else:
+                try:
+                    val = float(raw)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad level {raw!r}") from exc
+            times.append(ts)
+            levels.append(val)
+    if not times:
+        raise ValueError("empty input")
+    t = np.array(times, dtype="datetime64[h]")
+    order = np.argsort(t)
+    t, vals = t[order], np.array(levels, dtype=float)[order]
+    if np.any(np.diff(t.astype(np.int64)) == 0):
+        raise ValueError("duplicate timestamps in input")
+    grid = np.arange(t[0], t[-1] + np.timedelta64(1, "h"), dtype="datetime64[h]")
+    full = np.full(grid.size, np.nan)
+    full[(t - grid[0]).astype(np.int64)] = vals
+    return HourlySeries(grid, full)
+
+
+def write_hourly_csv_rows(path, series):
+    """Hourly CSV writer formatting one row at a time through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "level_m"])
+        for t, v in zip(series.times, series.levels):
+            writer.writerow([str(t), "" if not np.isfinite(v) else repr(float(v))])

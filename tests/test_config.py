@@ -64,7 +64,7 @@ def test_load_config_fields(config_dir):
     assert config.threshold_quantile == 0.98
     assert config.sampler.n_iterations == 2000
     assert config.sampler.n_chains == 2
-    assert config.sampler.seed == 99
+    assert config.seed == 99
     assert config.return_periods == (10.0, 50.0, 100.0)
     assert config.mixture_size == 5000
     assert config.structures == ("ST", "NS1-time")

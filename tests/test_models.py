@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import gpd_logpdf, naive_loglik, poisson_logpmf
+from oracles import gpd_logpdf, loglik_row_kernel, naive_loglik, poisson_logpmf
 from surgebma.covariates import CovariateKind, CovariateSeries
 from surgebma.models import (
     ModelStructure,
@@ -20,7 +20,7 @@ from surgebma.models import (
     make_logpost,
     make_logpost_rows,
 )
-from surgebma.models import LikelihoodData, _loglik_from_arrays, _loglik_rows
+from surgebma.models import DIRECT_SCALE, LikelihoodData, _loglik_from_arrays, _loglik_rows
 from surgebma.preprocess import ExceedanceRecord, ExceedanceSet, YearBlock
 from surgebma.priors import PriorSet, PriorSpec
 
@@ -407,6 +407,29 @@ def test_stacked_loglik_equals_row_kernel_bit_for_bit(level):
     # one-row stacks, including each branch row on its own
     for row, value in zip(rows, want):
         assert _loglik_rows(row[None], structure.level, arrays).tolist() == [value]
+
+
+@pytest.mark.parametrize("level", list(BRANCH_ROWS))
+def test_row_kernel_equals_numpy_scalar_oracle_bit_for_bit(level):
+    structure, data, cov, rows = stack_fixture(level)
+    arrays = LikelihoodData.build(data, cov, structure)
+    rng = np.random.default_rng(23)
+    odd = np.repeat(rows[:6], 4, axis=0)
+    odd[np.arange(odd.shape[0]), rng.integers(rows.shape[1], size=odd.shape[0])] = rng.choice(
+        [np.inf, -np.inf, np.nan], size=odd.shape[0]
+    )
+    if structure.level in DIRECT_SCALE:  # 1 + xi z == 0 exactly at the largest excess
+        edge = rows[:1].copy()
+        edge[0, -2:] = arrays.excess.max(), -1.0
+        odd = np.vstack([odd, edge])
+    with np.errstate(all="ignore"):
+        for row in np.vstack([rows, odd]):
+            got = _loglik_from_arrays(row, structure.level, arrays)
+            want = loglik_row_kernel(row, structure.level, arrays)
+            # a NaN's sign bit follows CPython's float specialization, not the data
+            assert math.isnan(got) == math.isnan(want)
+            if not math.isnan(want):
+                assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
 
 
 @pytest.mark.parametrize("level", list(BRANCH_ROWS))

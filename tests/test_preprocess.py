@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import brute_force_decluster, read_hourly_csv_rows, write_hourly_csv_rows
+from surgebma import preprocess
 from surgebma.preprocess import (
     DailySeries,
     ExceedanceSet,
@@ -197,9 +199,6 @@ def test_decluster_tie_breaks_to_earliest():
     assert len(recs) == 1 and recs[0].date == np.datetime64("2001-01-06")
 
 
-from oracles import brute_force_decluster
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_decluster_matches_brute_force_oracle(seed):
     rng = np.random.default_rng(100 + seed)
@@ -265,7 +264,7 @@ def test_hourly_csv_roundtrip(tmp_path):
     write_hourly_csv(path, series)
     back = read_hourly_csv(path)
     assert np.array_equal(back.times, series.times)
-    assert np.allclose(back.levels, series.levels, equal_nan=True)
+    assert np.array_equal(back.levels, series.levels, equal_nan=True)
 
 
 def test_hourly_csv_malformed_rows_report_line_numbers(tmp_path):
@@ -276,6 +275,118 @@ def test_hourly_csv_malformed_rows_report_line_numbers(tmp_path):
     path.write_text("timestamp,level_m\n2000-01-01T00:00,oops\n")
     with pytest.raises(ValueError, match="bad.csv:2"):
         read_hourly_csv(path)
+
+
+# chunk sizes: one line per chunk, a few lines, and the module default
+READ_CHUNKS = [1, 64, preprocess.READ_CHUNK_CHARS]
+H = "timestamp,level_m\n"
+
+# every input form the hourly CSV reader accepts, each read the same as the
+# row-by-row reader in ``oracles``
+HOURLY_CSV_CASES = {
+    "plain": H + "2000-01-01T00,1.0\n2000-01-01T01,-0.25\n2000-01-01T02,0.1\n",
+    "blank_lines": H + "\n2000-01-01T00,1.0\n   \n\t\n2000-01-01T01,2.0\n , \n,\n\n",
+    "z_suffix": H + "2000-01-01T00Z,1.0\n2000-01-01T01Z,2.0\nZ2000-01-01T02,3.0\n",
+    "minutes": H + "2000-01-01T00:00,1.0\n2000-01-01T01:00:00,2.0\n2000-01-01T02:30,3.0\n",
+    "date_only": H + "2000-01-01,1.0\n2000-01-01T01,2.0\n",
+    "whitespace": H + "  2000-01-01T00 ,  1.5  \n\t2000-01-01T01\t,\t2.5\t\n",
+    "extra_columns": H.replace("level_m", "level_m,sigma") + "2000-01-01T00,1.0,0.1\n2000-01-01T01,2.0,,x,y\n",
+    "missing_level_column": H + "2000-01-01T00,1.0\n2000-01-01T01\n2000-01-01T02,3.0\n",
+    "two_extra_columns": H + "2000-01-01T00,1.0,a,b\n2000-01-01T01,2.0,c,d\n",
+    "mixed_columns": H + "2000-01-01T00,1.0,9\n2000-01-01T01\n2000-01-01T02,3.0\n",
+    "mixed_columns_cr": H + "2000-01-01T00,1.0,9\r2000-01-01T01\r2000-01-01T02,3.0\r",
+    "empty_levels": H + "2000-01-01T00,\n2000-01-01T01,  \n2000-01-01T02,3.0\n",
+    "nan_and_inf_levels": H + "2000-01-01T00,nan\n2000-01-01T01,-inf\n2000-01-01T02,1e-310\n",
+    "quoted": H + '"2000-01-01T00","1.0"\n2000-01-01T01," 2.0 ","a,b"\n"2000-01-01T02",3.0\n',
+    "quoted_newline": H + '2000-01-01T00,"1.0\n"\n"2000-01-01T01\n",2.0\n'
+                      '2000-01-01T02,"3.0\n",x\n"2000-01-01T03","4.0"\n',
+    "crlf": (H + "2000-01-01T00,1.0\n2000-01-01T01,2.0\n").replace("\n", "\r\n"),
+    "cr": (H + "2000-01-01T00,1.0\n2000-01-01T01,2.0\n").replace("\n", "\r"),
+    "mixed_line_ends": H + "2000-01-01T00,1.0\r\n2000-01-01T01,2.0\n2000-01-01T02,3.0\r",
+    "no_final_newline": H + "2000-01-01T00,1.0\n2000-01-01T01,2.0",
+    "unsorted": H + "2000-01-01T02,3.0\n2000-01-01T00,1.0\n2000-01-01T01,2.0\n",
+    "gaps": H + "2000-01-01T00,1.0\n2000-01-01T05,2.0\n2000-01-03T00,3.0\n",
+    "header_case": " Timestamp , LEVEL_M \n2000-01-01T00,1.0\n",
+}
+
+
+@pytest.mark.parametrize("chunk", READ_CHUNKS)
+@pytest.mark.parametrize("case", list(HOURLY_CSV_CASES))
+def test_hourly_csv_reader_equals_row_oracle(tmp_path, monkeypatch, case, chunk):
+    path = tmp_path / "station.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(HOURLY_CSV_CASES[case])
+    want = read_hourly_csv_rows(path)
+    monkeypatch.setattr(preprocess, "READ_CHUNK_CHARS", chunk)
+    got = read_hourly_csv(path)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.levels.view(np.int64), want.levels.view(np.int64))
+
+
+def test_hourly_csv_reader_equals_row_oracle_on_a_long_record(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    vals = rng.normal(size=5000)
+    vals[rng.uniform(size=vals.size) < 0.05] = np.nan
+    path = tmp_path / "station.csv"
+    write_hourly_csv(path, hourly(vals))
+    with open(path, "a", newline="") as fh:  # a few odd rows late in the file
+        fh.write('\r\n"2001-01-01T00Z", 1.25 ,x\r\n2001-01-01T02\r\n   \r\n2000-12-31T23,\r\n')
+    want = read_hourly_csv_rows(path)
+    monkeypatch.setattr(preprocess, "READ_CHUNK_CHARS", 4096)
+    got = read_hourly_csv(path)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.levels.view(np.int64), want.levels.view(np.int64))
+
+
+# inputs the reader refuses, each past the first few chunks of 64 characters
+LATE = H + "".join(f"2000-01-0{1 + h // 24}T{h % 24:02d},0.5\n" for h in range(30))
+BAD_HOURLY_CSV_CASES = {
+    "bad_timestamp": LATE + "2000-02-30T00,1.0\n",
+    "bad_timestamp_after_blank_lines": LATE + "\n \n2000-03-01T00,1.0\nnot-a-time,2.0\n",
+    "bad_level": LATE + "2000-03-01T00,1.0\n2000-03-01T01,oops\n",
+    "bad_level_with_extra_column": LATE + "2000-03-01T01,1.0.0,x\n",
+    "bad_level_after_quoted_newline": LATE + '2000-03-01T00,"1.0\n"\n2000-03-01T01,1,5\n2000-03-01T02,x\n',
+    "duplicate_timestamp": LATE + "2000-01-01T05,1.0\n",
+    "duplicate_timestamp_z": LATE + "2000-01-01T05Z,1.0\n",
+    "bad_header": "time,level\n2000-01-01T00,1.0\n",
+    "header_only": H,
+    "blank_rows_only": H + "\n , \n\n",
+    "empty_file": "",
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_HOURLY_CSV_CASES))
+def test_hourly_csv_reader_refuses_what_row_oracle_refuses(tmp_path, monkeypatch, case):
+    path = tmp_path / "bad.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(BAD_HOURLY_CSV_CASES[case])
+    with pytest.raises(ValueError) as want:
+        read_hourly_csv_rows(path)
+    monkeypatch.setattr(preprocess, "READ_CHUNK_CHARS", 64)
+    with pytest.raises(ValueError) as got:
+        read_hourly_csv(path)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("stamp", ["", "  ", "NaT", "nat", "Z"])
+def test_hourly_csv_missing_timestamp_names_its_line(tmp_path, stamp):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"timestamp,level_m\n2000-01-01T00,1.0\n{stamp},2.0\n")
+    with pytest.raises(ValueError, match=f"bad.csv:3: bad timestamp {stamp!r}"):
+        read_hourly_csv(path)
+
+
+@pytest.mark.parametrize("chunk", [7, preprocess.WRITE_CHUNK_ROWS])
+def test_hourly_csv_writer_equals_row_oracle(tmp_path, monkeypatch, chunk):
+    rng = np.random.default_rng(9)
+    vals = rng.normal(size=40) * 10.0 ** rng.integers(-8, 8, size=40)
+    vals[[0, 5, 13, 39]] = [np.nan, np.inf, -np.inf, np.nan]
+    vals[7] = -0.0
+    series = hourly(vals, start="1899-12-31T20")
+    monkeypatch.setattr(preprocess, "WRITE_CHUNK_ROWS", chunk)
+    write_hourly_csv(tmp_path / "got.csv", series)
+    write_hourly_csv_rows(tmp_path / "want.csv", series)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_hourly_csv_fills_gaps(tmp_path):
