@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -204,10 +205,8 @@ def save_return_levels(columns: dict[float, ReturnLevelEnsemble], path) -> None:
     periods = sorted(columns)
     cols = [columns[t] for t in periods]
     flags = [f"flagged={c.n_flagged};clamped={c.n_clamped}" for c in cols]
-    samples = (
-        [format_float(c.samples[i]) if i < c.samples.size else "" for c in cols]
-        for i in range(max(c.samples.size for c in cols))
-    )
+    # repr of the Python floats is format_float's text, one column at a time
+    samples = zip_longest(*(map(repr, c.samples.tolist()) for c in cols), fillvalue="")
     write_csv(path, [f"T{t:g}" for t in periods], [flags, *samples])
 
 
@@ -217,7 +216,8 @@ def load_return_levels(path, source: str, year: int) -> dict[float, ReturnLevelE
         header, flags, *rows = csv.reader(fh)
     out = {}
     for j, t in enumerate(float(h[1:]) for h in header):
-        samples = np.array([float(row[j]) for row in rows if row[j]])
+        # numpy parses each string as float() does
+        samples = np.array([row[j] for row in rows if row[j]], dtype=float)
         counts = dict(kv.split("=") for kv in flags[j].split(";"))
         out[t] = ReturnLevelEnsemble(
             year, t, samples, source, int(counts["clamped"]), int(counts["flagged"])

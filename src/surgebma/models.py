@@ -190,18 +190,37 @@ class LikelihoodData:
         )
 
 
+def _any_at_most(a: np.ndarray, bound: float) -> bool:
+    """``(a <= bound).any()`` in one reduction: the minimum decides it unless
+    it is NaN, which hides whether another entry is at most ``bound``."""
+    if not a.size:
+        return False
+    low = a.min()
+    return low <= bound or (low != low and (a <= bound).any())
+
+
 def _loglik_from_arrays(row, level: NonstatLevel, d: LikelihoodData) -> float:
     # Python floats and ndarray methods: the MLE objective calls this once per
     # Nelder-Mead step, where numpy's scalar and wrapper overheads dominate
-    p = dict(zip(ACTIVE_PARAMS[level], row.tolist()))
-    lam0, lam1, sig0 = p["lam0"], p.get("lam1", 0.0), p["sig0"]
-    xi0, xi1 = p["xi0"], p.get("xi1", 0.0)
+    lam1 = sig1 = xi1 = 0.0
+    if level is NonstatLevel.ST:
+        lam0, sig0, xi0 = row.tolist()
+    elif level is NonstatLevel.NS1:
+        lam0, lam1, sig0, xi0 = row.tolist()
+    elif level is NonstatLevel.NS2:
+        lam0, lam1, sig0, sig1, xi0 = row.tolist()
+    else:
+        lam0, lam1, sig0, sig1, xi0, xi1 = row.tolist()
 
-    lam = lam0 + lam1 * d.phi
-    if (lam <= 0).any():
-        return -math.inf
-
-    mean = lam * d.durations
+    if level is NonstatLevel.ST:  # phi is 0 in every year: the rate is lam0
+        if lam0 <= 0:
+            return -math.inf
+        mean = lam0 * d.durations
+    else:
+        lam = lam0 + lam1 * d.phi
+        if _any_at_most(lam, 0.0):
+            return -math.inf
+        mean = lam * d.durations
     pois = float((d.counts * np.log(mean) - mean).sum()) - d.lgamma_counts
 
     if level in DIRECT_SCALE:
@@ -210,30 +229,35 @@ def _loglik_from_arrays(row, level: NonstatLevel, d: LikelihoodData) -> float:
         z = d.excess / sig0
         log_sig_sum = d.excess.size * math.log(sig0)
     else:
-        log_sig = sig0 + p["sig1"] * d.phi_event
+        log_sig = sig0 + sig1 * d.phi_event
         z = d.excess * np.exp(-log_sig)
         log_sig_sum = float(log_sig.sum())
 
     if xi1 == 0.0:
-        xi = xi0
-        if abs(xi) < XI_EPS:
+        if abs(xi0) < XI_EPS:
             gpd_sum = -float(z.sum())
         else:
-            t = xi * z
-            if (1.0 + t <= 0.0).any():
+            t = xi0 * z
+            # 1 + t <= 0 is t <= -1: the sum is exact for t in [-2, -0.5]
+            if _any_at_most(t, -1.0):
                 return -math.inf
-            gpd_sum = -(1.0 + 1.0 / xi) * float(np.log1p(t).sum())
+            gpd_sum = -(1.0 + 1.0 / xi0) * float(np.log1p(t).sum())
     else:
         xi_ev = xi0 + xi1 * d.phi_event
         t = xi_ev * z
-        if (1.0 + t <= 0.0).any():
+        if _any_at_most(t, -1.0):
             return -math.inf
-        small = np.abs(xi_ev) < XI_EPS
-        terms = np.where(
-            small,
-            -z,
-            -(1.0 + 1.0 / np.where(small, 1.0, xi_ev)) * np.log1p(np.where(small, 0.0, t)),
-        )
+        abs_xi = np.abs(xi_ev)
+        # a NaN shape makes its term NaN on either path, so the minimum decides
+        if abs_xi.size and abs_xi.min() < XI_EPS:
+            small = abs_xi < XI_EPS
+            terms = np.where(
+                small,
+                -z,
+                -(1.0 + 1.0 / np.where(small, 1.0, xi_ev)) * np.log1p(np.where(small, 0.0, t)),
+            )
+        else:
+            terms = -(1.0 + 1.0 / xi_ev) * np.log1p(t)
         gpd_sum = float(terms.sum())
     return pois + gpd_sum - log_sig_sum
 

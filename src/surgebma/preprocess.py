@@ -303,22 +303,34 @@ def detrend_moving_mean(
     n = levels.size
     half = int(round(window_days * HOURS_PER_DAY / 2))
 
+    # running sums of the valid levels and of the valid count, each led by a 0;
+    # every full-length buffer below is made once and worked on in place
     valid = np.isfinite(levels)
-    filled = np.where(valid, levels, 0.0)
-    csum = np.concatenate([[0.0], np.cumsum(filled)])
-    ccount = np.concatenate([[0], np.cumsum(valid.astype(np.int64))])
+    csum = np.zeros(n + 1)
+    np.copyto(csum[1:], levels, where=valid)
+    np.cumsum(csum[1:], out=csum[1:])
+    ccount = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(valid, out=ccount[1:])
 
-    idx = np.arange(n)
-    lo = np.maximum(idx - half, 0)
-    hi = np.minimum(idx + half, n - 1)
-    n_valid = ccount[hi + 1] - ccount[lo]
-    n_slots = hi - lo + 1
+    # hour i averages hours lo[i] .. hi[i] - 1
+    lo = np.arange(-half, n - half)
+    np.maximum(lo, 0, out=lo)
+    hi = np.arange(half + 1, n + half + 1)
+    np.minimum(hi, n, out=hi)
+    n_valid = ccount[hi]
+    n_valid -= ccount[lo]
+    del ccount
+    out = csum[hi]
+    out -= csum[lo]
+    hi -= lo  # the window's length in hours
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean = (csum[hi + 1] - csum[lo]) / n_valid
-    out = levels - mean
+        out /= n_valid  # the window mean
+    np.subtract(levels, out, out=out)
     out[~valid] = np.nan
-    out[n_valid < min_valid_fraction * n_slots] = np.nan
+    # valid hours short of min_valid_fraction of the window, in csum's buffer
+    short = np.less(n_valid, np.multiply(hi, min_valid_fraction, out=csum[:n]), out=valid)
+    out[short] = np.nan
     return HourlySeries(series.times, out)
 
 
@@ -329,11 +341,15 @@ def daily_maxima(series: HourlySeries, min_valid_hours: int = 12) -> DailySeries
     """
     if not 1 <= min_valid_hours <= 24:
         raise ValueError("min_valid_hours must be in [1, 24]")
+    # the grid is increasing, so each day's hours are one run: it starts where
+    # the day changes (np.unique's first indices, without its sort)
     days = series.times.astype("datetime64[D]")
-    uniq, start = np.unique(days, return_index=True)
+    start = np.concatenate([[0], np.flatnonzero(days[1:] != days[:-1]) + 1])
+    uniq = days[start]
+    del days
 
     valid = np.isfinite(series.levels)
-    counts = np.add.reduceat(valid.astype(np.int64), start)
+    counts = np.add.reduceat(valid, start, dtype=np.int64)
     filled = np.where(valid, series.levels, -np.inf)
     maxima = np.maximum.reduceat(filled, start)
 

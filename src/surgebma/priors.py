@@ -11,20 +11,24 @@ sample of station estimates involved.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from .covariates import CovariateSeries
 from .models import ACTIVE_PARAMS, DIRECT_SCALE, ModelStructure, NonstatLevel, make_loglik
+from .neldermead import SimplexResult, nelder_mead
 from .preprocess import ExceedanceSet
 from .utils import dump_json, load_json
 
+log = logging.getLogger(__name__)
+
 LOG_2PI = math.log(2.0 * math.pi)
 MLE_RESTARTS = 5  # Nelder-Mead searches: the moment start, then perturbed starts
+MLE_MAX_EVALS = 20000  # cap on each search's objective evals, and on its iterations
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,17 @@ def _moment_start(
     return np.array([start[p] for p in structure.active_params])
 
 
+def _search(loglik, x0: np.ndarray, xatol: float, fatol: float) -> SimplexResult:
+    """One Nelder-Mead search of -loglik from ``x0``, fed one row at a time."""
+    search = nelder_mead(x0, xatol, fatol, MLE_MAX_EVALS, MLE_MAX_EVALS)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(-loglik(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 def mle_fit(
     structure: ModelStructure,
     data: ExceedanceSet,
@@ -151,9 +166,16 @@ def mle_fit(
 ) -> np.ndarray:
     """Maximize the log-likelihood by Nelder-Mead simplex search with restarts.
 
-    Each restart perturbs the moment-based start; the best converged optimum
-    wins. Convergence requires the simplex log-likelihood spread to fall
-    below 1e-8. Returns the active-parameter row of the optimum.
+    Each restart perturbs the moment-based start and runs two chained
+    searches; the best optimum wins. The search is ``neldermead.nelder_mead``,
+    a port of scipy's algorithm with the same iterates as
+    ``scipy.optimize.minimize(method="Nelder-Mead")``, fed one row at a time
+    through the ``make_loglik`` closure. (A lockstep driver, all restarts on
+    one stacked likelihood call, waits for the benchmark tracer to count
+    stacked rows.) A search converges when the simplex spread falls below its
+    tolerances (1e-7 in x and 1e-8 in -log L, then 1e-9 and 1e-10), and stops
+    at ``MLE_MAX_EVALS`` evaluations otherwise; a winner that stopped there is
+    logged as a warning. Returns the active-parameter row of the optimum.
     """
     if data.n_events == 0:
         raise ValueError("no exceedances to fit")
@@ -161,11 +183,8 @@ def mle_fit(
     loglik = make_loglik(structure, data, cov)
     level = structure.level
 
-    def objective(x: np.ndarray) -> float:
-        return -loglik(x)
-
     base = _moment_start(structure, data)
-    best_x, best_f = None, math.inf
+    best, best_f = None, math.inf
     for k in range(MLE_RESTARTS):
         x0 = base.copy()
         if k > 0:
@@ -175,26 +194,21 @@ def mle_fit(
             for i, name in enumerate(structure.active_params):
                 if prior_family_for(name, level) == "gamma":
                     x0[i] = abs(x0[i]) or base[i]
-        if not math.isfinite(objective(x0)):
+        if not math.isfinite(loglik(x0)):
             continue
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-8, "maxiter": 20000, "maxfev": 20000},
-        )
+        res = _search(loglik, x0, 1e-7, 1e-8)
         # one chained restart from the solution polishes flat directions
-        res = minimize(
-            objective,
-            res.x,
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-10, "maxiter": 20000, "maxfev": 20000},
-        )
+        res = _search(loglik, res.x, 1e-9, 1e-10)
         if res.fun < best_f:
-            best_x, best_f = res.x, res.fun
-    if best_x is None:
+            best, best_f = res, res.fun
+    if best is None:
         raise ValueError("no feasible start")
-    return best_x
+    if not best.converged:
+        log.warning(
+            "%s: the best Nelder-Mead search stopped at %d evaluations before meeting "
+            "its tolerance", structure.id, MLE_MAX_EVALS,
+        )
+    return best.x
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .models import ModelStructure
-from .utils import dump_json, format_float, load_json, write_csv
+from .utils import dump_json, load_json, write_csv
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ class PosteriorEnsemble:
     diagnostics: dict = field(default_factory=dict)
 
     def save(self, csv_path, diagnostics_path=None) -> None:
-        rows = ([format_float(v) for v in row] for row in self.draws)
-        write_csv(csv_path, self.param_names, rows)
+        # repr of the Python floats is format_float's text, without a numpy scalar per value
+        write_csv(csv_path, self.param_names, (map(repr, row) for row in self.draws.tolist()))
         if diagnostics_path is not None:
             dump_json(
                 {"structure": self.structure.id, "param_names": list(self.param_names),
@@ -87,7 +87,8 @@ class PosteriorEnsemble:
             names = tuple(next(reader))
             if names != structure.active_params:
                 raise ValueError(f"{csv_path}: columns {names} are not those of {structure.id}")
-            draws = np.array([[float(v) for v in row] for row in reader])
+            # numpy parses each string as float() does
+            draws = np.array(list(reader), dtype=float)
         diags = {}
         if diagnostics_path is not None:
             diags = load_json(diagnostics_path)

@@ -4,9 +4,11 @@ These deliberately avoid the package's own code paths: the likelihood oracle
 is a double loop in extended precision, the scalar GPD and Poisson densities
 are written out term by term, the declustering oracle builds clusters by
 transitive closure in O(n^2), and the sampler oracle steps one chain at a
-time on a row density. The row-kernel, hourly CSV reader and writer oracles
-are earlier versions kept as the bit-for-bit references: numpy wrappers on
-numpy scalars, and one row at a time.
+time on a row density. The row-kernel, hourly CSV reader and writer,
+detrending and daily-maxima oracles are earlier versions kept as the
+bit-for-bit references: numpy wrappers on numpy scalars, one row at a time,
+and a fresh array for every intermediate. The Nelder-Mead oracle is scipy's own
+``minimize``, which the MLE called before it drove its own port.
 """
 
 import csv
@@ -14,10 +16,11 @@ import math
 
 import mpmath
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from surgebma.models import ACTIVE_PARAMS, DIRECT_SCALE, XI_EPS, NonstatLevel
-from surgebma.preprocess import HourlySeries
+from surgebma.preprocess import HOURS_PER_DAY, DailySeries, HourlySeries
 
 
 def gpd_logpdf(x: float, mu: float, sig: float, xi: float) -> float:
@@ -255,3 +258,53 @@ def write_hourly_csv_rows(path, series):
         writer.writerow(["timestamp", "level_m"])
         for t, v in zip(series.times, series.levels):
             writer.writerow([str(t), "" if not np.isfinite(v) else repr(float(v))])
+
+
+def scipy_nelder_mead(f, x0, xatol, fatol, maxiter, maxfev):
+    """``scipy.optimize.minimize(method="Nelder-Mead")`` with the port's
+    options; returns the result and every point it evaluated, in order."""
+    points = []
+
+    def objective(x):
+        points.append(x.copy())
+        return f(x)
+
+    options = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter, "maxfev": maxfev}
+    return minimize(objective, x0, method="Nelder-Mead", options=options), points
+
+
+def detrend_moving_mean_temporaries(series, window_days=365.25, min_valid_fraction=0.5):
+    """Centered moving-mean detrending with a new array for each intermediate."""
+    levels = series.levels
+    n = levels.size
+    half = int(round(window_days * HOURS_PER_DAY / 2))
+    valid = np.isfinite(levels)
+    filled = np.where(valid, levels, 0.0)
+    csum = np.concatenate([[0.0], np.cumsum(filled)])
+    ccount = np.concatenate([[0], np.cumsum(valid.astype(np.int64))])
+    idx = np.arange(n)
+    lo = np.maximum(idx - half, 0)
+    hi = np.minimum(idx + half, n - 1)
+    n_valid = ccount[hi + 1] - ccount[lo]
+    n_slots = hi - lo + 1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = (csum[hi + 1] - csum[lo]) / n_valid
+    out = levels - mean
+    out[~valid] = np.nan
+    out[n_valid < min_valid_fraction * n_slots] = np.nan
+    return HourlySeries(series.times, out)
+
+
+def daily_maxima_unique(series, min_valid_hours=12):
+    """Per-day maxima with the day starts taken from ``np.unique``."""
+    days = series.times.astype("datetime64[D]")
+    uniq, start = np.unique(days, return_index=True)
+    valid = np.isfinite(series.levels)
+    counts = np.add.reduceat(valid.astype(np.int64), start)
+    filled = np.where(valid, series.levels, -np.inf)
+    maxima = np.maximum.reduceat(filled, start)
+    ok = counts >= min_valid_hours
+    out = np.where(ok, maxima, np.nan)
+    out[~np.isfinite(out)] = np.nan
+    ok &= np.isfinite(out)
+    return DailySeries(uniq, out, ok)

@@ -22,6 +22,7 @@ from surgebma.hazard import (
 from surgebma.models import ModelStructure, NonstatLevel
 from surgebma.sampler import PosteriorEnsemble
 from surgebma.simulate import synthetic_covariates
+from surgebma.utils import format_float, write_csv
 
 ST = ModelStructure(NonstatLevel.ST, None)
 NS1 = ModelStructure(NonstatLevel.NS1, CovariateKind.TIME)
@@ -246,6 +247,19 @@ def test_report_csv_and_curve_json(tmp_path):
     assert curve["year"] == 2065
     assert [row["T"] for row in curve["curve"]] == sorted(DEFAULT_RETURN_PERIODS)
     assert set(curve["curve"][0]) == {"T", "q2.5", "q5", "q25", "q50", "q75", "q95", "q97.5"}
+
+
+def test_return_level_csv_text_is_format_float_of_each_value(tmp_path):
+    samples = [np.array([1.0 / 3.0, -0.0, 5e-324, 1e300]), np.array([0.7]), np.array([2.5, np.inf])]
+    columns = {t: ReturnLevelEnsemble(2065, t, v, "ST", 1, 2)
+               for t, v in zip((2.0, 10.0, 500.0), samples)}
+    save_return_levels(columns, tmp_path / "got.csv")
+    rows = [[format_float(v[i]) if i < v.size else "" for v in samples] for i in range(4)]
+    write_csv(tmp_path / "want.csv", ["T2", "T10", "T500"], [["flagged=2;clamped=1"] * 3, *rows])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    loaded = load_return_levels(tmp_path / "got.csv", "ST", 2065)
+    for t, want in zip(sorted(columns), samples):
+        assert loaded[t].samples.tobytes() == want.tobytes()
 
 
 def test_return_levels_save_load_roundtrip(tmp_path):

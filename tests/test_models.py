@@ -8,6 +8,8 @@ from scipy.integrate import quad
 from oracles import gpd_logpdf, loglik_row_kernel, naive_loglik, poisson_logpmf
 from surgebma.covariates import CovariateKind, CovariateSeries
 from surgebma.models import (
+    ACTIVE_PARAMS,
+    XI_EPS,
     ModelStructure,
     NonstatLevel,
     ParameterVector,
@@ -409,6 +411,54 @@ def test_stacked_loglik_equals_row_kernel_bit_for_bit(level):
         assert _loglik_rows(row[None], structure.level, arrays).tolist() == [value]
 
 
+def kernel_edge_rows(level, arrays, center):
+    """Rows on the row kernel's exact edges, built from the data arrays."""
+    name = dict(zip(ACTIVE_PARAMS[level], range(center.size)))
+    rows = []
+
+    def row(**values):
+        r = center.copy()
+        for key, v in values.items():
+            r[name[key]] = v
+        rows.append(r)
+        return r
+
+    if level is NonstatLevel.ST:
+        row(lam0=-0.0)  # a signed zero rate
+        row(lam0=0.0)
+        return np.array(rows)
+    # lam == 0 exactly in the year where phi == 0, positive in every other year
+    r = row(lam0=-(0.01 * 0.0), lam1=0.01)
+    lam = r[0] + r[1] * arrays.phi
+    assert (lam == 0.0).sum() >= 1 and (lam >= 0.0).all()
+    if level is NonstatLevel.NS1:
+        return np.array(rows)
+    # 1 + t == 0 exactly at the largest excess: z is the excess itself when the
+    # log scale is 0, and xi * max(excess) == -1.0 for this xi
+    emax = arrays.excess.max()
+    xi = -1.0 / emax
+    while xi * emax != -1.0:
+        xi = np.nextafter(xi, 0.0)
+    # xi1 = 1e-300 keeps NS3 on its per-event shape path with the same t
+    slope = {"xi1": 1e-300} if level is NonstatLevel.NS3 else {}
+    t_row = row(sig0=0.0, sig1=0.0, xi0=xi, **slope)
+    assert (t_row[name["xi0"]] * arrays.excess == -1.0).sum() == 1
+    if level is NonstatLevel.NS3:
+        # |xi| < XI_EPS only at the events of one year: xi0 + xi1 phi is 0 exactly there
+        k = int(np.argmax(arrays.phi_event))
+        r = row(xi1=0.2, xi0=-(0.2 * arrays.phi_event[k]))
+        small = np.abs(r[name["xi0"]] + r[name["xi1"]] * arrays.phi_event) < XI_EPS
+        assert 0 < small.sum() < small.size
+        # |xi| = 7e-9 only at the phi == 0 events: small, and near XI_EPS
+        r = row(xi0=7e-9, xi1=0.2)
+        small = np.abs(r[name["xi0"]] + r[name["xi1"]] * arrays.phi_event) < XI_EPS
+        assert 0 < small.sum() < small.size
+        # a NaN shape at the phi == 0 events beside t == -inf elsewhere: -inf
+        assert (arrays.phi_event == 0.0).any()
+        row(xi1=-np.inf)
+    return np.array(rows)
+
+
 @pytest.mark.parametrize("level", list(BRANCH_ROWS))
 def test_row_kernel_equals_numpy_scalar_oracle_bit_for_bit(level):
     structure, data, cov, rows = stack_fixture(level)
@@ -422,6 +472,7 @@ def test_row_kernel_equals_numpy_scalar_oracle_bit_for_bit(level):
         edge = rows[:1].copy()
         edge[0, -2:] = arrays.excess.max(), -1.0
         odd = np.vstack([odd, edge])
+    odd = np.vstack([odd, kernel_edge_rows(structure.level, arrays, rows[0])])
     with np.errstate(all="ignore"):
         for row in np.vstack([rows, odd]):
             got = _loglik_from_arrays(row, structure.level, arrays)
@@ -430,6 +481,17 @@ def test_row_kernel_equals_numpy_scalar_oracle_bit_for_bit(level):
             assert math.isnan(got) == math.isnan(want)
             if not math.isnan(want):
                 assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
+@pytest.mark.parametrize("level", list(BRANCH_ROWS))
+def test_row_kernel_on_a_record_without_events(level):
+    structure = LEVEL_STRUCTURES[level]
+    data = make_data(1.0, {2000: [], 2001: []}, durations=[300, 365])
+    arrays = LikelihoodData.build(data, make_cov([2000, 2001]), structure)
+    for row in (EFFECTIVE_ROWS[level], BRANCH_ROWS[level][0]):
+        row = np.array(row)
+        want = loglik_row_kernel(row, structure.level, arrays)
+        assert _loglik_from_arrays(row, structure.level, arrays) == want
 
 
 @pytest.mark.parametrize("level", list(BRANCH_ROWS))

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_decluster, read_hourly_csv_rows, write_hourly_csv_rows
+from oracles import (
+    brute_force_decluster,
+    daily_maxima_unique,
+    detrend_moving_mean_temporaries,
+    read_hourly_csv_rows,
+    write_hourly_csv_rows,
+)
 from surgebma import preprocess
 from surgebma.preprocess import (
     DailySeries,
@@ -132,6 +138,28 @@ def test_daily_maxima_matches_naive_scan():
             assert out.max_level[d] == finite.max()
         else:
             assert not out.valid[d]
+
+
+@pytest.mark.parametrize(
+    "n, start, window_days",
+    [(24 * 400, "1999-12-31T07", 365.25), (24 * 30, "2000-01-01T00", 3.0),
+     (1, "2000-01-01T23", 1.0), (50, "1969-12-31T20", 30.0)],
+)
+def test_detrend_and_daily_maxima_equal_the_temporaries_oracle(n, start, window_days):
+    rng = np.random.default_rng(n)
+    vals = rng.normal(size=n)
+    vals[rng.uniform(size=n) < 0.3] = np.nan
+    vals[rng.uniform(size=n) < 0.01] = np.inf
+    vals[: n // 7] = np.nan  # a sparse opening stretch, so some windows fall short
+    series = hourly(vals, start)
+    got = detrend_moving_mean(series, window_days)
+    want = detrend_moving_mean_temporaries(series, window_days)
+    assert got.levels.tobytes() == want.levels.tobytes()
+    for min_hours in (1, 6, 24):
+        got_days, want_days = daily_maxima(got, min_hours), daily_maxima_unique(want, min_hours)
+        for field in ("dates", "max_level", "valid"):
+            a, b = getattr(got_days, field), getattr(want_days, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 # ---------------------------------------------------------------------------

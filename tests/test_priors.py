@@ -1,9 +1,12 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import scipy_nelder_mead
+from surgebma import priors
 from surgebma.covariates import CovariateKind
 from surgebma.models import ModelStructure, NonstatLevel, ParameterVector, make_loglik
 from surgebma.priors import (
@@ -17,6 +20,7 @@ from surgebma.priors import (
     prior_family_for,
     save_priors,
 )
+from surgebma.preprocess import ExceedanceSet
 from surgebma.simulate import SimulationSpec, simulate_record, synthetic_covariates
 
 ST = ModelStructure(NonstatLevel.ST, None)
@@ -153,11 +157,59 @@ def test_mle_ns3_slopes_near_zero_on_stationary_data():
         assert abs(np.median(vals)) < 2.0 * spread, name
 
 
-def test_mle_no_feasible_start():
-    from surgebma.preprocess import ExceedanceSet
-
+def test_mle_no_exceedances():
     with pytest.raises(ValueError, match="no exceedances"):
         mle_fit(ST, ExceedanceSet(1.0, ()), None)
+
+
+def test_mle_no_feasible_start(st_record_200yr, monkeypatch):
+    calls = []
+
+    def make_loglik(structure, data, cov):
+        def loglik(row):
+            calls.append(row)
+            return -math.inf
+
+        return loglik
+
+    monkeypatch.setattr(priors, "make_loglik", make_loglik)
+    with pytest.raises(ValueError, match="no feasible start"):
+        mle_fit(ST, st_record_200yr[1], None)
+    assert len(calls) == priors.MLE_RESTARTS  # each start evaluated once, none searched
+
+
+def test_mle_warns_when_the_best_search_stops_at_the_cap(st_record_200yr, monkeypatch, caplog):
+    _, record = st_record_200yr
+    with caplog.at_level(logging.WARNING, logger="surgebma.priors"):
+        full = mle_fit(ST, record, None, rng=np.random.default_rng(0))
+    assert caplog.records == []
+    monkeypatch.setattr(priors, "MLE_MAX_EVALS", 40)
+    with caplog.at_level(logging.WARNING, logger="surgebma.priors"):
+        capped = mle_fit(ST, record, None, rng=np.random.default_rng(0))
+    [warning] = caplog.records
+    assert warning.levelno == logging.WARNING
+    assert "ST" in warning.getMessage() and "40 evaluations" in warning.getMessage()
+    assert not np.array_equal(capped, full)
+
+
+def test_mle_returns_the_best_of_scipy_searches(st_record_200yr):
+    """The restarts of ``mle_fit``, each a chained pair of scipy searches."""
+    _, record = st_record_200yr
+    loglik = make_loglik(ST, record, None)
+    rng = np.random.default_rng(4)
+    base = priors._moment_start(ST, record)
+    best_x, best_f = None, math.inf
+    for k in range(priors.MLE_RESTARTS):
+        x0 = base.copy()
+        if k > 0:
+            x0 = base + 0.3 * np.maximum(np.abs(base), 0.05) * rng.standard_normal(base.size)
+            x0[:2] = [abs(x0[0]) or base[0], abs(x0[1]) or base[1]]  # lam0 and sig0 gamma
+        res, _ = scipy_nelder_mead(lambda x: -loglik(x), x0, 1e-7, 1e-8, 20000, 20000)
+        res, _ = scipy_nelder_mead(lambda x: -loglik(x), res.x, 1e-9, 1e-10, 20000, 20000)
+        if res.fun < best_f:
+            best_x, best_f = res.x, res.fun
+    got = mle_fit(ST, record, None, rng=np.random.default_rng(4))
+    assert got.tobytes() == best_x.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from surgebma.sampler import (
     run_chains,
 )
 from surgebma.simulate import SimulationSpec, simulate_record
+from surgebma.utils import format_float, write_csv
 
 ST = ModelStructure(NonstatLevel.ST, None)
 
@@ -382,6 +383,19 @@ def test_ensemble_csv_roundtrip(tmp_path, st_calibration):
     assert back.diagnostics["seed"] == 11
     with pytest.raises(ValueError, match="not those of NS1-time"):
         PosteriorEnsemble.load(csv_path, ModelStructure(NonstatLevel.NS1, CovariateKind.TIME))
+
+
+def test_ensemble_csv_text_is_format_float_of_each_value(tmp_path):
+    draws = np.array([[0.1, -0.0, 1.0 / 3.0], [5e-324, 1e300, -2.5e-17], [np.inf, -np.inf, np.nan]])
+    ens = PosteriorEnsemble(ST, ST.active_params, draws)
+    ens.save(tmp_path / "ens.csv")
+    write_csv(tmp_path / "want.csv", ST.active_params,
+              ([format_float(v) for v in row] for row in draws))
+    assert (tmp_path / "ens.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    back = PosteriorEnsemble.load(tmp_path / "ens.csv", ST).draws
+    assert back.shape == draws.shape
+    assert np.array_equal(back, draws, equal_nan=True)
+    assert np.signbit(back[0, 1])
 
 
 def test_initial_proposal_factor_scales_with_magnitude():
