@@ -170,8 +170,8 @@ def mle_fit(
     searches; the best optimum wins. The search is ``neldermead.nelder_mead``,
     a port of scipy's algorithm with the same iterates as
     ``scipy.optimize.minimize(method="Nelder-Mead")``, fed one row at a time
-    through the ``make_loglik`` closure. (A lockstep driver, all restarts on
-    one stacked likelihood call, waits for the benchmark tracer to count
+    through the ``make_loglik`` closure. (Stepping all restarts in lockstep,
+    on one stacked likelihood call, waits for the benchmark tracer to count
     stacked rows.) A search converges when the simplex spread falls below its
     tolerances (1e-7 in x and 1e-8 in -log L, then 1e-9 and 1e-10), and stops
     at ``MLE_MAX_EVALS`` evaluations otherwise; a winner that stopped there is
