@@ -5,7 +5,6 @@ from .covariates import CovariateKind, CovariateSeries
 from .models import (
     ModelStructure,
     NonstatLevel,
-    ParameterVector,
     all_structures,
     log_likelihood,
     log_posterior,
@@ -22,7 +21,6 @@ __all__ = [
     "ExceedanceSet",
     "ModelStructure",
     "NonstatLevel",
-    "ParameterVector",
     "PosteriorEnsemble",
     "all_structures",
     "log_likelihood",

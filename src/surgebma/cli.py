@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, build_covariates, load_config, needed_covariate_kinds
+from .config import RunConfig, build_covariates, load_config
 from .evidence import (
     aggregate_by_covariate,
     bma_weights,
@@ -47,8 +47,9 @@ from .hazard import (
 # make_logpost is not called in this module; bench/tracing.py wraps the density
 # factories under their names here, so both row factories stay importable from it
 from .models import (
+    ACTIVE_PARAMS,
     ModelStructure,
-    ParameterVector,
+    NonstatLevel,
     make_logpost,
     make_logpost_on_active,
     make_logpost_rows,
@@ -114,9 +115,11 @@ def cmd_preprocess(config: RunConfig) -> int:
     dump_json({"config_sha256": config.config_hash, **data.to_dict()}, path)
     _note_artifacts(config, path)
 
-    counts = ", ".join(f"{b.year}:{b.count}" for b in data.years if b.count)
+    counts = ", ".join(
+        f"{year}:{count}" for year, count in zip(data.years.tolist(), data.counts.tolist()) if count
+    )
     print(f"threshold: {data.threshold:.4f} m")
-    print(f"events: {data.n_events} over {len(data.years)} years")
+    print(f"events: {data.n_events} over {data.years.size} years")
     print(f"counts per year (nonzero): {counts}")
     return EXIT_OK
 
@@ -130,7 +133,7 @@ def _mle_pack_path(config: RunConfig) -> Path:
 def _station_mles(config: RunConfig, path: Path, index: int) -> dict[str, list]:
     """All-structure MLE fits for one station record; order-independent."""
     structures = config.structure_list()
-    covs = build_covariates(config, needed_covariate_kinds(config))
+    covs = build_covariates(config)
     record = _preprocess(config, path)
     rng = np.random.default_rng(stage_seed(config.seed, "station-mle", index))
     out = {}
@@ -187,7 +190,7 @@ def _load_inputs(config: RunConfig):
         raise ValueError(f"missing inputs (run preprocess/fit-priors first): {missing}")
     data = ExceedanceSet.from_dict(load_json(exc_path))
     priors = load_priors(priors_path)
-    covs = build_covariates(config, needed_covariate_kinds(config))
+    covs = build_covariates(config)
     return data, priors, covs
 
 
@@ -237,8 +240,8 @@ def _calibrate_structure(config: RunConfig, sid: str, data, priors, covs) -> dic
     return ensemble.diagnostics
 
 
-def cmd_calibrate(config: RunConfig, only: str | None = None) -> int:
-    sids = [only] if only else [s.id for s in config.structure_list()]
+def cmd_calibrate(config: RunConfig) -> int:
+    sids = [s.id for s in config.structure_list()]
     results: dict[str, dict] = {}
     if config.workers > 1 and len(sids) > 1:
         with ProcessPoolExecutor(
@@ -439,12 +442,16 @@ def cmd_simulate(args) -> int:
         covs = {} if structure.covariate is None else sim.synthetic_covariates(
             args.first_year, args.last_year, (args.first_year, args.last_year)
         )
-        theta = ParameterVector(
-            lam0=args.lam0, lam1=args.lam1, sig0=args.sig0, sig1=args.sig1,
-            xi0=args.xi0, xi1=args.xi1,
-        )
+        # the one place where parameters arrive by name: refuse a nonzero
+        # inactive one rather than drop it
+        named = {name: getattr(args, name) for name in ACTIVE_PARAMS[NonstatLevel.NS3]}
+        stray = [name for name, value in named.items()
+                 if value and name not in structure.active_params]
+        if stray:
+            raise ValueError(f"{', '.join(stray)} not active at level {structure.level.value}")
+        row = np.array([named[name] for name in structure.active_params])
         spec = sim.SimulationSpec(
-            theta, structure, covs.get(structure.covariate), args.first_year, args.last_year,
+            row, structure, covs.get(structure.covariate), args.first_year, args.last_year,
             args.threshold, args.seed,
         )
         sim.simulate_record(spec).save(args.out)
@@ -479,8 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pipeline("preprocess", "detrend, daily maxima, threshold, decluster")
     pipeline("fit-priors", "elicit per-structure priors from station MLE estimates")
-    cal = pipeline("calibrate", "run adaptive MCMC per structure")
-    cal.add_argument("--structure", help="calibrate a single structure id")
+    pipeline("calibrate", "run adaptive MCMC per structure")
     pipeline("evidence", "bridge-sample marginal likelihoods")
     pipeline("project", "per-structure return levels at the projection year")
     pipeline("report", "BMA weights, quantile tables, curve data")
@@ -540,14 +546,13 @@ def main(argv=None) -> int:
     handlers = {
         "preprocess": cmd_preprocess,
         "fit-priors": cmd_fit_priors,
+        "calibrate": cmd_calibrate,
         "evidence": cmd_evidence,
         "project": cmd_project,
         "report": cmd_report,
         "run-all": cmd_run_all,
     }
     try:
-        if args.command == "calibrate":
-            return cmd_calibrate(config, only=getattr(args, "structure", None))
         return handlers[args.command](config)
     except GateError as exc:
         print(f"gate failure: {exc}", file=sys.stderr)

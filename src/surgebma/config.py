@@ -168,19 +168,17 @@ def load_config(path) -> RunConfig:
     )
 
 
-def build_covariates(
-    config: RunConfig, kinds: set[CovariateKind] | None = None
-) -> dict[CovariateKind, CovariateSeries]:
-    """Splice and normalize covariates over the run's full horizon.
+def build_covariates(config: RunConfig) -> dict[CovariateKind, CovariateSeries]:
+    """Splice and normalize, over the run's full horizon, the covariates that
+    the run's structures use.
 
-    ``kinds`` restricts which series are built (a stationary-only run needs
-    no covariate files at all); the time covariate never needs a file.
+    A stationary-only run therefore needs no covariate files at all; the time
+    covariate never needs a file.
     """
     start, end = config.calibration_start, config.calibration_end
     horizon = config.projection_year
     files = config.covariate_files
-    if kinds is None:
-        kinds = set(CovariateKind)
+    kinds = {s.covariate for s in config.structure_list() if s.covariate is not None}
 
     out = {}
     if CovariateKind.TIME in kinds:
@@ -207,10 +205,6 @@ def build_covariates(
         proj = winter_mean_nao(read_monthly_csv(nao_proj_path)) if nao_proj_path else {}
         out[CovariateKind.NAO] = _finish(CovariateKind.NAO, hist, proj, config)
     return out
-
-
-def needed_covariate_kinds(config: RunConfig) -> set[CovariateKind]:
-    return {s.covariate for s in config.structure_list() if s.covariate is not None}
 
 
 def _finish(kind, hist: dict, proj: dict, config: RunConfig) -> CovariateSeries:

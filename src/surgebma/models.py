@@ -14,22 +14,22 @@ Thirteen candidate structures arise from four nonstationarity levels crossed
 with four covariates (the fully stationary structure is shared). All
 probability math is done in log space.
 
-Parameters travel as active-parameter rows: float arrays in
+Parameters travel only as active-parameter rows: float arrays in
 ``ACTIVE_PARAMS[level]`` order, the order of ensemble columns and MLE tables.
-The MLE, the likelihood and posterior closures, the sampler, bridge sampling
-and the return-level inversion all take rows, and ``effective_params`` is
-the one place the rule above turns rows into (rate, scale, shape). The
-sampler evaluates a (K, d) stack of rows per call (``make_logpost_rows``),
-with values equal to the row closure's bit for bit.
-``ParameterVector`` names the parameters for simulation specs and for the
-public ``log_likelihood``/``log_posterior``.
+The MLE, the likelihood and posterior closures and their public one-call
+forms, simulation specs, the sampler, bridge sampling and the return-level
+inversion all take rows, and ``effective_params`` is the one place the rule
+above turns rows into (rate, scale, shape). The sampler evaluates a (K, d)
+stack of rows per call (``make_logpost_rows``), with values equal to the row
+closure's bit for bit. The likelihood reads the exceedance arrays of an
+``ExceedanceSet`` as they are.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -101,26 +101,6 @@ def all_structures() -> list[ModelStructure]:
     return out
 
 
-@dataclass(frozen=True)
-class ParameterVector:
-    """Full parameter set; entries inactive for a given level stay at 0."""
-
-    lam0: float = 0.0
-    lam1: float = 0.0
-    sig0: float = 0.0
-    sig1: float = 0.0
-    xi0: float = 0.0
-    xi1: float = 0.0
-
-    def active(self, level: NonstatLevel) -> np.ndarray:
-        """The active row of ``level``; refuses a nonzero inactive entry."""
-        names = ACTIVE_PARAMS[level]
-        stray = [f.name for f in fields(self) if f.name not in names and getattr(self, f.name)]
-        if stray:
-            raise ValueError(f"{', '.join(stray)} not active at level {level.value}")
-        return np.array([getattr(self, p) for p in names], dtype=float)
-
-
 def effective_params(rows, level: NonstatLevel, phi):
     """Effective (rate, scale, shape) of active-parameter rows at covariate ``phi``.
 
@@ -151,13 +131,13 @@ def effective_params(rows, level: NonstatLevel, phi):
 
 @dataclass(frozen=True)
 class LikelihoodData:
-    """Exceedance data flattened into arrays for fast repeated evaluation."""
+    """Exceedance arrays as the likelihood kernels read them."""
 
     threshold: float
-    counts: np.ndarray  # events per year block, as floats
-    durations: np.ndarray  # observed days per year block
-    phi: np.ndarray  # covariate value per year block
-    excess: np.ndarray  # event height - threshold, flattened
+    counts: np.ndarray  # events per year, as floats
+    durations: np.ndarray  # observed days per year, as floats
+    phi: np.ndarray  # covariate value per year
+    excess: np.ndarray  # event height - threshold
     phi_event: np.ndarray  # covariate value per event
     lgamma_counts: float  # sum of log(n_i!), independent of parameters
 
@@ -168,25 +148,20 @@ class LikelihoodData:
         cov: CovariateSeries | None,
         structure: ModelStructure,
     ) -> "LikelihoodData":
-        years = np.array([b.year for b in data.years], dtype=np.int64)
-        counts = np.array([b.count for b in data.years], dtype=np.int64)
-        durations = np.array([b.duration_days for b in data.years], dtype=float)
         if structure.level is NonstatLevel.ST:
-            phi = np.zeros(years.size)
+            phi = np.zeros(data.years.size)
         else:
             if cov is None:
                 raise ValueError("nonstationary structure requires a covariate series")
-            phi = cov.values_for_years(years)  # raises on coverage gaps
-        heights = np.array([r.height for b in data.years for r in b.records], dtype=float)
-        phi_event = np.repeat(phi, counts)
+            phi = cov.values_for_years(data.years)  # raises on coverage gaps
         return cls(
             data.threshold,
-            counts.astype(float),
-            durations,
+            data.counts.astype(float),
+            data.durations.astype(float),
             phi,
-            heights - data.threshold,
-            phi_event,
-            float(np.sum(gammaln(counts + 1))),
+            data.heights - data.threshold,
+            np.repeat(phi, data.counts),
+            float(np.sum(gammaln(data.counts + 1))),
         )
 
 
@@ -270,8 +245,8 @@ def _loglik_rows(rows: np.ndarray, level: NonstatLevel, d: LikelihoodData) -> np
     of ``_loglik_from_arrays``, so each value equals the row kernel's bit for
     bit. A row failing a support check is -inf; the other rows' terms are
     computed regardless, hence the silenced floating-point warnings. NS3 rows
-    with ``xi1 == 0.0`` go through the row kernel, whose constant-shape branch
-    sums the GPD terms in another order.
+    with ``xi1 == 0.0`` take the constant-shape GPD sum of the lower levels,
+    as the row kernel does.
     """
     p = dict(zip(ACTIVE_PARAMS[level], rows.T[:, :, None]))  # (K, 1) columns
     lam0, sig0 = p["lam0"], p["sig0"]
@@ -293,30 +268,35 @@ def _loglik_rows(rows: np.ndarray, level: NonstatLevel, d: LikelihoodData) -> np
         z = d.excess * np.exp(-log_sig)
         log_sig_sum = log_sig.sum(axis=1)
 
-    # t <= -1 is the row kernel's 1 + t <= 0: that sum is exact for t in [-2, -0.5]
     if level is NonstatLevel.NS3:
         xi_ev = p["xi0"] + p["xi1"] * d.phi_event
         t = xi_ev * z
-        dead |= (t <= -1.0).any(axis=1)
+        gpd_dead = (t <= -1.0).any(axis=1)
         terms = -(1.0 + 1.0 / xi_ev) * np.log1p(t)
         small = np.abs(xi_ev) < XI_EPS
         if small.any():
             terms = np.where(small, -z, terms)
         gpd_sum = terms.sum(axis=1)
+        flat = p["xi1"][:, 0] == 0.0  # -0.0 included, as in the row kernel
+        if flat.any():
+            gpd_sum[flat], gpd_dead[flat] = _constant_shape_gpd(p["xi0"][flat], z[flat])
     else:
-        xi = p["xi0"][:, 0]
-        t = p["xi0"] * z
-        gpd_sum = -(1.0 + 1.0 / xi) * np.log1p(t).sum(axis=1)
-        small = np.abs(xi) < XI_EPS
-        dead |= ~small & (t <= -1.0).any(axis=1)
-        if small.any():
-            gpd_sum = np.where(small, -z.sum(axis=1), gpd_sum)
+        gpd_sum, gpd_dead = _constant_shape_gpd(p["xi0"], z)
+    return np.where(dead | gpd_dead, -math.inf, pois + gpd_sum - log_sig_sum)
 
-    out = np.where(dead, -math.inf, pois + gpd_sum - log_sig_sum)
-    if level is NonstatLevel.NS3:
-        for k in np.flatnonzero(p["xi1"][:, 0] == 0.0):
-            out[k] = _loglik_from_arrays(rows[k], level, d)
-    return out
+
+def _constant_shape_gpd(xi0: np.ndarray, z: np.ndarray):
+    """GPD sums and support failures of rows whose shape is the (K, 1) column
+    ``xi0`` at every event, summed as the row kernel's constant-shape branch."""
+    xi = xi0[:, 0]
+    t = xi0 * z
+    gpd_sum = -(1.0 + 1.0 / xi) * np.log1p(t).sum(axis=1)
+    small = np.abs(xi) < XI_EPS
+    # t <= -1 is the row kernel's 1 + t <= 0: that sum is exact for t in [-2, -0.5]
+    dead = ~small & (t <= -1.0).any(axis=1)
+    if small.any():
+        gpd_sum = np.where(small, -z.sum(axis=1), gpd_sum)
+    return gpd_sum, dead
 
 
 def make_loglik(
@@ -333,29 +313,24 @@ def make_loglik(
 
 
 def log_likelihood(
-    theta: ParameterVector,
+    row,
     structure: ModelStructure,
     data: ExceedanceSet,
     cov: CovariateSeries | None,
 ) -> float:
-    """Joint log-likelihood: yearly Poisson counts plus per-event GPD terms.
+    """Joint log-likelihood of ``structure``'s active row: yearly Poisson
+    counts plus per-event GPD terms.
 
     Years without events contribute only their Poisson factor. Returns -inf
     whenever any year has a nonpositive rate or scale, or an event falls
     outside the GPD support.
     """
-    return make_loglik(structure, data, cov)(theta.active(structure.level))
+    return make_loglik(structure, data, cov)(np.asarray(row, dtype=float))
 
 
 def _check_priors(priors: "PriorSet", structure: ModelStructure) -> None:
     if priors.structure.id != structure.id:
         raise ValueError(f"prior set fitted for {priors.structure.id}, not {structure.id}")
-
-
-def log_prior(theta: ParameterVector, structure: ModelStructure, priors: "PriorSet") -> float:
-    """Sum of per-parameter prior log densities over the active parameters."""
-    _check_priors(priors, structure)
-    return priors.logpdf(theta.active(structure.level))
 
 
 def make_logpost(
@@ -412,10 +387,11 @@ def make_logpost_rows(
 
 
 def log_posterior(
-    theta: ParameterVector,
+    row,
     structure: ModelStructure,
     data: ExceedanceSet,
     cov: CovariateSeries | None,
     priors: "PriorSet",
 ) -> float:
-    return make_logpost(structure, data, cov, priors)(theta.active(structure.level))
+    """Unnormalized log-posterior of ``structure``'s active row."""
+    return make_logpost(structure, data, cov, priors)(np.asarray(row, dtype=float))

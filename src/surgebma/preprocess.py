@@ -1,7 +1,9 @@
 """Tide-gauge preprocessing: detrend, daily maxima, threshold, decluster.
 
-Turns raw hourly sea level records into the year-grouped set of declustered
-threshold exceedances that the Poisson-process/GPD likelihood consumes.
+Turns raw hourly sea level records into the set of declustered threshold
+exceedances that the Poisson-process/GPD likelihood consumes. That set is
+arrays only: per calendar year the observed days and the event count, per
+event the date and the height, which the likelihood reads as they are.
 The processing chain follows common peaks-over-threshold practice: subtract
 a centered one-year running mean, reduce to daily maxima, keep days above a
 high empirical quantile, and retain only cluster maxima so the final events
@@ -11,9 +13,8 @@ are approximately independent.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +25,11 @@ HOURS_PER_DAY = 24
 # bound the memory per numpy call and change no result
 READ_CHUNK_CHARS = 1 << 16
 WRITE_CHUNK_ROWS = 1 << 15
+# ExceedanceSet's array fields and the dtype each is stored in
+_EXCEEDANCE_DTYPES = {
+    "years": np.int64, "durations": np.int64, "counts": np.int64,
+    "dates": "datetime64[D]", "heights": np.float64,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +57,6 @@ class HourlySeries:
         if step.size and not np.all(step == 1):
             raise ValueError("times must form a contiguous hourly grid")
 
-    @property
-    def valid(self) -> np.ndarray:
-        return np.isfinite(self.levels)
-
 
 @dataclass(frozen=True)
 class DailySeries:
@@ -79,67 +81,67 @@ class DailySeries:
 
 
 @dataclass(frozen=True)
-class ExceedanceRecord:
-    date: np.datetime64  # calendar day
-    height: float  # meters, >= owning threshold
-
-
-@dataclass(frozen=True)
-class YearBlock:
-    """One calendar year of observation: retained events plus coverage."""
-
-    year: int
-    records: tuple[ExceedanceRecord, ...]
-    duration_days: int  # valid observed days that year
-
-    @property
-    def count(self) -> int:
-        return len(self.records)
-
-    def __post_init__(self):
-        if not (0 < self.duration_days <= 366):
-            raise ValueError(f"duration_days out of range: {self.duration_days}")
-
-
-@dataclass(frozen=True)
 class ExceedanceSet:
-    """Declustered exceedances of ``threshold``, grouped by calendar year."""
+    """Declustered exceedances of ``threshold``, grouped by calendar year.
+
+    Per year (int64 arrays of equal length): ``years``, ``durations`` (valid
+    observed days) and event ``counts``. Per event, in year order:
+    ``dates`` (datetime64[D]) and ``heights`` (meters, >= ``threshold``);
+    the first ``counts[0]`` events fall in ``years[0]``, and so on.
+    """
 
     threshold: float
-    years: tuple[YearBlock, ...]
+    years: np.ndarray
+    durations: np.ndarray
+    counts: np.ndarray
+    dates: np.ndarray
+    heights: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in _EXCEEDANCE_DTYPES.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if not self.years.size == self.durations.size == self.counts.size:
+            raise ValueError("years, durations and counts must have equal length")
+        out_of_range = (self.durations <= 0) | (self.durations > 366)
+        if out_of_range.any():
+            raise ValueError(f"duration_days out of range: {self.durations[out_of_range][0]}")
+        if self.dates.size != self.heights.size:
+            raise ValueError("dates and heights must have equal length")
+        if (self.counts < 0).any() or self.counts.sum() != self.heights.size:
+            raise ValueError("counts must be nonnegative and sum to the number of events")
 
     @property
     def n_events(self) -> int:
-        return sum(b.count for b in self.years)
-
-    def all_records(self) -> list[ExceedanceRecord]:
-        return [r for b in self.years for r in b.records]
+        return self.heights.size
 
     def to_dict(self) -> dict:
+        records = [
+            {"date": date, "height_m": height}
+            for date, height in zip(np.datetime_as_string(self.dates).tolist(), self.heights.tolist())
+        ]
+        ends = np.cumsum(self.counts).tolist()
         return {
             "threshold_m": self.threshold,
             "years": [
-                {
-                    "year": b.year,
-                    "duration_days": b.duration_days,
-                    "records": [
-                        {"date": str(r.date), "height_m": r.height} for r in b.records
-                    ],
-                }
-                for b in self.years
+                {"year": year, "duration_days": days, "records": records[end - count:end]}
+                for year, days, count, end in zip(
+                    self.years.tolist(), self.durations.tolist(), self.counts.tolist(), ends
+                )
             ],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExceedanceSet":
-        blocks = []
-        for b in d["years"]:
-            records = tuple(
-                ExceedanceRecord(np.datetime64(r["date"], "D"), float(r["height_m"]))
-                for r in b["records"]
-            )
-            blocks.append(YearBlock(int(b["year"]), records, int(b["duration_days"])))
-        return cls(float(d["threshold_m"]), tuple(blocks))
+        blocks = d["years"]
+        records = [r for b in blocks for r in b["records"]]
+        return cls(
+            float(d["threshold_m"]),
+            [b["year"] for b in blocks],
+            [b["duration_days"] for b in blocks],
+            [len(b["records"]) for b in blocks],
+            [r["date"] for r in records],
+            [r["height_m"] for r in records],
+        )
 
     def save(self, path) -> None:
         dump_json(self.to_dict(), path)
@@ -378,41 +380,36 @@ def decluster(
     Consecutive exceedance days closer than ``separation_days`` chain into
     one cluster; only the cluster maximum survives (earliest day on ties).
     Retained events are therefore pairwise separated by at least
-    ``separation_days``, across year boundaries included. Events are grouped
-    into calendar-year blocks whose duration is the number of valid observed
-    days in that year, so gappy years weight the Poisson term proportionally.
+    ``separation_days``, across year boundaries included. Each calendar year
+    with a valid day records its number of valid observed days as its
+    duration, so gappy years weight the Poisson term proportionally.
     """
     if separation_days < 1:
         raise ValueError("separation_days must be >= 1")
 
     exceed = daily.valid & (daily.max_level >= threshold)
-    exc_days = daily.dates[exceed].astype(np.int64)
+    exc_dates = daily.dates[exceed]
+    exc_days = exc_dates.astype(np.int64)
     exc_heights = daily.max_level[exceed]
 
-    records: list[ExceedanceRecord] = []
+    kept = []
     i = 0
     while i < exc_days.size:
         j = i
         while j + 1 < exc_days.size and exc_days[j + 1] - exc_days[j] < separation_days:
             j += 1
-        k = i + int(np.argmax(exc_heights[i : j + 1]))  # argmax takes earliest tie
-        records.append(
-            ExceedanceRecord(exc_days[k].astype("datetime64[D]"), float(exc_heights[k]))
-        )
+        kept.append(i + int(np.argmax(exc_heights[i : j + 1])))  # argmax takes earliest tie
         i = j + 1
+    kept = np.array(kept, dtype=np.intp)
 
     valid_years = daily.dates[daily.valid].astype("datetime64[Y]").astype(np.int64) + 1970
-    year_of_record = np.array(
-        [r.date.astype("datetime64[Y]").astype(np.int64) + 1970 for r in records],
-        dtype=np.int64,
+    years, durations = np.unique(valid_years, return_counts=True)
+    # events are in date order, so each year's events are one run
+    event_years = exc_dates[kept].astype("datetime64[Y]").astype(np.int64) + 1970
+    counts = np.searchsorted(event_years, years, "right") - np.searchsorted(event_years, years)
+    return ExceedanceSet(
+        float(threshold), years, durations, counts, exc_dates[kept], exc_heights[kept]
     )
-
-    blocks = []
-    for year in np.unique(valid_years):
-        duration = int(np.sum(valid_years == year))
-        recs = tuple(r for r, y in zip(records, year_of_record) if y == year)
-        blocks.append(YearBlock(int(year), recs, duration))
-    return ExceedanceSet(float(threshold), tuple(blocks))
 
 
 def preprocess_station(

@@ -133,10 +133,9 @@ def fit_prior(samples, family: str) -> PriorSpec:
 def _moment_start(
     structure: ModelStructure, data: ExceedanceSet
 ) -> np.ndarray:
-    total_events = data.n_events
-    total_days = sum(b.duration_days for b in data.years)
-    lam0 = max(total_events / max(total_days, 1.0), 1e-4)
-    excess = np.array([r.height - data.threshold for r in data.all_records()])
+    total_days = int(data.durations.sum())
+    lam0 = max(data.n_events / max(total_days, 1.0), 1e-4)
+    excess = data.heights - data.threshold
     spread = float(excess.std()) if excess.size > 1 else 0.1
     spread = max(spread, 1e-3)
     if structure.level in DIRECT_SCALE:

@@ -17,15 +17,15 @@ import numpy as np
 
 from .covariates import CovariateKind, CovariateSeries
 from .models import (
+    ACTIVE_PARAMS,
     DAYS_PER_YEAR,
     XI_EPS,
     ModelStructure,
     NonstatLevel,
-    ParameterVector,
     all_structures,
     effective_params,
 )
-from .preprocess import ExceedanceRecord, ExceedanceSet, YearBlock
+from .preprocess import ExceedanceSet
 from .utils import empirical_quantile, write_csv
 
 EVENT_SPACING_DAYS = 3  # assigned event dates keep at least this separation
@@ -33,7 +33,10 @@ EVENT_SPACING_DAYS = 3  # assigned event dates keep at least this separation
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    theta: ParameterVector
+    """A known truth to simulate from: ``row`` holds the active parameters of
+    ``structure``, in ``ACTIVE_PARAMS`` order."""
+
+    row: np.ndarray
     structure: ModelStructure
     cov: CovariateSeries | None
     first_year: int
@@ -42,6 +45,12 @@ class SimulationSpec:
     seed: int
 
     def __post_init__(self):
+        n_active = len(self.structure.active_params)
+        if np.shape(self.row) != (n_active,):
+            raise ValueError(
+                f"{self.structure.id} takes a row of {n_active} active parameters, "
+                f"got shape {np.shape(self.row)}"
+            )
         if self.last_year < self.first_year:
             raise ValueError("empty year range")
         lam, sig, _ = self.yearly_params()
@@ -55,7 +64,7 @@ class SimulationSpec:
         years = np.arange(self.first_year, self.last_year + 1)
         level = self.structure.level
         phi = np.zeros(years.size) if level is NonstatLevel.ST else self.cov.values_for_years(years)
-        return effective_params(self.theta.active(level), level, phi)
+        return effective_params(self.row, level, phi)
 
 
 def gpd_sample(sig: float, xi: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -84,21 +93,22 @@ def simulate_record(spec: SimulationSpec) -> ExceedanceSet:
     information. Deterministic given the spec's seed.
     """
     rng = np.random.default_rng(spec.seed)
-    blocks = []
-    years = range(spec.first_year, spec.last_year + 1)
-    for year, lam, sig, xi in zip(years, *spec.yearly_params()):
+    years = np.arange(spec.first_year, spec.last_year + 1)
+    durations, dates, heights = [], [], []
+    for year, lam, sig, xi in zip(years.tolist(), *spec.yearly_params()):
         dt = 366 if calendar.isleap(year) else 365
-        heights = simulate_year(float(lam), float(sig), float(xi), spec.threshold, dt, rng)
+        h = simulate_year(float(lam), float(sig), float(xi), spec.threshold, dt, rng)
         max_events = (dt - EVENT_SPACING_DAYS) // EVENT_SPACING_DAYS
-        if heights.size > max_events:
-            raise ValueError(f"year {year}: {heights.size} events exceed the date grid")
-        base = np.datetime64(f"{year}-01-01", "D")
-        records = tuple(
-            ExceedanceRecord(base + np.timedelta64(EVENT_SPACING_DAYS * (j + 1) - 1, "D"), float(h))
-            for j, h in enumerate(heights)
-        )
-        blocks.append(YearBlock(year, records, dt))
-    return ExceedanceSet(spec.threshold, tuple(blocks))
+        if h.size > max_events:
+            raise ValueError(f"year {year}: {h.size} events exceed the date grid")
+        offsets = EVENT_SPACING_DAYS * np.arange(1, h.size + 1) - 1
+        dates.append(np.datetime64(f"{year}-01-01", "D") + offsets.astype("timedelta64[D]"))
+        durations.append(dt)
+        heights.append(h)
+    counts = [h.size for h in heights]
+    return ExceedanceSet(
+        spec.threshold, years, durations, counts, np.concatenate(dates), np.concatenate(heights)
+    )
 
 
 def empirical_return_level(
@@ -166,29 +176,29 @@ def synthetic_covariates(
     return out
 
 
-def station_parameter_draws(n_stations: int, rng: np.random.Generator) -> list[ParameterVector]:
+def station_parameter_draws(n_stations: int, rng: np.random.Generator) -> np.ndarray:
     """Plausible per-station truths spanning the surge-parameter ranges.
 
-    Slope spreads are deliberately generous relative to what one station's
-    record can pin down, so priors elicited from these stations stay weakly
-    informative about nonstationarity.
+    Returns an (n_stations, 6) stack of NS3 active rows. The scale is drawn
+    as a direct scale and stored as its log, the NS3 intercept. Slope spreads
+    are deliberately generous relative to what one station's record can pin
+    down, so priors elicited from these stations stay weakly informative
+    about nonstationarity.
     """
-    out = []
-    for _ in range(n_stations):
+    rows = np.empty((n_stations, len(ACTIVE_PARAMS[NonstatLevel.NS3])))
+    for row in rows:
         lam0 = rng.uniform(0.004, 0.014)
         # relative rate change over the covariate span; keep lam(phi) > 0
         rate_slope = float(np.clip(rng.normal(0.0, 1.8), -0.9, 4.0))
-        out.append(
-            ParameterVector(
-                lam0=lam0,
-                lam1=lam0 * rate_slope,
-                sig0=rng.uniform(0.06, 0.22),
-                sig1=rng.normal(0.0, 0.8),
-                xi0=rng.normal(0.08, 0.12),
-                xi1=float(np.clip(rng.normal(0.0, 0.4), -0.7, 0.7)),
-            )
+        row[:] = (
+            lam0,
+            lam0 * rate_slope,
+            math.log(rng.uniform(0.06, 0.22)),
+            rng.normal(0.0, 0.8),
+            rng.normal(0.08, 0.12),
+            np.clip(rng.normal(0.0, 0.4), -0.7, 0.7),
         )
-    return out
+    return rows
 
 
 def make_mle_fixture_pack(
@@ -210,16 +220,12 @@ def make_mle_fixture_pack(
     truths = station_parameter_draws(n_stations, rng)
 
     records = []
-    for i, theta in enumerate(truths):
+    for i, row in enumerate(truths):
         # station-specific covariate assignment varies which series drove it
         kind = list(CovariateKind)[i % 4]
         structure = ModelStructure(NonstatLevel.NS3, kind)
-        # NS3 treats sig0 as log-scale; convert the direct draw
-        theta = ParameterVector(
-            theta.lam0, theta.lam1, math.log(theta.sig0), theta.sig1, theta.xi0, theta.xi1
-        )
         spec = SimulationSpec(
-            theta, structure, covs[kind], first_year, last_year, 1.0, int(rng.integers(2**31))
+            row, structure, covs[kind], first_year, last_year, 1.0, int(rng.integers(2**31))
         )
         records.append(simulate_record(spec))
 

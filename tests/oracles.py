@@ -50,24 +50,34 @@ def poisson_logpmf(n: int, lam: float, dt: float) -> float:
     return n * math.log(mean) - mean - float(gammaln(n + 1))
 
 
-def naive_loglik(theta, structure, data, cov):
-    """Double-loop likelihood evaluation in 40-digit arithmetic."""
+def naive_loglik(row, structure, data, cov):
+    """Double-loop likelihood evaluation in 40-digit arithmetic.
+
+    ``row`` holds the active parameters of ``structure`` in ``ACTIVE_PARAMS``
+    order; the parameters it lacks are 0. Each year's events are read by
+    slicing the per-event arrays with the year's count.
+    """
     mpmath.mp.dps = 40
+    theta = dict.fromkeys(ACTIVE_PARAMS[NonstatLevel.NS3], 0.0)
+    theta.update(zip(ACTIVE_PARAMS[structure.level], row))
     total = mpmath.mpf(0)
-    for block in data.years:
-        phi = 0.0 if structure.level is NonstatLevel.ST else cov.value_for_year(block.year)
-        lam = mpmath.mpf(theta.lam0) + mpmath.mpf(theta.lam1) * phi
+    first = 0
+    for year, days, count in zip(data.years.tolist(), data.durations.tolist(), data.counts.tolist()):
+        heights = data.heights[first:first + count].tolist()
+        first += count
+        phi = 0.0 if structure.level is NonstatLevel.ST else cov.value_for_year(year)
+        lam = mpmath.mpf(theta["lam0"]) + mpmath.mpf(theta["lam1"]) * phi
         if structure.level in (NonstatLevel.ST, NonstatLevel.NS1):
-            sig = mpmath.mpf(theta.sig0)
+            sig = mpmath.mpf(theta["sig0"])
         else:
-            sig = mpmath.e ** (mpmath.mpf(theta.sig0) + mpmath.mpf(theta.sig1) * phi)
-        xi = mpmath.mpf(theta.xi0) + mpmath.mpf(theta.xi1) * phi
+            sig = mpmath.e ** (mpmath.mpf(theta["sig0"]) + mpmath.mpf(theta["sig1"]) * phi)
+        xi = mpmath.mpf(theta["xi0"]) + mpmath.mpf(theta["xi1"]) * phi
         if lam <= 0 or sig <= 0:
             return -math.inf
-        mean = lam * block.duration_days
-        total += block.count * mpmath.log(mean) - mean - mpmath.log(mpmath.factorial(block.count))
-        for rec in block.records:
-            z = (mpmath.mpf(rec.height) - mpmath.mpf(data.threshold)) / sig
+        mean = lam * days
+        total += count * mpmath.log(mean) - mean - mpmath.log(mpmath.factorial(count))
+        for height in heights:
+            z = (mpmath.mpf(height) - mpmath.mpf(data.threshold)) / sig
             if abs(xi) < 1e-8:
                 total += -mpmath.log(sig) - z
             else:

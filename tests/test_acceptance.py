@@ -26,13 +26,12 @@ from surgebma.hazard import return_level
 from surgebma.models import (
     ModelStructure,
     NonstatLevel,
-    ParameterVector,
     all_structures,
     log_likelihood,
     make_logpost_on_active,
     make_logpost_rows,
 )
-from surgebma.preprocess import DailySeries, decluster
+from surgebma.preprocess import DailySeries, ExceedanceSet, decluster
 from surgebma.priors import fit_all_priors, load_mle_table, mle_fit
 from surgebma.sampler import ChainConfig, PosteriorEnsemble, gelman_rubin, pool_and_thin, ram_step, run_chains
 from surgebma.simulate import SimulationSpec, empirical_return_level, simulate_record, synthetic_covariates
@@ -74,23 +73,18 @@ def test_criterion_2_likelihood_matches_naive_oracle():
         cov = CovariateSeries(CovariateKind.TIME, years, raw, (int(years[0]), int(years[-1])))
         structure = structures[rng.integers(0, len(structures))]
 
-        from surgebma.preprocess import ExceedanceRecord, ExceedanceSet, YearBlock
-
-        blocks = []
+        counts, durations, dates, heights = [], [], [], []
         for y in years:
             n = int(rng.integers(0, 6))
-            recs = tuple(
-                ExceedanceRecord(
-                    np.datetime64(f"{y}-01-01") + np.timedelta64(3 * j, "D"),
-                    1.0 + float(rng.exponential(0.15)),
-                )
-                for j in range(n)
-            )
-            blocks.append(YearBlock(int(y), recs, int(rng.integers(250, 366))))
-        data = ExceedanceSet(1.0, tuple(blocks))
+            for j in range(n):
+                dates.append(np.datetime64(f"{y}-01-01") + np.timedelta64(3 * j, "D"))
+                heights.append(1.0 + float(rng.exponential(0.15)))
+            counts.append(n)
+            durations.append(int(rng.integers(250, 366)))
+        data = ExceedanceSet(1.0, years, durations, counts, dates, heights)
 
         direct_scale = structure.level in (NonstatLevel.ST, NonstatLevel.NS1)
-        theta = ParameterVector(
+        named = dict(
             lam0=rng.uniform(0.005, 0.03),
             lam1=rng.normal(0, 0.003) if structure.level is not NonstatLevel.ST else 0.0,
             sig0=rng.uniform(0.08, 0.4) if direct_scale else rng.normal(-1.8, 0.4),
@@ -98,8 +92,9 @@ def test_criterion_2_likelihood_matches_naive_oracle():
             xi0=rng.normal(0.1, 0.15),
             xi1=rng.normal(0, 0.08) if structure.level is NonstatLevel.NS3 else 0.0,
         )
-        got = log_likelihood(theta, structure, data, cov)
-        want = naive_loglik(theta, structure, data, cov)
+        row = [named[name] for name in structure.active_params]
+        got = log_likelihood(row, structure, data, cov)
+        want = naive_loglik(row, structure, data, cov)
         if math.isinf(want):
             assert got == want
         else:
@@ -194,7 +189,7 @@ def test_criterion_6_identifiability_of_stationary_truth():
     pack = load_mle_table(resources.files("surgebma").joinpath("data/mle_fixtures.json"))
     priors = fit_all_priors(pack)
     covs = synthetic_covariates(1864, 2013, (1864, 2013))
-    truth = ParameterVector(lam0=0.008, sig0=0.12, xi0=0.1)
+    truth = [0.008, 0.12, 0.1]  # ST: lam0, sig0, xi0
 
     def trial(seed):
         record = simulate_record(SimulationSpec(truth, ST, None, 1864, 2013, 1.0, seed=seed))
@@ -341,10 +336,9 @@ def test_criterion_9_declustering_invariants_randomized():
         daily = DailySeries(dates, vals, np.ones(n_days, dtype=bool))
         threshold = 0.8
         out = decluster(daily, threshold, sep)
-        recs = out.all_records()
 
-        day_ints = np.array([r.date.astype(np.int64) for r in recs])
-        heights = np.array([r.height for r in recs])
+        day_ints = out.dates.astype(np.int64)
+        heights = out.heights
         # pairwise separation and threshold
         assert np.all(np.diff(day_ints) >= sep)
         assert np.all(heights >= threshold)
@@ -356,14 +350,14 @@ def test_criterion_9_declustering_invariants_randomized():
         assert got == expected
 
         # idempotence: redecluster the retained records
-        if recs:
+        if out.n_events:
             span = int(day_ints.max() - day_ints.min()) + 1
             vals2 = np.full(span, threshold - 1.0)
             vals2[day_ints - day_ints.min()] = heights
             daily2 = DailySeries(
-                np.arange(recs[0].date, recs[0].date + span), vals2, np.ones(span, dtype=bool)
+                np.arange(out.dates[0], out.dates[0] + span), vals2, np.ones(span, dtype=bool)
             )
             out2 = decluster(daily2, threshold, sep)
-            got2 = [(r.date.astype(np.int64), r.height) for r in out2.all_records()]
+            got2 = list(zip(out2.dates.astype(np.int64).tolist(), out2.heights.tolist()))
             assert got2 == list(zip(day_ints.tolist(), heights.tolist()))
     report(9, "declustering invariants on 1000 random series", t0, 10.0)

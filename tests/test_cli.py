@@ -267,7 +267,36 @@ def test_simulate_record_roundtrips_through_ingest_format(tmp_path):
     record = ExceedanceSet.load(out)
     assert record.threshold == 1.0
     assert record.n_events > 0
-    assert [b.year for b in record.years] == list(range(1990, 2014))
+    assert record.years.tolist() == list(range(1990, 2014))
+
+
+@pytest.mark.parametrize(
+    "structure, stray, message",
+    [("ST", ["--lam1", "0.5"], "lam1 not active at level ST"),
+     ("NS1-time", ["--sig1", "0.1", "--xi1", "-0.2"], "sig1, xi1 not active at level NS1")],
+)
+def test_simulate_record_refuses_a_stray_parameter(tmp_path, capsys, structure, stray, message):
+    out = tmp_path / "record.json"
+    code = main(["simulate", "record", "--out", str(out), "--structure", structure, *stray])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_calibrate_structure_spellings_write_only_that_structure(tmp_path):
+    config = make_workspace(tmp_path, structures="ST, NS1-time")
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["fit-priors", "--config", str(config)]) == 0
+    ensembles = []
+    # "--structure" is argparse's unambiguous prefix of "--structures"
+    for option in ("--structures", "--structure"):
+        for sub in ("ensembles", "diagnostics"):
+            shutil.rmtree(tmp_path / "out" / sub, ignore_errors=True)
+        assert main(["calibrate", "--config", str(config), option, "NS1-time"]) == 0
+        assert os.listdir(tmp_path / "out" / "ensembles") == ["NS1-time.csv"]
+        assert os.listdir(tmp_path / "out" / "diagnostics") == ["NS1-time.json"]
+        ensembles.append((tmp_path / "out" / "ensembles" / "NS1-time.csv").read_bytes())
+    assert ensembles[0] == ensembles[1]
 
 
 def test_console_entrypoint_runs():

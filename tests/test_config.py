@@ -89,7 +89,9 @@ def test_unknown_structure_rejected(config_dir):
 
 def test_build_covariates_spans_and_normalization(config_dir):
     config = load_config(config_dir / "run.ini")
-    covs = build_covariates(config)
+    # only the kinds of the run's structures (ST, NS1-time) are built
+    assert set(build_covariates(config)) == {CovariateKind.TIME}
+    covs = build_covariates(dataclasses.replace(config, structures=()))
     assert set(covs) == set(CovariateKind)
     for kind, cov in covs.items():
         assert cov.years[0] == 1990 and cov.years[-1] == 2030
@@ -108,7 +110,7 @@ def test_build_covariates_reports_gaps(config_dir):
     path = config_dir / "cov" / "sealevel_proj.csv"
     rows = list(csv.reader(path.open()))
     path.write_text("\n".join(",".join(r) for r in rows[:5]) + "\n")
-    config = load_config(config_dir / "run.ini")
+    config = dataclasses.replace(load_config(config_dir / "run.ini"), structures=("NS2-sealevel",))
     with pytest.raises(ValueError, match="sealevel"):
         build_covariates(config)
 

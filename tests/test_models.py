@@ -12,18 +12,16 @@ from surgebma.models import (
     XI_EPS,
     ModelStructure,
     NonstatLevel,
-    ParameterVector,
     all_structures,
     effective_params,
     log_likelihood,
     log_posterior,
-    log_prior,
     make_loglik,
     make_logpost,
     make_logpost_rows,
 )
 from surgebma.models import DIRECT_SCALE, LikelihoodData, _loglik_from_arrays, _loglik_rows
-from surgebma.preprocess import ExceedanceRecord, ExceedanceSet, YearBlock
+from surgebma.preprocess import ExceedanceSet
 from surgebma.priors import PriorSet, PriorSpec
 
 ST = ModelStructure(NonstatLevel.ST, None)
@@ -41,15 +39,20 @@ def make_cov(years, raw=None):
 
 def make_data(threshold, year_events, durations=None):
     """year_events: dict year -> list of heights."""
-    blocks = []
-    for i, (year, heights) in enumerate(sorted(year_events.items())):
-        recs = tuple(
-            ExceedanceRecord(np.datetime64(f"{year}-01-01") + np.timedelta64(3 * j, "D"), h)
-            for j, h in enumerate(heights)
-        )
-        dur = 365 if durations is None else durations[i]
-        blocks.append(YearBlock(year, recs, dur))
-    return ExceedanceSet(threshold, tuple(blocks))
+    years = sorted(year_events)
+    dates = [
+        np.datetime64(f"{year}-01-01") + np.timedelta64(3 * j, "D")
+        for year in years
+        for j in range(len(year_events[year]))
+    ]
+    return ExceedanceSet(
+        threshold,
+        years,
+        [365] * len(years) if durations is None else durations,
+        [len(year_events[year]) for year in years],
+        dates,
+        [h for year in years for h in year_events[year]],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +180,25 @@ def test_poisson_pmf_sums_to_one():
 
 def test_loglik_poisson_only_year():
     data = make_data(1.0, {2000: []}, durations=[200])
-    theta = ParameterVector(lam0=0.01, sig0=0.1, xi0=0.0)
-    assert log_likelihood(theta, ST, data, None) == pytest.approx(-2.0)
+    assert log_likelihood([0.01, 0.1, 0.0], ST, data, None) == pytest.approx(-2.0)
 
 
 def test_loglik_year_order_invariance():
     rng = np.random.default_rng(3)
     events = {2000 + y: list(1.0 + rng.exponential(0.1, size=rng.integers(0, 5))) for y in range(6)}
     data = make_data(1.0, events)
-    shuffled = ExceedanceSet(data.threshold, tuple(reversed(data.years)))
-    theta = ParameterVector(lam0=0.008, sig0=0.12, xi0=0.05)
-    assert log_likelihood(theta, ST, data, None) == pytest.approx(
-        log_likelihood(theta, ST, shuffled, None), rel=1e-14
+    # the years in reverse, each keeping its own events
+    ends = np.cumsum(data.counts)
+    events_reversed = np.concatenate(
+        [np.arange(end - count, end) for end, count in zip(ends[::-1], data.counts[::-1])]
+    )
+    shuffled = ExceedanceSet(
+        data.threshold, data.years[::-1], data.durations[::-1], data.counts[::-1],
+        data.dates[events_reversed], data.heights[events_reversed],
+    )
+    row = [0.008, 0.12, 0.05]
+    assert log_likelihood(row, ST, data, None) == pytest.approx(
+        log_likelihood(row, ST, shuffled, None), rel=1e-14
     )
 
 
@@ -201,7 +211,7 @@ def test_loglik_matches_naive_double_loop(seed):
     events = {int(y): list(1.0 + rng.exponential(0.15, size=rng.integers(0, 6))) for y in years}
     data = make_data(1.0, events, durations=list(rng.integers(300, 366, size=3)))
     structure = rng.choice([ST, NS1, NS3])
-    theta = ParameterVector(
+    named = dict(
         lam0=rng.uniform(0.005, 0.02),
         lam1=rng.normal(0, 0.002) if structure.level != NonstatLevel.ST else 0.0,
         sig0=rng.uniform(0.05, 0.3)
@@ -211,16 +221,16 @@ def test_loglik_matches_naive_double_loop(seed):
         xi0=rng.normal(0.1, 0.1),
         xi1=rng.normal(0, 0.05) if structure.level is NonstatLevel.NS3 else 0.0,
     )
-    got = log_likelihood(theta, structure, data, cov)
-    want = naive_loglik(theta, structure, data, cov)
+    row = [named[name] for name in structure.active_params]
+    got = log_likelihood(row, structure, data, cov)
+    want = naive_loglik(row, structure, data, cov)
     assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_loglik_st_invariant_to_covariate():
     data = make_data(1.0, {2000: [1.1], 2001: [1.3, 1.05]})
-    theta = ParameterVector(lam0=0.01, sig0=0.15, xi0=0.1)
     covs = [None, make_cov([2000, 2001]), make_cov([2000, 2001], [0.3, 0.9])]
-    vals = {log_likelihood(theta, ST, data, c) for c in covs}
+    vals = {log_likelihood([0.01, 0.15, 0.1], ST, data, c) for c in covs}
     assert len(vals) == 1
 
 
@@ -228,27 +238,27 @@ def test_ns3_with_zero_slopes_reproduces_st():
     data = make_data(1.0, {2000: [1.1], 2001: [1.3, 1.05], 2002: []})
     cov = make_cov([2000, 2001, 2002])
     sig = 0.15
-    theta_st = ParameterVector(lam0=0.01, sig0=sig, xi0=0.1)
-    theta_ns3 = ParameterVector(lam0=0.01, lam1=0.0, sig0=math.log(sig), sig1=0.0, xi0=0.1, xi1=0.0)
-    assert log_likelihood(theta_ns3, NS3, data, cov) == pytest.approx(
-        log_likelihood(theta_st, ST, data, None), rel=1e-12
+    row_st = [0.01, sig, 0.1]
+    row_ns3 = [0.01, 0.0, math.log(sig), 0.0, 0.1, 0.0]
+    assert log_likelihood(row_ns3, NS3, data, cov) == pytest.approx(
+        log_likelihood(row_st, ST, data, None), rel=1e-12
     )
 
 
 def test_loglik_rejects_bad_params_with_minus_inf():
     data = make_data(1.0, {2000: [1.5], 2001: []})
     cov = make_cov([2000, 2001], [1.0, 0.0])
-    assert log_likelihood(ParameterVector(lam0=0.01, lam1=-0.02, sig0=0.1), NS1, data, cov) == -math.inf
-    assert log_likelihood(ParameterVector(lam0=0.01, sig0=-0.1), ST, data, None) == -math.inf
+    assert log_likelihood([0.01, -0.02, 0.1, 0.0], NS1, data, cov) == -math.inf
+    assert log_likelihood([0.01, -0.1, 0.0], ST, data, None) == -math.inf
     # exceedance above a bounded upper endpoint
-    assert log_likelihood(ParameterVector(lam0=0.01, sig0=0.1, xi0=-0.5), ST, data, None) == -math.inf
+    assert log_likelihood([0.01, 0.1, -0.5], ST, data, None) == -math.inf
 
 
 def test_loglik_requires_covariate_coverage():
     data = make_data(1.0, {2000: [1.1], 2001: [], 2002: []})
     cov = make_cov([2000, 2001])  # 2002 missing
     with pytest.raises(ValueError, match="not covered"):
-        log_likelihood(ParameterVector(lam0=0.01, sig0=0.1), NS1, data, cov)
+        log_likelihood([0.01, 0.0, 0.1, 0.0], NS1, data, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +281,18 @@ def make_priorset(structure):
 def test_log_prior_at_componentwise_modes():
     priors = make_priorset(ST)
     # gamma mode = (shape-1)/rate, normal mode = mean
-    theta = ParameterVector(lam0=3.0 / 400.0, sig0=2.0 / 20.0, xi0=0.0)
+    row = [3.0 / 400.0, 2.0 / 20.0, 0.0]
     want = (
         priors.specs["lam0"].logpdf(3.0 / 400.0)
         + priors.specs["sig0"].logpdf(0.1)
         + priors.specs["xi0"].logpdf(0.0)
     )
-    assert log_prior(theta, ST, priors) == pytest.approx(want)
+    assert priors.logpdf(row) == pytest.approx(want)
 
 
 def test_log_prior_gamma_support():
     priors = make_priorset(ST)
-    assert log_prior(ParameterVector(lam0=-0.01, sig0=0.1, xi0=0.0), ST, priors) == -math.inf
+    assert priors.logpdf([-0.01, 0.1, 0.0]) == -math.inf
 
 
 def test_log_prior_matches_componentwise_sum():
@@ -291,23 +301,15 @@ def test_log_prior_matches_componentwise_sum():
     from scipy import stats
 
     for _ in range(10):
-        theta = ParameterVector(
-            lam0=rng.uniform(0.001, 0.05),
-            lam1=rng.normal(),
-            sig0=rng.normal(),
-            sig1=rng.normal(),
-            xi0=rng.normal(),
-            xi1=rng.normal(),
-        )
+        row = [rng.uniform(0.001, 0.05), *rng.normal(size=5)]  # NS3: lam0, then 5 normals
         want = 0.0
-        for name in NS3.active_params:
+        for name, x in zip(NS3.active_params, row):
             spec = priors.specs[name]
-            x = getattr(theta, name)
             if spec.family == "normal":
                 want += stats.norm.logpdf(x, spec.p1, spec.p2)
             else:
                 want += stats.gamma.logpdf(x, spec.p1, scale=1.0 / spec.p2)
-        assert log_prior(theta, NS3, priors) == pytest.approx(want, rel=1e-12)
+        assert priors.logpdf(row) == pytest.approx(want, rel=1e-12)
 
 
 def test_log_prior_missing_parameter_errors():
@@ -318,12 +320,13 @@ def test_log_prior_missing_parameter_errors():
 def test_log_posterior_composition_and_inf_propagation():
     data = make_data(1.0, {2000: [1.2], 2001: []})
     priors = make_priorset(ST)
-    theta = ParameterVector(lam0=0.01, sig0=0.12, xi0=0.05)
-    want = log_likelihood(theta, ST, data, None) + log_prior(theta, ST, priors)
-    assert log_posterior(theta, ST, data, None, priors) == pytest.approx(want, rel=1e-12)
+    row = [0.01, 0.12, 0.05]
+    want = log_likelihood(row, ST, data, None) + priors.logpdf(row)
+    assert log_posterior(row, ST, data, None, priors) == pytest.approx(want, rel=1e-12)
 
-    bad = ParameterVector(lam0=-0.1, sig0=0.12, xi0=0.05)
-    assert log_posterior(bad, ST, data, None, priors) == -math.inf
+    assert log_posterior([-0.1, 0.12, 0.05], ST, data, None, priors) == -math.inf
+    with pytest.raises(ValueError, match="prior set fitted for ST, not NS1-time"):
+        make_logpost(NS1, data, make_cov([2000, 2001]), priors)
 
 
 def test_structure_catalogue():
@@ -340,9 +343,9 @@ def test_structure_catalogue():
 def test_make_loglik_closure_matches_public_function():
     data = make_data(1.0, {2000: [1.2, 1.4], 2001: [1.1]})
     cov = make_cov([2000, 2001])
-    theta = ParameterVector(lam0=0.012, lam1=0.003, sig0=0.1, xi0=0.02)
+    row = np.array([0.012, 0.003, 0.1, 0.02])
     fast = make_loglik(NS1, data, cov)
-    assert fast(theta.active(NS1.level)) == log_likelihood(theta, NS1, data, cov)
+    assert fast(row) == log_likelihood(row, NS1, data, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +414,54 @@ def test_stacked_loglik_equals_row_kernel_bit_for_bit(level):
         assert _loglik_rows(row[None], structure.level, arrays).tolist() == [value]
 
 
+def shape_at_minus_one(excess):
+    """A shape xi with xi * max(excess) == -1.0 exactly: 1 + t == 0 at the
+    largest excess when the scale is 1."""
+    emax = excess.max()
+    xi = -1.0 / emax
+    while xi * emax != -1.0:
+        xi = np.nextafter(xi, 0.0)
+    return xi
+
+
+def same_bits(got, want):
+    """Equal floats bit for bit; a NaN equals a NaN of either sign."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
+def test_stacked_ns3_constant_shape_rows_equal_oracle_bit_for_bit():
+    structure, data, cov, rows = stack_fixture("NS3")
+    arrays = LikelihoodData.build(data, cov, structure)
+    xi = shape_at_minus_one(arrays.excess)
+    # a log scale of -25 makes z ~ 1e10, so t = -5e-9 z <= -1 with |xi0| < XI_EPS
+    flat = np.array([
+        [0.01, 0.005, 0.0, 0.0, xi, 0.0],  # t == -1 exactly at the largest excess
+        [0.01, 0.005, 0.0, 0.0, xi, -0.0],
+        [0.01, 0.005, 0.0, 0.0, np.nextafter(xi, 0.0), 0.0],  # just inside the support
+        [0.01, 0.005, -2.0, 0.3, 0.0, 0.0],
+        [0.01, 0.005, -2.0, 0.3, -0.0, -0.0],
+        [0.01, 0.005, -2.0, 0.3, 5e-9, 0.0],
+        [0.01, 0.005, -25.0, 0.0, -5e-9, -0.0],
+        [0.01, 0.005, -2.0, 0.3, 0.1, -0.0],
+        [0.01, 0.005, -2.0, 0.3, -0.6, 0.0],
+        [0.01, -0.02, -2.0, 0.3, 0.1, 0.0],  # lam <= 0 in late years
+    ])
+    assert (flat[0, 4] * arrays.excess == -1.0).sum() == 1
+    assert (flat[6, 4] * arrays.excess * math.exp(25.0) <= -1.0).any()
+    # constant-shape rows interleaved with rows on the per-event shape path
+    mixed = np.random.default_rng(5).permutation(np.vstack([rows, flat]))
+    want = [loglik_row_kernel(r, structure.level, arrays) for r in mixed]
+    got = _loglik_rows(mixed, structure.level, arrays).tolist()
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+    flat_values = _loglik_rows(flat, structure.level, arrays).tolist()
+    assert flat_values[0] == flat_values[1] == -math.inf and math.isfinite(flat_values[2])
+    assert math.isfinite(flat_values[6])  # |xi0| < XI_EPS takes -sum(z) whatever t is
+    for row, value in zip(flat, flat_values):
+        assert same_bits(_loglik_rows(row[None], structure.level, arrays)[0], value)
+
+
 def kernel_edge_rows(level, arrays, center):
     """Rows on the row kernel's exact edges, built from the data arrays."""
     name = dict(zip(ACTIVE_PARAMS[level], range(center.size)))
@@ -434,11 +485,8 @@ def kernel_edge_rows(level, arrays, center):
     if level is NonstatLevel.NS1:
         return np.array(rows)
     # 1 + t == 0 exactly at the largest excess: z is the excess itself when the
-    # log scale is 0, and xi * max(excess) == -1.0 for this xi
-    emax = arrays.excess.max()
-    xi = -1.0 / emax
-    while xi * emax != -1.0:
-        xi = np.nextafter(xi, 0.0)
+    # log scale is 0
+    xi = shape_at_minus_one(arrays.excess)
     # xi1 = 1e-300 keeps NS3 on its per-event shape path with the same t
     slope = {"xi1": 1e-300} if level is NonstatLevel.NS3 else {}
     t_row = row(sig0=0.0, sig1=0.0, xi0=xi, **slope)
@@ -478,9 +526,7 @@ def test_row_kernel_equals_numpy_scalar_oracle_bit_for_bit(level):
             got = _loglik_from_arrays(row, structure.level, arrays)
             want = loglik_row_kernel(row, structure.level, arrays)
             # a NaN's sign bit follows CPython's float specialization, not the data
-            assert math.isnan(got) == math.isnan(want)
-            if not math.isnan(want):
-                assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+            assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("level", list(BRANCH_ROWS))

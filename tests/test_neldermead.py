@@ -11,7 +11,7 @@ from scipy.optimize import rosen
 
 from oracles import scipy_nelder_mead
 from surgebma.covariates import CovariateKind
-from surgebma.models import ModelStructure, NonstatLevel, ParameterVector, make_loglik
+from surgebma.models import ModelStructure, NonstatLevel, make_loglik
 from surgebma.neldermead import nelder_mead
 from surgebma.priors import _moment_start
 from surgebma.simulate import SimulationSpec, simulate_record, synthetic_covariates
@@ -60,13 +60,12 @@ def assert_matches_scipy(f, x0, **options):
 # the MLE objectives
 # ---------------------------------------------------------------------------
 
+# active rows, in ACTIVE_PARAMS order
 TRUTH = {
-    NonstatLevel.ST: ParameterVector(lam0=0.02, sig0=0.15, xi0=0.1),
-    NonstatLevel.NS1: ParameterVector(lam0=0.015, lam1=0.01, sig0=0.15, xi0=0.1),
-    NonstatLevel.NS2: ParameterVector(lam0=0.015, lam1=0.01, sig0=-2.0, sig1=0.3, xi0=0.1),
-    NonstatLevel.NS3: ParameterVector(
-        lam0=0.015, lam1=0.01, sig0=-2.0, sig1=0.3, xi0=0.1, xi1=-0.05
-    ),
+    NonstatLevel.ST: [0.02, 0.15, 0.1],
+    NonstatLevel.NS1: [0.015, 0.01, 0.15, 0.1],
+    NonstatLevel.NS2: [0.015, 0.01, -2.0, 0.3, 0.1],
+    NonstatLevel.NS3: [0.015, 0.01, -2.0, 0.3, 0.1, -0.05],
 }
 
 

@@ -9,6 +9,7 @@ from oracles import (
     write_hourly_csv_rows,
 )
 from surgebma import preprocess
+from surgebma.models import ModelStructure, NonstatLevel
 from surgebma.preprocess import (
     DailySeries,
     ExceedanceSet,
@@ -20,6 +21,7 @@ from surgebma.preprocess import (
     read_hourly_csv,
     write_hourly_csv,
 )
+from surgebma.simulate import SimulationSpec, simulate_record
 
 
 def hourly(levels, start="2000-01-01T00"):
@@ -208,23 +210,20 @@ def make_daily_from_heights(day_heights: dict[int, float], n_days=400, start="20
 def test_decluster_single_cluster_keeps_max():
     series = make_daily_from_heights({0: 1.0, 1: 1.2, 2: 1.1})
     out = decluster(series, threshold=1.0, separation_days=3)
-    recs = out.all_records()
-    assert len(recs) == 1
-    assert recs[0].height == 1.2
-    assert recs[0].date == np.datetime64("2001-01-02")
+    assert out.heights.tolist() == [1.2]
+    assert out.dates.tolist() == [np.datetime64("2001-01-02").item()]
 
 
 def test_decluster_distant_events_both_kept():
     series = make_daily_from_heights({0: 1.0, 9: 1.1})
     out = decluster(series, threshold=1.0, separation_days=3)
-    assert [r.height for r in out.all_records()] == [1.0, 1.1]
+    assert out.heights.tolist() == [1.0, 1.1]
 
 
 def test_decluster_tie_breaks_to_earliest():
     series = make_daily_from_heights({5: 1.5, 6: 1.5})
     out = decluster(series, threshold=1.0, separation_days=3)
-    recs = out.all_records()
-    assert len(recs) == 1 and recs[0].date == np.datetime64("2001-01-06")
+    assert out.dates.tolist() == [np.datetime64("2001-01-06").item()]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -239,7 +238,7 @@ def test_decluster_matches_brute_force_oracle(seed):
     days_int = series.dates.astype(np.int64)
     exc = [(int(d), float(v)) for d, v in zip(days_int, vals) if v >= thr]
     expected = brute_force_decluster([d for d, _ in exc], [v for _, v in exc], 3)
-    got = sorted((int(r.date.astype(np.int64)), r.height) for r in out.all_records())
+    got = sorted(zip(out.dates.astype(np.int64).tolist(), out.heights.tolist()))
     assert got == pytest.approx(expected)
 
 
@@ -250,32 +249,30 @@ def test_decluster_idempotent_and_separated():
     series = make_daily_from_heights(dict(enumerate(vals)), n_days=n_days)
     out = decluster(series, threshold=0.9, separation_days=3)
 
-    recs = out.all_records()
-    day_ints = np.array([r.date.astype(np.int64) for r in recs])
+    day_ints = out.dates.astype(np.int64)
     assert np.all(np.diff(day_ints) >= 3)
-    assert all(r.height >= out.threshold for r in recs)
-    assert sum(b.count for b in out.years) == len(recs)
+    assert np.all(out.heights >= out.threshold)
+    assert out.counts.sum() == out.n_events == out.dates.size
 
     # rebuild a daily series holding only the retained records: re-declustering
     # must keep the content unchanged
-    again_vals = {int(d - day_ints.min()): r.height for d, r in zip(day_ints, recs)}
+    again_vals = {int(d - day_ints.min()): h for d, h in zip(day_ints, out.heights)}
     span = int(day_ints.max() - day_ints.min()) + 1
-    start = str(recs[0].date)
+    start = str(out.dates[0])
     series2 = make_daily_from_heights(again_vals, n_days=span, start=start)
     # mark only record days valid so year durations differ but records persist
     out2 = decluster(series2, threshold=out.threshold, separation_days=3)
-    got = [(str(r.date), r.height) for r in out2.all_records()]
-    want = [(str(r.date), r.height) for r in recs]
-    assert got == want
+    assert out2.dates.tolist() == out.dates.tolist()
+    assert out2.heights.tolist() == out.heights.tolist()
 
 
 def test_decluster_year_blocks_count_durations():
     # two calendar years, all days valid
     series = make_daily_from_heights({10: 2.0, 400: 2.2}, n_days=730)
     out = decluster(series, threshold=1.5, separation_days=3)
-    assert [b.year for b in out.years] == [2001, 2002]
-    assert [b.count for b in out.years] == [1, 1]
-    assert [b.duration_days for b in out.years] == [365, 365]
+    assert out.years.tolist() == [2001, 2002]
+    assert out.counts.tolist() == [1, 1]
+    assert out.durations.tolist() == [365, 365]
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +426,65 @@ def test_hourly_csv_fills_gaps(tmp_path):
     assert np.isnan(series.levels[1]) and np.isnan(series.levels[2])
 
 
+def simulated_record():
+    # about one event in three years: some years have none
+    spec = SimulationSpec(
+        [0.001, 0.12, 0.1], ModelStructure(NonstatLevel.ST, None), None, 1990, 2013, 1.0, seed=3
+    )
+    return simulate_record(spec)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # 2002 is observed but has no event
+        lambda: decluster(make_daily_from_heights({10: 2.0, 40: 2.2, 41: 2.5}, n_days=730), 1.5),
+        lambda: decluster(make_daily_from_heights({}, n_days=730), 1.5),  # no events at all
+        simulated_record,
+    ],
+    ids=["declustered", "no_events", "simulated"],
+)
+def test_exceedance_json_roundtrips_byte_for_byte(tmp_path, make):
+    data = make()
+    assert data.years.size >= 2 and (data.counts == 0).any()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    data.save(first)
+    back = ExceedanceSet.load(first)
+    back.save(second)
+    assert second.read_bytes() == first.read_bytes()
+    for name in ("years", "durations", "counts", "dates", "heights"):
+        assert getattr(back, name).tolist() == getattr(data, name).tolist()
+        assert getattr(back, name).dtype == getattr(data, name).dtype
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"durations": [366]}, "years, durations and counts must have equal length"),
+        ({"counts": [1, 0, 0]}, "years, durations and counts must have equal length"),
+        ({"durations": [0, 365]}, "duration_days out of range: 0"),
+        ({"durations": [366, 367]}, "duration_days out of range: 367"),
+        ({"dates": ["2000-03-01", "2000-03-05"]}, "dates and heights must have equal length"),
+        ({"counts": [1, 1]}, "sum to the number of events"),
+        ({"counts": [0, 0]}, "sum to the number of events"),
+        ({"counts": [2, -1]}, "counts must be nonnegative"),
+    ],
+)
+def test_exceedance_set_refuses_inconsistent_arrays(change, message):
+    fields = dict(years=[2000, 2001], durations=[366, 365], counts=[1, 0],
+                  dates=["2000-03-01"], heights=[1.2])
+    assert ExceedanceSet(1.0, **fields).n_events == 1
+    with pytest.raises(ValueError, match=message):
+        ExceedanceSet(1.0, **{**fields, **change})
+
+
+def test_exceedance_json_with_a_bad_duration_is_refused():
+    payload = ExceedanceSet(1.0, [2000], [366], [1], ["2000-03-01"], [1.2]).to_dict()
+    payload["years"][0]["duration_days"] = 400
+    with pytest.raises(ValueError, match="duration_days out of range: 400"):
+        ExceedanceSet.from_dict(payload)
+
+
 def test_exceedance_set_json_roundtrip(tmp_path):
     series = make_daily_from_heights({10: 2.0, 40: 2.2, 41: 2.5}, n_days=365)
     out = decluster(series, threshold=1.5, separation_days=3)
@@ -436,7 +492,6 @@ def test_exceedance_set_json_roundtrip(tmp_path):
     out.save(path)
     back = ExceedanceSet.load(path)
     assert back.threshold == out.threshold
-    assert [(str(r.date), r.height) for r in back.all_records()] == [
-        (str(r.date), r.height) for r in out.all_records()
-    ]
-    assert [b.duration_days for b in back.years] == [b.duration_days for b in out.years]
+    for name in ("years", "durations", "counts", "dates", "heights"):
+        assert getattr(back, name).tolist() == getattr(out, name).tolist()
+        assert getattr(back, name).dtype == getattr(out, name).dtype

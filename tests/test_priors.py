@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from oracles import scipy_nelder_mead
 from surgebma import priors
 from surgebma.covariates import CovariateKind
-from surgebma.models import ModelStructure, NonstatLevel, ParameterVector, make_loglik
+from surgebma.models import ModelStructure, NonstatLevel, make_loglik
 from surgebma.priors import (
     PriorSet,
     PriorSpec,
@@ -110,24 +110,22 @@ def test_priorset_family_enforcement():
 
 @pytest.fixture(scope="module")
 def st_record_200yr():
-    theta = ParameterVector(lam0=0.02, sig0=0.15, xi0=0.3)
-    spec = SimulationSpec(theta, ST, None, 1814, 2013, 1.0, seed=0)
-    return theta, simulate_record(spec)
+    truth = np.array([0.02, 0.15, 0.3])  # ST: lam0, sig0, xi0
+    spec = SimulationSpec(truth, ST, None, 1814, 2013, 1.0, seed=0)
+    return truth, simulate_record(spec)
 
 
 def test_mle_recovers_truth_within_ten_percent(st_record_200yr):
-    theta, record = st_record_200yr
-    lam0, sig0, xi0 = mle_fit(ST, record, None, rng=np.random.default_rng(0))
-    assert lam0 == pytest.approx(theta.lam0, rel=0.10)
-    assert sig0 == pytest.approx(theta.sig0, rel=0.10)
-    assert xi0 == pytest.approx(theta.xi0, rel=0.10)
+    truth, record = st_record_200yr
+    fit = mle_fit(ST, record, None, rng=np.random.default_rng(0))
+    assert fit == pytest.approx(truth, rel=0.10)
 
 
 def test_mle_dominates_truth_in_sample(st_record_200yr):
-    theta, record = st_record_200yr
+    truth, record = st_record_200yr
     fit = mle_fit(ST, record, None, rng=np.random.default_rng(1))
     loglik = make_loglik(ST, record, None)
-    assert loglik(fit) >= loglik(theta.active(ST.level)) - 1e-6
+    assert loglik(fit) >= loglik(truth) - 1e-6
 
 
 def test_mle_is_local_maximum(st_record_200yr):
@@ -144,7 +142,7 @@ def test_mle_is_local_maximum(st_record_200yr):
 
 def test_mle_ns3_slopes_near_zero_on_stationary_data():
     cov = synthetic_covariates(1864, 2013, (1864, 2013))[CovariateKind.TIME]
-    truth = ParameterVector(lam0=0.02, sig0=math.log(0.15), xi0=0.1)
+    truth = [0.02, 0.0, math.log(0.15), 0.0, 0.1, 0.0]  # NS3 with zero slopes
     slopes = {"lam1": [], "sig1": [], "xi1": []}
     for seed in range(10):
         spec = SimulationSpec(truth, NS3, cov, 1864, 2013, 1.0, seed=seed)
@@ -159,7 +157,7 @@ def test_mle_ns3_slopes_near_zero_on_stationary_data():
 
 def test_mle_no_exceedances():
     with pytest.raises(ValueError, match="no exceedances"):
-        mle_fit(ST, ExceedanceSet(1.0, ()), None)
+        mle_fit(ST, ExceedanceSet(1.0, [], [], [], [], []), None)
 
 
 def test_mle_no_feasible_start(st_record_200yr, monkeypatch):

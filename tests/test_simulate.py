@@ -6,7 +6,7 @@ from scipy import stats
 
 from surgebma.covariates import CovariateKind
 from surgebma.hazard import return_level
-from surgebma.models import ModelStructure, NonstatLevel, ParameterVector
+from surgebma.models import ModelStructure, NonstatLevel
 from surgebma.preprocess import DailySeries, decluster
 from surgebma.simulate import (
     SimulationSpec,
@@ -51,20 +51,22 @@ def test_simulate_year_poisson_mean():
 
 def test_simulate_record_deterministic():
     cov = synthetic_covariates(1950, 2000, (1950, 2000))[CovariateKind.TIME]
-    theta = ParameterVector(lam0=0.01, sig0=0.12, xi0=0.1)
-    spec = SimulationSpec(theta, ST, cov, 1950, 2000, 1.0, seed=42)
+    spec = SimulationSpec([0.01, 0.12, 0.1], ST, cov, 1950, 2000, 1.0, seed=42)
     a, b = simulate_record(spec), simulate_record(spec)
-    assert [(str(r.date), r.height) for r in a.all_records()] == [
-        (str(r.date), r.height) for r in b.all_records()
-    ]
-    assert [blk.duration_days for blk in a.years] == [blk.duration_days for blk in b.years]
+    assert a.n_events > 0
+    for name in ("years", "durations", "counts", "dates", "heights"):
+        assert getattr(a, name).tolist() == getattr(b, name).tolist()
+    # each year's events, in year order, on the 3-day grid: days 3, 6, ... of the year
+    event_years = a.dates.astype("datetime64[Y]")
+    assert (event_years.astype(np.int64) + 1970).tolist() == np.repeat(a.years, a.counts).tolist()
+    index_in_year = np.arange(a.n_events) - np.repeat(np.cumsum(a.counts) - a.counts, a.counts)
+    day_of_year = (a.dates - event_years.astype("datetime64[D]")).astype(np.int64)
+    assert day_of_year.tolist() == (3 * index_in_year + 2).tolist()
 
 
 def test_simulate_record_counts_are_poisson():
-    theta = ParameterVector(lam0=0.012, sig0=0.1, xi0=0.05)
-    spec = SimulationSpec(theta, ST, None, 1500, 2499, 1.0, seed=9)
-    record = simulate_record(spec)
-    counts = np.array([b.count for b in record.years])
+    spec = SimulationSpec([0.012, 0.1, 0.05], ST, None, 1500, 2499, 1.0, seed=9)
+    counts = simulate_record(spec).counts
     mean = counts.mean()
     kmax = int(counts.max())
     observed = np.bincount(counts, minlength=kmax + 1).astype(float)
@@ -83,22 +85,17 @@ def test_simulate_record_counts_are_poisson():
 def test_simulate_record_ns1_counts_track_covariate():
     cov = synthetic_covariates(1500, 1999, (1500, 1999))[CovariateKind.TIME]
     structure = ModelStructure(NonstatLevel.NS1, CovariateKind.TIME)
-    theta = ParameterVector(lam0=0.008, lam1=0.008, sig0=0.1, xi0=0.0)
-    spec = SimulationSpec(theta, structure, cov, 1500, 1999, 1.0, seed=10)
-    record = simulate_record(spec)
-    counts = np.array([b.count for b in record.years], dtype=float)
+    spec = SimulationSpec([0.008, 0.008, 0.1, 0.0], structure, cov, 1500, 1999, 1.0, seed=10)
+    counts = simulate_record(spec).counts.astype(float)
     phi = cov.values
     slope, _, _, _, se = stats.linregress(phi, counts)[:5]
     assert slope > 3.0 * se  # positive dependence detected
 
 
 def test_simulate_record_survives_declustering():
-    theta = ParameterVector(lam0=0.02, sig0=0.15, xi0=0.1)
-    spec = SimulationSpec(theta, ST, None, 2000, 2019, 1.0, seed=11)
+    spec = SimulationSpec([0.02, 0.15, 0.1], ST, None, 2000, 2019, 1.0, seed=11)
     record = simulate_record(spec)
-    recs = record.all_records()
-    dates = np.array([r.date for r in recs], dtype="datetime64[D]")
-    heights = np.array([r.height for r in recs])
+    dates, heights = record.dates, record.heights
 
     first = dates.min() - np.timedelta64(2, "D")
     last = dates.max() + np.timedelta64(2, "D")
@@ -107,9 +104,8 @@ def test_simulate_record_survives_declustering():
     vals[(dates - first).astype(np.int64)] = heights
     daily = DailySeries(grid, vals, np.ones(grid.size, dtype=bool))
     out = decluster(daily, record.threshold, separation_days=3)
-    assert [(str(r.date), r.height) for r in out.all_records()] == [
-        (str(r.date), r.height) for r in recs
-    ]
+    assert out.dates.tolist() == dates.tolist()
+    assert out.heights.tolist() == heights.tolist()
 
 
 def test_empirical_return_level_monotone_in_period():
@@ -141,12 +137,12 @@ def test_empirical_matches_analytic_return_level():
 def test_simulation_spec_validates_rates():
     cov = synthetic_covariates(2000, 2010, (2000, 2010))[CovariateKind.TIME]
     structure = ModelStructure(NonstatLevel.NS1, CovariateKind.TIME)
-    bad = ParameterVector(lam0=0.005, lam1=-0.01, sig0=0.1, xi0=0.0)
     with pytest.raises(ValueError, match="nonpositive"):
-        SimulationSpec(bad, structure, cov, 2000, 2010, 1.0, seed=1)
-    stray = ParameterVector(lam0=0.005, sig0=0.1, xi1=0.1)  # NS1 has no shape slope
-    with pytest.raises(ValueError, match="xi1 not active"):
-        SimulationSpec(stray, structure, cov, 2000, 2010, 1.0, seed=1)
+        SimulationSpec([0.005, -0.01, 0.1, 0.0], structure, cov, 2000, 2010, 1.0, seed=1)
+    # a row of another level's length would be truncated or misread, so it is refused
+    for row in ([0.005, 0.1, 0.0], [0.005, 0.0, 0.1, 0.0, 0.1], [[0.005, 0.0, 0.1, 0.0]]):
+        with pytest.raises(ValueError, match="NS1-time takes a row of 4 active parameters"):
+            SimulationSpec(row, structure, cov, 2000, 2010, 1.0, seed=1)
 
 
 def test_loglik_profile_peaks_near_truth():
@@ -154,19 +150,20 @@ def test_loglik_profile_peaks_near_truth():
     # 1-D grid around each component is maximized near the true value
     from surgebma.models import log_likelihood
 
-    theta = ParameterVector(lam0=0.01, sig0=0.15, xi0=0.1)
+    theta = np.array([0.01, 0.15, 0.1])  # ST: lam0, sig0, xi0
     spec = SimulationSpec(theta, ST, None, 1700, 2199, 1.0, seed=15)
     record = simulate_record(spec)
 
-    for name, truth, grid in [
-        ("lam0", 0.01, np.linspace(0.005, 0.02, 31)),
-        ("sig0", 0.15, np.linspace(0.08, 0.3, 31)),
-        ("xi0", 0.1, np.linspace(-0.2, 0.5, 31)),
+    for k, truth, grid in [
+        (0, 0.01, np.linspace(0.005, 0.02, 31)),
+        (1, 0.15, np.linspace(0.08, 0.3, 31)),
+        (2, 0.1, np.linspace(-0.2, 0.5, 31)),
     ]:
         vals = []
         for g in grid:
-            t = ParameterVector(**{**theta.__dict__, name: g})
-            vals.append(log_likelihood(t, ST, record, None))
+            row = theta.copy()
+            row[k] = g
+            vals.append(log_likelihood(row, ST, record, None))
         best = grid[int(np.argmax(vals))]
         span = grid.max() - grid.min()
         assert abs(best - truth) < 0.2 * span
