@@ -232,7 +232,7 @@ def _calibrate_structure(config: RunConfig, sid: str, data, priors, covs) -> dic
     except RuntimeError as exc:
         raise GateError(str(exc)) from exc
     ensemble.diagnostics["config_sha256"] = config.config_hash
-    ensemble.diagnostics["mle"] = dict(zip(raw.param_names, mle.tolist()))
+    ensemble.diagnostics["mle"] = dict(zip(structure.active_params, mle.tolist()))
 
     ens_path = config.out("ensembles", f"{sid}.csv")
     diag_path = config.out("diagnostics", f"{sid}.json")
@@ -349,7 +349,7 @@ def cmd_report(config: RunConfig) -> int:
         path = config.out("return_levels", f"{structure.id}.csv")
         if not path.exists():
             raise ValueError(f"missing return levels for {structure.id}; run project first")
-        per_structure[structure.id] = load_return_levels(path, structure.id, config.projection_year)
+        per_structure[structure.id] = load_return_levels(path, config.projection_year)
 
     mixtures = {}
     for period in config.return_periods:

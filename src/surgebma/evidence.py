@@ -4,7 +4,7 @@ The optimal-bridge fixed point of Meng and Wong (1996) is iterated between
 the posterior ensemble and a moment-matched multivariate normal proposal.
 Half of the ensemble fits the proposal, the other half enters the iteration,
 which avoids using the same draws twice. Model weights follow from the log
-evidences under a (default uniform) prior over the candidate structures.
+evidences under a uniform prior over the candidate structures.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -48,7 +48,6 @@ class BmaWeights:
     """Posterior model probabilities; they sum to one by construction."""
 
     weights: dict[str, float]
-    prior: dict[str, float]
 
     def __post_init__(self):
         total = sum(self.weights.values())
@@ -135,25 +134,18 @@ def bridge_evidence(
 # ---------------------------------------------------------------------------
 
 
-def bma_weights(
-    evidences: list[EvidenceEstimate], model_prior: Mapping[str, float] | None = None
-) -> BmaWeights:
-    """Normalized posterior model probabilities, computed in log space."""
+def bma_weights(evidences: list[EvidenceEstimate]) -> BmaWeights:
+    """Posterior model probabilities under a uniform model prior, computed in
+    log space."""
     if not evidences:
         raise ValueError("no evidence estimates supplied")
     ids = [e.structure.id for e in evidences]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate structures in evidence list")
-    if model_prior is None:
-        prior = {sid: 1.0 / len(ids) for sid in ids}
-    else:
-        if any(model_prior[sid] <= 0 for sid in ids):
-            raise ValueError("model prior probabilities must be positive")
-        total = sum(model_prior[sid] for sid in ids)
-        prior = {sid: model_prior[sid] / total for sid in ids}
-    logw = np.array([e.log_evidence + math.log(prior[e.structure.id]) for e in evidences])
+    log_prior = math.log(1.0 / len(ids))
+    logw = np.array([e.log_evidence + log_prior for e in evidences])
     weights = np.exp(logw - logsumexp(logw))
-    return BmaWeights(dict(zip(ids, weights)), prior)
+    return BmaWeights(dict(zip(ids, weights)))
 
 
 def aggregate_by_covariate(weights: BmaWeights) -> dict[str, float]:

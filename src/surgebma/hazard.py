@@ -24,7 +24,7 @@ import numpy as np
 
 from .covariates import CovariateSeries
 from .evidence import BmaWeights
-from .models import DAYS_PER_YEAR, XI_EPS, ModelStructure, NonstatLevel, effective_params
+from .models import DAYS_PER_YEAR, XI_EPS, ModelStructure, covariate_values, effective_params
 from .sampler import PosteriorEnsemble
 from .utils import GateError, dump_json, empirical_quantile, format_float, write_csv
 
@@ -43,7 +43,6 @@ class ReturnLevelEnsemble:
     year: int
     period_years: float
     samples: np.ndarray
-    source: str  # structure id or "BMA"
     n_clamped: int = 0  # draws whose extrapolated rate was floored
     n_flagged: int = 0  # draws excluded: rate too low for the threshold regime
 
@@ -125,12 +124,7 @@ def ensemble_return_levels(
     excluded from the sample set.
     """
     structure = ensemble.structure
-    if structure.level is NonstatLevel.ST:
-        phi = 0.0
-    else:
-        if cov is None:
-            raise ValueError("nonstationary structure requires a covariate series")
-        phi = cov.value_for_year(year)
+    phi = covariate_values(structure, cov, year)
     lam, sig, xi = effective_params(ensemble.draws, structure.level, phi)
 
     n_clamped = int(np.sum(lam <= 0))
@@ -141,7 +135,7 @@ def ensemble_return_levels(
     if not np.any(ok):
         raise GateError(f"all draws flagged for {structure.id} at T={period}")
     samples = _invert_rate(lam_yr[ok], sig[ok], xi[ok], mu, period)
-    return ReturnLevelEnsemble(year, period, samples, structure.id, n_clamped, n_flagged)
+    return ReturnLevelEnsemble(year, period, samples, n_clamped, n_flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +172,6 @@ def bma_mixture(
         ref.year,
         ref.period_years,
         samples,
-        "BMA",
         sum(e.n_clamped for e in ensembles.values()),
         sum(e.n_flagged for e in ensembles.values()),
     )
@@ -210,7 +203,7 @@ def save_return_levels(columns: dict[float, ReturnLevelEnsemble], path) -> None:
     write_csv(path, [f"T{t:g}" for t in periods], [flags, *samples])
 
 
-def load_return_levels(path, source: str, year: int) -> dict[float, ReturnLevelEnsemble]:
+def load_return_levels(path, year: int) -> dict[float, ReturnLevelEnsemble]:
     """Columns saved by ``save_return_levels``, keyed by period."""
     with open(path, newline="") as fh:
         header, flags, *rows = csv.reader(fh)
@@ -219,9 +212,7 @@ def load_return_levels(path, source: str, year: int) -> dict[float, ReturnLevelE
         # numpy parses each string as float() does
         samples = np.array([row[j] for row in rows if row[j]], dtype=float)
         counts = dict(kv.split("=") for kv in flags[j].split(";"))
-        out[t] = ReturnLevelEnsemble(
-            year, t, samples, source, int(counts["clamped"]), int(counts["flagged"])
-        )
+        out[t] = ReturnLevelEnsemble(year, t, samples, int(counts["clamped"]), int(counts["flagged"]))
     return out
 
 

@@ -124,6 +124,16 @@ def effective_params(rows, level: NonstatLevel, phi):
     return tuple(np.broadcast_to(v, shape) for v in (lam, sig, xi))
 
 
+def covariate_values(structure: ModelStructure, cov: CovariateSeries | None, years):
+    """phi(t) of ``structure`` at ``years`` (an array, or one year): 0 for ST,
+    else the values of ``cov``, which must be given and cover the years."""
+    if structure.level is NonstatLevel.ST:
+        return np.zeros(np.shape(years))
+    if cov is None:
+        raise ValueError("nonstationary structure requires a covariate series")
+    return cov.values_for_years(years)  # raises on coverage gaps
+
+
 # ---------------------------------------------------------------------------
 # likelihood
 # ---------------------------------------------------------------------------
@@ -133,7 +143,6 @@ def effective_params(rows, level: NonstatLevel, phi):
 class LikelihoodData:
     """Exceedance arrays as the likelihood kernels read them."""
 
-    threshold: float
     counts: np.ndarray  # events per year, as floats
     durations: np.ndarray  # observed days per year, as floats
     phi: np.ndarray  # covariate value per year
@@ -148,14 +157,8 @@ class LikelihoodData:
         cov: CovariateSeries | None,
         structure: ModelStructure,
     ) -> "LikelihoodData":
-        if structure.level is NonstatLevel.ST:
-            phi = np.zeros(data.years.size)
-        else:
-            if cov is None:
-                raise ValueError("nonstationary structure requires a covariate series")
-            phi = cov.values_for_years(data.years)  # raises on coverage gaps
+        phi = covariate_values(structure, cov, data.years)
         return cls(
-            data.threshold,
             data.counts.astype(float),
             data.durations.astype(float),
             phi,

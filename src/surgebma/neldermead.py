@@ -13,10 +13,13 @@ products are formed first, and each reorder runs numpy's argsort on the
 values, so ties and NaN order as in scipy on any CPU. For the same objective
 the search therefore evaluates the same points, in the same order, and ends
 at the same ``x`` and ``fun`` as ``scipy.optimize.minimize(method=
-"Nelder-Mead")`` with the same options. The evaluation cap stops the search
-where scipy's does, in the middle of an iteration included: a step whose
-evaluation is refused changes nothing, except that a shrink keeps the
-vertices it has already moved, with their old values.
+"Nelder-Mead")`` with the same tolerances and ``maxfev``, and a ``maxiter`` of
+``maxfev`` or more, which never ends a search: the initial simplex costs
+n + 1 evaluations and each counted iteration at least one more, so the port
+counts no iterations. The evaluation cap stops the search where scipy's
+does, in the middle of an iteration included: a step whose evaluation is
+refused changes nothing, except that a shrink keeps the vertices it has
+already moved, with their old values.
 """
 
 from __future__ import annotations
@@ -41,14 +44,13 @@ def _ordered(sim, fsim):
 
 
 def nelder_mead(
-    x0, xatol: float, fatol: float, maxiter: int, maxfev: int
+    x0, xatol: float, fatol: float, maxfev: int
 ) -> Generator[np.ndarray, float, SimplexResult]:
     """Minimize by simplex search; yields points, receives their values.
 
     Drive it with ``x = next(search)``, then ``x = search.send(f(x))`` until
     ``StopIteration``, whose ``value`` is the ``SimplexResult``. At most
-    ``maxfev`` points are yielded and at most ``maxiter - 1`` iterations run,
-    as in scipy, whose iteration count starts at 1.
+    ``maxfev`` points are yielded.
     """
     x0 = np.asarray(x0, dtype=float).ravel().tolist()
     n = len(x0)
@@ -71,9 +73,8 @@ def nelder_mead(
     # scipy sorts twice here, once in a ``finally`` and once after it
     sim, fsim = _ordered(*_ordered(sim, fsim))
 
-    iterations = 1
     converged = False
-    while nfev < maxfev and iterations < maxiter:
+    while nfev < maxfev:
         best = sim[0]
         fbest = fsim[0]
         # all(v <= tol) is np.max(...) <= tol: a NaN fails both
@@ -90,17 +91,15 @@ def nelder_mead(
                 total += v
             xbar.append(total / n)
         worst = sim[-1]
-        stopped = False  # an evaluation was refused: scipy's _MaxFuncCallError
 
         # the loop condition leaves room for the reflection's evaluation
         xr = [(1 + RHO) * a - RHO * w for a, w in zip(xbar, worst)]
         nfev += 1
         fxr = yield np.array(xr)
 
+        # past the cap, scipy's _MaxFuncCallError refuses the step's evaluation
         if fxr < fsim[0]:
-            if nfev >= maxfev:
-                stopped = True
-            else:
+            if nfev < maxfev:
                 xe = [(1 + RHO * CHI) * a - RHO * CHI * w for a, w in zip(xbar, worst)]
                 nfev += 1
                 fxe = yield np.array(xe)
@@ -110,11 +109,9 @@ def nelder_mead(
                     sim[-1], fsim[-1] = xr, fxr
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
-        else:
+        elif nfev < maxfev:
             doshrink = False
-            if nfev >= maxfev:
-                stopped = True
-            elif fxr < fsim[-1]:
+            if fxr < fsim[-1]:
                 xc = [(1 + PSI * RHO) * a - PSI * RHO * w for a, w in zip(xbar, worst)]
                 nfev += 1
                 fxc = yield np.array(xc)
@@ -134,12 +131,9 @@ def nelder_mead(
                 for j in range(1, n + 1):
                     sim[j] = [b + SIGMA * (v - b) for b, v in zip(best, sim[j])]
                     if nfev >= maxfev:
-                        stopped = True
                         break
                     nfev += 1
                     fsim[j] = yield np.array(sim[j])
-        if not stopped:
-            iterations += 1
         sim, fsim = _ordered(sim, fsim)
 
     return SimplexResult(np.array(sim[0]), float(np.min(fsim)), converged)

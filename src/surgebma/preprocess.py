@@ -21,6 +21,7 @@ import numpy as np
 from .utils import dump_json, empirical_quantile, load_json, write_csv
 
 HOURS_PER_DAY = 24
+MIN_VALID_FRACTION = 0.5  # detrending: least share of valid hours in an hour's window
 # chunk sizes of the hourly CSV reader (characters) and writer (rows): they
 # bound the memory per numpy call and change no result
 READ_CHUNK_CHARS = 1 << 16
@@ -87,7 +88,8 @@ class ExceedanceSet:
     Per year (int64 arrays of equal length): ``years``, ``durations`` (valid
     observed days) and event ``counts``. Per event, in year order:
     ``dates`` (datetime64[D]) and ``heights`` (meters, >= ``threshold``);
-    the first ``counts[0]`` events fall in ``years[0]``, and so on.
+    the first ``counts[0]`` events fall in ``years[0]``, and so on. Each
+    year appears once, in any order. A set that breaks these rules is refused.
     """
 
     threshold: float
@@ -109,6 +111,19 @@ class ExceedanceSet:
             raise ValueError("dates and heights must have equal length")
         if (self.counts < 0).any() or self.counts.sum() != self.heights.size:
             raise ValueError("counts must be nonnegative and sum to the number of events")
+        distinct, listed = np.unique(self.years, return_counts=True)
+        if (listed > 1).any():
+            raise ValueError(f"year {distinct[listed > 1][0]} is listed more than once")
+        block_year = np.repeat(self.years, self.counts)
+        outside = self.dates.astype("datetime64[Y]").astype(np.int64) + 1970 != block_year
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(f"event dated {self.dates[i]} lies outside its year {block_year[i]}")
+        low = ~(self.heights >= self.threshold)  # NaN included
+        if low.any():
+            raise ValueError(
+                f"event height {self.heights[low][0]} lies below the threshold {self.threshold}"
+            )
 
     @property
     def n_events(self) -> int:
@@ -288,16 +303,12 @@ def _hourly_rows(times, levels):
 # ---------------------------------------------------------------------------
 
 
-def detrend_moving_mean(
-    series: HourlySeries,
-    window_days: float = 365.25,
-    min_valid_fraction: float = 0.5,
-) -> HourlySeries:
+def detrend_moving_mean(series: HourlySeries, window_days: float = 365.25) -> HourlySeries:
     """Subtract a centered moving-window mean (default one year) from each hour.
 
     The window is [t - w/2, t + w/2], shrinking where it overhangs the record
-    edges. Hours whose window holds fewer than ``min_valid_fraction`` valid
-    samples are marked missing, as are hours missing in the input.
+    edges. Hours whose window holds fewer than ``MIN_VALID_FRACTION`` of its
+    hours as valid samples are marked missing, as are hours missing in the input.
     """
     if window_days < 1:
         raise ValueError("window_days must be >= 1")
@@ -330,8 +341,8 @@ def detrend_moving_mean(
         out /= n_valid  # the window mean
     np.subtract(levels, out, out=out)
     out[~valid] = np.nan
-    # valid hours short of min_valid_fraction of the window, in csum's buffer
-    short = np.less(n_valid, np.multiply(hi, min_valid_fraction, out=csum[:n]), out=valid)
+    # valid hours short of MIN_VALID_FRACTION of the window, in csum's buffer
+    short = np.less(n_valid, np.multiply(hi, MIN_VALID_FRACTION, out=csum[:n]), out=valid)
     out[short] = np.nan
     return HourlySeries(series.times, out)
 

@@ -28,7 +28,7 @@ log = logging.getLogger(__name__)
 
 LOG_2PI = math.log(2.0 * math.pi)
 MLE_RESTARTS = 5  # Nelder-Mead searches: the moment start, then perturbed starts
-MLE_MAX_EVALS = 20000  # cap on each search's objective evals, and on its iterations
+MLE_MAX_EVALS = 20000  # cap on each search's objective evals; iterations are not capped
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def _moment_start(
 
 def _search(loglik, x0: np.ndarray, xatol: float, fatol: float) -> SimplexResult:
     """One Nelder-Mead search of -loglik from ``x0``, fed one row at a time."""
-    search = nelder_mead(x0, xatol, fatol, MLE_MAX_EVALS, MLE_MAX_EVALS)
+    search = nelder_mead(x0, xatol, fatol, MLE_MAX_EVALS)
     try:
         x = next(search)
         while True:

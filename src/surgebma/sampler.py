@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .models import ModelStructure
-from .utils import dump_json, load_json, write_csv
+from .utils import dump_json, write_csv
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class RawChains:
     """Output of ``run_chains``: per-chain iterate arrays plus bookkeeping."""
 
     structure: ModelStructure
-    param_names: tuple[str, ...]
     chains: np.ndarray  # (n_chains, n_iterations, d)
     acceptance: np.ndarray  # per-chain empirical acceptance rate
     config: ChainConfig
@@ -66,22 +65,22 @@ class PosteriorEnsemble:
     """Thinned pooled posterior draws plus convergence diagnostics."""
 
     structure: ModelStructure
-    param_names: tuple[str, ...]
-    draws: np.ndarray  # (thinned_size, d)
+    draws: np.ndarray  # (thinned_size, d), columns in structure.active_params order
     diagnostics: dict = field(default_factory=dict)
 
     def save(self, csv_path, diagnostics_path=None) -> None:
+        names = self.structure.active_params
         # repr of the Python floats is format_float's text, without a numpy scalar per value
-        write_csv(csv_path, self.param_names, (map(repr, row) for row in self.draws.tolist()))
+        write_csv(csv_path, names, (map(repr, row) for row in self.draws.tolist()))
         if diagnostics_path is not None:
             dump_json(
-                {"structure": self.structure.id, "param_names": list(self.param_names),
-                 **self.diagnostics},
+                {"structure": self.structure.id, "param_names": list(names), **self.diagnostics},
                 diagnostics_path,
             )
 
     @classmethod
-    def load(cls, csv_path, structure: ModelStructure, diagnostics_path=None) -> "PosteriorEnsemble":
+    def load(cls, csv_path, structure: ModelStructure) -> "PosteriorEnsemble":
+        """Draws saved by ``save``; the diagnostics file is not read."""
         with open(csv_path, newline="") as fh:
             reader = csv.reader(fh)
             names = tuple(next(reader))
@@ -89,10 +88,7 @@ class PosteriorEnsemble:
                 raise ValueError(f"{csv_path}: columns {names} are not those of {structure.id}")
             # numpy parses each string as float() does
             draws = np.array(list(reader), dtype=float)
-        diags = {}
-        if diagnostics_path is not None:
-            diags = load_json(diagnostics_path)
-        return cls(structure, names, draws, diags)
+        return cls(structure, draws)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +210,7 @@ def run_chains(
         chains[:, n - 1] = theta
         n_accept += accepted
     acceptance = n_accept / config.n_iterations
-    return RawChains(structure, names, chains, acceptance, config)
+    return RawChains(structure, chains, acceptance, config)
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +253,19 @@ def pool_and_thin(
     diagnostics instead).
     """
     cfg = raw.config
+    names = raw.structure.active_params
     psrf = gelman_rubin(raw.chains, cfg.burn_in)
-    offenders = [name for name, r in zip(raw.param_names, psrf) if r >= cfg.psrf_gate]
+    offenders = [name for name, r in zip(names, psrf) if r >= cfg.psrf_gate]
     if offenders and not force:
         raise RuntimeError(
             f"PSRF gate {cfg.psrf_gate} violated for {raw.structure.id}: "
-            + ", ".join(f"{n}={r:.4f}" for n, r in zip(raw.param_names, psrf) if n in offenders)
+            + ", ".join(f"{n}={r:.4f}" for n, r in zip(names, psrf) if n in offenders)
         )
 
     pooled = raw.chains[:, cfg.burn_in:, :].reshape(-1, raw.chains.shape[2])
     idx = rng.choice(pooled.shape[0], size=cfg.thinned_size, replace=False)
     diagnostics = {
-        "psrf": {name: float(r) for name, r in zip(raw.param_names, psrf)},
+        "psrf": {name: float(r) for name, r in zip(names, psrf)},
         "acceptance": [float(a) for a in raw.acceptance],
         "seed": cfg.seed,
         "n_iterations": cfg.n_iterations,
@@ -279,4 +276,4 @@ def pool_and_thin(
         "forced": bool(offenders),
         "psrf_gate_failed": offenders,
     }
-    return PosteriorEnsemble(raw.structure, raw.param_names, pooled[idx], diagnostics)
+    return PosteriorEnsemble(raw.structure, pooled[idx], diagnostics)

@@ -23,12 +23,20 @@ from .models import (
     ModelStructure,
     NonstatLevel,
     all_structures,
+    covariate_values,
     effective_params,
 )
 from .preprocess import ExceedanceSet
 from .utils import empirical_quantile, write_csv
 
 EVENT_SPACING_DAYS = 3  # assigned event dates keep at least this separation
+
+COVARIATE_NOISE_SEED = 7  # synthetic_covariates' noise
+PACK_FIRST_YEAR, PACK_LAST_YEAR = 1924, 2013  # make_mle_fixture_pack's simulated span
+# write_hourly_fixture's daily peaks: the threshold, the daily probability of
+# exceeding it, the GPD excess above it and the half-normal spread below it
+FIXTURE_THRESHOLD, FIXTURE_EXCEEDANCE_PROB = 1.0, 0.01
+FIXTURE_SIG, FIXTURE_XI, FIXTURE_BODY_SPREAD = 0.12, 0.1, 0.25
 
 
 @dataclass(frozen=True)
@@ -62,9 +70,8 @@ class SimulationSpec:
     def yearly_params(self):
         """Effective (lam, sig, xi) arrays, one entry per simulated year."""
         years = np.arange(self.first_year, self.last_year + 1)
-        level = self.structure.level
-        phi = np.zeros(years.size) if level is NonstatLevel.ST else self.cov.values_for_years(years)
-        return effective_params(self.row, level, phi)
+        phi = covariate_values(self.structure, self.cov, years)
+        return effective_params(self.row, self.structure.level, phi)
 
 
 def gpd_sample(sig: float, xi: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -151,14 +158,14 @@ def empirical_return_level(
 
 
 def synthetic_covariates(
-    first_year: int, last_year: int, historical_range: tuple[int, int], seed: int = 7
+    first_year: int, last_year: int, historical_range: tuple[int, int]
 ) -> dict[CovariateKind, CovariateSeries]:
     """Deterministic stand-ins for the four covariates, normalized on the window."""
     from .covariates import normalize_minmax, time_covariate
 
     years = np.arange(first_year, last_year + 1)
     x = (years - first_year) / max(last_year - first_year, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(COVARIATE_NOISE_SEED)
     smooth_noise = np.convolve(rng.standard_normal(years.size), np.ones(9) / 9, mode="same")
 
     temp = x**2 + 0.05 * smooth_noise  # accelerating warming-like ramp
@@ -201,20 +208,17 @@ def station_parameter_draws(n_stations: int, rng: np.random.Generator) -> np.nda
     return rows
 
 
-def make_mle_fixture_pack(
-    seed: int = 20130101,
-    n_stations: int = 28,
-    first_year: int = 1924,
-    last_year: int = 2013,
-) -> dict[str, np.ndarray]:
+def make_mle_fixture_pack(seed: int = 20130101, n_stations: int = 28) -> dict[str, np.ndarray]:
     """Per-structure MLE tables from simulated multi-decade stations.
 
-    Stations are simulated from NS3 truths (so slope spreads are genuine) and
-    each of the 13 candidate structures is fit to every station, mirroring
-    how priors would be elicited from a long-record station archive.
+    Stations are simulated over ``PACK_FIRST_YEAR``-``PACK_LAST_YEAR`` from NS3
+    truths (so slope spreads are genuine) and each of the 13 candidate
+    structures is fit to every station, mirroring how priors would be
+    elicited from a long-record station archive.
     """
     from .priors import mle_fit
 
+    first_year, last_year = PACK_FIRST_YEAR, PACK_LAST_YEAR
     rng = np.random.default_rng(seed)
     covs = synthetic_covariates(first_year, last_year, (first_year, last_year))
     truths = station_parameter_draws(n_stations, rng)
@@ -239,25 +243,16 @@ def make_mle_fixture_pack(
     return {sid: np.vstack(rows) for sid, rows in table.items()}
 
 
-def write_hourly_fixture(
-    path,
-    first_year: int,
-    last_year: int,
-    seed: int,
-    mu_target: float = 1.0,
-    exceedance_prob: float = 0.01,
-    sig: float = 0.12,
-    xi: float = 0.1,
-    body_spread: float = 0.25,
-) -> float:
+def write_hourly_fixture(path, first_year: int, last_year: int, seed: int) -> float:
     """Write a synthetic hourly tide-gauge CSV with a controlled tail.
 
-    Daily peak levels fill a continuous body below ``mu_target``; on
-    exceedance days (probability ``exceedance_prob``) the peak is mu_target
-    plus a GPD excess. The tidal hump amplitude is balanced so the hourly
-    record has mean approximately zero, hence detrending barely moves the
-    peaks and the daily-maxima quantile at 1 - exceedance_prob lands at
-    mu_target up to sampling noise. Returns ``mu_target``.
+    Daily peak levels fill a continuous body below ``FIXTURE_THRESHOLD``; on
+    exceedance days (probability ``FIXTURE_EXCEEDANCE_PROB``) the peak is the
+    threshold plus a GPD(``FIXTURE_SIG``, ``FIXTURE_XI``) excess. The tidal
+    hump amplitude is balanced so the hourly record has mean approximately
+    zero, hence detrending barely moves the peaks and the daily-maxima
+    quantile at 1 - ``FIXTURE_EXCEEDANCE_PROB`` lands at the threshold up to
+    sampling noise. Returns ``FIXTURE_THRESHOLD``.
     """
     from .preprocess import HourlySeries, write_hourly_csv
 
@@ -268,7 +263,8 @@ def write_hourly_fixture(
     n_hours = times.size
     n_days = n_hours // 24
 
-    p = exceedance_prob
+    mu_target, p = FIXTURE_THRESHOLD, FIXTURE_EXCEEDANCE_PROB
+    sig, xi, body_spread = FIXTURE_SIG, FIXTURE_XI, FIXTURE_BODY_SPREAD
     is_storm = rng.uniform(size=n_days) < p
     peaks = mu_target - np.abs(rng.normal(0.0, body_spread, size=n_days))
     peaks[is_storm] = mu_target + gpd_sample(sig, xi, int(is_storm.sum()), rng)

@@ -270,15 +270,20 @@ def write_hourly_csv_rows(path, series):
             writer.writerow([str(t), "" if not np.isfinite(v) else repr(float(v))])
 
 
-def scipy_nelder_mead(f, x0, xatol, fatol, maxiter, maxfev):
+def scipy_nelder_mead(f, x0, xatol, fatol, maxfev, maxiter=None):
     """``scipy.optimize.minimize(method="Nelder-Mead")`` with the port's
-    options; returns the result and every point it evaluated, in order."""
+    options; returns the result and every point it evaluated, in order.
+
+    scipy's ``maxiter`` is ``maxfev`` unless given: an iteration cap that
+    large never ends a search before the evaluation cap does.
+    """
     points = []
 
     def objective(x):
         points.append(x.copy())
         return f(x)
 
+    maxiter = maxfev if maxiter is None else maxiter
     options = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter, "maxfev": maxfev}
     return minimize(objective, x0, method="Nelder-Mead", options=options), points
 

@@ -163,7 +163,7 @@ def test_criterion_4_bridge_evidence_matches_closed_form():
     for repeat in range(10):
         draw_rng = np.random.default_rng(1000 + repeat)
         draws = draw_rng.normal(m_post, math.sqrt(v_post), size=(4000, 1))
-        ens = PosteriorEnsemble(ST, ("theta",), draws, {})
+        ens = PosteriorEnsemble(ST, draws, {})
         est = bridge_evidence(ens, log_density, np.random.default_rng(2000 + repeat))
         assert abs(est.log_evidence - truth) < 0.05, (repeat, est.log_evidence, truth)
     report(4, "bridge sampling matches conjugate evidence", t0, 30.0)

@@ -1,6 +1,8 @@
 import json
+import math
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -138,6 +140,47 @@ def test_calibration_artifacts_and_diagnostics(pipeline_dir):
         diag = load_json(pipeline_dir / "out" / "diagnostics" / f"{sid}.json")
         assert diag["seed"] != 5  # per-structure derived seed, not the raw run seed
         assert "config_sha256" in diag and "psrf" in diag and "mle" in diag
+        assert diag["param_names"] == ens[0].split(",")
+    assert diag["param_names"] == ["lam0", "lam1", "sig0", "xi0"]
+
+
+def _repeat_block(blocks, block):
+    blocks.insert(blocks.index(block) + 1, dict(block))
+
+
+def _predate_event(blocks, block):
+    block["records"][0]["date"] = f"{block['year'] - 1}-12-31"
+
+
+def _lower_event(blocks, block):
+    block["records"][0]["height_m"] = 0.5
+
+
+def _nan_event(blocks, block):
+    block["records"][0]["height_m"] = math.nan
+
+
+@pytest.mark.parametrize(
+    "doctor, message",
+    [
+        (_repeat_block, r"year \d{4} is listed more than once"),
+        (_predate_event, r"event dated \d{4}-12-31 lies outside its year \d{4}"),
+        (_lower_event, r"event height 0\.5 lies below the threshold \d\.\d+"),
+        (_nan_event, r"event height nan lies below the threshold \d\.\d+"),
+    ],
+    ids=["repeated_year", "event_outside_its_year", "height_below_threshold", "nan_height"],
+)
+def test_calibrate_refuses_a_malformed_exceedance_file(pipeline_dir, tmp_path, capsys, doctor,
+                                                       message):
+    (tmp_path / "out").mkdir()
+    shutil.copy(pipeline_dir / "run.ini", tmp_path)
+    shutil.copy(pipeline_dir / "out" / "priors.json", tmp_path / "out")
+    payload = load_json(pipeline_dir / "out" / "exceedances.json")
+    doctor(payload["years"], next(b for b in payload["years"] if b["records"]))
+    (tmp_path / "out" / "exceedances.json").write_text(json.dumps(payload))
+    assert main(["calibrate", "--config", str(tmp_path / "run.ini")]) == 2
+    assert re.search(f"^error: {message}", capsys.readouterr().err, re.MULTILINE)
+    assert not (tmp_path / "out" / "ensembles").exists()
 
 
 def test_evidence_and_report_artifacts(pipeline_dir):

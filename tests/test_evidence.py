@@ -54,7 +54,7 @@ class ConjugateNormalMean:
     def ensemble(self, size, seed):
         rng = np.random.default_rng(seed)
         draws = rng.normal(self.post_mean, self.post_sd, size=(size, 1))
-        return PosteriorEnsemble(ST, ("theta",), draws, {})
+        return PosteriorEnsemble(ST, draws, {})
 
 
 def test_bridge_matches_conjugate_evidence():
@@ -88,7 +88,7 @@ def test_bridge_recovers_proposal_normalizer():
     # posterior identical to the fitted proposal: normalizing constant known
     rng = np.random.default_rng(8)
     draws = rng.normal(2.0, 0.5, size=(4000, 1))
-    ens = PosteriorEnsemble(ST, ("theta",), draws, {})
+    ens = PosteriorEnsemble(ST, draws, {})
     log_c = 1.234
 
     def log_density(row):
@@ -137,9 +137,9 @@ def test_weights_invariant_to_common_shift():
 
 
 def test_weights_must_sum_to_one_within_the_tolerance():
-    BmaWeights({"ST": 0.5, "NS1-time": 0.5 + 0.5 * WEIGHT_SUM_TOL}, {})
+    BmaWeights({"ST": 0.5, "NS1-time": 0.5 + 0.5 * WEIGHT_SUM_TOL})
     with pytest.raises(ValueError, match="sum to 1"):
-        BmaWeights({"ST": 0.5, "NS1-time": 0.5 + 2.0 * WEIGHT_SUM_TOL}, {})
+        BmaWeights({"ST": 0.5, "NS1-time": 0.5 + 2.0 * WEIGHT_SUM_TOL})
 
 
 def test_nonfinite_evidence_is_rejected():
@@ -154,7 +154,7 @@ def test_nonfinite_evidence_is_rejected():
 
 def test_aggregate_uniform_weights():
     ids = [s.id for s in all_structures()]
-    w = BmaWeights({s: 1.0 / 13.0 for s in ids}, {s: 1.0 / 13.0 for s in ids})
+    w = BmaWeights({s: 1.0 / 13.0 for s in ids})
     agg = aggregate_by_covariate(w)
     assert agg["ST"] == pytest.approx(1.0 / 13.0)
     for kind in ("time", "temperature", "sealevel", "nao"):
@@ -166,13 +166,13 @@ def test_aggregate_random_weights_total_one():
     rng = np.random.default_rng(13)
     ids = [s.id for s in all_structures()]
     raw = rng.uniform(0.1, 1.0, size=13)
-    w = BmaWeights(dict(zip(ids, raw / raw.sum())), {s: 1 / 13 for s in ids})
+    w = BmaWeights(dict(zip(ids, raw / raw.sum())))
     agg = aggregate_by_covariate(w)
     assert sum(agg.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_aggregate_requires_full_set():
-    w = BmaWeights({"ST": 1.0}, {"ST": 1.0})
+    w = BmaWeights({"ST": 1.0})
     with pytest.raises(ValueError, match="13-structure"):
         aggregate_by_covariate(w)
 

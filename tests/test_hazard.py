@@ -88,7 +88,7 @@ def test_return_level_continuous_across_xi_branch():
 
 def make_ensemble(structure, rows):
     rows = np.asarray(rows, dtype=float)
-    return PosteriorEnsemble(structure, structure.active_params, rows, {})
+    return PosteriorEnsemble(structure, rows, {})
 
 
 def test_st_ensemble_year_invariant():
@@ -162,20 +162,19 @@ def test_ensemble_median_nondecreasing_in_period():
 # ---------------------------------------------------------------------------
 
 
-def rl(samples, source="X", year=2065, period=100.0):
-    return ReturnLevelEnsemble(year, period, np.asarray(samples, dtype=float), source)
+def rl(samples, year=2065, period=100.0):
+    return ReturnLevelEnsemble(year, period, np.asarray(samples, dtype=float))
 
 
 def test_mixture_single_model_resamples_it():
     pool = np.linspace(1.0, 2.0, 50)
-    weights = BmaWeights({"A": 1.0}, {"A": 1.0})
+    weights = BmaWeights({"A": 1.0})
     out = bma_mixture({"A": rl(pool)}, weights, 5000, np.random.default_rng(1))
     assert set(np.unique(out.samples)).issubset(set(pool))
-    assert out.source == "BMA"
 
 
 def test_mixture_of_point_masses_has_weighted_mean():
-    weights = BmaWeights({"A": 0.75, "B": 0.25}, {"A": 0.5, "B": 0.5})
+    weights = BmaWeights({"A": 0.75, "B": 0.25})
     ensembles = {"A": rl([2.0]), "B": rl([3.0])}
     out = bma_mixture(ensembles, weights, 100_000, np.random.default_rng(2))
     se = math.sqrt(0.75 * 0.25) * 1.0 / math.sqrt(100_000)
@@ -186,7 +185,7 @@ def test_mixture_uniform_weights_over_identical_ensembles():
     rng = np.random.default_rng(3)
     pool = rng.normal(2.0, 0.3, size=2000)
     ids = ["A", "B", "C"]
-    weights = BmaWeights({i: 1 / 3 for i in ids}, {i: 1 / 3 for i in ids})
+    weights = BmaWeights({i: 1 / 3 for i in ids})
     out = bma_mixture({i: rl(pool) for i in ids}, weights, 50_000, rng)
     for q in (0.05, 0.5, 0.95):
         a = np.quantile(pool, q)
@@ -195,7 +194,7 @@ def test_mixture_uniform_weights_over_identical_ensembles():
 
 
 def test_mixture_validates_coverage():
-    weights = BmaWeights({"A": 0.5, "B": 0.5}, {"A": 0.5, "B": 0.5})
+    weights = BmaWeights({"A": 0.5, "B": 0.5})
     with pytest.raises(ValueError, match="different structures"):
         bma_mixture({"A": rl([1.0])}, weights, 100, np.random.default_rng(0))
 
@@ -251,21 +250,21 @@ def test_report_csv_and_curve_json(tmp_path):
 
 def test_return_level_csv_text_is_format_float_of_each_value(tmp_path):
     samples = [np.array([1.0 / 3.0, -0.0, 5e-324, 1e300]), np.array([0.7]), np.array([2.5, np.inf])]
-    columns = {t: ReturnLevelEnsemble(2065, t, v, "ST", 1, 2)
+    columns = {t: ReturnLevelEnsemble(2065, t, v, 1, 2)
                for t, v in zip((2.0, 10.0, 500.0), samples)}
     save_return_levels(columns, tmp_path / "got.csv")
     rows = [[format_float(v[i]) if i < v.size else "" for v in samples] for i in range(4)]
     write_csv(tmp_path / "want.csv", ["T2", "T10", "T500"], [["flagged=2;clamped=1"] * 3, *rows])
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    loaded = load_return_levels(tmp_path / "got.csv", "ST", 2065)
+    loaded = load_return_levels(tmp_path / "got.csv", 2065)
     for t, want in zip(sorted(columns), samples):
         assert loaded[t].samples.tobytes() == want.tobytes()
 
 
 def test_return_levels_save_load_roundtrip(tmp_path):
     columns = {
-        10.0: ReturnLevelEnsemble(2065, 10.0, np.array([1.25, 1.5, 1.0 / 3.0]), "NS1-time", 2, 4),
-        100.0: ReturnLevelEnsemble(2065, 100.0, np.array([2.5, 0.1]), "NS1-time", 0, 5),
+        10.0: ReturnLevelEnsemble(2065, 10.0, np.array([1.25, 1.5, 1.0 / 3.0]), 2, 4),
+        100.0: ReturnLevelEnsemble(2065, 100.0, np.array([2.5, 0.1]), 0, 5),
     }
     path = tmp_path / "NS1-time.csv"
     save_return_levels(columns, path)
@@ -273,10 +272,10 @@ def test_return_levels_save_load_roundtrip(tmp_path):
         b"T10,T100", b"flagged=4;clamped=2,flagged=5;clamped=0"
     ]
     assert path.read_bytes().endswith(b"0.3333333333333333,\r\n")  # the shorter column ends empty
-    loaded = load_return_levels(path, "NS1-time", 2065)
+    loaded = load_return_levels(path, 2065)
     assert list(loaded) == [10.0, 100.0]
     for t, want in columns.items():
         got = loaded[t]
-        assert (got.year, got.period_years, got.source) == (2065, t, "NS1-time")
+        assert (got.year, got.period_years) == (2065, t)
         assert (got.n_clamped, got.n_flagged) == (want.n_clamped, want.n_flagged)
         assert np.array_equal(got.samples, want.samples)

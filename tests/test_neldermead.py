@@ -20,10 +20,10 @@ YIELD = re.compile(r"yield np\.array\(([^)]*)\)")
 STEPS = ("sim[k]", "xr", "xe", "xc", "xcc", "sim[j]")  # initial simplex ... shrink
 
 
-def drive(f, x0, xatol=1e-4, fatol=1e-4, maxiter=20000, maxfev=20000):
+def drive(f, x0, xatol=1e-4, fatol=1e-4, maxfev=20000):
     """Feed the port one point at a time; returns its result, every point it
     asked for, and the step that asked (the argument of its ``yield``)."""
-    search = nelder_mead(x0, xatol, fatol, maxiter, maxfev)
+    search = nelder_mead(x0, xatol, fatol, maxfev)
     points, steps = [], []
     try:
         x = next(search)
@@ -45,7 +45,7 @@ def same_bits(a, b) -> bool:
 
 
 def assert_matches_scipy(f, x0, **options):
-    options = {"xatol": 1e-4, "fatol": 1e-4, "maxiter": 20000, "maxfev": 20000, **options}
+    options = {"xatol": 1e-4, "fatol": 1e-4, "maxfev": 20000, **options}
     got, points, steps = drive(f, x0, **options)
     want, want_points = scipy_nelder_mead(f, x0, **options)
     assert len(points) == len(want_points) == want.nfev
@@ -178,6 +178,18 @@ def test_port_equals_scipy_when_the_search_never_converges():
 # ---------------------------------------------------------------------------
 
 
+def assert_iteration_cap_is_idle(f, x0, maxfev):
+    """scipy with ``maxiter = maxfev`` (the oracle's default) and with an
+    iteration cap that is never reached evaluate the same points and end
+    alike, so the port, which takes no iteration cap, may match either."""
+    capped, capped_points = scipy_nelder_mead(f, x0, 1e-4, 1e-4, maxfev)
+    free, free_points = scipy_nelder_mead(f, x0, 1e-4, 1e-4, maxfev, maxiter=10**9)
+    assert len(capped_points) == len(free_points) == capped.nfev == free.nfev
+    assert all(same_bits(p, q) for p, q in zip(capped_points, free_points))
+    assert same_bits(capped.x, free.x) and same_bits(capped.fun, free.fun)
+    assert capped.status == free.status
+
+
 @pytest.mark.parametrize("x0", [[2.1, -1.4, 1.9], [5.0, 4.0, -3.0]])
 def test_port_equals_scipy_when_maxfev_stops_each_step(x0):
     x0 = np.array(x0)
@@ -186,12 +198,18 @@ def test_port_equals_scipy_when_maxfev_stops_each_step(x0):
     # maxfev = i refuses the eval at index i, maxfev = i + 1 stops right after it;
     # every cap from 0 up hits each step kind, and the shrink at each vertex
     for maxfev in range(len(steps) + 2):
+        assert_iteration_cap_is_idle(plateaus, x0, maxfev)
         got, points, _ = assert_matches_scipy(plateaus, x0, maxfev=maxfev)
         assert len(points) == min(maxfev, len(steps))
         assert got.converged == (maxfev > len(steps))
 
 
-@pytest.mark.parametrize("maxiter", [0, 1, 2, 5, 37])
-def test_port_equals_scipy_when_maxiter_stops_it(maxiter):
-    got, _, _ = assert_matches_scipy(rosen, np.array([1.3, 0.7, 0.8]), maxiter=maxiter)
-    assert not got.converged
+@pytest.mark.parametrize(
+    "x0", [[1.3, 0.7, 0.8], [0.0, 1.2, 0.0], [1.3, 0.7, 0.8, 1.9, 1.2, -0.5]],
+    ids=["3d", "3d_zeros", "6d"],
+)
+def test_iteration_cap_never_ends_a_search_before_the_evaluation_cap(x0):
+    x0 = np.array(x0)
+    for maxfev in [*range(60), 200, 1000, 5000]:
+        assert_iteration_cap_is_idle(rosen, x0, maxfev)
+        assert_matches_scipy(rosen, x0, maxfev=maxfev)

@@ -468,6 +468,11 @@ def test_exceedance_json_roundtrips_byte_for_byte(tmp_path, make):
         ({"counts": [1, 1]}, "sum to the number of events"),
         ({"counts": [0, 0]}, "sum to the number of events"),
         ({"counts": [2, -1]}, "counts must be nonnegative"),
+        ({"years": [2000, 2000]}, "year 2000 is listed more than once"),
+        ({"dates": ["2001-03-01"]}, "event dated 2001-03-01 lies outside its year 2000"),
+        ({"dates": ["NaT"]}, "event dated NaT lies outside its year 2000"),
+        ({"heights": [0.5]}, "event height 0.5 lies below the threshold 1.0"),
+        ({"heights": [float("nan")]}, "event height nan lies below the threshold 1.0"),
     ],
 )
 def test_exceedance_set_refuses_inconsistent_arrays(change, message):

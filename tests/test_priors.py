@@ -202,8 +202,8 @@ def test_mle_returns_the_best_of_scipy_searches(st_record_200yr):
         if k > 0:
             x0 = base + 0.3 * np.maximum(np.abs(base), 0.05) * rng.standard_normal(base.size)
             x0[:2] = [abs(x0[0]) or base[0], abs(x0[1]) or base[1]]  # lam0 and sig0 gamma
-        res, _ = scipy_nelder_mead(lambda x: -loglik(x), x0, 1e-7, 1e-8, 20000, 20000)
-        res, _ = scipy_nelder_mead(lambda x: -loglik(x), res.x, 1e-9, 1e-10, 20000, 20000)
+        res, _ = scipy_nelder_mead(lambda x: -loglik(x), x0, 1e-7, 1e-8, 20000)
+        res, _ = scipy_nelder_mead(lambda x: -loglik(x), res.x, 1e-9, 1e-10, 20000)
         if res.fun < best_f:
             best_x, best_f = res.x, res.fun
     got = mle_fit(ST, record, None, rng=np.random.default_rng(4))

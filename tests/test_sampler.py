@@ -1,4 +1,6 @@
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from surgebma.priors import PriorSet, PriorSpec, mle_fit
 from surgebma.sampler import (
     ChainConfig,
     PosteriorEnsemble,
+    RawChains,
     check_proposal_factor,
     gelman_rubin,
     initial_proposal_factor,
@@ -280,17 +283,10 @@ def test_psrf_converged_ram_chains():
 
 
 def make_raw(chains, config):
-    return type(
-        "Raw",
-        (),
-        {
-            "structure": ST,
-            "param_names": tuple(f"p{i}" for i in range(chains.shape[2])),
-            "chains": chains,
-            "acceptance": np.full(chains.shape[0], 0.3),
-            "config": config,
-        },
-    )()
+    # a structure stand-in whose parameters p0, p1, ... match the chains' columns
+    names = tuple(f"p{i}" for i in range(chains.shape[2]))
+    structure = SimpleNamespace(id="ST", active_params=names)
+    return RawChains(structure, chains, np.full(chains.shape[0], 0.3), config)
 
 
 def test_pool_and_thin_sizes_and_membership():
@@ -363,7 +359,7 @@ def st_calibration():
 def test_posterior_mean_near_truth(st_calibration):
     truth, record, raw = st_calibration
     ens = pool_and_thin(raw, np.random.default_rng(4))
-    lam_draws = ens.draws[:, list(raw.param_names).index("lam0")]
+    lam_draws = ens.draws[:, ST.active_params.index("lam0")]
     # Monte-Carlo SE of the posterior mean, inflated for autocorrelation
     se = lam_draws.std(ddof=1) / math.sqrt(200)
     lam0 = truth[0]
@@ -377,17 +373,19 @@ def test_ensemble_csv_roundtrip(tmp_path, st_calibration):
     csv_path = tmp_path / "ens.csv"
     diag_path = tmp_path / "ens.json"
     ens.save(csv_path, diag_path)
-    back = PosteriorEnsemble.load(csv_path, ST, diag_path)
-    assert back.param_names == ens.param_names
+    back = PosteriorEnsemble.load(csv_path, ST)
+    assert back.structure == ens.structure
     assert np.array_equal(back.draws, ens.draws)
-    assert back.diagnostics["seed"] == 11
+    diagnostics = json.loads(diag_path.read_text())
+    assert diagnostics["param_names"] == list(ST.active_params)
+    assert diagnostics["seed"] == 11
     with pytest.raises(ValueError, match="not those of NS1-time"):
         PosteriorEnsemble.load(csv_path, ModelStructure(NonstatLevel.NS1, CovariateKind.TIME))
 
 
 def test_ensemble_csv_text_is_format_float_of_each_value(tmp_path):
     draws = np.array([[0.1, -0.0, 1.0 / 3.0], [5e-324, 1e300, -2.5e-17], [np.inf, -np.inf, np.nan]])
-    ens = PosteriorEnsemble(ST, ST.active_params, draws)
+    ens = PosteriorEnsemble(ST, draws)
     ens.save(tmp_path / "ens.csv")
     write_csv(tmp_path / "want.csv", ST.active_params,
               ([format_float(v) for v in row] for row in draws))

@@ -5,9 +5,10 @@ import pytest
 from scipy import stats
 
 from surgebma.covariates import CovariateKind
-from surgebma.hazard import return_level
-from surgebma.models import ModelStructure, NonstatLevel
+from surgebma.hazard import ensemble_return_levels, return_level
+from surgebma.models import ModelStructure, NonstatLevel, log_likelihood
 from surgebma.preprocess import DailySeries, decluster
+from surgebma.sampler import PosteriorEnsemble
 from surgebma.simulate import (
     SimulationSpec,
     empirical_return_level,
@@ -47,6 +48,19 @@ def test_simulate_year_poisson_mean():
     counts = np.array([simulate_year(lam, 0.1, 0.1, 1.0, dt, rng).size for _ in range(n)])
     mean = lam * dt
     assert abs(counts.mean() - mean) < 3.0 * math.sqrt(mean / n)
+
+
+def test_missing_covariate_is_refused_alike_by_simulation_likelihood_and_projection():
+    ns1 = ModelStructure(NonstatLevel.NS1, CovariateKind.TIME)
+    row = np.array([0.01, 0.002, 0.12, 0.1])
+    message = "nonstationary structure requires a covariate series"
+    with pytest.raises(ValueError, match=message):
+        SimulationSpec(row, ns1, None, 2000, 2010, 1.0, seed=1)
+    record = simulate_record(SimulationSpec(row[[0, 2, 3]], ST, None, 2000, 2010, 1.0, seed=1))
+    with pytest.raises(ValueError, match=message):
+        log_likelihood(row, ns1, record, None)
+    with pytest.raises(ValueError, match=message):
+        ensemble_return_levels(PosteriorEnsemble(ns1, np.tile(row, (4, 1))), None, 2030, 1.0, 100.0)
 
 
 def test_simulate_record_deterministic():
