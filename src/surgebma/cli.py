@@ -79,6 +79,22 @@ def stage_seed(seed: int, *tags) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") >> 1
 
 
+def _run_units(config: RunConfig, initializer, unit, arg_lists: list[tuple]) -> list:
+    """``unit(*args)`` for each of ``arg_lists``, in order: in ``config.workers``
+    processes when that is above 1 and there is more than one unit, otherwise in
+    this one. Either way ``initializer(config)``, unless None, first runs once
+    in each process that runs units."""
+    if config.workers > 1 and len(arg_lists) > 1:
+        with ProcessPoolExecutor(
+            max_workers=config.workers, initializer=initializer, initargs=(config,)
+        ) as pool:
+            futures = [pool.submit(unit, *args) for args in arg_lists]
+            return [future.result() for future in futures]
+    if initializer is not None:
+        initializer(config)
+    return [unit(*args) for args in arg_lists]
+
+
 def _note_artifacts(config: RunConfig, *paths: Path) -> None:
     """Record each artifact against the config hash in the output manifest."""
     manifest_path = config.out("manifest.json")
@@ -130,10 +146,9 @@ def _mle_pack_path(config: RunConfig) -> Path:
     return Path(resources.files("surgebma").joinpath(PACKAGED_MLE_PACK))
 
 
-def _station_mles(config: RunConfig, path: Path, index: int) -> dict[str, list]:
+def _station_mles(config: RunConfig, covs: dict, path: Path, index: int) -> dict[str, list]:
     """All-structure MLE fits for one station record; order-independent."""
     structures = config.structure_list()
-    covs = build_covariates(config)
     record = _preprocess(config, path)
     rng = np.random.default_rng(stage_seed(config.seed, "station-mle", index))
     out = {}
@@ -151,15 +166,11 @@ def cmd_fit_priors(config: RunConfig) -> int:
             raise ValueError(f"no station CSVs in {config.stations_dir}")
         # the target station contributes its own estimate alongside the archive
         all_files = [*station_files, config.station_csv]
-        if config.workers > 1 and len(all_files) > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                futures = [
-                    pool.submit(_station_mles, config, path, i)
-                    for i, path in enumerate(all_files)
-                ]
-                per_station = [f.result() for f in futures]
-        else:
-            per_station = [_station_mles(config, path, i) for i, path in enumerate(all_files)]
+        covs = build_covariates(config)
+        per_station = _run_units(
+            config, None, _station_mles,
+            [(config, covs, path, i) for i, path in enumerate(all_files)],
+        )
         table = {
             s.id: np.array([row[s.id] for row in per_station]) for s in structures
         }
@@ -188,32 +199,29 @@ def _load_inputs(config: RunConfig):
     missing = [str(p) for p in (exc_path, priors_path) if not p.exists()]
     if missing:
         raise ValueError(f"missing inputs (run preprocess/fit-priors first): {missing}")
-    data = ExceedanceSet.from_dict(load_json(exc_path))
+    data = ExceedanceSet.load(exc_path)
     priors = load_priors(priors_path)
     covs = build_covariates(config)
     return data, priors, covs
 
 
-_worker_inputs: tuple | Exception | None = None  # set once per calibrate worker process
+_worker_inputs: tuple | Exception | None = None  # set once per process that calibrates
 
 
 def _load_worker_inputs(config: RunConfig) -> None:
-    """Initializer of a calibrate worker process: its inputs, or the error loading them."""
+    """Initializer of each process that calibrates: its inputs, or the error loading them."""
     global _worker_inputs
     try:
         _worker_inputs = _load_inputs(config)
-    except Exception as exc:  # raised from an initializer, it would break the pool and get lost
+    except Exception as exc:  # raised from a pool initializer, it would break the pool and get lost
         _worker_inputs = exc
 
 
 def _calibrate_one(config: RunConfig, sid: str) -> dict:
-    """One structure on its worker's inputs: the unit of work of the worker pool."""
+    """One structure on its process's inputs: the unit of work of calibrate."""
     if isinstance(_worker_inputs, Exception):
         raise _worker_inputs
-    return _calibrate_structure(config, sid, *_worker_inputs)
-
-
-def _calibrate_structure(config: RunConfig, sid: str, data, priors, covs) -> dict:
+    data, priors, covs = _worker_inputs
     structure = ModelStructure.parse(sid)
     if sid not in priors:
         raise ValueError(f"no priors for {sid}")
@@ -237,31 +245,21 @@ def _calibrate_structure(config: RunConfig, sid: str, data, priors, covs) -> dic
     ens_path = config.out("ensembles", f"{sid}.csv")
     diag_path = config.out("diagnostics", f"{sid}.json")
     ensemble.save(ens_path, diag_path)
+    log.info("calibrated %s", sid)
     return ensemble.diagnostics
 
 
 def cmd_calibrate(config: RunConfig) -> int:
     sids = [s.id for s in config.structure_list()]
-    results: dict[str, dict] = {}
-    if config.workers > 1 and len(sids) > 1:
-        with ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_load_worker_inputs, initargs=(config,)
-        ) as pool:
-            futures = {sid: pool.submit(_calibrate_one, config, sid) for sid in sids}
-            for sid, future in futures.items():
-                results[sid] = future.result()
-    else:
-        inputs = _load_inputs(config)
-        for sid in sids:
-            results[sid] = _calibrate_structure(config, sid, *inputs)
-            log.info("calibrated %s", sid)
+    results = _run_units(
+        config, _load_worker_inputs, _calibrate_one, [(config, sid) for sid in sids]
+    )
 
     paths = []
     for sid in sids:
         paths += [config.out("ensembles", f"{sid}.csv"), config.out("diagnostics", f"{sid}.json")]
     _note_artifacts(config, *paths)
-    for sid in sids:
-        d = results[sid]
+    for sid, d in zip(sids, results):
         worst = max(d["psrf"].values())
         forced = " (forced past gate)" if d["forced"] else ""
         print(f"{sid}: acceptance {np.mean(d['acceptance']):.3f}, max PSRF {worst:.4f}{forced}")

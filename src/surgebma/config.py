@@ -21,9 +21,10 @@ from .covariates import (
     time_covariate,
     winter_mean_nao,
 )
+from .evidence import MIN_ENSEMBLE_DRAWS
 from .hazard import DEFAULT_QUANTILE_LEVELS, DEFAULT_RETURN_PERIODS, REPORTED_QUANTILE_LEVELS
 from .models import ModelStructure, all_structures
-from .sampler import ChainConfig
+from .sampler import MIN_CHAINS, MIN_SEGMENT, ChainConfig
 from .utils import sha256_of_text
 
 SAMPLER_PROFILES = {
@@ -80,6 +81,15 @@ class RunConfig:
             )
         if self.mixture_size < 1:
             raise ValueError("mixture_size must be at least 1")
+        # ChainConfig allows these (one chain runs fine), but the PSRF and the
+        # bridge sampling of a pipeline run would refuse them after the chains
+        chain = self.sampler
+        if chain.n_chains < MIN_CHAINS:
+            raise ValueError(f"n_chains must be at least {MIN_CHAINS} for the PSRF")
+        if chain.n_iterations - chain.burn_in < MIN_SEGMENT:
+            raise ValueError(f"n_iterations - burn_in must be at least {MIN_SEGMENT} for the PSRF")
+        if chain.thinned_size < MIN_ENSEMBLE_DRAWS:
+            raise ValueError(f"thinned_size must be at least {MIN_ENSEMBLE_DRAWS} for bridge sampling")
 
     @property
     def config_hash(self) -> str:
@@ -168,6 +178,14 @@ def load_config(path) -> RunConfig:
     )
 
 
+# each file-backed covariate's reader of its <kind>_hist and <kind>_proj files
+_FILE_READERS = {
+    CovariateKind.TEMPERATURE: read_annual_csv,
+    CovariateKind.SEALEVEL: read_annual_csv,
+    CovariateKind.NAO: lambda path: winter_mean_nao(read_monthly_csv(path)),
+}
+
+
 def build_covariates(config: RunConfig) -> dict[CovariateKind, CovariateSeries]:
     """Splice and normalize, over the run's full horizon, the covariates that
     the run's structures use.
@@ -184,36 +202,18 @@ def build_covariates(config: RunConfig) -> dict[CovariateKind, CovariateSeries]:
     if CovariateKind.TIME in kinds:
         out[CovariateKind.TIME] = time_covariate(start, horizon, (start, end))
 
-    for kind, prefix in (
-        (CovariateKind.TEMPERATURE, "temperature"),
-        (CovariateKind.SEALEVEL, "sealevel"),
-    ):
+    for kind, read in _FILE_READERS.items():
         if kind not in kinds:
             continue
-        hist_path, proj_path = files.get(f"{prefix}_hist"), files.get(f"{prefix}_proj")
+        hist_path, proj_path = files.get(f"{kind.value}_hist"), files.get(f"{kind.value}_proj")
         if hist_path is None:
-            raise ValueError(f"missing covariate file option {prefix}_hist")
-        hist = read_annual_csv(hist_path)
-        proj = read_annual_csv(proj_path) if proj_path else {}
-        out[kind] = _finish(kind, hist, proj, config)
-
-    if CovariateKind.NAO in kinds:
-        nao_hist_path, nao_proj_path = files.get("nao_hist"), files.get("nao_proj")
-        if nao_hist_path is None:
-            raise ValueError("missing covariate file option nao_hist")
-        hist = winter_mean_nao(read_monthly_csv(nao_hist_path))
-        proj = winter_mean_nao(read_monthly_csv(nao_proj_path)) if nao_proj_path else {}
-        out[CovariateKind.NAO] = _finish(CovariateKind.NAO, hist, proj, config)
+            raise ValueError(f"missing covariate file option {kind.value}_hist")
+        hist = read(hist_path)
+        proj = read(proj_path) if proj_path else {}
+        merged = splice(hist, proj, end) if proj else dict(hist)
+        missing = [y for y in range(start, horizon + 1) if y not in merged]
+        if missing:
+            raise ValueError(f"{kind.value} covariate does not cover {missing[0]}-{missing[-1]}")
+        trimmed = {y: merged[y] for y in range(start, horizon + 1)}
+        out[kind] = normalize_minmax(trimmed, kind, (start, end))
     return out
-
-
-def _finish(kind, hist: dict, proj: dict, config: RunConfig) -> CovariateSeries:
-    start, end, horizon = config.calibration_start, config.calibration_end, config.projection_year
-    merged = splice(hist, proj, end) if proj else dict(hist)
-    missing = [y for y in range(start, horizon + 1) if y not in merged]
-    if missing:
-        raise ValueError(
-            f"{kind.value} covariate does not cover {missing[0]}-{missing[-1]}"
-        )
-    trimmed = {y: merged[y] for y in range(start, horizon + 1)}
-    return normalize_minmax(trimmed, kind, (start, end))

@@ -58,14 +58,8 @@ class CovariateSeries:
         if abs(hist.min()) > NORMALIZATION_TOL or abs(hist.max() - 1.0) > NORMALIZATION_TOL:
             raise ValueError("values are not min-max normalized over historical_range")
 
-    def value_for_year(self, year: int) -> float:
-        """Exact stored annual value; parameters are constant within a year."""
-        first, last = int(self.years[0]), int(self.years[-1])
-        if not first <= year <= last:
-            raise ValueError(f"year {year} outside covariate span {first}-{last}")
-        return float(self.values[year - first])
-
     def values_for_years(self, years: np.ndarray) -> np.ndarray:
+        """Exact stored values of ``years``; parameters are constant within a year."""
         years = np.asarray(years, dtype=np.int64)
         first, last = int(self.years[0]), int(self.years[-1])
         if years.size and (years.min() < first or years.max() > last):

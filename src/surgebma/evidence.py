@@ -29,6 +29,7 @@ WEIGHT_SUM_TOL = 1e-9
 BRIDGE_TOL = 1e-10  # relative change of the evidence that stops the fixed point
 BRIDGE_MAX_ITER = 1000
 PROPOSAL_JITTER = 1e-10  # added to the proposal covariance diagonal
+MIN_ENSEMBLE_DRAWS = 1000  # least ensemble size bridge sampling accepts
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,8 @@ def bridge_evidence(
     evidence estimate drops below ``BRIDGE_TOL``.
     """
     draws = np.asarray(posterior.draws, dtype=float)
-    if draws.shape[0] < 1000:
-        raise ValueError("need an ensemble of at least 1000 draws")
+    if draws.shape[0] < MIN_ENSEMBLE_DRAWS:
+        raise ValueError(f"need an ensemble of at least {MIN_ENSEMBLE_DRAWS} draws")
 
     n_fit = draws.shape[0] // 2
     fit, it = draws[:n_fit], draws[n_fit:]

@@ -303,8 +303,8 @@ def _hourly_rows(times, levels):
 # ---------------------------------------------------------------------------
 
 
-def detrend_moving_mean(series: HourlySeries, window_days: float = 365.25) -> HourlySeries:
-    """Subtract a centered moving-window mean (default one year) from each hour.
+def detrend_moving_mean(series: HourlySeries, window_days: float) -> HourlySeries:
+    """Subtract a centered moving-window mean from each hour.
 
     The window is [t - w/2, t + w/2], shrinking where it overhangs the record
     edges. Hours whose window holds fewer than ``MIN_VALID_FRACTION`` of its
@@ -347,7 +347,7 @@ def detrend_moving_mean(series: HourlySeries, window_days: float = 365.25) -> Ho
     return HourlySeries(series.times, out)
 
 
-def daily_maxima(series: HourlySeries, min_valid_hours: int = 12) -> DailySeries:
+def daily_maxima(series: HourlySeries, min_valid_hours: int) -> DailySeries:
     """Reduce an hourly series to per-UTC-day maxima.
 
     Days with fewer than ``min_valid_hours`` valid hours are flagged invalid.
@@ -373,7 +373,7 @@ def daily_maxima(series: HourlySeries, min_valid_hours: int = 12) -> DailySeries
     return DailySeries(uniq, out, ok)
 
 
-def compute_threshold(daily: DailySeries, quantile: float = 0.99) -> float:
+def compute_threshold(daily: DailySeries, quantile: float) -> float:
     """Empirical quantile of the valid daily maxima (the GPD threshold)."""
     if not 0.0 < quantile < 1.0:
         raise ValueError("quantile must lie in (0, 1)")
@@ -383,9 +383,7 @@ def compute_threshold(daily: DailySeries, quantile: float = 0.99) -> float:
     return float(empirical_quantile(vals, quantile))
 
 
-def decluster(
-    daily: DailySeries, threshold: float, separation_days: int = 3
-) -> ExceedanceSet:
+def decluster(daily: DailySeries, threshold: float, separation_days: int) -> ExceedanceSet:
     """Runs-decluster daily exceedances of ``threshold``.
 
     Consecutive exceedance days closer than ``separation_days`` chain into
@@ -427,10 +425,10 @@ def preprocess_station(
     series: HourlySeries,
     first_year: int,
     last_year: int,
-    window_days: float = 365.25,
-    min_valid_hours: int = 12,
-    threshold_quantile: float = 0.99,
-    separation_days: int = 3,
+    window_days: float,
+    min_valid_hours: int,
+    threshold_quantile: float,
+    separation_days: int,
 ) -> ExceedanceSet:
     """Full chain: detrend, daily maxima, trim to window, threshold, decluster."""
     detrended = detrend_moving_mean(series, window_days)

@@ -161,11 +161,12 @@ def mle_fit(
     structure: ModelStructure,
     data: ExceedanceSet,
     cov: CovariateSeries | None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Maximize the log-likelihood by Nelder-Mead simplex search with restarts.
 
-    Each restart perturbs the moment-based start and runs two chained
+    Each restart perturbs the moment-based start with normal draws from
+    ``rng`` (the first keeps it as it is) and runs two chained
     searches; the best optimum wins. The search is ``neldermead.nelder_mead``,
     a port of scipy's algorithm with the same iterates as
     ``scipy.optimize.minimize(method="Nelder-Mead")``, fed one row at a time
@@ -178,7 +179,6 @@ def mle_fit(
     """
     if data.n_events == 0:
         raise ValueError("no exceedances to fit")
-    rng = rng or np.random.default_rng(0)
     loglik = make_loglik(structure, data, cov)
     level = structure.level
 

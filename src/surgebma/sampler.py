@@ -21,6 +21,9 @@ import numpy as np
 from .models import ModelStructure
 from .utils import dump_json, write_csv
 
+MIN_CHAINS = 2  # the PSRF compares the spread between chains with that within them
+MIN_SEGMENT = 10  # least post-burn-in iterations per chain for the PSRF
+
 
 @dataclass(frozen=True)
 class ChainConfig:
@@ -68,15 +71,14 @@ class PosteriorEnsemble:
     draws: np.ndarray  # (thinned_size, d), columns in structure.active_params order
     diagnostics: dict = field(default_factory=dict)
 
-    def save(self, csv_path, diagnostics_path=None) -> None:
+    def save(self, csv_path, diagnostics_path) -> None:
         names = self.structure.active_params
         # repr of the Python floats is format_float's text, without a numpy scalar per value
         write_csv(csv_path, names, (map(repr, row) for row in self.draws.tolist()))
-        if diagnostics_path is not None:
-            dump_json(
-                {"structure": self.structure.id, "param_names": list(names), **self.diagnostics},
-                diagnostics_path,
-            )
+        dump_json(
+            {"structure": self.structure.id, "param_names": list(names), **self.diagnostics},
+            diagnostics_path,
+        )
 
     @classmethod
     def load(cls, csv_path, structure: ModelStructure) -> "PosteriorEnsemble":
@@ -105,7 +107,6 @@ def ram_step(
     rngs: Sequence[np.random.Generator],
     target_acceptance: float = ChainConfig.target_acceptance,
     adaptation_decay: float = ChainConfig.adaptation_decay,
-    adapt: bool = True,
 ):
     """One Metropolis step of K chains in lockstep, with rank-one coercion.
 
@@ -135,18 +136,17 @@ def ram_step(
     theta = np.where(accepted[:, None], proposal, theta)
     log_p = np.where(accepted, log_p_prop, log_p)
 
-    if adapt:
-        eta = min(1.0, d * iteration ** (-adaptation_decay))
-        # one dot product per chain: a stacked sum of squares differs in the last bit
-        norm2 = [v.dot(v) for v in draws]
-        coef = [eta * (a - target_acceptance) / n if n > 0.0 else 0.0 for a, n in zip(alpha, norm2)]
-        m = np.array(coef)[:, None, None] * (u[:, :, None] * u[:, None, :])
-        m.reshape(k, -1)[:, :: d + 1] += 1.0
-        updated = np.linalg.cholesky(chol @ m @ chol.transpose(0, 2, 1))
-        if min(norm2) > 0.0:
-            chol = updated
-        else:  # u = 0 leaves its chain's factor as it is
-            chol = np.where((np.array(norm2) > 0.0)[:, None, None], updated, chol)
+    eta = min(1.0, d * iteration ** (-adaptation_decay))
+    # one dot product per chain: a stacked sum of squares differs in the last bit
+    norm2 = [v.dot(v) for v in draws]
+    coef = [eta * (a - target_acceptance) / n if n > 0.0 else 0.0 for a, n in zip(alpha, norm2)]
+    m = np.array(coef)[:, None, None] * (u[:, :, None] * u[:, None, :])
+    m.reshape(k, -1)[:, :: d + 1] += 1.0
+    updated = np.linalg.cholesky(chol @ m @ chol.transpose(0, 2, 1))
+    if min(norm2) > 0.0:
+        chol = updated
+    else:  # u = 0 leaves its chain's factor as it is
+        chol = np.where((np.array(norm2) > 0.0)[:, None, None], updated, chol)
     return theta, log_p, chol, accepted, np.array(alpha)
 
 
@@ -226,11 +226,11 @@ def gelman_rubin(chains: np.ndarray, burn_in: int = 0) -> np.ndarray:
     and within-chain variances.
     """
     chains = np.asarray(chains, dtype=float)
-    if chains.ndim != 3 or chains.shape[0] < 2:
-        raise ValueError("need at least 2 chains of shape (m, n, d)")
+    if chains.ndim != 3 or chains.shape[0] < MIN_CHAINS:
+        raise ValueError(f"need at least {MIN_CHAINS} chains of shape (m, n, d)")
     seg = chains[:, burn_in:, :]
     n = seg.shape[1]
-    if n < 10:
+    if n < MIN_SEGMENT:
         raise ValueError("post-burn-in segments too short")
     means = seg.mean(axis=1)  # (m, d)
     within = seg.var(axis=1, ddof=1).mean(axis=0)  # W per parameter

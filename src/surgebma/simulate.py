@@ -208,7 +208,7 @@ def station_parameter_draws(n_stations: int, rng: np.random.Generator) -> np.nda
     return rows
 
 
-def make_mle_fixture_pack(seed: int = 20130101, n_stations: int = 28) -> dict[str, np.ndarray]:
+def make_mle_fixture_pack(seed: int, n_stations: int) -> dict[str, np.ndarray]:
     """Per-structure MLE tables from simulated multi-decade stations.
 
     Stations are simulated over ``PACK_FIRST_YEAR``-``PACK_LAST_YEAR`` from NS3
@@ -293,7 +293,7 @@ def write_covariate_fixtures(
     first_year: int,
     last_year: int,
     projection_year: int,
-    seed: int = 7,
+    seed: int,
 ) -> dict[str, str]:
     """Write annual/monthly covariate CSVs spanning history and projection.
 

@@ -62,10 +62,11 @@ def naive_loglik(row, structure, data, cov):
     theta.update(zip(ACTIVE_PARAMS[structure.level], row))
     total = mpmath.mpf(0)
     first = 0
-    for year, days, count in zip(data.years.tolist(), data.durations.tolist(), data.counts.tolist()):
+    phis = [0.0] * data.years.size if structure.level is NonstatLevel.ST else (
+        cov.values_for_years(data.years).tolist())
+    for days, count, phi in zip(data.durations.tolist(), data.counts.tolist(), phis):
         heights = data.heights[first:first + count].tolist()
         first += count
-        phi = 0.0 if structure.level is NonstatLevel.ST else cov.value_for_year(year)
         lam = mpmath.mpf(theta["lam0"]) + mpmath.mpf(theta["lam1"]) * phi
         if structure.level in (NonstatLevel.ST, NonstatLevel.NS1):
             sig = mpmath.mpf(theta["sig0"])
@@ -288,7 +289,7 @@ def scipy_nelder_mead(f, x0, xatol, fatol, maxfev, maxiter=None):
     return minimize(objective, x0, method="Nelder-Mead", options=options), points
 
 
-def detrend_moving_mean_temporaries(series, window_days=365.25, min_valid_fraction=0.5):
+def detrend_moving_mean_temporaries(series, window_days, min_valid_fraction=0.5):
     """Centered moving-mean detrending with a new array for each intermediate."""
     levels = series.levels
     n = levels.size
@@ -310,7 +311,7 @@ def detrend_moving_mean_temporaries(series, window_days=365.25, min_valid_fracti
     return HourlySeries(series.times, out)
 
 
-def daily_maxima_unique(series, min_valid_hours=12):
+def daily_maxima_unique(series, min_valid_hours):
     """Per-day maxima with the day starts taken from ``np.unique``."""
     days = series.times.astype("datetime64[D]")
     uniq, start = np.unique(days, return_index=True)

@@ -250,8 +250,8 @@ def test_run_metadata_written(pipeline_dir):
     assert "completed_utc" in meta
 
 
-def test_fit_priors_from_station_directory(tmp_path):
-    config = make_workspace(tmp_path)
+def add_station_archive(tmp_path):
+    """Two simulated archive stations in ``stations/``, named by the config."""
     stations = tmp_path / "stations"
     stations.mkdir()
     for i, seed in enumerate((41, 42)):
@@ -264,7 +264,16 @@ def test_fit_priors_from_station_directory(tmp_path):
     )
     (tmp_path / "run.ini").write_text(text)
 
+
+def test_fit_priors_from_station_directory(tmp_path, monkeypatch):
+    config = make_workspace(tmp_path)
+    add_station_archive(tmp_path)
+
+    calls = []
+    build = cli.build_covariates
+    monkeypatch.setattr(cli, "build_covariates", lambda c: calls.append(c) or build(c))
     assert main(["fit-priors", "--config", str(config)]) == 0
+    assert len(calls) == 1  # once for all three stations
     mle_table = load_json(tmp_path / "out" / "mle_table.json")
     # two archive stations plus the target station itself
     assert len(mle_table["structures"]["ST"]["estimates"]) == 3
@@ -390,17 +399,23 @@ def test_seed_override_changes_artifacts(tmp_path):
 
 
 def test_parallel_workers_reproduce_serial_artifacts(tmp_path):
+    # a station archive, so that fit-priors runs its per-station pool too
     config = make_workspace(tmp_path, structures="ST, NS1-time")
-    assert main(["preprocess", "--config", str(config)]) == 0
-    assert main(["fit-priors", "--config", str(config)]) == 0
-    assert main(["calibrate", "--config", str(config)]) == 0
-    serial = {
-        sid: (tmp_path / "out" / "ensembles" / f"{sid}.csv").read_bytes()
-        for sid in ("ST", "NS1-time")
-    }
-    assert main(["calibrate", "--config", str(config), "--workers", "2"]) == 0
-    for sid, blob in serial.items():
-        assert (tmp_path / "out" / "ensembles" / f"{sid}.csv").read_bytes() == blob
+    add_station_archive(tmp_path)
+
+    def artifacts(out):
+        # run_metadata.json alone holds a timestamp
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file() and p.name != "run_metadata.json"}
+
+    # three stations' priors leave the short chains above the PSRF gate; the
+    # gate's outcome is not what this test checks, so both runs pool past it
+    assert main(["run-all", "--config", str(config), "--force"]) == 0
+    assert main(["run-all", "--config", str(config), "--force", "--workers", "2",
+                 "--output-dir", str(tmp_path / "out2")]) == 0
+    serial = artifacts(tmp_path / "out")
+    assert {"mle_table.json", "ensembles/NS1-time.csv", "curve.json"} <= set(serial)
+    assert artifacts(tmp_path / "out2") == serial
 
 
 @pytest.mark.parametrize(
@@ -413,8 +428,14 @@ def test_parallel_workers_reproduce_serial_artifacts(tmp_path):
         ("mixture_size = 20000", "mixture_size = 0"),
         # 2 chains x (400 - 200) iterations cannot pool thinned_size = 1000 draws
         ("n_iterations = 1200", "n_iterations = 400"),
+        # the PSRF needs two chains and 10 post-burn-in iterations of each
+        ("n_chains = 2", "n_chains = 1"),
+        ("burn_in = 200\nthinned_size = 1000", "burn_in = 1195\nthinned_size = 10"),
+        # bridge sampling needs 1000 draws
+        ("thinned_size = 1000", "thinned_size = 500"),
     ],
-    ids=["no_median", "level_1", "zero_period", "negative_period", "mixture_size", "thinned_size"],
+    ids=["no_median", "level_1", "zero_period", "negative_period", "mixture_size", "thinned_size",
+         "one_chain", "short_segment", "small_ensemble"],
 )
 def test_bad_config_values_exit_2_before_any_stage(tmp_path, capsys, old, new):
     config = make_workspace(tmp_path, structures="ST")
@@ -424,9 +445,35 @@ def test_bad_config_values_exit_2_before_any_stage(tmp_path, capsys, old, new):
     assert not (tmp_path / "out").exists()
 
 
-def test_missing_inputs_exit_2_with_workers(tmp_path):
+def test_missing_inputs_exit_2_with_workers(tmp_path, capsys):
     config = make_workspace(tmp_path)
-    assert main(["calibrate", "--config", str(config), "--workers", "2"]) == 2
+    errors = []
+    for workers in ("1", "2"):
+        assert main(["calibrate", "--config", str(config), "--workers", workers]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error: missing inputs (run preprocess/fit-priors first)")
+    assert errors[1] == errors[0]
+
+
+@pytest.mark.parametrize("kind", ["temperature", "sealevel", "nao"])
+def test_missing_covariate_file_option_exits_2(tmp_path, capsys, kind):
+    config = make_workspace(tmp_path, structures=f"NS1-{kind}")
+    config.write_text(re.sub(f"^{kind}_hist = .*\n", "", config.read_text(), flags=re.M))
+    assert main(["run-all", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: missing covariate file option {kind}_hist\n"
+
+
+def test_serial_calibrate_loads_inputs_once(tmp_path, monkeypatch):
+    config = make_workspace(tmp_path, structures="ST, NS1-time, NS1-sealevel")
+    config.write_text(config.read_text().replace("n_iterations = 1200", "n_iterations = 700"))
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["fit-priors", "--config", str(config)]) == 0
+
+    calls = []
+    load = cli._load_inputs
+    monkeypatch.setattr(cli, "_load_inputs", lambda c: calls.append(c) or load(c))
+    assert main(["calibrate", "--config", str(config)]) == 0
+    assert len(calls) == 1  # not one per structure
 
 
 @pytest.mark.skipif(

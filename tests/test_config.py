@@ -34,7 +34,7 @@ profile = desk
 n_iterations = 2000
 n_chains = 2
 burn_in = 200
-thinned_size = 400
+thinned_size = 1000
 
 [projection]
 return_periods = 10, 50, 100
@@ -98,7 +98,7 @@ def test_build_covariates_spans_and_normalization(config_dir):
         hist = cov.values[: 2013 - 1990 + 1]
         assert hist.min() == pytest.approx(0.0, abs=1e-12)
         assert hist.max() == pytest.approx(1.0, abs=1e-12)
-    assert covs[CovariateKind.TIME].value_for_year(2030) == pytest.approx(
+    assert covs[CovariateKind.TIME].values_for_years([2030])[0] == pytest.approx(
         (2030 - 1990) / (2013 - 1990)
     )
 

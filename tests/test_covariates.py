@@ -71,7 +71,7 @@ def test_normalize_affine_map():
 def test_normalize_projection_extrapolates():
     series = {2000: 2.0, 2001: 6.0, 2002: 8.0}
     cov = normalize_minmax(series, CovariateKind.SEALEVEL, (2000, 2001))
-    assert cov.value_for_year(2002) == pytest.approx(1.5)
+    assert cov.values_for_years([2002])[0] == pytest.approx(1.5)
 
 
 def test_normalize_scale_offset_invariance():
@@ -90,11 +90,10 @@ def test_normalize_degenerate_covariate():
 
 def test_time_covariate_endpoints_and_linspace():
     cov = time_covariate(1928, 2065, (1928, 2013))
-    assert cov.value_for_year(1928) == pytest.approx(0.0)
-    assert cov.value_for_year(2013) == pytest.approx(1.0)
+    assert cov.values_for_years([1928, 2013]).tolist() == pytest.approx([0.0, 1.0])
     hist = cov.values[: 2013 - 1928 + 1]
     assert np.allclose(hist, np.linspace(0.0, 1.0, 86), atol=1e-12)
-    assert cov.value_for_year(2065) == pytest.approx((2065 - 1928) / 85.0)
+    assert cov.values_for_years([2065])[0] == pytest.approx((2065 - 1928) / 85.0)
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +133,14 @@ def test_splice_restriction_to_history_is_identity():
 # ---------------------------------------------------------------------------
 
 
-def test_value_for_year_exact_and_errors():
+def test_values_for_years_exact_and_errors():
     years = np.arange(2060, 2066)
     vals = np.linspace(0, 1.31, years.size)
     vals = (vals - vals[:4].min()) / (vals[:4].max() - vals[:4].min())
     cov = CovariateSeries(CovariateKind.TIME, years, vals, (2060, 2063))
-    assert cov.value_for_year(2065) == pytest.approx(vals[-1])
-    with pytest.raises(ValueError, match="outside"):
-        cov.value_for_year(2059)
+    assert cov.values_for_years([2065, 2060]).tolist() == [vals[-1], vals[0]]
+    with pytest.raises(ValueError, match="years 2059-2059 not covered by covariate span 2060-2065"):
+        cov.values_for_years([2059])
 
 
 def test_calibration_years_resolvable_for_all_kinds():
@@ -149,9 +148,8 @@ def test_calibration_years_resolvable_for_all_kinds():
 
     covs = synthetic_covariates(1928, 2065, (1928, 2013))
     for kind, cov in covs.items():
-        for year in range(1928, 2014):
-            v = cov.value_for_year(year)
-            assert -1e-12 <= v <= 1.0 + 1e-12
+        v = cov.values_for_years(np.arange(1928, 2014))
+        assert np.all((-1e-12 <= v) & (v <= 1.0 + 1e-12))
 
 
 # ---------------------------------------------------------------------------

@@ -438,8 +438,10 @@ def simulated_record():
     "make",
     [
         # 2002 is observed but has no event
-        lambda: decluster(make_daily_from_heights({10: 2.0, 40: 2.2, 41: 2.5}, n_days=730), 1.5),
-        lambda: decluster(make_daily_from_heights({}, n_days=730), 1.5),  # no events at all
+        lambda: decluster(
+            make_daily_from_heights({10: 2.0, 40: 2.2, 41: 2.5}, n_days=730), 1.5, 3
+        ),
+        lambda: decluster(make_daily_from_heights({}, n_days=730), 1.5, 3),  # no events at all
         simulated_record,
     ],
     ids=["declustered", "no_events", "simulated"],

@@ -157,7 +157,7 @@ def test_mle_ns3_slopes_near_zero_on_stationary_data():
 
 def test_mle_no_exceedances():
     with pytest.raises(ValueError, match="no exceedances"):
-        mle_fit(ST, ExceedanceSet(1.0, [], [], [], [], []), None)
+        mle_fit(ST, ExceedanceSet(1.0, [], [], [], [], []), None, np.random.default_rng(0))
 
 
 def test_mle_no_feasible_start(st_record_200yr, monkeypatch):
@@ -172,7 +172,7 @@ def test_mle_no_feasible_start(st_record_200yr, monkeypatch):
 
     monkeypatch.setattr(priors, "make_loglik", make_loglik)
     with pytest.raises(ValueError, match="no feasible start"):
-        mle_fit(ST, st_record_200yr[1], None)
+        mle_fit(ST, st_record_200yr[1], None, np.random.default_rng(0))
     assert len(calls) == priors.MLE_RESTARTS  # each start evaluated once, none searched
 
 

@@ -162,7 +162,9 @@ def test_ram_detailed_balance_frozen_adaptation():
         theta, lp, S, _, _ = step_one(theta, lp, S, n, logpost, rng)
     draws = np.empty(100_000)
     for i in range(draws.size):
-        theta, lp, S, _, _ = step_one(theta, lp, S, 10_001 + i, logpost, rng, adapt=False)
+        # frozen: every step gets the same factor S and its update is dropped;
+        # the update draws no random numbers, so the draws are those of a fixed S
+        theta, lp, _, _, _ = step_one(theta, lp, S, 10_001 + i, logpost, rng)
         draws[i] = theta[0]
     stat, _ = stats.kstest(draws, stats.norm.cdf)
     assert stat < 0.02
@@ -386,7 +388,7 @@ def test_ensemble_csv_roundtrip(tmp_path, st_calibration):
 def test_ensemble_csv_text_is_format_float_of_each_value(tmp_path):
     draws = np.array([[0.1, -0.0, 1.0 / 3.0], [5e-324, 1e300, -2.5e-17], [np.inf, -np.inf, np.nan]])
     ens = PosteriorEnsemble(ST, draws)
-    ens.save(tmp_path / "ens.csv")
+    ens.save(tmp_path / "ens.csv", tmp_path / "ens.json")
     write_csv(tmp_path / "want.csv", ST.active_params,
               ([format_float(v) for v in row] for row in draws))
     assert (tmp_path / "ens.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
