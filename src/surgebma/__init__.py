@@ -2,13 +2,7 @@
 averaging over stationary and covariate-driven nonstationary PP/GPD models."""
 
 from .covariates import CovariateKind, CovariateSeries
-from .models import (
-    ModelStructure,
-    NonstatLevel,
-    all_structures,
-    log_likelihood,
-    log_posterior,
-)
+from .models import ModelStructure, NonstatLevel, all_structures
 from .preprocess import ExceedanceSet, preprocess_station
 from .sampler import ChainConfig, PosteriorEnsemble
 
@@ -23,8 +17,6 @@ __all__ = [
     "NonstatLevel",
     "PosteriorEnsemble",
     "all_structures",
-    "log_likelihood",
-    "log_posterior",
     "preprocess_station",
     "__version__",
 ]

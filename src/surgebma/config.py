@@ -127,18 +127,56 @@ _RUN_OPTIONS = {
 # [sampler] option -> parser; each option sets the ChainConfig field of its name
 _SAMPLER_OPTIONS = {
     **dict.fromkeys(("n_iterations", "n_chains", "burn_in", "thinned_size"), int),
-    **dict.fromkeys(("target_acceptance", "adaptation_decay", "psrf_gate"), float),
+    "psrf_gate": float,
+}
+
+# each file-backed covariate's reader of its <kind>_hist and <kind>_proj files
+_FILE_READERS = {
+    CovariateKind.TEMPERATURE: read_annual_csv,
+    CovariateKind.SEALEVEL: read_annual_csv,
+    CovariateKind.NAO: lambda path: winter_mean_nao(read_monthly_csv(path)),
+}
+
+# every option load_config reads, by section; it refuses any other
+_KNOWN_OPTIONS = {
+    **{name: {*options} for name, options in _RUN_OPTIONS.items()},
+    "run": {*_RUN_OPTIONS["run"], "output_dir"},
+    "station": {"hourly_csv"},
+    "priors": {"mle_pack", "stations_dir"},
+    "covariates": {f"{kind.value}_{era}" for kind in _FILE_READERS for era in ("hist", "proj")},
+    "sampler": {"profile", "force", *_SAMPLER_OPTIONS},
 }
 
 
 def load_config(path) -> RunConfig:
     """Parse an INI run configuration; an omitted option keeps the default of
-    its ``RunConfig`` or ``ChainConfig`` field."""
+    its ``RunConfig`` or ``ChainConfig`` field.
+
+    A section or option that no field reads is refused, so a misspelled key
+    fails loudly instead of leaving its default in force. Options that come
+    only from ``[DEFAULT]`` are not checked.
+    """
     path = Path(path)
     text = path.read_text()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.read_string(text)
     base = path.parent
+
+    # the keys each section sets itself: read again with [DEFAULT] as a plain
+    # section (no header can be empty), so no section inherits its keys; the
+    # first reading already refused duplicates, except a repeated [DEFAULT]
+    own = configparser.ConfigParser(
+        default_section="", interpolation=None, strict=False, inline_comment_prefixes=(";", "#")
+    )
+    own.read_string(text)
+    for name in own.sections():
+        if name == parser.default_section:
+            continue
+        if name not in _KNOWN_OPTIONS:
+            raise ValueError(f"unknown config section [{name}]")
+        for key in own.options(name):
+            if key not in _KNOWN_OPTIONS[name]:
+                raise ValueError(f"unknown config option [{name}] {key}")
 
     def resolve(p) -> Path:
         q = Path(p)
@@ -176,14 +214,6 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         station_csv=resolve(station), sampler=ChainConfig(**chain), raw_text=text, **fields
     )
-
-
-# each file-backed covariate's reader of its <kind>_hist and <kind>_proj files
-_FILE_READERS = {
-    CovariateKind.TEMPERATURE: read_annual_csv,
-    CovariateKind.SEALEVEL: read_annual_csv,
-    CovariateKind.NAO: lambda path: winter_mean_nao(read_monthly_csv(path)),
-}
 
 
 def build_covariates(config: RunConfig) -> dict[CovariateKind, CovariateSeries]:

@@ -16,7 +16,6 @@ mixture is the weight-averaged return level.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .covariates import CovariateSeries
 from .evidence import BmaWeights
-from .models import DAYS_PER_YEAR, XI_EPS, ModelStructure, covariate_values, effective_params
+from .models import DAYS_PER_YEAR, XI_EPS, covariate_values, effective_params
 from .sampler import PosteriorEnsemble
 from .utils import GateError, dump_json, empirical_quantile, format_float, write_csv
 
@@ -43,8 +42,8 @@ class ReturnLevelEnsemble:
     year: int
     period_years: float
     samples: np.ndarray
-    n_clamped: int = 0  # draws whose extrapolated rate was floored
-    n_flagged: int = 0  # draws excluded: rate too low for the threshold regime
+    n_clamped: int  # draws whose extrapolated rate was floored
+    n_flagged: int  # draws excluded: rate too low for the threshold regime
 
     def __post_init__(self):
         if self.samples.size == 0:
@@ -70,13 +69,12 @@ class HazardReport:
 
 
 # ---------------------------------------------------------------------------
-# single-draw and ensemble return levels
+# ensemble return levels
 # ---------------------------------------------------------------------------
 
 
 def _invert_rate(lam_yr, sig, xi, mu: float, period: float):
-    """Vectorized closed-form return level; callers guarantee T*lam_yr > 1."""
-    lam_yr, sig, xi = np.broadcast_arrays(lam_yr, sig, xi)
+    """Closed-form return levels of equal-shaped arrays; callers guarantee T*lam_yr > 1."""
     loggrowth = np.log(period * lam_yr)
     small = np.abs(xi) < XI_EPS
     xi_safe = np.where(small, 1.0, xi)
@@ -86,28 +84,6 @@ def _invert_rate(lam_yr, sig, xi, mu: float, period: float):
         mu + sig / xi_safe * np.expm1(xi_safe * loggrowth),
     )
     return z
-
-
-def return_level(
-    row,
-    structure: ModelStructure,
-    phi_year: float,
-    mu: float,
-    period: float,
-) -> float:
-    """Level exceeded once per ``period`` years on average, at covariate phi.
-
-    ``row`` holds the active parameters of ``structure`` in their canonical order.
-    """
-    if period <= 0:
-        raise ValueError("return period must be positive")
-    lam, sig, xi = effective_params(row, structure.level, phi_year)
-    if sig <= 0:
-        raise ValueError("nonpositive scale")
-    lam_yr = lam * DAYS_PER_YEAR
-    if period * lam_yr <= 1.0:
-        raise ValueError("return period below threshold regime")
-    return float(_invert_rate(lam_yr, sig, xi, mu, period))
 
 
 def ensemble_return_levels(
@@ -121,8 +97,11 @@ def ensemble_return_levels(
 
     Draws whose extrapolated event rate is nonpositive are clamped to a tiny
     floor; draws still below the one-event-per-T-years regime are flagged and
-    excluded from the sample set.
+    excluded from the sample set. A period that is not positive is an input
+    error, not a flagged draw.
     """
+    if period <= 0:
+        raise ValueError("return period must be positive")
     structure = ensemble.structure
     phi = covariate_values(structure, cov, year)
     lam, sig, xi = effective_params(ensemble.draws, structure.level, phi)
@@ -178,8 +157,7 @@ def bma_mixture(
 
 
 def hazard_report(
-    mixtures: dict[float, ReturnLevelEnsemble],
-    levels: tuple[float, ...] = DEFAULT_QUANTILE_LEVELS,
+    mixtures: dict[float, ReturnLevelEnsemble], levels: tuple[float, ...]
 ) -> HazardReport:
     """Empirical quantile table of the mixture ensembles, one row per period."""
     if not mixtures:

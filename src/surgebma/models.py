@@ -16,13 +16,13 @@ probability math is done in log space.
 
 Parameters travel only as active-parameter rows: float arrays in
 ``ACTIVE_PARAMS[level]`` order, the order of ensemble columns and MLE tables.
-The MLE, the likelihood and posterior closures and their public one-call
-forms, simulation specs, the sampler, bridge sampling and the return-level
-inversion all take rows, and ``effective_params`` is the one place the rule
-above turns rows into (rate, scale, shape). The sampler evaluates a (K, d)
-stack of rows per call (``make_logpost_rows``), with values equal to the row
-closure's bit for bit. The likelihood reads the exceedance arrays of an
-``ExceedanceSet`` as they are.
+The MLE, the likelihood and posterior closures, simulation specs, the
+sampler, bridge sampling and the return-level inversion all take rows, and
+``effective_params`` is the one place the rule above turns rows into (rate,
+scale, shape). The sampler evaluates a (K, d) stack of rows per call
+(``make_logpost_rows``), with values equal to the row closure's bit for bit.
+The likelihood reads the exceedance arrays of an ``ExceedanceSet`` as they
+are.
 """
 
 from __future__ import annotations
@@ -305,7 +305,13 @@ def _constant_shape_gpd(xi0: np.ndarray, z: np.ndarray):
 def make_loglik(
     structure: ModelStructure, data: ExceedanceSet, cov: CovariateSeries | None
 ) -> Callable[[np.ndarray], float]:
-    """Precompute the data arrays and return a fast row -> log L closure."""
+    """Precompute the data arrays and return a fast row -> log L closure.
+
+    log L of an active row is the sum of the yearly Poisson count terms and
+    the per-event GPD terms; years without events contribute only their
+    Poisson factor. It is -inf whenever any year has a nonpositive rate or
+    scale, or an event falls outside the GPD support.
+    """
     arrays = LikelihoodData.build(data, cov, structure)
     level = structure.level
 
@@ -313,22 +319,6 @@ def make_loglik(
         return _loglik_from_arrays(row, level, arrays)
 
     return loglik
-
-
-def log_likelihood(
-    row,
-    structure: ModelStructure,
-    data: ExceedanceSet,
-    cov: CovariateSeries | None,
-) -> float:
-    """Joint log-likelihood of ``structure``'s active row: yearly Poisson
-    counts plus per-event GPD terms.
-
-    Years without events contribute only their Poisson factor. Returns -inf
-    whenever any year has a nonpositive rate or scale, or an event falls
-    outside the GPD support.
-    """
-    return make_loglik(structure, data, cov)(np.asarray(row, dtype=float))
 
 
 def _check_priors(priors: "PriorSet", structure: ModelStructure) -> None:
@@ -387,14 +377,3 @@ def make_logpost_rows(
         return np.where(lp == -math.inf, -math.inf, lp + _loglik_rows(rows, level, arrays))
 
     return logpost_rows
-
-
-def log_posterior(
-    row,
-    structure: ModelStructure,
-    data: ExceedanceSet,
-    cov: CovariateSeries | None,
-    priors: "PriorSet",
-) -> float:
-    """Unnormalized log-posterior of ``structure``'s active row."""
-    return make_logpost(structure, data, cov, priors)(np.asarray(row, dtype=float))

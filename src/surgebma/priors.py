@@ -146,13 +146,12 @@ def _moment_start(
     return np.array([start[p] for p in structure.active_params])
 
 
-def _search(loglik, x0: np.ndarray, xatol: float, fatol: float) -> SimplexResult:
-    """One Nelder-Mead search of -loglik from ``x0``, fed one row at a time."""
-    search = nelder_mead(x0, xatol, fatol, MLE_MAX_EVALS)
+def _finish(loglik, search, value: float) -> SimplexResult:
+    """Run a Nelder-Mead search of -loglik to its end, fed one row at a time;
+    ``value`` is -loglik at the point the search yielded last."""
     try:
-        x = next(search)
         while True:
-            x = search.send(-loglik(x))
+            value = -loglik(search.send(value))
     except StopIteration as stop:
         return stop.value
 
@@ -175,7 +174,9 @@ def mle_fit(
     stacked rows.) A search converges when the simplex spread falls below its
     tolerances (1e-7 in x and 1e-8 in -log L, then 1e-9 and 1e-10), and stops
     at ``MLE_MAX_EVALS`` evaluations otherwise; a winner that stopped there is
-    logged as a warning. Returns the active-parameter row of the optimum.
+    logged as a warning. A restart whose start has no finite log-likelihood
+    ends after that one evaluation. Returns the active-parameter row of the
+    optimum.
     """
     if data.n_events == 0:
         raise ValueError("no exceedances to fit")
@@ -193,11 +194,14 @@ def mle_fit(
             for i, name in enumerate(structure.active_params):
                 if prior_family_for(name, level) == "gamma":
                     x0[i] = abs(x0[i]) or base[i]
-        if not math.isfinite(loglik(x0)):
+        search = nelder_mead(x0, 1e-7, 1e-8, MLE_MAX_EVALS)
+        value = -loglik(next(search))  # the first vertex is x0: its value decides feasibility
+        if not math.isfinite(value):
             continue
-        res = _search(loglik, x0, 1e-7, 1e-8)
+        res = _finish(loglik, search, value)
         # one chained restart from the solution polishes flat directions
-        res = _search(loglik, res.x, 1e-9, 1e-10)
+        polish = nelder_mead(res.x, 1e-9, 1e-10, MLE_MAX_EVALS)
+        res = _finish(loglik, polish, -loglik(next(polish)))
         if res.fun < best_f:
             best, best_f = res, res.fun
     if best is None:
@@ -236,13 +240,13 @@ def fit_all_priors(mle_table: dict[str, np.ndarray]) -> dict[str, PriorSet]:
     return out
 
 
-def save_priors(priors: dict[str, PriorSet], path, meta: dict | None = None) -> None:
+def save_priors(priors: dict[str, PriorSet], path, meta: dict) -> None:
     payload = {
         "structures": {
             sid: {name: spec.to_dict() for name, spec in ps.specs.items()}
             for sid, ps in priors.items()
         },
-        "meta": meta or {},
+        "meta": meta,
     }
     dump_json(payload, path)
 
@@ -258,7 +262,7 @@ def load_priors(path) -> dict[str, PriorSet]:
     return out
 
 
-def save_mle_table(table: dict[str, np.ndarray], path, meta: dict | None = None) -> None:
+def save_mle_table(table: dict[str, np.ndarray], path, meta: dict) -> None:
     payload = {
         "structures": {
             sid: {
@@ -267,7 +271,7 @@ def save_mle_table(table: dict[str, np.ndarray], path, meta: dict | None = None)
             }
             for sid, est in table.items()
         },
-        "meta": meta or {},
+        "meta": meta,
     }
     dump_json(payload, path)
 

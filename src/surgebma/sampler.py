@@ -1,7 +1,7 @@
 """Robust adaptive Metropolis MCMC with multi-chain convergence checks.
 
 The proposal covariance factor adapts by a rank-one update that coerces the
-acceptance rate toward a target (Vihola 2012, Stat. Comput. 22:997-1008).
+acceptance rate toward 0.234 (Vihola 2012, Stat. Comput. 22:997-1008).
 All chains of a structure advance in lockstep, with one call of a stacked
 log-posterior per iteration and one random stream per chain.
 Convergence across parallel chains is monitored with the potential scale
@@ -23,24 +23,20 @@ from .utils import dump_json, write_csv
 
 MIN_CHAINS = 2  # the PSRF compares the spread between chains with that within them
 MIN_SEGMENT = 10  # least post-burn-in iterations per chain for the PSRF
+TARGET_ACCEPTANCE = 0.234  # the acceptance rate RAM coerces each chain toward
+ADAPTATION_DECAY = 0.66  # gamma exponent of the step-size schedule n^-gamma
 
 
 @dataclass(frozen=True)
 class ChainConfig:
     n_iterations: int = 10_000
     n_chains: int = 4
-    target_acceptance: float = 0.234
-    adaptation_decay: float = 0.66  # gamma exponent of the step-size schedule
     seed: int = 0
     burn_in: int = 1_000
     thinned_size: int = 1_000
     psrf_gate: float = 1.1
 
     def __post_init__(self):
-        if not 0 < self.target_acceptance < 1:
-            raise ValueError("target_acceptance must lie in (0, 1)")
-        if not 0.5 < self.adaptation_decay <= 1.0:
-            raise ValueError("adaptation_decay must lie in (0.5, 1]")
         if not 0 <= self.burn_in < self.n_iterations:
             raise ValueError("burn_in must be smaller than n_iterations")
         if self.n_chains < 1 or self.thinned_size < 1:
@@ -105,8 +101,6 @@ def ram_step(
     iteration: int,
     log_posterior: Callable[[np.ndarray], np.ndarray],
     rngs: Sequence[np.random.Generator],
-    target_acceptance: float = ChainConfig.target_acceptance,
-    adaptation_decay: float = ChainConfig.adaptation_decay,
 ):
     """One Metropolis step of K chains in lockstep, with rank-one coercion.
 
@@ -115,7 +109,8 @@ def ram_step(
     keeps it so), and ``log_posterior`` maps a (K, d) stack to (K,) values.
     Chain k proposes theta_k + S_k u_k with u_k drawn from ``rngs[k]``,
     accepts with probability alpha_k = min(1, exp(dlogp)), then rescales S_k
-    along u_k so its long-run acceptance rate is pulled toward the target.
+    along u_k so its long-run acceptance rate is pulled toward
+    ``TARGET_ACCEPTANCE``, with step size min(1, d n^-``ADAPTATION_DECAY``).
     Each generator draws ``standard_normal(d)`` and then a uniform only when
     alpha_k > 0, the order of a chain stepped on its own. Returns
     (theta', log_p', S', accepted, alpha); a non-finite proposal density
@@ -136,10 +131,10 @@ def ram_step(
     theta = np.where(accepted[:, None], proposal, theta)
     log_p = np.where(accepted, log_p_prop, log_p)
 
-    eta = min(1.0, d * iteration ** (-adaptation_decay))
+    eta = min(1.0, d * iteration ** (-ADAPTATION_DECAY))
     # one dot product per chain: a stacked sum of squares differs in the last bit
     norm2 = [v.dot(v) for v in draws]
-    coef = [eta * (a - target_acceptance) / n if n > 0.0 else 0.0 for a, n in zip(alpha, norm2)]
+    coef = [eta * (a - TARGET_ACCEPTANCE) / n if n > 0.0 else 0.0 for a, n in zip(alpha, norm2)]
     m = np.array(coef)[:, None, None] * (u[:, :, None] * u[:, None, :])
     m.reshape(k, -1)[:, :: d + 1] += 1.0
     updated = np.linalg.cholesky(chol @ m @ chol.transpose(0, 2, 1))
@@ -197,16 +192,7 @@ def run_chains(
     chains = np.empty((n_chains, config.n_iterations, d))
     n_accept = np.zeros(n_chains, dtype=np.int64)
     for n in range(1, config.n_iterations + 1):
-        theta, log_p, chol, accepted, _ = ram_step(
-            theta,
-            log_p,
-            chol,
-            n,
-            log_posterior,
-            rngs,
-            config.target_acceptance,
-            config.adaptation_decay,
-        )
+        theta, log_p, chol, accepted, _ = ram_step(theta, log_p, chol, n, log_posterior, rngs)
         chains[:, n - 1] = theta
         n_accept += accepted
     acceptance = n_accept / config.n_iterations
@@ -218,7 +204,7 @@ def run_chains(
 # ---------------------------------------------------------------------------
 
 
-def gelman_rubin(chains: np.ndarray, burn_in: int = 0) -> np.ndarray:
+def gelman_rubin(chains: np.ndarray, burn_in: int) -> np.ndarray:
     """Potential scale reduction factor per parameter (Gelman & Rubin 1992).
 
     ``chains`` has shape (n_chains, n_iterations, d); the first ``burn_in``
@@ -241,9 +227,7 @@ def gelman_rubin(chains: np.ndarray, burn_in: int = 0) -> np.ndarray:
     return np.sqrt(var_hat / within)
 
 
-def pool_and_thin(
-    raw: RawChains, rng: np.random.Generator, force: bool = False
-) -> PosteriorEnsemble:
+def pool_and_thin(raw: RawChains, rng: np.random.Generator, force: bool) -> PosteriorEnsemble:
     """Pool post-burn-in iterates of all chains and draw a uniform subsample.
 
     Burn-in, subsample size and PSRF gate are those of ``raw.config``, whose

@@ -1,12 +1,12 @@
 """Independent reference implementations used by several test modules.
 
-These deliberately avoid the package's own code paths: the likelihood oracle
-is a double loop in extended precision, the scalar GPD and Poisson densities
-are written out term by term, the declustering oracle builds clusters by
-transitive closure in O(n^2), and the sampler oracle steps one chain at a
-time on a row density. The row-kernel, hourly CSV reader and writer,
-detrending and daily-maxima oracles are earlier versions kept as the
-bit-for-bit references: numpy wrappers on numpy scalars, one row at a time,
+These deliberately avoid the package's own code paths: the likelihood oracle is
+a double loop in extended precision, the scalar GPD and Poisson densities and
+the closed-form return level are written out term by term, the declustering
+oracle builds clusters by transitive closure in O(n^2), and the sampler oracle
+steps one chain at a time on a row density. The row-kernel, hourly CSV reader
+and writer, detrending and daily-maxima oracles are earlier versions kept as
+the bit-for-bit references: numpy wrappers on numpy scalars, one row at a time,
 and a fresh array for every intermediate. The Nelder-Mead oracle is scipy's own
 ``minimize``, which the MLE called before it drove its own port.
 """
@@ -89,6 +89,29 @@ def naive_loglik(row, structure, data, cov):
     return float(total)
 
 
+def closed_form_return_level(row, structure, phi, mu, period):
+    """Level exceeded once per ``period`` years on average (Coles 2001, ch. 4).
+
+    ``row`` holds the active parameters of ``structure``; the effective rate,
+    scale and shape at covariate value ``phi`` are written out term by term,
+    and the inversion uses a power where the package uses ``expm1``.
+    """
+    theta = dict.fromkeys(ACTIVE_PARAMS[NonstatLevel.NS3], 0.0)
+    theta.update(zip(ACTIVE_PARAMS[structure.level], row))
+    lam = theta["lam0"] + theta["lam1"] * phi
+    if structure.level in (NonstatLevel.ST, NonstatLevel.NS1):
+        sig = theta["sig0"]
+    else:
+        sig = math.exp(theta["sig0"] + theta["sig1"] * phi)
+    xi = theta["xi0"] + theta["xi1"] * phi
+    growth = period * lam * 365.25  # expected exceedances in ``period`` years
+    if sig <= 0 or growth <= 1.0:
+        raise ValueError("outside the threshold regime")
+    if abs(xi) < 1e-8:
+        return mu + sig * math.log(growth)
+    return mu + sig / xi * (growth**xi - 1.0)
+
+
 def brute_force_decluster(days, heights, sep):
     """Transitive-closure clusters; the max (earliest tie) survives per cluster."""
     n = len(days)
@@ -120,9 +143,9 @@ def brute_force_decluster(days, heights, sep):
     return sorted(kept)
 
 
-def ram_step_one_chain(theta, log_p, chol, iteration, log_posterior, rng,
-                       target_acceptance=0.234, adaptation_decay=0.66):
-    """One robust adaptive Metropolis step of a single chain on a row density."""
+def ram_step_one_chain(theta, log_p, chol, iteration, log_posterior, rng):
+    """One robust adaptive Metropolis step of a single chain on a row density,
+    coercing acceptance toward 0.234 with step size min(1, d n^-0.66)."""
     d = theta.size
     u = rng.standard_normal(d)
     proposal = theta + chol @ u
@@ -136,8 +159,8 @@ def ram_step_one_chain(theta, log_p, chol, iteration, log_posterior, rng,
         theta, log_p = proposal, log_p_prop
     norm2 = float(u @ u)
     if norm2 > 0.0:
-        eta = min(1.0, d * iteration ** (-adaptation_decay))
-        m = (eta * (alpha - target_acceptance) / norm2) * np.outer(u, u)
+        eta = min(1.0, d * iteration ** -0.66)
+        m = (eta * (alpha - 0.234) / norm2) * np.outer(u, u)
         m.flat[:: d + 1] += 1.0
         chol = np.linalg.cholesky(chol @ m @ chol.T)
     return theta, log_p, chol, accepted
@@ -161,8 +184,7 @@ def run_chains_one_by_one(log_posterior, start, config):
         n_accept = 0
         for n in range(1, config.n_iterations + 1):
             theta, log_p, chol, accepted = ram_step_one_chain(
-                theta, log_p, chol, n, log_posterior, rng,
-                config.target_acceptance, config.adaptation_decay,
+                theta, log_p, chol, n, log_posterior, rng
             )
             chains[c, n - 1] = theta
             n_accept += accepted

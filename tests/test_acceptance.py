@@ -22,12 +22,12 @@ from oracles import brute_force_decluster, gpd_logpdf, naive_loglik
 from surgebma.cli import main
 from surgebma.covariates import CovariateKind, CovariateSeries
 from surgebma.evidence import aggregate_by_covariate, bma_weights, bridge_evidence
-from surgebma.hazard import return_level
+from surgebma.hazard import ensemble_return_levels
 from surgebma.models import (
     ModelStructure,
     NonstatLevel,
     all_structures,
-    log_likelihood,
+    make_loglik,
     make_logpost_on_active,
     make_logpost_rows,
 )
@@ -92,8 +92,8 @@ def test_criterion_2_likelihood_matches_naive_oracle():
             xi0=rng.normal(0.1, 0.15),
             xi1=rng.normal(0, 0.08) if structure.level is NonstatLevel.NS3 else 0.0,
         )
-        row = [named[name] for name in structure.active_params]
-        got = log_likelihood(row, structure, data, cov)
+        row = np.array([named[name] for name in structure.active_params])
+        got = make_loglik(structure, data, cov)(row)
         want = naive_loglik(row, structure, data, cov)
         if math.isinf(want):
             assert got == want
@@ -174,10 +174,14 @@ def test_criterion_5_return_level_matches_simulation():
     mu, lam0, sig0 = 1.0, 0.01, 0.2
     for i, xi in enumerate((-0.2, 0.0, 0.3)):
         theta = [lam0, sig0, xi]
+        ensemble = PosteriorEnsemble(ST, np.array([theta]))
         for j, period in enumerate((20.0, 50.0, 100.0)):
             rng = np.random.default_rng(7000 + 10 * i + j)
             emp = empirical_return_level(theta, ST, 0.0, mu, period, 200_000, rng)
-            ana = return_level(theta, ST, 0.0, mu, period)
+            # the projection's path: the one draw of a one-row ensemble
+            levels = ensemble_return_levels(ensemble, None, 2065, mu, period)
+            assert levels.samples.size == 1 and levels.n_flagged == levels.n_clamped == 0
+            ana = float(levels.samples[0])
             assert abs(emp - ana) <= 0.03 * abs(ana), (xi, period, emp, ana)
     report(5, "analytic vs simulated return levels", t0, 60.0)
 

@@ -433,9 +433,14 @@ def test_parallel_workers_reproduce_serial_artifacts(tmp_path):
         ("burn_in = 200\nthinned_size = 1000", "burn_in = 1195\nthinned_size = 10"),
         # bridge sampling needs 1000 draws
         ("thinned_size = 1000", "thinned_size = 500"),
+        # a key or section that no setting reads would leave the default in force
+        ("n_iterations = 1200", "n_iteration = 1200"),
+        ("[run]", "[bogus]\nseed = 1\n\n[run]"),
+        ("psrf_gate = ", "target_acceptance = 0.234\npsrf_gate = "),
     ],
     ids=["no_median", "level_1", "zero_period", "negative_period", "mixture_size", "thinned_size",
-         "one_chain", "short_segment", "small_ensemble"],
+         "one_chain", "short_segment", "small_ensemble", "misspelled_key", "unknown_section",
+         "target_acceptance"],
 )
 def test_bad_config_values_exit_2_before_any_stage(tmp_path, capsys, old, new):
     config = make_workspace(tmp_path, structures="ST")

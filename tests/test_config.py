@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -145,3 +146,35 @@ def test_sampler_profiles(tmp_path):
     with pytest.raises(ValueError, match="unknown sampler profile"):
         sampler("profile = laptop\n")
 
+
+@pytest.mark.parametrize(
+    "text, refused",
+    [
+        ("[sampler]\nn_iteration = 50\n", "option [sampler] n_iteration"),
+        ("[sampler]\nthined_size = 3\n", "option [sampler] thined_size"),
+        ("[preprocess]\nthreshold_quantil = 0.5\n", "option [preprocess] threshold_quantil"),
+        ("[bogus]\n", "section [bogus]"),
+        ("[sampler]\ntarget_acceptance = 0.234\n", "option [sampler] target_acceptance"),
+        ("[sampler]\nadaptation_decay = 0.66\n", "option [sampler] adaptation_decay"),
+        ("[covariates]\ntime_hist = time.csv\n", "option [covariates] time_hist"),
+        ("[run]\nhourly_csv = other.csv\n", "option [run] hourly_csv"),
+        # set in the section itself, not only inherited from [DEFAULT]
+        ("[DEFAULT]\nn_iteration = 5\n[sampler]\nn_iteration = 50\n",
+         "option [sampler] n_iteration"),
+    ],
+)
+def test_unknown_sections_and_options_are_refused(tmp_path, text, refused):
+    (tmp_path / "run.ini").write_text("[station]\nhourly_csv = station.csv\n" + text)
+    with pytest.raises(ValueError, match=re.escape(f"unknown config {refused}")):
+        load_config(tmp_path / "run.ini")
+
+
+def test_options_from_the_default_section_are_not_checked(tmp_path):
+    text = (
+        "[DEFAULT]\nroot = data\n\n[station]\nhourly_csv = %(root)s/station.csv\n"
+        "[sampler]\nn_chains = 3 ; inline comment\n"
+    )
+    (tmp_path / "run.ini").write_text(text)
+    config = load_config(tmp_path / "run.ini")
+    assert config.station_csv == tmp_path / "data" / "station.csv"
+    assert config.sampler.n_chains == 3

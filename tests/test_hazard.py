@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import closed_form_return_level
 from surgebma.covariates import CovariateKind, CovariateSeries
 from surgebma.evidence import BmaWeights
 from surgebma.hazard import (
@@ -14,7 +15,6 @@ from surgebma.hazard import (
     ensemble_return_levels,
     hazard_report,
     load_return_levels,
-    return_level,
     save_return_levels,
     write_curve_json,
     write_quantile_table_csv,
@@ -22,7 +22,7 @@ from surgebma.hazard import (
 from surgebma.models import ModelStructure, NonstatLevel
 from surgebma.sampler import PosteriorEnsemble
 from surgebma.simulate import synthetic_covariates
-from surgebma.utils import format_float, write_csv
+from surgebma.utils import GateError, format_float, write_csv
 
 ST = ModelStructure(NonstatLevel.ST, None)
 NS1 = ModelStructure(NonstatLevel.NS1, CovariateKind.TIME)
@@ -30,14 +30,27 @@ NS3 = ModelStructure(NonstatLevel.NS3, CovariateKind.TIME)
 
 
 # ---------------------------------------------------------------------------
-# return_level
+# one draw's return level
 # ---------------------------------------------------------------------------
+
+
+def make_ensemble(structure, rows):
+    rows = np.asarray(rows, dtype=float)
+    return PosteriorEnsemble(structure, rows, {})
+
+
+def one_draw_level(row, period):
+    """The ST return level of one draw above a threshold of 1, through the
+    projection's ensemble path."""
+    out = ensemble_return_levels(make_ensemble(ST, [row]), None, 2065, 1.0, period)
+    assert out.samples.size == 1
+    return float(out.samples[0])
 
 
 def test_return_level_exponential_branch():
     theta = [0.01, 0.2, 0.0]
     # lam_yr = 3.6525, T = 100 -> z = 1 + 0.2 ln(365.25)
-    z = return_level(theta, ST, 0.0, 1.0, 100.0)
+    z = one_draw_level(theta, 100.0)
     assert z == pytest.approx(1.0 + 0.2 * math.log(365.25), rel=1e-12)
 
 
@@ -46,23 +59,23 @@ def test_return_level_equals_threshold_at_unit_rate():
     period = 1.0 / (lam0 * 365.25) * (1.0 + 1e-13)
     for xi in (0.3, 0.0, -0.2):
         theta = [lam0, 0.2, xi]
-        assert return_level(theta, ST, 0.0, 1.0, period) == pytest.approx(1.0, abs=1e-9)
+        assert one_draw_level(theta, period) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_return_level_below_threshold_regime_errors():
     theta = [0.001, 0.2, 0.1]
-    with pytest.raises(ValueError, match="below threshold regime"):
-        return_level(theta, ST, 0.0, 1.0, 2.0)  # T*lam_yr = 0.73 < 1
+    with pytest.raises(GateError, match="all draws flagged for ST at T=2.0"):
+        one_draw_level(theta, 2.0)  # T*lam_yr = 0.73 < 1
 
 
 def test_return_level_monotonicity():
     theta = [0.01, 0.2, 0.1]
-    levels = [return_level(theta, ST, 0.0, 1.0, t) for t in DEFAULT_RETURN_PERIODS]
+    levels = [one_draw_level(theta, t) for t in DEFAULT_RETURN_PERIODS]
     assert np.all(np.diff(levels) > 0)
     # increasing in scale and rate
-    up_sig = return_level([0.01, 0.3, 0.1], ST, 0.0, 1.0, 100)
-    up_lam = return_level([0.02, 0.2, 0.1], ST, 0.0, 1.0, 100)
-    base = return_level(theta, ST, 0.0, 1.0, 100)
+    up_sig = one_draw_level([0.01, 0.3, 0.1], 100)
+    up_lam = one_draw_level([0.02, 0.2, 0.1], 100)
+    base = one_draw_level(theta, 100)
     assert up_sig > base and up_lam > base
 
 
@@ -70,25 +83,29 @@ def test_return_level_bounded_for_negative_shape():
     theta = [0.01, 0.2, -0.25]
     bound = 1.0 + 0.2 / 0.25
     for t in (10, 100, 1000, 100000):
-        assert return_level(theta, ST, 0.0, 1.0, t) < bound
+        assert one_draw_level(theta, t) < bound
 
 
 def test_return_level_continuous_across_xi_branch():
     theta_pos = [0.01, 0.2, 5e-9]
     theta_zero = [0.01, 0.2, 0.0]
-    a = return_level(theta_pos, ST, 0.0, 1.0, 100)
-    b = return_level(theta_zero, ST, 0.0, 1.0, 100)
+    a = one_draw_level(theta_pos, 100)
+    b = one_draw_level(theta_zero, 100)
     assert a == pytest.approx(b, abs=1e-6)
+
+
+@pytest.mark.parametrize("period", [0.0, -5.0])
+def test_ensemble_refuses_a_period_that_is_not_positive(period):
+    # an input error, not the gate failure of a period every draw is flagged at
+    ens = make_ensemble(ST, [[0.01, 0.2, 0.1]])
+    with pytest.raises(ValueError, match="return period must be positive") as raised:
+        ensemble_return_levels(ens, None, 2065, 1.0, period)
+    assert not isinstance(raised.value, GateError)
 
 
 # ---------------------------------------------------------------------------
 # ensemble_return_levels
 # ---------------------------------------------------------------------------
-
-
-def make_ensemble(structure, rows):
-    rows = np.asarray(rows, dtype=float)
-    return PosteriorEnsemble(structure, rows, {})
 
 
 def test_st_ensemble_year_invariant():
@@ -102,7 +119,7 @@ def test_st_ensemble_year_invariant():
 def test_single_draw_ensemble_matches_scalar():
     ens = make_ensemble(ST, [[0.01, 0.2, 0.1]])
     out = ensemble_return_levels(ens, None, 2065, 1.0, 100)
-    want = return_level([0.01, 0.2, 0.1], ST, 0.0, 1.0, 100)
+    want = closed_form_return_level([0.01, 0.2, 0.1], ST, 0.0, 1.0, 100)
     assert out.samples.size == 1
     assert out.samples[0] == pytest.approx(want, rel=1e-12)
 
@@ -123,7 +140,7 @@ def test_ensemble_flags_and_clamps_bad_rates():
 
 
 def test_ns3_ensemble_equals_per_draw_return_level_bit_for_bit():
-    # both routes resolve (rate, scale, shape) through the same rule
+    # a stack of draws and one-draw ensembles give each draw the same bits
     rng = np.random.default_rng(8)
     n = 1000
     rows = np.column_stack(
@@ -140,8 +157,13 @@ def test_ns3_ensemble_equals_per_draw_return_level_bit_for_bit():
     cov = CovariateSeries(CovariateKind.TIME, years, np.array([0.0, 1.0, 1.61]), (2000, 2001))
     out = ensemble_return_levels(make_ensemble(NS3, rows), cov, 2002, 1.0, 100)
     assert out.n_flagged == 0 and out.n_clamped == 0
-    want = np.array([return_level(row, NS3, 1.61, 1.0, 100) for row in rows])
+    want = np.concatenate(
+        [ensemble_return_levels(make_ensemble(NS3, [row]), cov, 2002, 1.0, 100).samples
+         for row in rows]
+    )
     assert out.samples.tobytes() == want.tobytes()
+    oracle = [closed_form_return_level(row, NS3, 1.61, 1.0, 100) for row in rows[:20]]
+    assert out.samples[:20] == pytest.approx(oracle, rel=1e-9)
 
 
 def test_ensemble_median_nondecreasing_in_period():
@@ -163,7 +185,7 @@ def test_ensemble_median_nondecreasing_in_period():
 
 
 def rl(samples, year=2065, period=100.0):
-    return ReturnLevelEnsemble(year, period, np.asarray(samples, dtype=float))
+    return ReturnLevelEnsemble(year, period, np.asarray(samples, dtype=float), 0, 0)
 
 
 def test_mixture_single_model_resamples_it():
@@ -206,7 +228,7 @@ def test_mixture_validates_coverage():
 
 def test_report_point_mass_quantiles_collapse():
     mixtures = {t: rl(np.full(100, 2.5), period=t) for t in (2.0, 100.0)}
-    report = hazard_report(mixtures)
+    report = hazard_report(mixtures, DEFAULT_QUANTILE_LEVELS)
     assert np.allclose(report.table, 2.5)
 
 
@@ -216,7 +238,7 @@ def test_report_rows_nondecreasing_and_shape():
         float(t): rl(rng.normal(2 + math.log(t), 0.3, size=4000), period=float(t))
         for t in DEFAULT_RETURN_PERIODS
     }
-    report = hazard_report(mixtures)
+    report = hazard_report(mixtures, DEFAULT_QUANTILE_LEVELS)
     assert report.table.shape == (9, 7)
     assert np.all(np.diff(report.table, axis=1) >= 0)  # across quantile levels
     assert report.levels == DEFAULT_QUANTILE_LEVELS
@@ -231,7 +253,7 @@ def test_report_csv_and_curve_json(tmp_path):
         float(t): rl(rng.normal(2.0, 0.2, size=500), period=float(t))
         for t in DEFAULT_RETURN_PERIODS
     }
-    report = hazard_report(mixtures)
+    report = hazard_report(mixtures, DEFAULT_QUANTILE_LEVELS)
     csv_path = tmp_path / "table_s2.csv"
     write_quantile_table_csv(report, csv_path)
     lines = csv_path.read_text().strip().splitlines()

@@ -14,8 +14,6 @@ from surgebma.models import (
     NonstatLevel,
     all_structures,
     effective_params,
-    log_likelihood,
-    log_posterior,
     make_loglik,
     make_logpost,
     make_logpost_rows,
@@ -180,7 +178,7 @@ def test_poisson_pmf_sums_to_one():
 
 def test_loglik_poisson_only_year():
     data = make_data(1.0, {2000: []}, durations=[200])
-    assert log_likelihood([0.01, 0.1, 0.0], ST, data, None) == pytest.approx(-2.0)
+    assert make_loglik(ST, data, None)(np.array([0.01, 0.1, 0.0])) == pytest.approx(-2.0)
 
 
 def test_loglik_year_order_invariance():
@@ -196,9 +194,9 @@ def test_loglik_year_order_invariance():
         data.threshold, data.years[::-1], data.durations[::-1], data.counts[::-1],
         data.dates[events_reversed], data.heights[events_reversed],
     )
-    row = [0.008, 0.12, 0.05]
-    assert log_likelihood(row, ST, data, None) == pytest.approx(
-        log_likelihood(row, ST, shuffled, None), rel=1e-14
+    row = np.array([0.008, 0.12, 0.05])
+    assert make_loglik(ST, data, None)(row) == pytest.approx(
+        make_loglik(ST, shuffled, None)(row), rel=1e-14
     )
 
 
@@ -221,8 +219,8 @@ def test_loglik_matches_naive_double_loop(seed):
         xi0=rng.normal(0.1, 0.1),
         xi1=rng.normal(0, 0.05) if structure.level is NonstatLevel.NS3 else 0.0,
     )
-    row = [named[name] for name in structure.active_params]
-    got = log_likelihood(row, structure, data, cov)
+    row = np.array([named[name] for name in structure.active_params])
+    got = make_loglik(structure, data, cov)(row)
     want = naive_loglik(row, structure, data, cov)
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -230,7 +228,7 @@ def test_loglik_matches_naive_double_loop(seed):
 def test_loglik_st_invariant_to_covariate():
     data = make_data(1.0, {2000: [1.1], 2001: [1.3, 1.05]})
     covs = [None, make_cov([2000, 2001]), make_cov([2000, 2001], [0.3, 0.9])]
-    vals = {log_likelihood([0.01, 0.15, 0.1], ST, data, c) for c in covs}
+    vals = {make_loglik(ST, data, c)(np.array([0.01, 0.15, 0.1])) for c in covs}
     assert len(vals) == 1
 
 
@@ -238,27 +236,28 @@ def test_ns3_with_zero_slopes_reproduces_st():
     data = make_data(1.0, {2000: [1.1], 2001: [1.3, 1.05], 2002: []})
     cov = make_cov([2000, 2001, 2002])
     sig = 0.15
-    row_st = [0.01, sig, 0.1]
-    row_ns3 = [0.01, 0.0, math.log(sig), 0.0, 0.1, 0.0]
-    assert log_likelihood(row_ns3, NS3, data, cov) == pytest.approx(
-        log_likelihood(row_st, ST, data, None), rel=1e-12
+    row_st = np.array([0.01, sig, 0.1])
+    row_ns3 = np.array([0.01, 0.0, math.log(sig), 0.0, 0.1, 0.0])
+    assert make_loglik(NS3, data, cov)(row_ns3) == pytest.approx(
+        make_loglik(ST, data, None)(row_st), rel=1e-12
     )
 
 
 def test_loglik_rejects_bad_params_with_minus_inf():
     data = make_data(1.0, {2000: [1.5], 2001: []})
     cov = make_cov([2000, 2001], [1.0, 0.0])
-    assert log_likelihood([0.01, -0.02, 0.1, 0.0], NS1, data, cov) == -math.inf
-    assert log_likelihood([0.01, -0.1, 0.0], ST, data, None) == -math.inf
+    st = make_loglik(ST, data, None)
+    assert make_loglik(NS1, data, cov)(np.array([0.01, -0.02, 0.1, 0.0])) == -math.inf
+    assert st(np.array([0.01, -0.1, 0.0])) == -math.inf
     # exceedance above a bounded upper endpoint
-    assert log_likelihood([0.01, 0.1, -0.5], ST, data, None) == -math.inf
+    assert st(np.array([0.01, 0.1, -0.5])) == -math.inf
 
 
 def test_loglik_requires_covariate_coverage():
     data = make_data(1.0, {2000: [1.1], 2001: [], 2002: []})
     cov = make_cov([2000, 2001])  # 2002 missing
     with pytest.raises(ValueError, match="not covered"):
-        log_likelihood([0.01, 0.0, 0.1, 0.0], NS1, data, cov)
+        make_loglik(NS1, data, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +319,12 @@ def test_log_prior_missing_parameter_errors():
 def test_log_posterior_composition_and_inf_propagation():
     data = make_data(1.0, {2000: [1.2], 2001: []})
     priors = make_priorset(ST)
-    row = [0.01, 0.12, 0.05]
-    want = log_likelihood(row, ST, data, None) + priors.logpdf(row)
-    assert log_posterior(row, ST, data, None, priors) == pytest.approx(want, rel=1e-12)
+    row = np.array([0.01, 0.12, 0.05])
+    logpost = make_logpost(ST, data, None, priors)
+    want = make_loglik(ST, data, None)(row) + priors.logpdf(row)
+    assert logpost(row) == pytest.approx(want, rel=1e-12)
 
-    assert log_posterior([-0.1, 0.12, 0.05], ST, data, None, priors) == -math.inf
+    assert logpost(np.array([-0.1, 0.12, 0.05])) == -math.inf
     with pytest.raises(ValueError, match="prior set fitted for ST, not NS1-time"):
         make_logpost(NS1, data, make_cov([2000, 2001]), priors)
 
@@ -338,14 +338,6 @@ def test_structure_catalogue():
     with pytest.raises(ValueError):
         ModelStructure(NonstatLevel.NS1, None)
     assert ModelStructure.parse("NS2-sealevel").covariate is CovariateKind.SEALEVEL
-
-
-def test_make_loglik_closure_matches_public_function():
-    data = make_data(1.0, {2000: [1.2, 1.4], 2001: [1.1]})
-    cov = make_cov([2000, 2001])
-    row = np.array([0.012, 0.003, 0.1, 0.02])
-    fast = make_loglik(NS1, data, cov)
-    assert fast(row) == log_likelihood(row, NS1, data, cov)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,41 @@ def test_mle_no_feasible_start(st_record_200yr, monkeypatch):
     assert len(calls) == priors.MLE_RESTARTS  # each start evaluated once, none searched
 
 
+def test_mle_evaluates_only_the_points_its_searches_ask_for(st_record_200yr, monkeypatch):
+    # each restart's start is the first point of its first search, whose value
+    # also decides feasibility: the closure sees each asked-for point once
+    _, record = st_record_200yr
+    want = mle_fit(ST, record, None, rng=np.random.default_rng(4))
+    calls, asked = [], []
+    real_make_loglik, real_nelder_mead = priors.make_loglik, priors.nelder_mead
+
+    def make_loglik(structure, data, cov):
+        loglik = real_make_loglik(structure, data, cov)
+
+        def counted(row):
+            calls.append(row.copy())
+            return loglik(row)
+
+        return counted
+
+    def nelder_mead(*args):
+        search = real_nelder_mead(*args)
+        try:
+            x = next(search)
+            while True:
+                asked.append(x.copy())
+                x = search.send((yield x))
+        except StopIteration as stop:
+            return stop.value
+
+    monkeypatch.setattr(priors, "make_loglik", make_loglik)
+    monkeypatch.setattr(priors, "nelder_mead", nelder_mead)
+    got = mle_fit(ST, record, None, rng=np.random.default_rng(4))
+    assert got.tobytes() == want.tobytes()
+    assert len(calls) == len(asked)
+    assert all(np.array_equal(a, b) for a, b in zip(calls, asked))
+
+
 def test_mle_warns_when_the_best_search_stops_at_the_cap(st_record_200yr, monkeypatch, caplog):
     _, record = st_record_200yr
     with caplog.at_level(logging.WARNING, logger="surgebma.priors"):
@@ -224,7 +259,7 @@ def test_priors_json_roundtrip(tmp_path):
     }
     priors = fit_all_priors(table)
     path = tmp_path / "priors.json"
-    save_priors(priors, path)
+    save_priors(priors, path, meta={})
     back = load_priors(path)
     assert set(back) == {"ST"}
     for name, spec in priors["ST"].specs.items():

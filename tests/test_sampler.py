@@ -46,10 +46,10 @@ def stacked(logpost):
     return lambda rows: np.array([logpost(r) for r in rows])
 
 
-def step_one(theta, lp, S, n, logpost, rng, **kw):
+def step_one(theta, lp, S, n, logpost, rng):
     """ram_step on a single chain; returns row, scalar log p, factor, accepted, alpha."""
     theta, lp, S, accepted, alpha = ram_step(
-        theta[None], np.array([lp]), S[None], n, stacked(logpost), [rng], **kw
+        theta[None], np.array([lp]), S[None], n, stacked(logpost), [rng]
     )
     return theta[0], lp[0], S[0], accepted[0], alpha[0]
 
@@ -70,16 +70,14 @@ def test_ram_step_always_accepts_uphill():
 
 
 def test_ram_step_no_update_at_target_acceptance():
-    target = 0.234
+    target = 0.234  # Vihola's target, the sampler's TARGET_ACCEPTANCE
     c = math.log(target)
 
     def logpost(x):
         return c * float(x[0])  # step of +1 gives alpha exactly = target
 
     rng = StubRng([[1.0]], [0.5])
-    _, _, S_new, _, alpha = step_one(
-        np.zeros(1), 0.0, np.eye(1), 3, logpost, rng, target_acceptance=target
-    )
+    _, _, S_new, _, alpha = step_one(np.zeros(1), 0.0, np.eye(1), 3, logpost, rng)
     assert alpha == pytest.approx(target, abs=1e-15)
     assert np.allclose(S_new, np.eye(1), atol=1e-12)
 
@@ -296,7 +294,7 @@ def test_pool_and_thin_sizes_and_membership():
     chains = rng.standard_normal((4, 1000, 2)) * 0.01 + 0.5
     config = ChainConfig(n_iterations=1000, n_chains=4, burn_in=100, thinned_size=500, seed=0)
     raw = make_raw(chains, config)
-    ens = pool_and_thin(raw, np.random.default_rng(0))
+    ens = pool_and_thin(raw, np.random.default_rng(0), force=False)
     assert ens.draws.shape == (500, 2)
     pooled = chains[:, 100:, :].reshape(-1, 2)
     # every draw appears in the pool
@@ -307,7 +305,7 @@ def test_pool_and_thin_full_size_is_permutation():
     rng = np.random.default_rng(6)
     chains = rng.standard_normal((2, 200, 1)) * 0.01
     config = ChainConfig(n_iterations=200, n_chains=2, burn_in=0, thinned_size=400, seed=0)
-    ens = pool_and_thin(make_raw(chains, config), np.random.default_rng(1))
+    ens = pool_and_thin(make_raw(chains, config), np.random.default_rng(1), force=False)
     assert np.allclose(np.sort(ens.draws[:, 0]), np.sort(chains[:, :, 0].ravel()))
 
 
@@ -315,7 +313,7 @@ def test_pool_and_thin_mean_close_to_pool_mean():
     rng = np.random.default_rng(7)
     chains = rng.standard_normal((4, 5000, 1))
     config = ChainConfig(n_iterations=5000, n_chains=4, burn_in=500, thinned_size=1000, seed=0)
-    ens = pool_and_thin(make_raw(chains, config), np.random.default_rng(2))
+    ens = pool_and_thin(make_raw(chains, config), np.random.default_rng(2), force=False)
     pool = chains[:, 500:, :].reshape(-1)
     se = pool.std(ddof=1) / math.sqrt(1000)
     assert abs(ens.draws.mean() - pool.mean()) < 4.0 * se
@@ -329,7 +327,7 @@ def test_pool_and_thin_gate():
     config = ChainConfig(n_iterations=1000, n_chains=2, burn_in=100, thinned_size=100, seed=0)
     raw = make_raw(chains, config)
     with pytest.raises(RuntimeError, match="p0"):
-        pool_and_thin(raw, np.random.default_rng(3))
+        pool_and_thin(raw, np.random.default_rng(3), force=False)
     ens = pool_and_thin(raw, np.random.default_rng(3), force=True)
     assert ens.diagnostics["forced"] and ens.diagnostics["psrf_gate_failed"] == ["p0"]
 
@@ -360,7 +358,7 @@ def st_calibration():
 
 def test_posterior_mean_near_truth(st_calibration):
     truth, record, raw = st_calibration
-    ens = pool_and_thin(raw, np.random.default_rng(4))
+    ens = pool_and_thin(raw, np.random.default_rng(4), force=False)
     lam_draws = ens.draws[:, ST.active_params.index("lam0")]
     # Monte-Carlo SE of the posterior mean, inflated for autocorrelation
     se = lam_draws.std(ddof=1) / math.sqrt(200)
@@ -371,7 +369,7 @@ def test_posterior_mean_near_truth(st_calibration):
 
 def test_ensemble_csv_roundtrip(tmp_path, st_calibration):
     _, _, raw = st_calibration
-    ens = pool_and_thin(raw, np.random.default_rng(5))
+    ens = pool_and_thin(raw, np.random.default_rng(5), force=False)
     csv_path = tmp_path / "ens.csv"
     diag_path = tmp_path / "ens.json"
     ens.save(csv_path, diag_path)

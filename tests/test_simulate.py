@@ -5,8 +5,8 @@ import pytest
 from scipy import stats
 
 from surgebma.covariates import CovariateKind
-from surgebma.hazard import ensemble_return_levels, return_level
-from surgebma.models import ModelStructure, NonstatLevel, log_likelihood
+from surgebma.hazard import ensemble_return_levels
+from surgebma.models import ModelStructure, NonstatLevel, make_loglik
 from surgebma.preprocess import DailySeries, decluster
 from surgebma.sampler import PosteriorEnsemble
 from surgebma.simulate import (
@@ -58,7 +58,7 @@ def test_missing_covariate_is_refused_alike_by_simulation_likelihood_and_project
         SimulationSpec(row, ns1, None, 2000, 2010, 1.0, seed=1)
     record = simulate_record(SimulationSpec(row[[0, 2, 3]], ST, None, 2000, 2010, 1.0, seed=1))
     with pytest.raises(ValueError, match=message):
-        log_likelihood(row, ns1, record, None)
+        make_loglik(ns1, record, None)(row)
     with pytest.raises(ValueError, match=message):
         ensemble_return_levels(PosteriorEnsemble(ns1, np.tile(row, (4, 1))), None, 2030, 1.0, 100.0)
 
@@ -144,7 +144,8 @@ def test_empirical_matches_analytic_return_level():
     theta = [0.01, 0.2, 0.1]
     rng = np.random.default_rng(14)
     got = empirical_return_level(theta, ST, 0.0, 1.0, 50, 200_000, rng)
-    want = return_level(theta, ST, 0.0, 1.0, 50)
+    ensemble = PosteriorEnsemble(ST, np.array([theta]))
+    want = float(ensemble_return_levels(ensemble, None, 2065, 1.0, 50).samples[0])
     assert got == pytest.approx(want, rel=0.02)
 
 
@@ -162,11 +163,9 @@ def test_simulation_spec_validates_rates():
 def test_loglik_profile_peaks_near_truth():
     # generative/likelihood consistency: the average log-likelihood over a
     # 1-D grid around each component is maximized near the true value
-    from surgebma.models import log_likelihood
-
     theta = np.array([0.01, 0.15, 0.1])  # ST: lam0, sig0, xi0
     spec = SimulationSpec(theta, ST, None, 1700, 2199, 1.0, seed=15)
-    record = simulate_record(spec)
+    loglik = make_loglik(ST, simulate_record(spec), None)
 
     for k, truth, grid in [
         (0, 0.01, np.linspace(0.005, 0.02, 31)),
@@ -177,7 +176,7 @@ def test_loglik_profile_peaks_near_truth():
         for g in grid:
             row = theta.copy()
             row[k] = g
-            vals.append(log_likelihood(row, ST, record, None))
+            vals.append(loglik(row))
         best = grid[int(np.argmax(vals))]
         span = grid.max() - grid.min()
         assert abs(best - truth) < 0.2 * span
