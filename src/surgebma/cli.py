@@ -146,30 +146,41 @@ def _mle_pack_path(config: RunConfig) -> Path:
     return Path(resources.files("surgebma").joinpath(PACKAGED_MLE_PACK))
 
 
-def _station_mles(config: RunConfig, covs: dict, path: Path, index: int) -> dict[str, list]:
-    """All-structure MLE fits for one station record; order-independent."""
+def _station_mles(
+    config: RunConfig, covs: dict, station: Path | ExceedanceSet, index: int
+) -> dict[str, list]:
+    """All-structure MLE fits for one station, given as an hourly CSV to
+    preprocess or as an already preprocessed record; order-independent."""
     structures = config.structure_list()
-    record = _preprocess(config, path)
+    if isinstance(station, ExceedanceSet):
+        record, name = station, "target station"
+    else:
+        record, name = _preprocess(config, station), station.name
     rng = np.random.default_rng(stage_seed(config.seed, "station-mle", index))
     out = {}
     for s in structures:
         out[s.id] = mle_fit(s, record, covs.get(s.covariate), rng=rng).tolist()
-    log.info("fitted %s (%d structures)", path.name, len(structures))
+    log.info("fitted %s (%d structures)", name, len(structures))
     return out
 
 
 def cmd_fit_priors(config: RunConfig) -> int:
     structures = config.structure_list()
     if config.stations_dir is not None:
+        # the target station contributes its own estimate alongside the
+        # archive, from the record preprocess wrote; joined without out(),
+        # which would create the output directory
+        exc_path = config.output_dir / "exceedances.json"
+        if not exc_path.exists():
+            raise ValueError(f"missing inputs (run preprocess first): {[str(exc_path)]}")
+        target = ExceedanceSet.load(exc_path)
         station_files = sorted(Path(config.stations_dir).glob("*.csv"))
         if not station_files:
             raise ValueError(f"no station CSVs in {config.stations_dir}")
-        # the target station contributes its own estimate alongside the archive
-        all_files = [*station_files, config.station_csv]
         covs = build_covariates(config)
         per_station = _run_units(
             config, None, _station_mles,
-            [(config, covs, path, i) for i, path in enumerate(all_files)],
+            [(config, covs, station, i) for i, station in enumerate([*station_files, target])],
         )
         table = {
             s.id: np.array([row[s.id] for row in per_station]) for s in structures

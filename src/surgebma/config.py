@@ -71,6 +71,9 @@ class RunConfig:
         for sid in self.structures:
             if sid not in known:
                 raise ValueError(f"unknown structure {sid!r}")
+        if len(set(self.structures)) < len(self.structures):
+            # every stage would run a repeat twice, and report would then refuse it
+            raise ValueError(f"repeated structures in {', '.join(self.structures)}")
         if not self.return_periods or not all(t > 0 for t in self.return_periods):
             raise ValueError("return_periods must list one or more positive periods")
         levels = self.quantile_levels
@@ -198,8 +201,11 @@ def load_config(path) -> RunConfig:
         value = section("priors").get(key, "").strip()
         if value:
             fields[key] = resolve(value)
+    # the known options only: items() would also copy every [DEFAULT] key
+    covariates = section("covariates")
     fields["covariate_files"] = {
-        key: resolve(value.strip()) for key, value in section("covariates").items() if value.strip()
+        key: resolve(covariates[key].strip())
+        for key in sorted(_KNOWN_OPTIONS["covariates"]) if covariates.get(key, "").strip()
     }
 
     sampler = section("sampler")

@@ -268,12 +268,17 @@ def add_station_archive(tmp_path):
 def test_fit_priors_from_station_directory(tmp_path, monkeypatch):
     config = make_workspace(tmp_path)
     add_station_archive(tmp_path)
+    # the target station's record comes from preprocess's exceedances.json
+    assert main(["preprocess", "--config", str(config)]) == 0
 
-    calls = []
-    build = cli.build_covariates
+    calls, reads = [], []
+    build, read = cli.build_covariates, cli.read_hourly_csv
     monkeypatch.setattr(cli, "build_covariates", lambda c: calls.append(c) or build(c))
+    monkeypatch.setattr(cli, "read_hourly_csv", lambda p: reads.append(p) or read(p))
     assert main(["fit-priors", "--config", str(config)]) == 0
     assert len(calls) == 1  # once for all three stations
+    # the two archive CSVs; preprocess already read the target's
+    assert sorted(p.name for p in reads) == ["s0.csv", "s1.csv"]
     mle_table = load_json(tmp_path / "out" / "mle_table.json")
     # two archive stations plus the target station itself
     assert len(mle_table["structures"]["ST"]["estimates"]) == 3
@@ -284,6 +289,15 @@ def test_fit_priors_from_station_directory(tmp_path, monkeypatch):
     serial = (tmp_path / "out" / "mle_table.json").read_bytes()
     assert main(["fit-priors", "--config", str(config), "--workers", "2"]) == 0
     assert (tmp_path / "out" / "mle_table.json").read_bytes() == serial
+
+
+def test_fit_priors_from_station_directory_needs_preprocess_first(tmp_path, capsys):
+    config = make_workspace(tmp_path)
+    add_station_archive(tmp_path)
+    assert main(["fit-priors", "--config", str(config)]) == 2
+    missing = [str(tmp_path / "out" / "exceedances.json")]
+    assert capsys.readouterr().err == f"error: missing inputs (run preprocess first): {missing}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_stationary_only_run_needs_no_covariate_files(tmp_path):
@@ -437,16 +451,25 @@ def test_parallel_workers_reproduce_serial_artifacts(tmp_path):
         ("n_iterations = 1200", "n_iteration = 1200"),
         ("[run]", "[bogus]\nseed = 1\n\n[run]"),
         ("psrf_gate = ", "target_acceptance = 0.234\npsrf_gate = "),
+        # every stage would run ST twice, and report would then refuse the evidence
+        ("structures = ST", "structures = ST, ST"),
     ],
     ids=["no_median", "level_1", "zero_period", "negative_period", "mixture_size", "thinned_size",
          "one_chain", "short_segment", "small_ensemble", "misspelled_key", "unknown_section",
-         "target_acceptance"],
+         "target_acceptance", "repeated_structure"],
 )
 def test_bad_config_values_exit_2_before_any_stage(tmp_path, capsys, old, new):
     config = make_workspace(tmp_path, structures="ST")
     config.write_text(config.read_text().replace(old, new))
     assert main(["run-all", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_structure_option_exits_2_before_any_stage(tmp_path, capsys):
+    config = make_workspace(tmp_path, structures="ST")
+    assert main(["run-all", "--config", str(config), "--structures", "ST,ST"]) == 2
+    assert capsys.readouterr().err.startswith("error: repeated structures")
     assert not (tmp_path / "out").exists()
 
 

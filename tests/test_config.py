@@ -178,3 +178,13 @@ def test_options_from_the_default_section_are_not_checked(tmp_path):
     config = load_config(tmp_path / "run.ini")
     assert config.station_csv == tmp_path / "data" / "station.csv"
     assert config.sampler.n_chains == 3
+
+
+def test_covariate_files_take_no_keys_from_the_default_section(tmp_path):
+    text = (
+        "[DEFAULT]\nroot = cov\n\n[station]\nhourly_csv = station.csv\n"
+        "[covariates]\ntemperature_hist = %(root)s/temperature_hist.csv\n"
+    )
+    (tmp_path / "run.ini").write_text(text)
+    config = load_config(tmp_path / "run.ini")
+    assert config.covariate_files == {"temperature_hist": tmp_path / "cov" / "temperature_hist.csv"}
