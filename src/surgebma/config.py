@@ -84,6 +84,8 @@ class RunConfig:
             )
         if self.mixture_size < 1:
             raise ValueError("mixture_size must be at least 1")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         # ChainConfig allows these (one chain runs fine), but the PSRF and the
         # bridge sampling of a pipeline run would refuse them after the chains
         chain = self.sampler

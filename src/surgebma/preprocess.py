@@ -22,8 +22,8 @@ from .utils import dump_json, empirical_quantile, load_json, write_csv
 
 HOURS_PER_DAY = 24
 MIN_VALID_FRACTION = 0.5  # detrending: least share of valid hours in an hour's window
-# chunk sizes of the hourly CSV reader (characters) and writer (rows): they
-# bound the memory per numpy call and change no result
+# chunk sizes of the hourly CSV reader (characters; bytes in its first pass)
+# and writer (rows): they bound the memory per numpy call and change no result
 READ_CHUNK_CHARS = 1 << 16
 WRITE_CHUNK_ROWS = 1 << 15
 # ExceedanceSet's array fields and the dtype each is stored in
@@ -54,7 +54,7 @@ class HourlySeries:
             raise ValueError("empty input")
         if self.times.size != self.levels.size:
             raise ValueError("times and levels must have equal length")
-        step = np.diff(self.times.astype("datetime64[h]").astype(np.int64))
+        step = np.diff(self.times.astype("datetime64[h]", copy=False).view(np.int64))
         if step.size and not np.all(step == 1):
             raise ValueError("times must form a contiguous hourly grid")
 
@@ -176,17 +176,22 @@ def read_hourly_csv(path) -> HourlySeries:
 
     Rows are parsed in chunks of about ``READ_CHUNK_CHARS``: one numpy
     conversion per column and chunk, with a row-by-row scan only to name the
-    line of a bad row. The output grid is regularized: hours absent from the
-    file become NaN.
+    line of a bad row. Each chunk is written into two buffers sized by a first
+    pass that counts the file's lines, so the record is held once. The output
+    grid is regularized: hours absent from the file become NaN. A file whose
+    stamps already form that grid, increasing hour by hour, is returned as read.
     """
-    stamps = [np.empty(0, dtype="datetime64[h]")]
-    values = [np.empty(0)]
+    lines_in_file = _count_lines(path)
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError("empty input")
         if [c.strip().lower() for c in header[:2]] != ["timestamp", "level_m"]:
             raise ValueError(f"expected header 'timestamp,level_m', got {header!r}")
+        # every row, the header too, takes at least one line
+        stamps = np.empty(lines_in_file - 1, dtype="datetime64[h]")
+        values = np.empty(lines_in_file - 1)
+        n = 0
         lineno = 2
         while lines := fh.readlines(READ_CHUNK_CHARS):
             rows = None
@@ -199,20 +204,42 @@ def read_hourly_csv(path) -> HourlySeries:
             except ValueError:
                 _raise_bad_row(path, csv.reader(lines) if rows is None else rows, lineno)
                 raise
-            stamps.append(t)
-            values.append(v)
+            stamps[n:n + t.size] = t
+            values[n:n + v.size] = v
+            n += t.size
             lineno += len(lines) if rows is None else len(rows)
-    t = np.concatenate(stamps)
-    if not t.size:
+    if not n:
         raise ValueError("empty input")
+    t, vals = stamps[:n], values[:n]
+    if t[-1] - t[0] == np.timedelta64(n - 1, "h") and (t[1:] > t[:-1]).all():
+        return HourlySeries(t, vals)
     order = np.argsort(t)
-    t, vals = t[order], np.concatenate(values)[order]
+    t, vals = t[order], vals[order]
+    del stamps, values, order
     if np.any(np.diff(t.astype(np.int64)) == 0):
         raise ValueError("duplicate timestamps in input")
     grid = np.arange(t[0], t[-1] + np.timedelta64(1, "h"), dtype="datetime64[h]")
     full = np.full(grid.size, np.nan)
     full[(t - grid[0]).astype(np.int64)] = vals
     return HourlySeries(grid, full)
+
+
+def _count_lines(path) -> int:
+    """The number of lines in ``path`` as text mode with ``newline=""`` splits
+    them, counting a last line with no end; read in blocks of ``READ_CHUNK_CHARS``
+    bytes."""
+    lines, last = 0, ord("\n")  # the byte before the file: as after a line end
+    with open(path, "rb") as fh:
+        while block := fh.read(READ_CHUNK_CHARS):
+            b = np.frombuffer(block, dtype=np.uint8)
+            lf, cr = b == ord("\n"), b == ord("\r")
+            # a line ends at each \n and at each \r that no \n follows, the
+            # \n of a \r\n split between two blocks included
+            lines += np.count_nonzero(lf) + np.count_nonzero(cr)
+            lines -= np.count_nonzero(cr[:-1] & lf[1:])
+            lines -= last == ord("\r") and block.startswith(b"\n")
+            last = block[-1]
+    return lines + (last not in b"\r\n")
 
 
 def _plain_columns(lines):
@@ -310,41 +337,53 @@ def detrend_moving_mean(series: HourlySeries, window_days: float) -> HourlySerie
     edges. Hours whose window holds fewer than ``MIN_VALID_FRACTION`` of its
     hours as valid samples are marked missing, as are hours missing in the input.
     """
-    if window_days < 1:
-        raise ValueError("window_days must be >= 1")
+    if not (np.isfinite(window_days) and window_days >= 1):
+        raise ValueError(f"window_days must be a finite number >= 1, got {window_days!r}")
     levels = series.levels
     n = levels.size
     half = int(round(window_days * HOURS_PER_DAY / 2))
 
-    # running sums of the valid levels and of the valid count, each led by a 0;
-    # every full-length buffer below is made once and worked on in place
+    # each window's valid count, length and sum of valid levels, from running
+    # sums led by a 0, each freed once used; int32 holds any count of hours
+    # below 2**31 (245,000 years)
     valid = np.isfinite(levels)
-    csum = np.zeros(n + 1)
-    np.copyto(csum[1:], levels, where=valid)
-    np.cumsum(csum[1:], out=csum[1:])
-    ccount = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(valid, out=ccount[1:])
+    count = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(valid, dtype=np.int32, out=count[1:])
+    n_valid = _window_sums(count, half)
+    del count
+    # the running count of all hours is the hour index
+    length = _window_sums(np.arange(n + 1, dtype=np.int32), half)
+    # valid hours short of MIN_VALID_FRACTION of the window
+    short = np.less(n_valid, np.multiply(length, MIN_VALID_FRACTION))
+    del length
 
-    # hour i averages hours lo[i] .. hi[i] - 1
-    lo = np.arange(-half, n - half)
-    np.maximum(lo, 0, out=lo)
-    hi = np.arange(half + 1, n + half + 1)
-    np.minimum(hi, n, out=hi)
-    n_valid = ccount[hi]
-    n_valid -= ccount[lo]
-    del ccount
-    out = csum[hi]
-    out -= csum[lo]
-    hi -= lo  # the window's length in hours
+    total = np.zeros(n + 1)
+    np.copyto(total[1:], levels, where=valid)
+    np.cumsum(total[1:], out=total[1:])
+    out = _window_sums(total, half)
+    del total
 
     with np.errstate(invalid="ignore", divide="ignore"):
         out /= n_valid  # the window mean
     np.subtract(levels, out, out=out)
     out[~valid] = np.nan
-    # valid hours short of MIN_VALID_FRACTION of the window, in csum's buffer
-    short = np.less(n_valid, np.multiply(hi, MIN_VALID_FRACTION, out=csum[:n]), out=valid)
     out[short] = np.nan
     return HourlySeries(series.times, out)
+
+
+def _window_sums(running: np.ndarray, half: int) -> np.ndarray:
+    """``running[hi] - running[lo]`` for each hour i of a record of
+    ``running.size - 1`` hours, where ``lo = max(i - half, 0)`` and
+    ``hi = min(i + half + 1, n)`` bound its window, taken by slices."""
+    n = running.size - 1
+    sums = np.empty(n, dtype=running.dtype)
+    inside = max(n - half, 0)  # hours whose window ends before the record does
+    sums[:inside] = running[half + 1:]
+    sums[inside:] = running[n]
+    clipped = min(half, n)  # hours whose window starts at the first hour
+    sums[:clipped] -= running[0]
+    sums[clipped:] -= running[:n - clipped]
+    return sums
 
 
 def daily_maxima(series: HourlySeries, min_valid_hours: int) -> DailySeries:

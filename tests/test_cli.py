@@ -453,10 +453,16 @@ def test_parallel_workers_reproduce_serial_artifacts(tmp_path):
         ("psrf_gate = ", "target_acceptance = 0.234\npsrf_gate = "),
         # every stage would run ST twice, and report would then refuse the evidence
         ("structures = ST", "structures = ST, ST"),
+        # preprocess refuses a window that is not a finite number of days
+        # before it writes anything
+        ("[run]", "[preprocess]\ndetrend_window_days = inf\n\n[run]"),
+        ("[run]", "[preprocess]\ndetrend_window_days = nan\n\n[run]"),
+        ("seed = 5", "seed = 5\nworkers = -3"),
     ],
     ids=["no_median", "level_1", "zero_period", "negative_period", "mixture_size", "thinned_size",
          "one_chain", "short_segment", "small_ensemble", "misspelled_key", "unknown_section",
-         "target_acceptance", "repeated_structure"],
+         "target_acceptance", "repeated_structure", "infinite_window", "nan_window",
+         "negative_workers"],
 )
 def test_bad_config_values_exit_2_before_any_stage(tmp_path, capsys, old, new):
     config = make_workspace(tmp_path, structures="ST")
@@ -470,6 +476,13 @@ def test_repeated_structure_option_exits_2_before_any_stage(tmp_path, capsys):
     config = make_workspace(tmp_path, structures="ST")
     assert main(["run-all", "--config", str(config), "--structures", "ST,ST"]) == 2
     assert capsys.readouterr().err.startswith("error: repeated structures")
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_workers_option_exits_2_before_any_stage(tmp_path, capsys):
+    config = make_workspace(tmp_path, structures="ST")
+    assert main(["run-all", "--config", str(config), "--workers", "0"]) == 2
+    assert capsys.readouterr().err == "error: workers must be at least 1\n"
     assert not (tmp_path / "out").exists()
 
 

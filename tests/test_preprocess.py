@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,32 @@ def test_detrend_marks_sparse_windows_missing():
 def test_detrend_empty_series_errors():
     with pytest.raises(ValueError, match="empty input"):
         HourlySeries(np.array([], dtype="datetime64[h]"), np.array([]))
+
+
+@pytest.mark.parametrize("window_days", [0.5, 0.0, -1.0, np.inf, np.nan])
+def test_detrend_refuses_a_window_below_one_day_or_not_finite(window_days):
+    with pytest.raises(ValueError, match="window_days must be a finite number >= 1"):
+        detrend_moving_mean(hourly(np.ones(48)), window_days)
+
+
+@pytest.mark.parametrize(
+    "stamps",
+    [["NaT", "2000-01-01T01"], ["2000-01-01T01", "2000-01-01T00"],
+     ["2000-01-01T00", "2000-01-01T00"]],
+    ids=["nat_first", "descending", "repeated_hour"],
+)
+def test_hourly_series_refuses_a_broken_grid(stamps):
+    with pytest.raises(ValueError, match="contiguous hourly grid"):
+        HourlySeries(np.array(stamps, dtype="datetime64[h]"), np.zeros(len(stamps)))
+
+
+def test_hourly_series_accepts_one_hour_and_a_minute_grid_on_whole_hours():
+    HourlySeries(np.array(["2000-01-01T05"], dtype="datetime64[h]"), np.array([1.0]))
+    minutes = np.arange(np.datetime64("2000-01-01T00:00"), np.datetime64("2000-01-01T05:00"),
+                        np.timedelta64(60, "m"))
+    assert minutes.dtype == np.dtype("datetime64[m]")
+    series = HourlySeries(minutes, np.zeros(minutes.size))
+    assert series.times is minutes  # kept as given
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +374,57 @@ def test_hourly_csv_reader_equals_row_oracle(tmp_path, monkeypatch, case, chunk)
     got = read_hourly_csv(path)
     assert np.array_equal(got.times, want.times)
     assert np.array_equal(got.levels.view(np.int64), want.levels.view(np.int64))
+    # the first pass sizes the buffers by the lines that text mode reads
+    with open(path, newline="") as fh:
+        assert preprocess._count_lines(path) == len(fh.readlines())
+
+
+@pytest.mark.parametrize("chunk", [64, preprocess.READ_CHUNK_CHARS])
+def test_hourly_csv_reader_equals_row_oracle_on_a_long_contiguous_record(
+    tmp_path, monkeypatch, chunk
+):
+    rng = np.random.default_rng(10)
+    vals = rng.normal(size=5000)
+    vals[rng.uniform(size=vals.size) < 0.05] = np.nan
+    path = tmp_path / "station.csv"
+    write_hourly_csv(path, hourly(vals, start="1969-12-30T22"))
+    want = read_hourly_csv_rows(path)
+    monkeypatch.setattr(preprocess, "READ_CHUNK_CHARS", chunk)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("a sorted, contiguous record needs no sort")
+
+    monkeypatch.setattr(np, "argsort", no_sort)
+    got = read_hourly_csv(path)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.levels.view(np.int64), want.levels.view(np.int64))
+
+
+def test_hourly_csv_reader_and_detrend_hold_the_record_about_once(tmp_path):
+    # numpy reports its buffers to tracemalloc; per row, the record itself is
+    # 16 bytes (stamp and level) and the detrended levels 8 more
+    n = 50_000
+    rng = np.random.default_rng(11)
+    vals = rng.normal(size=n)
+    vals[rng.uniform(size=n) < 0.05] = np.nan
+    path = tmp_path / "station.csv"
+    write_hourly_csv(path, hourly(vals, start="1990-01-01T00"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        series = read_hourly_csv(path)
+        kept, peak = tracemalloc.get_traced_memory()
+        read_peak, read_kept = (peak - before) / n, (kept - before) / n
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        detrended = detrend_moving_mean(series, 365.25)
+        detrend_peak = (tracemalloc.get_traced_memory()[1] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert series.levels.size == detrended.levels.size == n
+    assert read_peak <= 56, read_peak
+    assert read_kept <= 17, read_kept
+    assert detrend_peak <= 40, detrend_peak
 
 
 def test_hourly_csv_reader_equals_row_oracle_on_a_long_record(tmp_path, monkeypatch):
