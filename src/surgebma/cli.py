@@ -168,8 +168,7 @@ def cmd_fit_priors(config: RunConfig) -> int:
     structures = config.structure_list()
     if config.stations_dir is not None:
         # the target station contributes its own estimate alongside the
-        # archive, from the record preprocess wrote; joined without out(),
-        # which would create the output directory
+        # archive, from the record preprocess wrote
         exc_path = config.output_dir / "exceedances.json"
         if not exc_path.exists():
             raise ValueError(f"missing inputs (run preprocess first): {[str(exc_path)]}")
@@ -205,8 +204,8 @@ def cmd_fit_priors(config: RunConfig) -> int:
 
 
 def _load_inputs(config: RunConfig):
-    exc_path = config.out("exceedances.json")
-    priors_path = config.out("priors.json")
+    exc_path = config.output_dir / "exceedances.json"
+    priors_path = config.output_dir / "priors.json"
     missing = [str(p) for p in (exc_path, priors_path) if not p.exists()]
     if missing:
         raise ValueError(f"missing inputs (run preprocess/fit-priors first): {missing}")
@@ -278,7 +277,7 @@ def cmd_calibrate(config: RunConfig) -> int:
 
 
 def _load_ensemble(config: RunConfig, structure: ModelStructure) -> PosteriorEnsemble:
-    path = config.out("ensembles", f"{structure.id}.csv")
+    path = config.output_dir / "ensembles" / f"{structure.id}.csv"
     if not path.exists():
         raise ValueError(f"missing ensemble for {structure.id}; run calibrate first")
     return PosteriorEnsemble.load(path, structure)
@@ -325,7 +324,7 @@ def cmd_project(config: RunConfig) -> int:
 
 
 def cmd_report(config: RunConfig) -> int:
-    evidence_path = config.out("evidence.json")
+    evidence_path = config.output_dir / "evidence.json"
     if not evidence_path.exists():
         raise ValueError("missing evidence.json; run evidence first")
     stored = load_evidence(evidence_path)
@@ -355,7 +354,7 @@ def cmd_report(config: RunConfig) -> int:
     # model-averaged return-level mixture per period
     per_structure = {}
     for structure in structures:
-        path = config.out("return_levels", f"{structure.id}.csv")
+        path = config.output_dir / "return_levels" / f"{structure.id}.csv"
         if not path.exists():
             raise ValueError(f"missing return levels for {structure.id}; run project first")
         per_structure[structure.id] = load_return_levels(path, config.projection_year)

@@ -106,6 +106,7 @@ class RunConfig:
         return [ModelStructure.parse(sid) for sid in self.structures]
 
     def out(self, *parts) -> Path:
+        """The path of an artifact to write: creates its directory (read inputs without it)."""
         path = self.output_dir.joinpath(*parts)
         path.parent.mkdir(parents=True, exist_ok=True)
         return path
@@ -162,7 +163,7 @@ def load_config(path) -> RunConfig:
     only from ``[DEFAULT]`` are not checked.
     """
     path = Path(path)
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is skipped
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.read_string(text)
     base = path.parent

@@ -1,9 +1,11 @@
 """Tide-gauge preprocessing: detrend, daily maxima, threshold, decluster.
 
 Turns raw hourly sea level records into the set of declustered threshold
-exceedances that the Poisson-process/GPD likelihood consumes. That set is
-arrays only: per calendar year the observed days and the event count, per
-event the date and the height, which the likelihood reads as they are.
+exceedances that the Poisson-process/GPD likelihood consumes. The hourly
+record and its daily maxima are regular series, each its first step and its
+values. The exceedance set is arrays only: per calendar year the observed
+days and the event count, per event the date and the height, which the
+likelihood reads as they are.
 The processing chain follows common peaks-over-threshold practice: subtract
 a centered one-year running mean, reduce to daily maxima, keep days above a
 high empirical quantile, and retain only cluster maxima so the final events
@@ -40,45 +42,42 @@ _EXCEEDANCE_DTYPES = {
 
 @dataclass(frozen=True)
 class HourlySeries:
-    """Regular hourly grid of sea levels in meters; NaN marks missing hours.
+    """Sea levels in meters, one per hour: ``levels[k]`` is the level ``k``
+    hours after ``start`` (datetime64[h]); NaN marks a missing hour."""
 
-    ``times`` is a contiguous datetime64[h] grid (strictly increasing by
-    construction); gaps in the source data appear as NaN levels.
-    """
-
-    times: np.ndarray
+    start: np.datetime64
     levels: np.ndarray
 
     def __post_init__(self):
-        if self.times.size == 0:
+        object.__setattr__(self, "start", np.datetime64(self.start, "h"))
+        if np.isnat(self.start):
+            raise ValueError("start must be an hour, not NaT")
+        if self.levels.size == 0:
             raise ValueError("empty input")
-        if self.times.size != self.levels.size:
-            raise ValueError("times and levels must have equal length")
-        step = np.diff(self.times.astype("datetime64[h]", copy=False).view(np.int64))
-        if step.size and not np.all(step == 1):
-            raise ValueError("times must form a contiguous hourly grid")
 
 
 @dataclass(frozen=True)
 class DailySeries:
-    """Daily maxima of (detrended) sea level; ``valid`` flags usable days."""
+    """Daily maxima of (detrended) sea level, one per day: entry ``k`` is for
+    ``k`` days after ``first_day`` (datetime64[D]); ``valid`` flags usable days."""
 
-    dates: np.ndarray  # datetime64[D], strictly increasing
+    first_day: np.datetime64
     max_level: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self):
-        if not (self.dates.size == self.max_level.size == self.valid.size):
+        object.__setattr__(self, "first_day", np.datetime64(self.first_day, "D"))
+        if self.max_level.size != self.valid.size:
             raise ValueError("fields must have equal length")
-        if self.dates.size and np.any(np.diff(self.dates.astype(np.int64)) <= 0):
-            raise ValueError("dates must be strictly increasing")
         if np.any(~np.isfinite(self.max_level[self.valid])):
             raise ValueError("valid days must carry finite maxima")
 
     def restrict_years(self, first_year: int, last_year: int) -> "DailySeries":
-        years = self.dates.astype("datetime64[Y]").astype(np.int64) + 1970
-        keep = (years >= first_year) & (years <= last_year)
-        return DailySeries(self.dates[keep], self.max_level[keep], self.valid[keep])
+        # day offsets of 1 January of first_year and of the year after last_year
+        bounds = (np.array([first_year, last_year + 1]) - 1970).astype("datetime64[Y]")
+        offsets = (bounds.astype("datetime64[D]") - self.first_day).astype(np.int64)
+        lo, hi = np.clip(offsets, 0, self.valid.size).tolist()
+        return DailySeries(self.first_day + lo, self.max_level[lo:hi], self.valid[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -177,12 +176,13 @@ def read_hourly_csv(path) -> HourlySeries:
     Rows are parsed in chunks of about ``READ_CHUNK_CHARS``: one numpy
     conversion per column and chunk, with a row-by-row scan only to name the
     line of a bad row. Each chunk is written into two buffers sized by a first
-    pass that counts the file's lines, so the record is held once. The output
-    grid is regularized: hours absent from the file become NaN. A file whose
-    stamps already form that grid, increasing hour by hour, is returned as read.
+    pass that counts the file's lines, so the record is held once. The series
+    starts at the earliest stamp and each level goes to its hour: hours absent
+    from the file become NaN. A file whose stamps increase hour by hour is
+    returned as read. A leading UTF-8 byte-order mark is skipped.
     """
     lines_in_file = _count_lines(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError("empty input")
@@ -212,16 +212,18 @@ def read_hourly_csv(path) -> HourlySeries:
         raise ValueError("empty input")
     t, vals = stamps[:n], values[:n]
     if t[-1] - t[0] == np.timedelta64(n - 1, "h") and (t[1:] > t[:-1]).all():
-        return HourlySeries(t, vals)
-    order = np.argsort(t)
-    t, vals = t[order], vals[order]
-    del stamps, values, order
-    if np.any(np.diff(t.astype(np.int64)) == 0):
+        return HourlySeries(t[0], vals)
+    start = t.min()
+    hour = (t - start).view(np.int64)
+    del stamps, t
+    span = int(hour.max()) + 1
+    seen = np.zeros(span, dtype=bool)
+    seen[hour] = True
+    if np.count_nonzero(seen) < n:
         raise ValueError("duplicate timestamps in input")
-    grid = np.arange(t[0], t[-1] + np.timedelta64(1, "h"), dtype="datetime64[h]")
-    full = np.full(grid.size, np.nan)
-    full[(t - grid[0]).astype(np.int64)] = vals
-    return HourlySeries(grid, full)
+    full = np.full(span, np.nan)
+    full[hour] = vals
+    return HourlySeries(start, full)
 
 
 def _count_lines(path) -> int:
@@ -311,18 +313,18 @@ def _raise_bad_row(path, rows, first_lineno) -> None:
 
 def write_hourly_csv(path, series: HourlySeries) -> None:
     write_csv(path, ["timestamp", "level_m"], chain.from_iterable(
-        _hourly_rows(series.times[i:i + WRITE_CHUNK_ROWS], series.levels[i:i + WRITE_CHUNK_ROWS])
-        for i in range(0, series.times.size, WRITE_CHUNK_ROWS)
+        _hourly_rows(series.start + i, series.levels[i:i + WRITE_CHUNK_ROWS])
+        for i in range(0, series.levels.size, WRITE_CHUNK_ROWS)
     ))
 
 
-def _hourly_rows(times, levels):
-    """CSV rows of one chunk: timestamps as ``str`` writes them, finite levels
-    in their shortest round-trip form, other levels empty."""
+def _hourly_rows(start, levels):
+    """CSV rows of one chunk from hour ``start``: timestamps as ``str`` writes
+    them, finite levels in their shortest round-trip form, other levels empty."""
     texts = list(map(repr, levels.tolist()))
     for k in np.flatnonzero(~np.isfinite(levels)).tolist():
         texts[k] = ""
-    return zip(np.datetime_as_string(times).tolist(), texts)
+    return zip(np.datetime_as_string(start + np.arange(levels.size)).tolist(), texts)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +370,7 @@ def detrend_moving_mean(series: HourlySeries, window_days: float) -> HourlySerie
     np.subtract(levels, out, out=out)
     out[~valid] = np.nan
     out[short] = np.nan
-    return HourlySeries(series.times, out)
+    return HourlySeries(series.start, out)
 
 
 def _window_sums(running: np.ndarray, half: int) -> np.ndarray:
@@ -393,12 +395,10 @@ def daily_maxima(series: HourlySeries, min_valid_hours: int) -> DailySeries:
     """
     if not 1 <= min_valid_hours <= 24:
         raise ValueError("min_valid_hours must be in [1, 24]")
-    # the grid is increasing, so each day's hours are one run: it starts where
-    # the day changes (np.unique's first indices, without its sort)
-    days = series.times.astype("datetime64[D]")
-    start = np.concatenate([[0], np.flatnonzero(days[1:] != days[:-1]) + 1])
-    uniq = days[start]
-    del days
+    # each day's hours are one run: from the first hour, then from each
+    # midnight after it, every 24 hours
+    first_midnight = -series.start.astype(np.int64) % HOURS_PER_DAY or HOURS_PER_DAY
+    start = np.r_[0, np.arange(first_midnight, series.levels.size, HOURS_PER_DAY)]
 
     valid = np.isfinite(series.levels)
     counts = np.add.reduceat(valid, start, dtype=np.int64)
@@ -409,7 +409,7 @@ def daily_maxima(series: HourlySeries, min_valid_hours: int) -> DailySeries:
     out = np.where(ok, maxima, np.nan)
     out[~np.isfinite(out)] = np.nan
     ok &= np.isfinite(out)
-    return DailySeries(uniq, out, ok)
+    return DailySeries(series.start.astype("datetime64[D]"), out, ok)
 
 
 def compute_threshold(daily: DailySeries, quantile: float) -> float:
@@ -436,8 +436,7 @@ def decluster(daily: DailySeries, threshold: float, separation_days: int) -> Exc
         raise ValueError("separation_days must be >= 1")
 
     exceed = daily.valid & (daily.max_level >= threshold)
-    exc_dates = daily.dates[exceed]
-    exc_days = exc_dates.astype(np.int64)
+    exc_days = np.flatnonzero(exceed)
     exc_heights = daily.max_level[exceed]
 
     kept = []
@@ -450,14 +449,14 @@ def decluster(daily: DailySeries, threshold: float, separation_days: int) -> Exc
         i = j + 1
     kept = np.array(kept, dtype=np.intp)
 
-    valid_years = daily.dates[daily.valid].astype("datetime64[Y]").astype(np.int64) + 1970
+    valid_dates = daily.first_day + np.flatnonzero(daily.valid)
+    valid_years = valid_dates.astype("datetime64[Y]").astype(np.int64) + 1970
     years, durations = np.unique(valid_years, return_counts=True)
     # events are in date order, so each year's events are one run
-    event_years = exc_dates[kept].astype("datetime64[Y]").astype(np.int64) + 1970
+    event_dates = daily.first_day + exc_days[kept]
+    event_years = event_dates.astype("datetime64[Y]").astype(np.int64) + 1970
     counts = np.searchsorted(event_years, years, "right") - np.searchsorted(event_years, years)
-    return ExceedanceSet(
-        float(threshold), years, durations, counts, exc_dates[kept], exc_heights[kept]
-    )
+    return ExceedanceSet(float(threshold), years, durations, counts, event_dates, exc_heights[kept])
 
 
 def preprocess_station(

@@ -259,8 +259,7 @@ def write_hourly_fixture(path, first_year: int, last_year: int, seed: int) -> fl
     rng = np.random.default_rng(seed)
     start = np.datetime64(f"{first_year}-01-01T00", "h")
     end = np.datetime64(f"{last_year + 1}-01-01T00", "h")
-    times = np.arange(start, end, dtype="datetime64[h]")
-    n_hours = times.size
+    n_hours = int((end - start).astype(np.int64))
     n_days = n_hours // 24
 
     mu_target, p = FIXTURE_THRESHOLD, FIXTURE_EXCEEDANCE_PROB
@@ -284,7 +283,7 @@ def write_hourly_fixture(path, first_year: int, last_year: int, seed: int) -> fl
     gaps = rng.uniform(size=n_hours) < 0.01
     levels[gaps] = np.nan
 
-    write_hourly_csv(path, HourlySeries(times, levels))
+    write_hourly_csv(path, HourlySeries(start, levels))
     return mu_target
 
 

@@ -20,7 +20,7 @@ from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from surgebma.models import ACTIVE_PARAMS, DIRECT_SCALE, XI_EPS, NonstatLevel
-from surgebma.preprocess import HOURS_PER_DAY, DailySeries, HourlySeries
+from surgebma.preprocess import HOURS_PER_DAY, HourlySeries
 
 
 def gpd_logpdf(x: float, mu: float, sig: float, xi: float) -> float:
@@ -241,7 +241,9 @@ def loglik_row_kernel(row, level, d):
 
 
 def read_hourly_csv_rows(path):
-    """Hourly CSV reader converting one row at a time.
+    """Hourly CSV reader converting one row at a time; returns the hour grid
+    from the earliest to the latest stamp and the levels on it, NaN where no
+    row gives one.
 
     It does not refuse a timestamp that numpy reads as NaT (empty, ``NaT``):
     such a row fails later, in ``np.arange``, with no line number.
@@ -281,15 +283,16 @@ def read_hourly_csv_rows(path):
     grid = np.arange(t[0], t[-1] + np.timedelta64(1, "h"), dtype="datetime64[h]")
     full = np.full(grid.size, np.nan)
     full[(t - grid[0]).astype(np.int64)] = vals
-    return HourlySeries(grid, full)
+    return grid, full
 
 
 def write_hourly_csv_rows(path, series):
     """Hourly CSV writer formatting one row at a time through ``csv.writer``."""
+    times = np.arange(series.start, series.start + series.levels.size, dtype="datetime64[h]")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "level_m"])
-        for t, v in zip(series.times, series.levels):
+        for t, v in zip(times, series.levels):
             writer.writerow([str(t), "" if not np.isfinite(v) else repr(float(v))])
 
 
@@ -330,12 +333,14 @@ def detrend_moving_mean_temporaries(series, window_days, min_valid_fraction=0.5)
     out = levels - mean
     out[~valid] = np.nan
     out[n_valid < min_valid_fraction * n_slots] = np.nan
-    return HourlySeries(series.times, out)
+    return HourlySeries(series.start, out)
 
 
 def daily_maxima_unique(series, min_valid_hours):
-    """Per-day maxima with the day starts taken from ``np.unique``."""
-    days = series.times.astype("datetime64[D]")
+    """Per-day maxima with the day starts taken from ``np.unique``; returns the
+    days, the maxima and the valid flags."""
+    times = np.arange(series.start, series.start + series.levels.size, dtype="datetime64[h]")
+    days = times.astype("datetime64[D]")
     uniq, start = np.unique(days, return_index=True)
     valid = np.isfinite(series.levels)
     counts = np.add.reduceat(valid.astype(np.int64), start)
@@ -345,4 +350,4 @@ def daily_maxima_unique(series, min_valid_hours):
     out = np.where(ok, maxima, np.nan)
     out[~np.isfinite(out)] = np.nan
     ok &= np.isfinite(out)
-    return DailySeries(uniq, out, ok)
+    return uniq, out, ok

@@ -125,6 +125,27 @@ def test_missing_inputs_exit_2(tmp_path):
     assert main(["report", "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize("stage", ["calibrate", "evidence", "project", "report"])
+def test_a_stage_missing_its_inputs_creates_nothing(tmp_path, stage):
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG_TEMPLATE.format(structures="ST, NS1-time", gate="1.5"))
+    assert main([stage, "--config", str(config)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "stage, removed",
+    [("evidence", "ensembles"), ("project", "ensembles"), ("report", "return_levels")],
+)
+def test_a_stage_missing_an_earlier_artifact_leaves_its_directory_absent(
+    pipeline_dir, tmp_path, stage, removed
+):
+    shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+    shutil.rmtree(tmp_path / "out" / removed)
+    assert main([stage, "--config", str(tmp_path / "run.ini")]) == 2
+    assert not (tmp_path / "out" / removed).exists()
+
+
 def test_priors_cover_requested_structures(pipeline_dir):
     payload = load_json(pipeline_dir / "out" / "priors.json")
     assert set(payload["structures"]) == {"ST", "NS1-time"}

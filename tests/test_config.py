@@ -1,4 +1,6 @@
+import codecs
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -72,6 +74,14 @@ def test_load_config_fields(config_dir):
     assert config.output_dir == config_dir / "results"
     assert len(config.config_hash) == 64
     assert [s.id for s in config.structure_list()] == ["ST", "NS1-time"]
+
+
+def test_load_config_skips_a_byte_order_mark(config_dir):
+    # Notepad saves a UTF-8 INI with one
+    (config_dir / "marked.ini").write_bytes(codecs.BOM_UTF8 + CONFIG_TEXT.encode())
+    want, got = load_config(config_dir / "run.ini"), load_config(config_dir / "marked.ini")
+    assert got == want
+    assert got.config_hash == want.config_hash == hashlib.sha256(CONFIG_TEXT.encode()).hexdigest()
 
 
 def test_default_structures_are_all_13(config_dir):

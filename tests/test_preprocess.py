@@ -1,3 +1,4 @@
+import codecs
 import tracemalloc
 
 import numpy as np
@@ -27,17 +28,24 @@ from surgebma.simulate import SimulationSpec, simulate_record
 
 
 def hourly(levels, start="2000-01-01T00"):
-    levels = np.asarray(levels, dtype=float)
-    t0 = np.datetime64(start, "h")
-    times = np.arange(t0, t0 + np.timedelta64(levels.size, "h"), dtype="datetime64[h]")
-    return HourlySeries(times, levels)
+    return HourlySeries(np.datetime64(start, "h"), np.asarray(levels, dtype=float))
 
 
-def daily(dates, values, valid=None):
+def hours(series):
+    """The hour of each level of ``series``."""
+    return series.start + np.arange(series.levels.size)
+
+
+def daily(first_day, values, valid=None):
     values = np.asarray(values, dtype=float)
     if valid is None:
         valid = np.isfinite(values)
-    return DailySeries(np.asarray(dates, dtype="datetime64[D]"), values, np.asarray(valid))
+    return DailySeries(np.datetime64(first_day, "D"), values, np.asarray(valid))
+
+
+def days(series):
+    """The day of each maximum of ``series``."""
+    return series.first_day + np.arange(series.max_level.size)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +108,7 @@ def test_detrend_marks_sparse_windows_missing():
 
 def test_detrend_empty_series_errors():
     with pytest.raises(ValueError, match="empty input"):
-        HourlySeries(np.array([], dtype="datetime64[h]"), np.array([]))
+        HourlySeries(np.datetime64("2000-01-01T00", "h"), np.array([]))
 
 
 @pytest.mark.parametrize("window_days", [0.5, 0.0, -1.0, np.inf, np.nan])
@@ -109,24 +117,27 @@ def test_detrend_refuses_a_window_below_one_day_or_not_finite(window_days):
         detrend_moving_mean(hourly(np.ones(48)), window_days)
 
 
-@pytest.mark.parametrize(
-    "stamps",
-    [["NaT", "2000-01-01T01"], ["2000-01-01T01", "2000-01-01T00"],
-     ["2000-01-01T00", "2000-01-01T00"]],
-    ids=["nat_first", "descending", "repeated_hour"],
-)
-def test_hourly_series_refuses_a_broken_grid(stamps):
-    with pytest.raises(ValueError, match="contiguous hourly grid"):
-        HourlySeries(np.array(stamps, dtype="datetime64[h]"), np.zeros(len(stamps)))
+@pytest.mark.parametrize("start", [np.datetime64("NaT", "h")], ids=["nat_first"])
+def test_hourly_series_refuses_a_broken_grid(start):
+    # the grid is its first hour and one step per level: only a NaT start can break it
+    with pytest.raises(ValueError, match="start must be an hour, not NaT"):
+        HourlySeries(start, np.zeros(3))
 
 
 def test_hourly_series_accepts_one_hour_and_a_minute_grid_on_whole_hours():
-    HourlySeries(np.array(["2000-01-01T05"], dtype="datetime64[h]"), np.array([1.0]))
-    minutes = np.arange(np.datetime64("2000-01-01T00:00"), np.datetime64("2000-01-01T05:00"),
-                        np.timedelta64(60, "m"))
-    assert minutes.dtype == np.dtype("datetime64[m]")
-    series = HourlySeries(minutes, np.zeros(minutes.size))
-    assert series.times is minutes  # kept as given
+    one = HourlySeries(np.datetime64("2000-01-01T05", "h"), np.array([1.0]))
+    assert hours(one).tolist() == [np.datetime64("2000-01-01T05", "h")]
+    # a start given in minutes on a whole hour is coerced to hours
+    series = HourlySeries(np.datetime64("2000-01-01T05:00", "m"), np.zeros(3))
+    assert series.start.dtype == np.dtype("datetime64[h]")
+    assert series.start == np.datetime64("2000-01-01T05", "h")
+    assert hours(series).tolist() == hours(hourly(np.zeros(3), "2000-01-01T05")).tolist()
+
+
+def test_daily_series_coerces_an_hour_first_day_to_its_day():
+    series = DailySeries(np.datetime64("1969-12-31T20", "h"), np.zeros(3), np.ones(3, dtype=bool))
+    assert series.first_day.dtype == np.dtype("datetime64[D]")
+    assert series.first_day == np.datetime64("1969-12-31", "D")
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +197,25 @@ def test_detrend_and_daily_maxima_equal_the_temporaries_oracle(n, start, window_
     want = detrend_moving_mean_temporaries(series, window_days)
     assert got.levels.tobytes() == want.levels.tobytes()
     for min_hours in (1, 6, 24):
-        got_days, want_days = daily_maxima(got, min_hours), daily_maxima_unique(want, min_hours)
-        for field in ("dates", "max_level", "valid"):
-            a, b = getattr(got_days, field), getattr(want_days, field)
+        got_days = daily_maxima(got, min_hours)
+        want_days = daily_maxima_unique(want, min_hours)
+        for field, a, b in zip(("days", "max_level", "valid"),
+                               (days(got_days), got_days.max_level, got_days.valid), want_days):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize(
+    "first_year, last_year", [(2000, 2002), (1990, 2010), (2001, 2001), (2003, 2005), (1990, 1995)]
+)
+def test_restrict_years_keeps_the_days_of_those_calendar_years(first_year, last_year):
+    series = daily("1999-12-20", np.arange(1200.0))
+    got = series.restrict_years(first_year, last_year)
+    years = days(series).astype("datetime64[Y]").astype(np.int64) + 1970
+    keep = (years >= first_year) & (years <= last_year)
+    assert got.max_level.tolist() == series.max_level[keep].tolist()
+    assert got.valid.size == np.count_nonzero(keep)
+    if keep.any():
+        assert got.first_day == days(series)[keep][0]
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +224,13 @@ def test_detrend_and_daily_maxima_equal_the_temporaries_oracle(n, start, window_
 
 
 def test_threshold_interpolated_99th():
-    dates = np.arange("2000-01-01", "2000-04-10", dtype="datetime64[D]")[:100]
-    series = daily(dates, np.arange(1.0, 101.0))
+    series = daily("2000-01-01", np.arange(1.0, 101.0))
     # linear order-statistic interpolation: 99 + 0.01 * (100 - 99)
     assert compute_threshold(series, 0.99) == pytest.approx(99.01, abs=1e-12)
 
 
 def test_threshold_degenerate_and_median():
-    dates = np.arange("2000-01-01", "2000-04-10", dtype="datetime64[D]")[:100]
-    series = daily(dates, np.full(100, 3.3))
+    series = daily("2000-01-01", np.full(100, 3.3))
     assert compute_threshold(series, 0.99) == pytest.approx(3.3)
 
     vals = np.array([1.0, 2.0, 3.0])
@@ -216,8 +240,7 @@ def test_threshold_degenerate_and_median():
 
 
 def test_threshold_requires_enough_days():
-    dates = np.arange("2000-01-01", "2000-02-01", dtype="datetime64[D]")
-    series = daily(dates, np.linspace(0, 1, dates.size))
+    series = daily("2000-01-01", np.linspace(0, 1, 31))
     with pytest.raises(ValueError, match="insufficient data"):
         compute_threshold(series, 0.99)
 
@@ -228,11 +251,10 @@ def test_threshold_requires_enough_days():
 
 
 def make_daily_from_heights(day_heights: dict[int, float], n_days=400, start="2001-01-01"):
-    dates = np.arange(np.datetime64(start, "D"), np.datetime64(start, "D") + n_days)
     vals = np.zeros(n_days)
     for d, h in day_heights.items():
         vals[d] = h
-    return daily(dates, vals, valid=np.ones(n_days, dtype=bool))
+    return daily(start, vals, valid=np.ones(n_days, dtype=bool))
 
 
 def test_decluster_single_cluster_keeps_max():
@@ -263,7 +285,7 @@ def test_decluster_matches_brute_force_oracle(seed):
     thr = 0.8
     out = decluster(series, threshold=thr, separation_days=3)
 
-    days_int = series.dates.astype(np.int64)
+    days_int = days(series).astype(np.int64)
     exc = [(int(d), float(v)) for d, v in zip(days_int, vals) if v >= thr]
     expected = brute_force_decluster([d for d, _ in exc], [v for _, v in exc], 3)
     got = sorted(zip(out.dates.astype(np.int64).tolist(), out.heights.tolist()))
@@ -294,6 +316,15 @@ def test_decluster_idempotent_and_separated():
     assert out2.heights.tolist() == out.heights.tolist()
 
 
+def test_decluster_durations_count_only_valid_days():
+    series = make_daily_from_heights({10: 2.0, 400: 2.2}, n_days=730)
+    valid = series.valid.copy()
+    valid[[0, 1, 2, 500]] = False  # three days of 2001, one of 2002
+    out = decluster(DailySeries(series.first_day, series.max_level, valid), 1.5, 3)
+    assert out.years.tolist() == [2001, 2002]
+    assert out.durations.tolist() == [362, 364]
+
+
 def test_decluster_year_blocks_count_durations():
     # two calendar years, all days valid
     series = make_daily_from_heights({10: 2.0, 400: 2.2}, n_days=730)
@@ -316,7 +347,7 @@ def test_hourly_csv_roundtrip(tmp_path):
     path = tmp_path / "station.csv"
     write_hourly_csv(path, series)
     back = read_hourly_csv(path)
-    assert np.array_equal(back.times, series.times)
+    assert back.start == series.start
     assert np.array_equal(back.levels, series.levels, equal_nan=True)
 
 
@@ -359,6 +390,8 @@ HOURLY_CSV_CASES = {
     "no_final_newline": H + "2000-01-01T00,1.0\n2000-01-01T01,2.0",
     "unsorted": H + "2000-01-01T02,3.0\n2000-01-01T00,1.0\n2000-01-01T01,2.0\n",
     "gaps": H + "2000-01-01T00,1.0\n2000-01-01T05,2.0\n2000-01-03T00,3.0\n",
+    "unsorted_gaps_pre_epoch": H + "1969-12-31T23,2.0\n1969-12-30T21,1.0\n1970-01-01T02,4.0\n"
+                               "1969-12-31T01,3.0\n1969-12-30T22,1.5\n",
     "header_case": " Timestamp , LEVEL_M \n2000-01-01T00,1.0\n",
 }
 
@@ -369,11 +402,11 @@ def test_hourly_csv_reader_equals_row_oracle(tmp_path, monkeypatch, case, chunk)
     path = tmp_path / "station.csv"
     with open(path, "w", newline="") as fh:
         fh.write(HOURLY_CSV_CASES[case])
-    want = read_hourly_csv_rows(path)
+    want_times, want_levels = read_hourly_csv_rows(path)
     monkeypatch.setattr(preprocess, "READ_CHUNK_CHARS", chunk)
     got = read_hourly_csv(path)
-    assert np.array_equal(got.times, want.times)
-    assert np.array_equal(got.levels.view(np.int64), want.levels.view(np.int64))
+    assert np.array_equal(hours(got), want_times)
+    assert np.array_equal(got.levels.view(np.int64), want_levels.view(np.int64))
     # the first pass sizes the buffers by the lines that text mode reads
     with open(path, newline="") as fh:
         assert preprocess._count_lines(path) == len(fh.readlines())
@@ -388,7 +421,7 @@ def test_hourly_csv_reader_equals_row_oracle_on_a_long_contiguous_record(
     vals[rng.uniform(size=vals.size) < 0.05] = np.nan
     path = tmp_path / "station.csv"
     write_hourly_csv(path, hourly(vals, start="1969-12-30T22"))
-    want = read_hourly_csv_rows(path)
+    want_times, want_levels = read_hourly_csv_rows(path)
     monkeypatch.setattr(preprocess, "READ_CHUNK_CHARS", chunk)
 
     def no_sort(*args, **kwargs):
@@ -396,13 +429,13 @@ def test_hourly_csv_reader_equals_row_oracle_on_a_long_contiguous_record(
 
     monkeypatch.setattr(np, "argsort", no_sort)
     got = read_hourly_csv(path)
-    assert np.array_equal(got.times, want.times)
-    assert np.array_equal(got.levels.view(np.int64), want.levels.view(np.int64))
+    assert np.array_equal(hours(got), want_times)
+    assert np.array_equal(got.levels.view(np.int64), want_levels.view(np.int64))
 
 
 def test_hourly_csv_reader_and_detrend_hold_the_record_about_once(tmp_path):
     # numpy reports its buffers to tracemalloc; per row, the record itself is
-    # 16 bytes (stamp and level) and the detrended levels 8 more
+    # 8 bytes (its level) and the detrended levels 8 more
     n = 50_000
     rng = np.random.default_rng(11)
     vals = rng.normal(size=n)
@@ -424,6 +457,7 @@ def test_hourly_csv_reader_and_detrend_hold_the_record_about_once(tmp_path):
     assert series.levels.size == detrended.levels.size == n
     assert read_peak <= 56, read_peak
     assert read_kept <= 17, read_kept
+    assert read_kept <= 9, read_kept  # the levels, without a stamp per hour
     assert detrend_peak <= 40, detrend_peak
 
 
@@ -435,11 +469,11 @@ def test_hourly_csv_reader_equals_row_oracle_on_a_long_record(tmp_path, monkeypa
     write_hourly_csv(path, hourly(vals))
     with open(path, "a", newline="") as fh:  # a few odd rows late in the file
         fh.write('\r\n"2001-01-01T00Z", 1.25 ,x\r\n2001-01-01T02\r\n   \r\n2000-12-31T23,\r\n')
-    want = read_hourly_csv_rows(path)
+    want_times, want_levels = read_hourly_csv_rows(path)
     monkeypatch.setattr(preprocess, "READ_CHUNK_CHARS", 4096)
     got = read_hourly_csv(path)
-    assert np.array_equal(got.times, want.times)
-    assert np.array_equal(got.levels.view(np.int64), want.levels.view(np.int64))
+    assert np.array_equal(hours(got), want_times)
+    assert np.array_equal(got.levels.view(np.int64), want_levels.view(np.int64))
 
 
 # inputs the reader refuses, each past the first few chunks of 64 characters
@@ -472,6 +506,17 @@ def test_hourly_csv_reader_refuses_what_row_oracle_refuses(tmp_path, monkeypatch
     assert str(got.value) == str(want.value)
 
 
+def test_hourly_csv_reader_skips_a_byte_order_mark(tmp_path):
+    # spreadsheet programs start a UTF-8 CSV with one
+    text = b"timestamp,level_m\r\n2000-01-01T00,1.0\r\n2000-01-01T01,2.0\r\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    want, got = read_hourly_csv(plain), read_hourly_csv(marked)
+    assert got.start == want.start == np.datetime64("2000-01-01T00", "h")
+    assert got.levels.tolist() == want.levels.tolist() == [1.0, 2.0]
+
+
 @pytest.mark.parametrize("stamp", ["", "  ", "NaT", "nat", "Z"])
 def test_hourly_csv_missing_timestamp_names_its_line(tmp_path, stamp):
     path = tmp_path / "bad.csv"
@@ -501,7 +546,8 @@ def test_hourly_csv_fills_gaps(tmp_path):
         "2000-01-01T03:00,2.0\n"
     )
     series = read_hourly_csv(path)
-    assert series.times.size == 4
+    assert series.start == np.datetime64("2000-01-01T00", "h")
+    assert series.levels.size == 4
     assert np.isnan(series.levels[1]) and np.isnan(series.levels[2])
 
 
