@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, build_covariates, load_config
+from .config import RunConfig, _parse_structures, build_covariates, load_config
 from .evidence import (
     aggregate_by_covariate,
     bma_weights,
@@ -107,6 +107,16 @@ def _note_artifacts(config: RunConfig, *paths: Path) -> None:
     dump_json(manifest, manifest_path)
 
 
+def _inputs(config: RunConfig, earlier: str, *names) -> list[Path]:
+    """The paths of a stage's inputs in the output directory, which the stages
+    ``earlier`` write; refuses every missing one at once. Each stage calls it
+    before it computes or writes anything."""
+    paths = [config.output_dir / name for name in names]
+    if missing := [str(p) for p in paths if not p.exists()]:
+        raise ValueError(f"missing inputs (run {earlier} first): {missing}")
+    return paths
+
+
 # ---------------------------------------------------------------------------
 # pipeline stages
 # ---------------------------------------------------------------------------
@@ -169,9 +179,7 @@ def cmd_fit_priors(config: RunConfig) -> int:
     if config.stations_dir is not None:
         # the target station contributes its own estimate alongside the
         # archive, from the record preprocess wrote
-        exc_path = config.output_dir / "exceedances.json"
-        if not exc_path.exists():
-            raise ValueError(f"missing inputs (run preprocess first): {[str(exc_path)]}")
+        exc_path, = _inputs(config, "preprocess", "exceedances.json")
         target = ExceedanceSet.load(exc_path)
         station_files = sorted(Path(config.stations_dir).glob("*.csv"))
         if not station_files:
@@ -204,15 +212,13 @@ def cmd_fit_priors(config: RunConfig) -> int:
 
 
 def _load_inputs(config: RunConfig):
-    exc_path = config.output_dir / "exceedances.json"
-    priors_path = config.output_dir / "priors.json"
-    missing = [str(p) for p in (exc_path, priors_path) if not p.exists()]
-    if missing:
-        raise ValueError(f"missing inputs (run preprocess/fit-priors first): {missing}")
-    data = ExceedanceSet.load(exc_path)
-    priors = load_priors(priors_path)
-    covs = build_covariates(config)
-    return data, priors, covs
+    """The target record, priors that cover every configured structure, and the
+    covariates; the stage has already checked with ``_inputs`` that the files exist."""
+    data = ExceedanceSet.load(config.output_dir / "exceedances.json")
+    priors = load_priors(config.output_dir / "priors.json")
+    if lacking := [s.id for s in config.structure_list() if s.id not in priors]:
+        raise ValueError(f"priors.json has no priors for {lacking} (run fit-priors first)")
+    return data, priors, build_covariates(config)
 
 
 _worker_inputs: tuple | Exception | None = None  # set once per process that calibrates
@@ -233,8 +239,6 @@ def _calibrate_one(config: RunConfig, sid: str) -> dict:
         raise _worker_inputs
     data, priors, covs = _worker_inputs
     structure = ModelStructure.parse(sid)
-    if sid not in priors:
-        raise ValueError(f"no priors for {sid}")
     cov = covs.get(structure.covariate)
 
     mle = mle_fit(
@@ -260,6 +264,7 @@ def _calibrate_one(config: RunConfig, sid: str) -> dict:
 
 
 def cmd_calibrate(config: RunConfig) -> int:
+    _inputs(config, "preprocess/fit-priors", "exceedances.json", "priors.json")
     sids = [s.id for s in config.structure_list()]
     results = _run_units(
         config, _load_worker_inputs, _calibrate_one, [(config, sid) for sid in sids]
@@ -276,19 +281,22 @@ def cmd_calibrate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_ensemble(config: RunConfig, structure: ModelStructure) -> PosteriorEnsemble:
-    path = config.output_dir / "ensembles" / f"{structure.id}.csv"
-    if not path.exists():
-        raise ValueError(f"missing ensemble for {structure.id}; run calibrate first")
-    return PosteriorEnsemble.load(path, structure)
+def _load_inputs_and_ensembles(config: RunConfig) -> tuple:
+    """What evidence and project read: ``_load_inputs`` and every configured
+    structure's ensemble, all loaded before either stage computes."""
+    structures = config.structure_list()
+    paths = _inputs(config, "preprocess/fit-priors/calibrate", "exceedances.json", "priors.json",
+                    *(f"ensembles/{s.id}.csv" for s in structures))
+    inputs = _load_inputs(config)
+    return *inputs, [PosteriorEnsemble.load(p, s) for p, s in zip(paths[2:], structures)]
 
 
 def cmd_evidence(config: RunConfig) -> int:
-    data, priors, covs = _load_inputs(config)
+    data, priors, covs, ensembles = _load_inputs_and_ensembles(config)
     estimates = []
-    for structure in config.structure_list():
+    for ensemble in ensembles:
+        structure = ensemble.structure
         sid = structure.id
-        ensemble = _load_ensemble(config, structure)
         cov = covs.get(structure.covariate)
         log_density = make_logpost_on_active(structure, data, cov, priors[sid])
         est = bridge_evidence(
@@ -304,18 +312,17 @@ def cmd_evidence(config: RunConfig) -> int:
 
 
 def cmd_project(config: RunConfig) -> int:
-    data, _, covs = _load_inputs(config)
+    data, _, covs, ensembles = _load_inputs_and_ensembles(config)
     paths = []
-    for structure in config.structure_list():
-        ensemble = _load_ensemble(config, structure)
-        cov = covs.get(structure.covariate)
+    for ensemble in ensembles:
+        cov = covs.get(ensemble.structure.covariate)
         columns = {
             period: ensemble_return_levels(
                 ensemble, cov, config.projection_year, data.threshold, period
             )
             for period in config.return_periods
         }
-        path = config.out("return_levels", f"{structure.id}.csv")
+        path = config.out("return_levels", f"{ensemble.structure.id}.csv")
         save_return_levels(columns, path)
         paths.append(path)
     _note_artifacts(config, *paths)
@@ -324,15 +331,14 @@ def cmd_project(config: RunConfig) -> int:
 
 
 def cmd_report(config: RunConfig) -> int:
-    evidence_path = config.output_dir / "evidence.json"
-    if not evidence_path.exists():
-        raise ValueError("missing evidence.json; run evidence first")
-    stored = load_evidence(evidence_path)
-
     structures = config.structure_list()
-    missing = [s.id for s in structures if s.id not in stored]
-    if missing:
+    evidence_path, *level_paths = _inputs(config, "evidence/project", "evidence.json",
+                                          *(f"return_levels/{s.id}.csv" for s in structures))
+    stored = load_evidence(evidence_path)
+    if missing := [s.id for s in structures if s.id not in stored]:
         raise ValueError(f"evidence missing for structures: {missing}")
+    per_structure = {s.id: load_return_levels(path, config.projection_year)
+                     for s, path in zip(structures, level_paths)}
     estimates = [stored[s.id] for s in structures]
     weights = bma_weights(estimates)
 
@@ -352,13 +358,6 @@ def cmd_report(config: RunConfig) -> int:
         log.warning("aggregated weight tables need all 13 structures; skipping")
 
     # model-averaged return-level mixture per period
-    per_structure = {}
-    for structure in structures:
-        path = config.output_dir / "return_levels" / f"{structure.id}.csv"
-        if not path.exists():
-            raise ValueError(f"missing return levels for {structure.id}; run project first")
-        per_structure[structure.id] = load_return_levels(path, config.projection_year)
-
     mixtures = {}
     for period in config.return_periods:
         components = {sid: per_structure[sid][period] for sid in per_structure}
@@ -530,7 +529,7 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     if args.force:
         updates["force"] = True
     if args.structures:
-        updates["structures"] = tuple(args.structures.replace(" ", "").split(","))
+        updates["structures"] = _parse_structures(args.structures)
     return dataclasses.replace(config, **updates) if updates else config
 
 

@@ -253,6 +253,6 @@ def build_covariates(config: RunConfig) -> dict[CovariateKind, CovariateSeries]:
         missing = [y for y in range(start, horizon + 1) if y not in merged]
         if missing:
             raise ValueError(f"{kind.value} covariate does not cover {missing[0]}-{missing[-1]}")
-        trimmed = {y: merged[y] for y in range(start, horizon + 1)}
-        out[kind] = normalize_minmax(trimmed, kind, (start, end))
+        trimmed = [merged[y] for y in range(start, horizon + 1)]
+        out[kind] = normalize_minmax(trimmed, start, (start, end))
     return out

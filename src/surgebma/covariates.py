@@ -19,8 +19,6 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-NORMALIZATION_TOL = 1e-12
-
 
 class CovariateKind(str, enum.Enum):
     TIME = "time"
@@ -31,37 +29,22 @@ class CovariateKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class CovariateSeries:
-    """Normalized annual covariate values over contiguous years.
+    """Normalized annual covariate values, one per year: ``values[k]`` is the
+    value of year ``first_year + k``. ``normalize_minmax`` builds them."""
 
-    ``historical_range`` is the (first, last) year span whose raw minimum and
-    maximum define the normalization; within it the stored values attain 0
-    and 1 exactly (to within 1e-12).
-    """
-
-    kind: CovariateKind
-    years: np.ndarray  # int64, contiguous ascending
+    first_year: int
     values: np.ndarray  # float64, dimensionless
-    historical_range: tuple[int, int]
 
     def __post_init__(self):
-        if self.years.size != self.values.size or self.years.size == 0:
-            raise ValueError("years and values must be equal-length and nonempty")
+        if self.values.size == 0:
+            raise ValueError("covariate values must be nonempty")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("covariate values must be finite")
-        if np.any(np.diff(self.years) != 1):
-            raise ValueError("years must be contiguous and increasing")
-        lo, hi = self.historical_range
-        mask = (self.years >= lo) & (self.years <= hi)
-        if not np.any(mask):
-            raise ValueError("historical_range lies outside the series")
-        hist = self.values[mask]
-        if abs(hist.min()) > NORMALIZATION_TOL or abs(hist.max() - 1.0) > NORMALIZATION_TOL:
-            raise ValueError("values are not min-max normalized over historical_range")
 
     def values_for_years(self, years: np.ndarray) -> np.ndarray:
         """Exact stored values of ``years``; parameters are constant within a year."""
         years = np.asarray(years, dtype=np.int64)
-        first, last = int(self.years[0]), int(self.years[-1])
+        first, last = self.first_year, self.first_year + self.values.size - 1
         if years.size and (years.min() < first or years.max() > last):
             raise ValueError(
                 f"years {years.min()}-{years.max()} not covered by "
@@ -121,27 +104,27 @@ def splice(
 
 
 def normalize_minmax(
-    series: Mapping[int, float], kind: CovariateKind, historical_range: tuple[int, int]
+    values: np.ndarray | list[float], first_year: int, historical_range: tuple[int, int]
 ) -> CovariateSeries:
-    """Affine map sending the historical min/max to 0/1, applied to all years."""
-    years = np.array(sorted(series), dtype=np.int64)
-    values = np.array([series[int(y)] for y in years], dtype=float)
+    """Affine map sending the min/max over the (first, last) years of
+    ``historical_range`` to 0/1, applied to one value per year from ``first_year``."""
+    values = np.asarray(values, dtype=float)
     lo, hi = historical_range
-    mask = (years >= lo) & (years <= hi)
-    if not np.any(mask):
+    hist = values[max(lo - first_year, 0):max(hi - first_year + 1, 0)]
+    if not hist.size:
         raise ValueError("historical_range lies outside the series")
-    vmin, vmax = values[mask].min(), values[mask].max()
+    vmin, vmax = hist.min(), hist.max()
     if vmax <= vmin:
         raise ValueError("degenerate covariate: constant over historical range")
-    return CovariateSeries(kind, years, (values - vmin) / (vmax - vmin), (lo, hi))
+    return CovariateSeries(first_year, (values - vmin) / (vmax - vmin))
 
 
 def time_covariate(
     first_year: int, last_year: int, historical_range: tuple[int, int]
 ) -> CovariateSeries:
     """The identity covariate: calendar year, normalized on the historical window."""
-    years = {y: float(y) for y in range(first_year, last_year + 1)}
-    return normalize_minmax(years, CovariateKind.TIME, historical_range)
+    years = np.arange(first_year, last_year + 1, dtype=float)
+    return normalize_minmax(years, first_year, historical_range)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ from .utils import dump_json, empirical_quantile, load_json, write_csv
 
 HOURS_PER_DAY = 24
 MIN_VALID_FRACTION = 0.5  # detrending: least share of valid hours in an hour's window
+# the most hours a gappy or unsorted hourly CSV may leave absent between its
+# earliest and latest stamps: a century, which no gauge's gaps come near
+MAX_ABSENT_HOURS = 100 * 8766
 # chunk sizes of the hourly CSV reader (characters; bytes in its first pass)
 # and writer (rows): they bound the memory per numpy call and change no result
 READ_CHUNK_CHARS = 1 << 16
@@ -178,8 +181,9 @@ def read_hourly_csv(path) -> HourlySeries:
     line of a bad row. Each chunk is written into two buffers sized by a first
     pass that counts the file's lines, so the record is held once. The series
     starts at the earliest stamp and each level goes to its hour: hours absent
-    from the file become NaN. A file whose stamps increase hour by hour is
-    returned as read. A leading UTF-8 byte-order mark is skipped.
+    from the file become NaN, up to ``MAX_ABSENT_HOURS`` of them. A file whose
+    stamps increase hour by hour is returned as read. A leading UTF-8
+    byte-order mark is skipped.
     """
     lines_in_file = _count_lines(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -217,6 +221,11 @@ def read_hourly_csv(path) -> HourlySeries:
     hour = (t - start).view(np.int64)
     del stamps, t
     span = int(hour.max()) + 1
+    if span - n > MAX_ABSENT_HOURS:
+        end = start + np.timedelta64(span - 1, "h")
+        raise ValueError(
+            f"{path}: {n} rows from {start} to {end} leave more than a century of hours absent"
+        )
     seen = np.zeros(span, dtype=bool)
     seen[hour] = True
     if np.count_nonzero(seen) < n:

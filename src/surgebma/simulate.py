@@ -178,8 +178,7 @@ def synthetic_covariates(
         (CovariateKind.SEALEVEL, sea),
         (CovariateKind.NAO, nao),
     ):
-        series = {int(y): float(v) for y, v in zip(years, vals)}
-        out[kind] = normalize_minmax(series, kind, historical_range)
+        out[kind] = normalize_minmax(vals, first_year, historical_range)
     return out
 
 

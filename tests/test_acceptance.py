@@ -20,7 +20,7 @@ from scipy.integrate import quad
 
 from oracles import brute_force_decluster, gpd_logpdf, naive_loglik
 from surgebma.cli import main
-from surgebma.covariates import CovariateKind, CovariateSeries
+from surgebma.covariates import CovariateSeries
 from surgebma.evidence import aggregate_by_covariate, bma_weights, bridge_evidence
 from surgebma.hazard import ensemble_return_levels
 from surgebma.models import (
@@ -70,7 +70,7 @@ def test_criterion_2_likelihood_matches_naive_oracle():
         years = np.arange(1990, 1990 + rng.integers(3, 15))
         raw = rng.uniform(size=years.size)
         raw = (raw - raw.min()) / (raw.max() - raw.min())
-        cov = CovariateSeries(CovariateKind.TIME, years, raw, (int(years[0]), int(years[-1])))
+        cov = CovariateSeries(int(years[0]), raw)
         structure = structures[rng.integers(0, len(structures))]
 
         counts, durations, dates, heights = [], [], [], []

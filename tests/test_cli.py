@@ -13,6 +13,7 @@ import pytest
 
 from surgebma import cli
 from surgebma.cli import main
+from surgebma.models import all_structures
 from surgebma.utils import load_json
 
 CONFIG_TEMPLATE = """
@@ -119,6 +120,20 @@ def test_empty_station_file_exits_2(tmp_path):
     assert code == 2
 
 
+def test_a_stamp_centuries_off_exits_2_before_preprocess_writes(tmp_path, capsys):
+    # one mistyped year: the calibration window would hide the empty centuries
+    config = make_workspace(tmp_path)
+    with open(tmp_path / "station.csv", "a") as fh:
+        fh.write("2900-01-01T00,0.5\n")
+    assert main(["preprocess", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: \S+station\.csv: \d+ rows from 1984-01-01T00 to 2900-01-01T00 "
+        r"leave more than a century of hours absent\n", err
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_inputs_exit_2(tmp_path):
     config = make_workspace(tmp_path)
     assert main(["calibrate", "--config", str(config)]) == 2
@@ -144,6 +159,54 @@ def test_a_stage_missing_an_earlier_artifact_leaves_its_directory_absent(
     shutil.rmtree(tmp_path / "out" / removed)
     assert main([stage, "--config", str(tmp_path / "run.ini")]) == 2
     assert not (tmp_path / "out" / removed).exists()
+
+
+def _drop_ns1_time_priors(out):
+    payload = load_json(out / "priors.json")
+    del payload["structures"]["NS1-time"]
+    (out / "priors.json").write_text(json.dumps(payload))
+
+
+LOADERS = ("calibrate", "evidence", "project")  # the stages that read exceedances and priors
+# how an earlier stage's output is spoiled (a file to remove, or a function),
+# what the refusal names, and the stages that read that output
+SPOILED_OUTPUTS = {
+    "no_exceedances": ("exceedances.json", "exceedances.json", LOADERS),
+    "no_priors": ("priors.json", "priors.json", LOADERS),
+    "no_ensemble": ("ensembles/NS1-time.csv", "NS1-time.csv", ("evidence", "project")),
+    "no_evidence": ("evidence.json", "evidence.json", ("report",)),
+    "no_return_levels": ("return_levels/NS1-time.csv", "NS1-time.csv", ("report",)),
+    "priors_without_a_structure": (_drop_ns1_time_priors, "NS1-time", LOADERS),
+}
+
+
+def _files(out):
+    """Each file under ``out``: its bytes and the time it was last written."""
+    return {p.relative_to(out): (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "spoil, stage",
+    [(spoil, stage) for spoil, (*_, stages) in SPOILED_OUTPUTS.items() for stage in stages],
+)
+def test_a_refused_stage_leaves_the_output_directory_as_it_was(
+    pipeline_dir, tmp_path, capsys, spoil, stage
+):
+    how, named, _ = SPOILED_OUTPUTS[spoil]
+    shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+    out = tmp_path / "out"
+    if callable(how):
+        how(out)
+    else:
+        (out / how).unlink()
+    before = _files(out)
+    assert main([stage, "--config", str(tmp_path / "run.ini")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert _files(out) == before  # nothing written, added or removed
 
 
 def test_priors_cover_requested_structures(pipeline_dir):
@@ -384,6 +447,15 @@ def test_calibrate_structure_spellings_write_only_that_structure(tmp_path):
         assert os.listdir(tmp_path / "out" / "diagnostics") == ["NS1-time.json"]
         ensembles.append((tmp_path / "out" / "ensembles" / "NS1-time.csv").read_bytes())
     assert ensembles[0] == ensembles[1]
+
+
+@pytest.mark.parametrize(
+    "option, fitted", [("all", {s.id for s in all_structures()}), ("ST,", {"ST"})]
+)
+def test_structures_option_reads_as_the_config_key_does(tmp_path, option, fitted):
+    config = make_workspace(tmp_path, structures="ST, NS1-time")
+    assert main(["fit-priors", "--config", str(config), "--structures", option]) == 0
+    assert set(load_json(tmp_path / "out" / "priors.json")["structures"]) == fitted
 
 
 def test_console_entrypoint_runs():

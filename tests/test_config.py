@@ -105,7 +105,7 @@ def test_build_covariates_spans_and_normalization(config_dir):
     covs = build_covariates(dataclasses.replace(config, structures=()))
     assert set(covs) == set(CovariateKind)
     for kind, cov in covs.items():
-        assert cov.years[0] == 1990 and cov.years[-1] == 2030
+        assert cov.first_year == 1990 and cov.first_year + cov.values.size - 1 == 2030
         hist = cov.values[: 2013 - 1990 + 1]
         assert hist.min() == pytest.approx(0.0, abs=1e-12)
         assert hist.max() == pytest.approx(1.0, abs=1e-12)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from surgebma.covariates import (
-    CovariateKind,
     CovariateSeries,
     normalize_minmax,
     read_annual_csv,
@@ -63,29 +62,28 @@ def test_winter_mean_matches_scan_oracle():
 
 
 def test_normalize_affine_map():
-    series = {2000: 2.0, 2001: 4.0, 2002: 6.0}
-    cov = normalize_minmax(series, CovariateKind.TEMPERATURE, (2000, 2002))
+    series = [2.0, 4.0, 6.0]
+    cov = normalize_minmax(series, 2000, (2000, 2002))
     assert np.allclose(cov.values, [0.0, 0.5, 1.0])
 
 
 def test_normalize_projection_extrapolates():
-    series = {2000: 2.0, 2001: 6.0, 2002: 8.0}
-    cov = normalize_minmax(series, CovariateKind.SEALEVEL, (2000, 2001))
+    series = [2.0, 6.0, 8.0]
+    cov = normalize_minmax(series, 2000, (2000, 2001))
     assert cov.values_for_years([2002])[0] == pytest.approx(1.5)
 
 
 def test_normalize_scale_offset_invariance():
     rng = np.random.default_rng(2)
     vals = rng.normal(size=30)
-    years = range(1980, 2010)
-    a = normalize_minmax(dict(zip(years, vals)), CovariateKind.NAO, (1980, 2009))
-    b = normalize_minmax(dict(zip(years, 3.7 * vals + 11.0)), CovariateKind.NAO, (1980, 2009))
+    a = normalize_minmax(vals, 1980, (1980, 2009))
+    b = normalize_minmax(3.7 * vals + 11.0, 1980, (1980, 2009))
     assert np.allclose(a.values, b.values, atol=1e-12)
 
 
 def test_normalize_degenerate_covariate():
     with pytest.raises(ValueError, match="degenerate"):
-        normalize_minmax({2000: 1.0, 2001: 1.0}, CovariateKind.TEMPERATURE, (2000, 2001))
+        normalize_minmax([1.0, 1.0], 2000, (2000, 2001))
 
 
 def test_time_covariate_endpoints_and_linspace():
@@ -137,7 +135,7 @@ def test_values_for_years_exact_and_errors():
     years = np.arange(2060, 2066)
     vals = np.linspace(0, 1.31, years.size)
     vals = (vals - vals[:4].min()) / (vals[:4].max() - vals[:4].min())
-    cov = CovariateSeries(CovariateKind.TIME, years, vals, (2060, 2063))
+    cov = CovariateSeries(2060, vals)
     assert cov.values_for_years([2065, 2060]).tolist() == [vals[-1], vals[0]]
     with pytest.raises(ValueError, match="years 2059-2059 not covered by covariate span 2060-2065"):
         cov.values_for_years([2059])

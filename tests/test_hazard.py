@@ -154,7 +154,7 @@ def test_ns3_ensemble_equals_per_draw_return_level_bit_for_bit():
         ]
     )
     years = np.array([2000, 2001, 2002])
-    cov = CovariateSeries(CovariateKind.TIME, years, np.array([0.0, 1.0, 1.61]), (2000, 2001))
+    cov = CovariateSeries(int(years[0]), np.array([0.0, 1.0, 1.61]))
     out = ensemble_return_levels(make_ensemble(NS3, rows), cov, 2002, 1.0, 100)
     assert out.n_flagged == 0 and out.n_clamped == 0
     want = np.concatenate(

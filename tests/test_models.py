@@ -31,8 +31,8 @@ NS3 = ModelStructure(NonstatLevel.NS3, CovariateKind.TIME)
 def make_cov(years, raw=None):
     years = np.asarray(years, dtype=np.int64)
     raw = np.linspace(0.0, 1.0, years.size) if raw is None else np.asarray(raw, float)
-    raw = (raw - raw.min()) / (raw.max() - raw.min())  # container requires [0,1] span
-    return CovariateSeries(CovariateKind.TIME, years, raw, (int(years[0]), int(years[-1])))
+    raw = (raw - raw.min()) / (raw.max() - raw.min())  # spans [0, 1], as normalize_minmax makes it
+    return CovariateSeries(int(years[0]), raw)
 
 
 def make_data(threshold, year_events, durations=None):

@@ -74,7 +74,7 @@ def test_port_equals_scipy_on_the_mle_objective(level):
     cov = None
     if level is not NonstatLevel.ST:
         cov = synthetic_covariates(1944, 2013, (1944, 2013))[CovariateKind.SEALEVEL]
-    structure = ModelStructure(level, None if cov is None else cov.kind)
+    structure = ModelStructure(level, None if cov is None else CovariateKind.SEALEVEL)
     record = simulate_record(SimulationSpec(TRUTH[level], structure, cov, 1944, 2013, 1.0, seed=3))
     loglik = make_loglik(structure, record, cov)
 

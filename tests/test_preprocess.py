@@ -551,6 +551,33 @@ def test_hourly_csv_fills_gaps(tmp_path):
     assert np.isnan(series.levels[1]) and np.isnan(series.levels[2])
 
 
+def test_hourly_csv_reads_a_ten_year_hole(tmp_path):
+    path = tmp_path / "hole.csv"
+    path.write_text("timestamp,level_m\n2000-01-01T00,1.0\n2000-01-01T01,2.0\n2010-01-01T00,3.0\n")
+    series = read_hourly_csv(path)
+    hours = (np.datetime64("2010-01-01T00") - np.datetime64("2000-01-01T00")).astype(int)
+    assert series.start == np.datetime64("2000-01-01T00", "h")
+    assert series.levels.size == hours + 1
+    assert series.levels[[0, 1, -1]].tolist() == [1.0, 2.0, 3.0]
+    assert np.isnan(series.levels[2:-1]).all()
+
+
+def test_hourly_csv_allows_at_most_a_century_of_absent_hours(tmp_path):
+    path = tmp_path / "sparse.csv"
+    start = np.datetime64("2000-01-01T00", "h")
+    limit = preprocess.MAX_ABSENT_HOURS
+    assert limit == 100 * 8766
+    end = start + np.timedelta64(limit + 1, "h")  # two rows, limit hours absent between
+    path.write_text(f"timestamp,level_m\n{start},1.0\n{end},2.0\n")
+    assert read_hourly_csv(path).levels.size == limit + 2
+    end += np.timedelta64(1, "h")
+    path.write_text(f"timestamp,level_m\n{end},2.0\n{start},1.0\n")
+    with pytest.raises(ValueError, match=(
+        f"sparse.csv: 2 rows from {start} to {end} leave more than a century of hours absent$"
+    )):
+        read_hourly_csv(path)
+
+
 def simulated_record():
     # about one event in three years: some years have none
     spec = SimulationSpec(
