@@ -442,7 +442,9 @@ def cmd_simulate(args) -> int:
         print("wrote " + ", ".join(sorted(paths.values())))
     elif args.what == "mle-pack":
         table = sim.make_mle_fixture_pack(seed=args.seed, n_stations=args.stations)
-        save_mle_table(table, args.out, meta={"seed": args.seed, "stations": args.stations})
+        years = f"{sim.PACK_FIRST_YEAR}-{sim.PACK_LAST_YEAR}"
+        meta = {"seed": args.seed, "stations": args.stations, "years": years}
+        save_mle_table(table, args.out, meta=meta)
         print(f"wrote {args.out} ({args.stations} stations x {len(table)} structures)")
     elif args.what == "record":
         structure = ModelStructure.parse(args.structure)

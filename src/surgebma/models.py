@@ -178,8 +178,9 @@ def _any_at_most(a: np.ndarray, bound: float) -> bool:
 
 
 def _loglik_from_arrays(row, level: NonstatLevel, d: LikelihoodData) -> float:
-    # Python floats and ndarray methods: the MLE objective calls this once per
-    # Nelder-Mead step, where numpy's scalar and wrapper overheads dominate
+    # Python floats and ndarray methods: bridge sampling and the MLE's line
+    # search call this one row at a time, where numpy's scalar and wrapper
+    # overheads dominate
     lam1 = sig1 = xi1 = 0.0
     if level is NonstatLevel.ST:
         lam0, sig0, xi0 = row.tolist()

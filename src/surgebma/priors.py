@@ -11,6 +11,7 @@ sample of station estimates involved.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -19,16 +20,30 @@ import numpy as np
 from scipy.special import gammaln
 
 from .covariates import CovariateSeries
-from .models import ACTIVE_PARAMS, DIRECT_SCALE, ModelStructure, NonstatLevel, make_loglik
-from .neldermead import SimplexResult, nelder_mead
+from .models import (
+    ACTIVE_PARAMS,
+    DIRECT_SCALE,
+    LikelihoodData,
+    ModelStructure,
+    NonstatLevel,
+    _loglik_rows,
+    make_loglik,
+)
 from .preprocess import ExceedanceSet
 from .utils import dump_json, load_json
 
 log = logging.getLogger(__name__)
 
 LOG_2PI = math.log(2.0 * math.pi)
-MLE_RESTARTS = 5  # Nelder-Mead searches: the moment start, then perturbed starts
-MLE_MAX_EVALS = 20000  # cap on each search's objective evals; iterations are not capped
+MLE_RESTARTS = 5  # GPD-block ascents: the moment start, then perturbed starts
+MLE_MAX_ITERATIONS = 100  # cap on the Newton iterations of each ascent
+NEWTON_TOL = 1e-12  # an ascent ends once its Newton step promises less log L
+ARMIJO = 1e-4  # the share of the promised increase a step must deliver
+BACKTRACKING = tuple(0.5**k for k in range(31))  # a Newton step's fractions to try, in turn
+BARRIER_WEIGHTS = tuple(10.0**-k for k in range(13))  # the NS rate block's, 1 down to 1e-12
+STENCIL_STEP = 1e-4  # central-difference step, relative to max(|x|, 0.1)
+STENCIL_SHRINKS = 4  # times a stencil step may shrink 16-fold off the support edge
+EIGEN_FLOOR = 1e-8  # least eigenvalue magnitude of a Newton step, relative to the largest
 
 
 @dataclass(frozen=True)
@@ -128,13 +143,18 @@ def fit_prior(samples, family: str) -> PriorSpec:
 # ---------------------------------------------------------------------------
 # maximum likelihood
 # ---------------------------------------------------------------------------
+#
+# log L is a Poisson term in the rate parameters (lam0, lam1) plus a GPD term
+# in the others, each with its own support conditions, so each block is
+# maximized on its own and the MLE is the two optima side by side.
 
 
 def _moment_start(
     structure: ModelStructure, data: ExceedanceSet
 ) -> np.ndarray:
-    total_days = int(data.durations.sum())
-    lam0 = max(data.n_events / max(total_days, 1.0), 1e-4)
+    """The stationary rate MLE (events per observed day) and moment-based GPD
+    parameters, with zero slopes, as an active row."""
+    lam0 = data.n_events / float(data.durations.sum())
     excess = data.heights - data.threshold
     spread = float(excess.std()) if excess.size > 1 else 0.1
     spread = max(spread, 1e-3)
@@ -146,14 +166,117 @@ def _moment_start(
     return np.array([start[p] for p in structure.active_params])
 
 
-def _finish(loglik, search, value: float) -> SimplexResult:
-    """Run a Nelder-Mead search of -loglik to its end, fed one row at a time;
-    ``value`` is -loglik at the point the search yielded last."""
-    try:
-        while True:
-            value = -loglik(search.send(value))
-    except StopIteration as stop:
-        return stop.value
+def _newton_ascent(x: np.ndarray, f: float, direction, value):
+    """Damped Newton ascent of ``value`` from ``x``, where it is ``f``.
+
+    ``direction(x)`` gives the gradient and an ascent step, or None. Armijo
+    backtracking on ``value`` accepts each step; an infeasible trial point
+    is -inf and backtracks like any other. The ascent ends when a step
+    promises less than ``NEWTON_TOL``, when no backtracked step increases
+    ``value`` enough, or at ``MLE_MAX_ITERATIONS``. Returns (x, f,
+    converged), converged being False only at the cap.
+    """
+    for _ in range(MLE_MAX_ITERATIONS):
+        found = direction(x)
+        if found is None:
+            return x, f, True
+        grad, step = found
+        slope = float(grad @ step)
+        if not slope > NEWTON_TOL:
+            return x, f, True
+        for t in BACKTRACKING:
+            trial = x + t * step
+            trial_f = value(trial)
+            if trial_f >= f + ARMIJO * t * slope:  # False for NaN
+                break
+        else:
+            return x, f, True
+        x, f = trial, trial_f
+    return x, f, False
+
+
+def _rate_block(weight: np.ndarray, phi: np.ndarray, days: np.ndarray):
+    """Value and Newton direction of sum(weight * log lam - days * lam) over
+    the years, lam = lam0 + lam1 * phi: the NS Poisson log-likelihood up to a
+    constant, plus a log barrier of weight ``weight - counts`` on each lam.
+    It is concave, so its Newton step needs no damping."""
+
+    def value(x):
+        lam = x[0] + x[1] * phi  # as the likelihood kernels form it
+        return float(weight @ np.log(lam) - days @ lam) if lam.min() > 0 else -math.inf
+
+    def direction(x):
+        lam = x[0] + x[1] * phi
+        r, c = weight / lam - days, weight / (lam * lam)
+        minus_hess = np.array([[c.sum(), c @ phi], [c @ phi, (c * phi) @ phi]])
+        grad = np.array([r.sum(), r @ phi])
+        try:
+            return grad, np.linalg.solve(minus_hess, grad)
+        except np.linalg.LinAlgError:  # phi is the same in every year
+            return None
+
+    return value, direction
+
+
+def _rate_mle(level: NonstatLevel, arrays: LikelihoodData, start: np.ndarray):
+    """The rate block's MLE and whether its last ascent converged.
+
+    ST's is the start, total events over total days. An NS block may peak on
+    the boundary lam0 + lam1 * phi_t = 0 of a year without events, which an
+    interior method does not reach, so a log barrier keeps each year's lam
+    positive; one ascent per weight in ``BARRIER_WEIGHTS``, each from the
+    last optimum, leaves it within about the last weight per year of the
+    supremum.
+    """
+    if level is NonstatLevel.ST:
+        return start, True
+    x, converged = start, True
+    for mu in BARRIER_WEIGHTS:
+        value, direction = _rate_block(arrays.counts + mu, arrays.phi, arrays.durations)
+        x, _, converged = _newton_ascent(x, value(x), direction, value)
+    return x, converged
+
+
+def _gpd_direction(rate: np.ndarray, level: NonstatLevel, arrays: LikelihoodData, d: int):
+    """Newton direction of the d-parameter GPD block with ``rate`` held.
+
+    The gradient and Hessian are central differences from one stacked
+    ``_loglik_rows`` call on a stencil: the centre, +-e_i, and the corners
+    ++, +-, -+, -- of each pair (e_i, e_j), 33 rows at d = 4. The steps
+    shrink while a stencil point has no finite log L, as near the support
+    edge. Where the block is not concave, each eigenvalue of minus the
+    Hessian takes its magnitude, at least ``EIGEN_FLOOR`` times the largest,
+    so the step still ascends.
+    """
+    eye = np.eye(d)
+    pairs = list(itertools.combinations(range(d), 2))
+    first, second = (np.array(ix) for ix in zip(*pairs))
+    offsets = np.array([np.zeros(d), *(s * eye[i] for i in range(d) for s in (1, -1)),
+                        *(a * eye[i] + b * eye[j] for i, j in pairs
+                          for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1)))])
+    rows = np.empty((len(offsets), rate.size + d))
+    rows[:, : rate.size] = rate
+
+    def direction(x):
+        h = STENCIL_STEP * np.maximum(np.abs(x), 0.1)
+        for _ in range(STENCIL_SHRINKS):
+            rows[:, rate.size :] = x + offsets * h
+            v = _loglik_rows(rows, level, arrays)
+            if np.isfinite(v).all():
+                break
+            h = h / 16
+        else:
+            return None
+        plus, minus = v[1 : 2 * d + 1 : 2], v[2 : 2 * d + 1 : 2]
+        hess = np.diag((plus - 2 * v[0] + minus) / (h * h))
+        corners = v[2 * d + 1 :].reshape(-1, 4) @ [1.0, -1.0, -1.0, 1.0]
+        hess[first, second] = hess[second, first] = corners / (4 * h[first] * h[second])
+        grad = (plus - minus) / (2 * h)
+        w, vec = np.linalg.eigh(-hess)
+        w = np.maximum(np.abs(w), EIGEN_FLOOR * np.abs(w).max())
+        return grad, vec @ ((vec.T @ grad) / w)
+
+    return direction
 
 
 def mle_fit(
@@ -162,56 +285,58 @@ def mle_fit(
     cov: CovariateSeries | None,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Maximize the log-likelihood by Nelder-Mead simplex search with restarts.
+    """Maximize the log-likelihood block by block; returns the active row.
 
-    Each restart perturbs the moment-based start with normal draws from
-    ``rng`` (the first keeps it as it is) and runs two chained
-    searches; the best optimum wins. The search is ``neldermead.nelder_mead``,
-    a port of scipy's algorithm with the same iterates as
-    ``scipy.optimize.minimize(method="Nelder-Mead")``, fed one row at a time
-    through the ``make_loglik`` closure. (Stepping all restarts in lockstep,
-    on one stacked likelihood call, waits for the benchmark tracer to count
-    stacked rows.) A search converges when the simplex spread falls below its
-    tolerances (1e-7 in x and 1e-8 in -log L, then 1e-9 and 1e-10), and stops
-    at ``MLE_MAX_EVALS`` evaluations otherwise; a winner that stopped there is
-    logged as a warning. A restart whose start has no finite log-likelihood
-    ends after that one evaluation. Returns the active-parameter row of the
-    optimum.
+    The rate block comes from ``_rate_mle``. The GPD block, with that rate
+    held, runs a damped Newton ascent (``_gpd_direction``) from each of
+    ``MLE_RESTARTS`` starts: the moment start, then that start perturbed with
+    normal draws from ``rng``. Each start and each line-search trial point is
+    evaluated through the ``make_loglik`` closure; a start with no finite
+    log-likelihood ends its restart there. The restart with the highest
+    log L wins, the first among equals. If the winning ascent, or the rate
+    block's last one, stopped at ``MLE_MAX_ITERATIONS``, a warning names the
+    structure.
     """
     if data.n_events == 0:
         raise ValueError("no exceedances to fit")
     loglik = make_loglik(structure, data, cov)
+    arrays = LikelihoodData.build(data, cov, structure)
     level = structure.level
+    n_rate = 1 if level is NonstatLevel.ST else 2
 
     base = _moment_start(structure, data)
-    best, best_f = None, math.inf
+    rate, rate_converged = _rate_mle(level, arrays, base[:n_rate])
+
+    def value(x):
+        with np.errstate(all="ignore"):  # a far trial point can overflow exp(-log sig)
+            return loglik(np.concatenate((rate, x)))
+
+    gpd_base = base[n_rate:]
+    # the half-infinite (gamma-prior) parameters stay positive at the start
+    positive = [prior_family_for(p, level) == "gamma" for p in structure.active_params[n_rate:]]
+    direction = _gpd_direction(rate, level, arrays, gpd_base.size)
+    best = None
     for k in range(MLE_RESTARTS):
-        x0 = base.copy()
+        x0 = gpd_base.copy()
         if k > 0:
-            scale = np.maximum(np.abs(base), 0.05)
-            x0 = base + 0.3 * scale * rng.standard_normal(base.size)
-            # keep the half-infinite (gamma-prior) parameters positive at the start
-            for i, name in enumerate(structure.active_params):
-                if prior_family_for(name, level) == "gamma":
-                    x0[i] = abs(x0[i]) or base[i]
-        search = nelder_mead(x0, 1e-7, 1e-8, MLE_MAX_EVALS)
-        value = -loglik(next(search))  # the first vertex is x0: its value decides feasibility
-        if not math.isfinite(value):
+            scale = np.maximum(np.abs(gpd_base), 0.05)
+            x0 = gpd_base + 0.3 * scale * rng.standard_normal(gpd_base.size)
+            x0[positive] = np.abs(x0[positive])
+        f0 = value(x0)
+        if not math.isfinite(f0):
             continue
-        res = _finish(loglik, search, value)
-        # one chained restart from the solution polishes flat directions
-        polish = nelder_mead(res.x, 1e-9, 1e-10, MLE_MAX_EVALS)
-        res = _finish(loglik, polish, -loglik(next(polish)))
-        if res.fun < best_f:
-            best, best_f = res, res.fun
+        found = _newton_ascent(x0, f0, direction, value)
+        if best is None or found[1] > best[1]:
+            best = found
     if best is None:
         raise ValueError("no feasible start")
-    if not best.converged:
+    x, _, converged = best
+    if not (converged and rate_converged):
         log.warning(
-            "%s: the best Nelder-Mead search stopped at %d evaluations before meeting "
-            "its tolerance", structure.id, MLE_MAX_EVALS,
+            "%s: the best Newton ascent stopped at %d iterations before converging",
+            structure.id, MLE_MAX_ITERATIONS,
         )
-    return best.x
+    return np.concatenate((rate, x))
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,8 @@ def write_hourly_fixture(path, first_year: int, last_year: int, seed: int) -> fl
     gaps = rng.uniform(size=n_hours) < 0.01
     levels[gaps] = np.nan
 
-    write_hourly_csv(path, HourlySeries(start, levels))
+    # to the millimetre, as a gauge reports
+    write_hourly_csv(path, HourlySeries(start, np.round(levels, 3)))
     return mu_target
 
 

@@ -433,6 +433,25 @@ def test_simulate_record_refuses_a_stray_parameter(tmp_path, capsys, structure, 
     assert not out.exists()
 
 
+def test_simulate_mle_pack_rebuilds_the_packaged_table_from_its_meta(tmp_path):
+    from importlib import resources
+
+    packaged = load_json(resources.files("surgebma").joinpath(cli.PACKAGED_MLE_PACK))
+    meta = packaged["meta"]
+    out = tmp_path / "pack.json"
+    argv = ["simulate", "mle-pack", "--out", str(out),
+            "--seed", str(meta["seed"]), "--stations", str(meta["stations"])]
+    assert main(argv) == 0
+    rebuilt = load_json(out)
+    assert rebuilt["meta"] == meta
+    assert rebuilt["structures"].keys() == packaged["structures"].keys()
+    for sid, entry in packaged["structures"].items():
+        assert rebuilt["structures"][sid]["param_names"] == entry["param_names"]
+        np.testing.assert_allclose(
+            rebuilt["structures"][sid]["estimates"], entry["estimates"], rtol=0, atol=1e-6,
+            err_msg=sid)
+
+
 def test_calibrate_structure_spellings_write_only_that_structure(tmp_path):
     config = make_workspace(tmp_path, structures="ST, NS1-time")
     assert main(["preprocess", "--config", str(config)]) == 0

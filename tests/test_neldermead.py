@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from scipy.optimize import rosen
 
-from oracles import scipy_nelder_mead
+from oracles import nelder_mead, scipy_nelder_mead
 from surgebma.covariates import CovariateKind
 from surgebma.models import ModelStructure, NonstatLevel, make_loglik
-from surgebma.neldermead import nelder_mead
 from surgebma.priors import _moment_start
 from surgebma.simulate import SimulationSpec, simulate_record, synthetic_covariates
 
