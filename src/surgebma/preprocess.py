@@ -15,6 +15,7 @@ are approximately independent.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from itertools import chain
 
@@ -31,6 +32,12 @@ MAX_ABSENT_HOURS = 100 * 8766
 # and writer (rows): they bound the memory per numpy call and change no result
 READ_CHUNK_CHARS = 1 << 16
 WRITE_CHUNK_ROWS = 1 << 15
+# a plain chunk of an hourly CSV is parsed as bytes, each field shorter than
+# PLAIN_FIELD_BYTES; row k of _FIELD_MASKS, as 64-bit words, keeps the first
+# k bytes of a gathered field and zeroes the rest
+PLAIN_FIELD_BYTES = 32
+_FIELD_MASKS = np.tri(PLAIN_FIELD_BYTES + 1, PLAIN_FIELD_BYTES + 8, -1, np.uint8) * np.uint8(255)
+_FIELD_MASKS = _FIELD_MASKS.view(np.uint64)
 # ExceedanceSet's array fields and the dtype each is stored in
 _EXCEEDANCE_DTYPES = {
     "years": np.int64, "durations": np.int64, "counts": np.int64,
@@ -176,14 +183,15 @@ class ExceedanceSet:
 def read_hourly_csv(path) -> HourlySeries:
     """Read ``timestamp,level_m`` CSV (ISO-8601 UTC, empty field = missing).
 
-    Rows are parsed in chunks of about ``READ_CHUNK_CHARS``: one numpy
-    conversion per column and chunk, with a row-by-row scan only to name the
-    line of a bad row. Each chunk is written into two buffers sized by a first
-    pass that counts the file's lines, so the record is held once. The series
-    starts at the earliest stamp and each level goes to its hour: hours absent
-    from the file become NaN, up to ``MAX_ABSENT_HOURS`` of them. A file whose
-    stamps increase hour by hour is returned as read. A leading UTF-8
-    byte-order mark is skipped.
+    Rows are parsed in chunks of about ``READ_CHUNK_CHARS`` whole lines: one
+    numpy conversion per column and chunk, with a row-by-row scan only to name
+    the line of a bad row. A plain chunk (``_bulk_columns``) is cut into
+    fields as bytes, any other as text. Each chunk is written into two buffers
+    sized by a first pass that counts the file's lines, so the record is held
+    once. The series starts at the earliest stamp and each level goes to its
+    hour: hours absent from the file become NaN, up to ``MAX_ABSENT_HOURS`` of
+    them. A file whose stamps increase hour by hour is returned as read. A
+    leading UTF-8 byte-order mark is skipped.
     """
     lines_in_file = _count_lines(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -195,23 +203,38 @@ def read_hourly_csv(path) -> HourlySeries:
         # every row, the header too, takes at least one line
         stamps = np.empty(lines_in_file - 1, dtype="datetime64[h]")
         values = np.empty(lines_in_file - 1)
-        n = 0
-        lineno = 2
-        while lines := fh.readlines(READ_CHUNK_CHARS):
-            rows = None
-            columns = _plain_columns(lines)
-            if columns is None:
-                rows = _csv_rows(lines, fh)
-                columns = _row_columns(rows)
+        n, lineno, carry = 0, 2, ""
+        while text := carry + fh.read(READ_CHUNK_CHARS):
+            # cut after the last line end (a last \r may begin a \r\n), but at
+            # the end of the file
+            if len(text) == len(carry):
+                cut = len(text)
+            else:
+                cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
+            text, carry = text[:cut], text[cut:]
+            if not text:  # a line longer than the chunk
+                continue
+            rows = lines = columns = None  # the last chunk's, freed
+            if (columns := _bulk_columns(text)) is None:
+                lines = io.StringIO(text, newline="").readlines()
+                if (columns := _plain_columns(lines)) is None:
+                    # a quoted field left open reads on, through the carry
+                    rest = io.StringIO(carry + fh.readline(), newline="")
+                    rows = _csv_rows(lines, chain(rest, fh))
+                    carry = rest.read()
+                    columns = _row_columns(rows)
+                columns = ([s.replace("Z", "") for s in columns[0]],
+                           [v or "nan" for v in columns[1]])
             try:
                 t, v = _parse_columns(*columns)
             except ValueError:
-                _raise_bad_row(path, csv.reader(lines) if rows is None else rows, lineno)
+                rows = csv.reader(io.StringIO(text, newline="")) if rows is None else rows
+                _raise_bad_row(path, rows, lineno)
                 raise
             stamps[n:n + t.size] = t
             values[n:n + v.size] = v
             n += t.size
-            lineno += len(lines) if rows is None else len(rows)
+            lineno += t.size if rows is None else len(rows)
     if not n:
         raise ValueError("empty input")
     t, vals = stamps[:n], values[:n]
@@ -275,10 +298,63 @@ def _plain_columns(lines):
     return stamps, list(map(str.strip, fields[1::2]))
 
 
-def _csv_rows(lines, fh) -> list[list[str]]:
-    """The csv rows of ``lines``, reading on from ``fh`` to the end of a quoted
-    field left open by the last line."""
-    reader = csv.reader(chain(lines, fh))
+def _bulk_columns(text):
+    """Byte arrays of the stamps and the levels of ``text``, whole lines, with
+    ``nan`` for an empty level, made by a fixed number of numpy calls. None
+    unless ``text`` is plain: printable ASCII with no quote, space or ``Z``,
+    each line ending in LF or CRLF and holding one comma, a stamp and a level
+    that is empty or ``-?digits[.digits]``, both shorter than ``PLAIN_FIELD_BYTES``.
+    """
+    if '"' in text or "Z" in text or not text.isascii():
+        return None
+    # a byte before the first stamp, and a line end after a last line with none
+    raw = b"\n" + text.encode("ascii") + b"\n" + bytes(PLAIN_FIELD_BYTES + 8)
+    b = np.frombuffer(raw, np.uint8, len(text) + (not text.endswith("\n")), 1)
+    ends, commas = np.flatnonzero(b == ord("\n")), np.flatnonzero(b == ord(","))
+    crlf = b[ends - 1] == ord("\r")
+    # no byte below "!" but the line ends, and each \r one of a \r\n
+    if (commas.size != ends.size
+            or np.count_nonzero(b < ord("!")) != ends.size + np.count_nonzero(crlf)):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # with as many commas as lines, both lengths fit only if each line has one
+    stamp_len, level_len = commas - starts, ends - crlf - commas - 1
+    if (min(stamp_len.min() - 1, level_len.min()) < 0
+            or max(stamp_len.max(), level_len.max()) >= PLAIN_FIELD_BYTES):
+        return None
+    levels = _gather(raw, commas + 1, level_len + 1)  # each from its comma
+    flat = levels.ravel()
+    digit, dot = flat - ord("0") < 10, flat == ord(".")
+    # each byte a digit, a comma, a zero, a "." between digits or a "-" between
+    # the comma and a digit; at most one "." a level
+    ok = digit | (flat == ord(",")) | (flat == 0)
+    minus = flat == ord("-")
+    ok[1:-1] |= (dot[1:-1] & digit[:-2] | minus[1:-1] & (flat[:-2] == ord(","))) & digit[2:]
+    dotted = dot.view(np.uint64).reshape(commas.size, -1).any(axis=1)
+    if not ok.all() or np.count_nonzero(dot) > np.count_nonzero(dotted):
+        return None
+    if not level_len.all():
+        levels[level_len == 0, 1:4] = tuple(b"nan")
+    stamps = _gather(raw, starts, stamp_len + 1)  # each from the line end before it
+    return (stamps[:, 1:].view(f"S{stamps.shape[1] - 1}")[:, 0],
+            levels[:, 1:].view(f"S{levels.shape[1] - 1}")[:, 0])
+
+
+def _gather(raw, first, count):
+    """Rows ``raw[first:first + count]``, zero-filled to whole 64-bit words
+    with one zero at least."""
+    width = 8 * (int(count.max()) // 8 + 1)
+    # the sliding windows of ``raw`` as items, so the gather copies one per row
+    windows = np.ndarray(len(raw) - width + 1, f"V{width}", raw, strides=(1,))
+    words = windows[first].view(np.uint64).reshape(first.size, -1)
+    words &= np.take(_FIELD_MASKS[:, :width // 8], count, axis=0)
+    return words.view(np.uint8)
+
+
+def _csv_rows(lines, rest) -> list[list[str]]:
+    """The csv rows of ``lines``, reading on from the lines of ``rest`` to the
+    end of a quoted field left open by the last line."""
+    reader = csv.reader(chain(lines, rest))
     rows = []
     while reader.line_num < len(lines):
         rows.append(next(reader))
@@ -293,12 +369,13 @@ def _row_columns(rows):
 
 
 def _parse_columns(stamps, levels):
-    """datetime64[h] and float arrays of the stripped fields; an empty level is
-    NaN. Raises ValueError on any bad field."""
-    t = np.array([s.replace("Z", "") for s in stamps], dtype="datetime64[h]")
+    """datetime64[h] and float arrays of the fields, given as lists of str or
+    as byte arrays, with no ``Z`` and ``nan`` for an empty level. Raises
+    ValueError on any bad field."""
+    t = np.asarray(stamps, dtype="datetime64[h]")
     if np.isnat(t).any():  # numpy reads "" and "NaT" as NaT without raising
         raise ValueError("missing timestamp")
-    return t, np.array([v or "nan" for v in levels], dtype=float)  # float("nan") is np.nan
+    return t, np.asarray(levels, dtype=float)  # float("nan") is np.nan
 
 
 def _raise_bad_row(path, rows, first_lineno) -> None:

@@ -27,6 +27,7 @@ from .models import (
     ModelStructure,
     NonstatLevel,
     _loglik_rows,
+    effective_params,
     make_loglik,
 )
 from .preprocess import ExceedanceSet
@@ -295,7 +296,10 @@ def mle_fit(
     log-likelihood ends its restart there. The restart with the highest
     log L wins, the first among equals. If the winning ascent, or the rate
     block's last one, stopped at ``MLE_MAX_ITERATIONS``, a warning names the
-    structure.
+    structure. So does one if the winner has xi <= -1 at an event, or within
+    a ``STENCIL_STEP`` of it, which the stencil cannot tell apart: the GPD
+    likelihood is unbounded there, and the ascent ends on the support edge,
+    not at a maximum.
     """
     if data.n_events == 0:
         raise ValueError("no exceedances to fit")
@@ -336,7 +340,13 @@ def mle_fit(
             "%s: the best Newton ascent stopped at %d iterations before converging",
             structure.id, MLE_MAX_ITERATIONS,
         )
-    return np.concatenate((rate, x))
+    row = np.concatenate((rate, x))
+    if (effective_params(row, level, arrays.phi_event)[2] <= STENCIL_STEP - 1).any():
+        log.warning(
+            "%s: the best fit has xi <= -1 at an event, where the GPD likelihood is "
+            "unbounded; it lies on the support edge, not at a maximum", structure.id,
+        )
+    return row
 
 
 # ---------------------------------------------------------------------------

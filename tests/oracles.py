@@ -253,7 +253,7 @@ def read_hourly_csv_rows(path):
     such a row fails later, in ``np.arange``, with no line number.
     """
     times, levels = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

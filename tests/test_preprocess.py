@@ -506,6 +506,136 @@ def test_hourly_csv_reader_refuses_what_row_oracle_refuses(tmp_path, monkeypatch
     assert str(got.value) == str(want.value)
 
 
+# level forms that a plain chunk may hold, and forms that float reads but that
+# send their chunk the csv way
+PLAIN_LEVELS = ["", "-0.0", "0", "12", "-3.5", "0.001", "-0.642", "00.10",
+                "12345678901234567", "-1234567.890123456"]
+OTHER_LEVELS = ["1e-5", "-2.5E+3", "1e300", "nan", "-inf", "inf", "1_0", "\u0661",
+                ".5", "5.", "+1", " 1.5 ", "-0.0\t"]
+
+
+def random_hourly_csv(rng, n):
+    """An hourly CSV of ``n`` rows with distinct stamps: mostly plain rows,
+    with quoted (some over two lines), ``Z``, padded, blank and CR-ended rows
+    and other level forms mixed in."""
+    hours = np.datetime64("1969-12-31T20", "h") + rng.choice(3 * n, size=n, replace=False)
+    if rng.uniform() < 0.5:
+        hours.sort()
+    end = "\r\n" if rng.uniform() < 0.5 else "\n"
+    rows = []
+    for stamp in np.datetime_as_string(hours).tolist():
+        if rng.uniform() < 0.3:
+            stamp += ":00"
+        if rng.uniform() < 0.5:  # 17 significant digits
+            level = f"{rng.uniform(-10, 10):.16f}"
+        else:
+            level = PLAIN_LEVELS[rng.integers(len(PLAIN_LEVELS))]
+        row = f"{stamp},{level}{end}"
+        odd = rng.integers(40)
+        if odd == 0:
+            row = f"{stamp},{OTHER_LEVELS[rng.integers(len(OTHER_LEVELS))]}{end}"
+        elif odd == 1:
+            row = f'"{stamp}","{level}"{end}'
+        elif odd == 2:
+            row = f"{stamp}Z,{level}{end}"
+        elif odd == 3:
+            row = f" {stamp}\t, {level} {end}"
+        elif odd == 4:
+            row = f"{end} ,{end}{row}"
+        elif odd == 5:
+            row = f"{stamp},{level}\r"
+        elif odd == 6:  # a quoted line end, perhaps across chunks
+            row = f'{stamp},"{level}{end}"{end}'
+        rows.append(row)
+    return H + "".join(rows)
+
+
+@pytest.mark.parametrize("chunk", [64, 4096])
+@pytest.mark.parametrize("seed", range(8))
+def test_hourly_csv_reader_equals_row_oracle_on_random_files(tmp_path, monkeypatch, seed, chunk):
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "station.csv"
+    path.write_text(random_hourly_csv(rng, 400), encoding="utf-8", newline="")
+    want_times, want_levels = read_hourly_csv_rows(path)
+    monkeypatch.setattr(preprocess, "READ_CHUNK_CHARS", chunk)
+    got = read_hourly_csv(path)
+    assert np.array_equal(hours(got), want_times)
+    assert np.array_equal(got.levels.view(np.int64), want_levels.view(np.int64))
+
+
+BAD_ROWS = ["2000-02-30T00,1.0", "1999-13-01T00,1.0", "not-a-time,1.0", "2000-01-01T00,1.2.3",
+            "2000-01-01T00,-", "2000-01-01T00,1..2", "2000-01-01T00,1-2", "2000-01-01T00,--1"]
+
+
+@pytest.mark.parametrize("chunk", [64, 4096])
+@pytest.mark.parametrize("seed", range(8))
+def test_hourly_csv_reader_names_a_bad_row_as_row_oracle_on_random_files(
+    tmp_path, monkeypatch, seed, chunk
+):
+    rng = np.random.default_rng(100 + seed)
+    lines = random_hourly_csv(rng, 400).splitlines(keepends=True)
+    at = int(rng.integers(1, len(lines)))
+    lines.insert(at, BAD_ROWS[seed] + "\n")
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    with pytest.raises(ValueError) as want:
+        read_hourly_csv_rows(path)
+    assert "bad.csv:" in str(want.value)
+    monkeypatch.setattr(preprocess, "READ_CHUNK_CHARS", chunk)
+    with pytest.raises(ValueError) as got:
+        read_hourly_csv(path)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("level", ["", "0", "-0", "-0.0", "007", "12345678901234567.5",
+                                   "-1.0000000000000000000000000001"])
+def test_a_level_of_the_plain_grammar_is_parsed_as_bytes(level):
+    rows = f"2000-01-01T00,1.5\r\n2000-01-01T01,{level}\r\n2000-01-01T02,-2\r\n"
+    stamps, levels = preprocess._bulk_columns(rows)
+    assert stamps.tolist() == [b"2000-01-01T00", b"2000-01-01T01", b"2000-01-01T02"]
+    assert levels.tolist() == [b"1.5", level.encode() or b"nan", b"-2"]
+
+
+# forms the plain grammar -?digits[.digits] leaves out, float reads or not:
+# their chunk goes the text path, whatever numpy's cast would make of them
+@pytest.mark.parametrize("level", ["1.2.3", "1..2", "1.", ".5", "-.5", "+1", "-", "--1", "1-2",
+                                   "1e5", "1E5", "1_0", "nan", "inf", "0x1", "1.5x", "1" * 32])
+def test_a_level_outside_the_plain_grammar_goes_the_text_path(level):
+    rows = f"2000-01-01T00,1.5\n2000-01-01T01,{level}\n2000-01-01T02,2.5\n"
+    assert preprocess._bulk_columns(rows) is None
+    assert preprocess._bulk_columns(rows.replace(level, "0.25")) is not None
+
+
+@pytest.mark.parametrize("rows", [
+    '"2000-01-01T00",1.5\n', "2000-01-01T00Z,1.5\n", " 2000-01-01T00,1.5\n", "2000-01-01T00,1.5 \n",
+    "2000-01-01T00\t,1.5\n", "2000-01-01T00,1.5\r2000-01-01T01,1\n",
+    "\n2000-01-01T00,1.5\n", ",1.5\n", "2000-01-01T00\n", "2000-01-01T00,1.5,x\n",
+    "2000-01-01T00,1.5\n\n", "2000-01-01T00,١\n", "2000-01-01T00\x0b,1.5\n",
+])
+def test_a_row_that_is_not_plain_sends_its_chunk_the_text_path(rows):
+    assert preprocess._bulk_columns("2000-01-01T02,2.5\n" + rows) is None
+
+
+def test_hourly_csv_reader_parses_a_written_record_as_bytes(tmp_path, monkeypatch):
+    # every chunk of a file that write_hourly_csv writes is plain: none may
+    # fall back to the text path
+    rng = np.random.default_rng(12)
+    vals = rng.normal(size=20_000).round(3)
+    vals[rng.uniform(size=vals.size) < 0.05] = np.nan
+    vals[:3] = [-0.0, 12345.5, 0.0]
+    path = tmp_path / "station.csv"
+    write_hourly_csv(path, hourly(vals, start="1969-12-30T22"))
+
+    def text_path(*args):
+        raise AssertionError("a plain chunk went the text path")
+
+    for name in ("_plain_columns", "_csv_rows", "_row_columns"):
+        monkeypatch.setattr(preprocess, name, text_path)
+    got = read_hourly_csv(path)
+    assert got.start == np.datetime64("1969-12-30T22", "h")
+    assert np.array_equal(got.levels.view(np.int64), vals.view(np.int64))
+
+
 def test_hourly_csv_reader_skips_a_byte_order_mark(tmp_path):
     # spreadsheet programs start a UTF-8 CSV with one
     text = b"timestamp,level_m\r\n2000-01-01T00,1.0\r\n2000-01-01T01,2.0\r\n"

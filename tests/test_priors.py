@@ -192,6 +192,22 @@ def test_mle_warns_when_the_best_search_stops_at_the_cap(st_record_200yr, monkey
     assert not np.array_equal(capped, full)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_mle_warns_when_the_fit_ends_on_the_gpd_support_edge(seed, caplog):
+    # five excesses in one year: the GPD likelihood grows without bound as
+    # xi falls below -1 with the largest excess on the support edge, so the
+    # ascent stops at xi = -1 or just past it (seed 0: -0.99999998)
+    excess = np.array([0.05, 0.1, 0.2, 0.3, 0.5])
+    dates = ["2000-01-10", "2000-03-01", "2000-05-01", "2000-07-01", "2000-09-01"]
+    record = ExceedanceSet(1.0, [2000], [366], [5], dates, 1.0 + excess)
+    with caplog.at_level(logging.WARNING, logger="surgebma.priors"):
+        lam0, sig0, xi0 = mle_fit(ST, record, None, rng=np.random.default_rng(seed))
+    assert xi0 == pytest.approx(-1, abs=0.1) and sig0 == pytest.approx(0.5, abs=0.05)
+    [warning] = caplog.records
+    assert warning.levelno == logging.WARNING
+    assert warning.getMessage().startswith("ST: ") and "support edge" in warning.getMessage()
+
+
 def scipy_best(structure, record, cov, rng):
     """The best log L of ``MLE_RESTARTS`` chained pairs of scipy Nelder-Mead
     searches over the whole row, from the moment start and from perturbed ones."""
