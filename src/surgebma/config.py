@@ -8,6 +8,7 @@ outputs are traceable to the exact configuration that produced them.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,8 +75,8 @@ class RunConfig:
         if len(set(self.structures)) < len(self.structures):
             # every stage would run a repeat twice, and report would then refuse it
             raise ValueError(f"repeated structures in {', '.join(self.structures)}")
-        if not self.return_periods or not all(t > 0 for t in self.return_periods):
-            raise ValueError("return_periods must list one or more positive periods")
+        if not self.return_periods or not all(0 < t < math.inf for t in self.return_periods):
+            raise ValueError("return_periods must list one or more positive finite periods")
         levels = self.quantile_levels
         if not all(0 < q < 1 for q in levels) or not set(REPORTED_QUANTILE_LEVELS) <= set(levels):
             raise ValueError(

@@ -17,6 +17,8 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from .utils import csv_errors_named
+
 log = logging.getLogger(__name__)
 
 
@@ -135,7 +137,7 @@ def time_covariate(
 def _read_rows(path, parse: Callable[[list[str]], tuple]) -> list[tuple]:
     """``parse`` of each data row after the header; blank rows are skipped."""
     out = []
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, csv_errors_named(path):
         reader = csv.reader(fh)
         if next(reader, None) is None:
             raise ValueError("empty input")

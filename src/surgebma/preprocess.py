@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .utils import dump_json, empirical_quantile, load_json, write_csv
+from .utils import csv_errors_named, dump_json, empirical_quantile, load_json, write_csv
 
 HOURS_PER_DAY = 24
 MIN_VALID_FRACTION = 0.5  # detrending: least share of valid hours in an hour's window
@@ -194,7 +194,7 @@ def read_hourly_csv(path) -> HourlySeries:
     leading UTF-8 byte-order mark is skipped.
     """
     lines_in_file = _count_lines(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh, csv_errors_named(path):
         header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError("empty input")

@@ -47,6 +47,9 @@ class ChainConfig:
                 f"thinned_size {self.thinned_size} exceeds the pooled sample of "
                 f"n_chains x (n_iterations - burn_in) = {pooled}"
             )
+        if not math.isfinite(self.psrf_gate):
+            # a NaN or infinite gate passes any finite PSRF; --force is the way past it
+            raise ValueError(f"psrf_gate must be finite, got {self.psrf_gate!r}")
 
 
 @dataclass

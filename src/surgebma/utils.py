@@ -1,11 +1,12 @@
-"""Small shared helpers: the gate error, the package-wide quantile rule and
-stable file output."""
+"""Small shared helpers: the gate error, the package-wide quantile rule,
+stable file output and CSV read errors."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -56,3 +57,12 @@ def write_csv(path, header, rows) -> None:
 def format_float(x: float) -> str:
     """Shortest round-trip decimal form; keeps CSV artifacts byte-stable."""
     return repr(float(x))
+
+
+@contextmanager
+def csv_errors_named(path):
+    """Re-raise a ``csv.Error`` (say, an oversized field) as a ``ValueError`` naming ``path``."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -9,14 +9,10 @@ and writer, detrending and daily-maxima oracles are earlier versions kept as
 the bit-for-bit references: numpy wrappers on numpy scalars, one row at a time,
 and a fresh array for every intermediate. The Nelder-Mead oracle is scipy's own
 ``minimize``, which serves as the reference optimizer of the MLE tests.
-``nelder_mead`` is the generator port of scipy's simplex search that the MLE
-ran before its block-wise Newton ascent, kept with its bit-for-bit tests
-against scipy in ``test_neldermead.py``.
 """
 
 import csv
 import math
-from typing import Generator, NamedTuple
 
 import mpmath
 import numpy as np
@@ -300,22 +296,12 @@ def write_hourly_csv_rows(path, series):
             writer.writerow([str(t), "" if not np.isfinite(v) else repr(float(v))])
 
 
-def scipy_nelder_mead(f, x0, xatol, fatol, maxfev, maxiter=None):
-    """``scipy.optimize.minimize(method="Nelder-Mead")`` with the port's
-    options; returns the result and every point it evaluated, in order.
-
-    scipy's ``maxiter`` is ``maxfev`` unless given: an iteration cap that
-    large never ends a search before the evaluation cap does.
-    """
-    points = []
-
-    def objective(x):
-        points.append(x.copy())
-        return f(x)
-
-    maxiter = maxfev if maxiter is None else maxiter
-    options = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter, "maxfev": maxfev}
-    return minimize(objective, x0, method="Nelder-Mead", options=options), points
+def scipy_nelder_mead(f, x0, xatol, fatol, maxfev):
+    """``scipy.optimize.minimize(method="Nelder-Mead")`` with these tolerances
+    and evaluation cap; the iteration cap equals ``maxfev``, which
+    ``tests/test_neldermead.py`` checks never ends a search first."""
+    options = {"xatol": xatol, "fatol": fatol, "maxiter": maxfev, "maxfev": maxfev}
+    return minimize(f, x0, method="Nelder-Mead", options=options)
 
 
 def detrend_moving_mean_temporaries(series, window_days, min_valid_fraction=0.5):
@@ -355,134 +341,3 @@ def daily_maxima_unique(series, min_valid_hours):
     out[~np.isfinite(out)] = np.nan
     ok &= np.isfinite(out)
     return uniq, out, ok
-
-
-# ---------------------------------------------------------------------------
-# Nelder-Mead port
-# ---------------------------------------------------------------------------
-#
-# A port of scipy 1.17.1's ``_minimize_neldermead`` (``scipy/optimize/
-# _optimize.py``) without bounds, callback or adaptive coefficients, written
-# as a generator: it yields each point it needs evaluated, as a fresh float64
-# array, and receives the value through ``send``. The simplex is held as
-# Python floats and every expression is written in scipy's operation order:
-# the centroid is a sum that starts at 0.0 and adds the best N vertices in
-# turn, the coefficient products are formed first, and each reorder runs
-# numpy's argsort on the values, so ties and NaN order as in scipy. For the
-# same objective the search evaluates the same points, in the same order, and
-# ends at the same ``x`` and ``fun`` as ``scipy.optimize.minimize(method=
-# "Nelder-Mead")`` with the same tolerances and ``maxfev``, and a ``maxiter``
-# of ``maxfev`` or more, which never ends a search. The evaluation cap stops
-# the search where scipy's does, in the middle of an iteration included: a
-# step whose evaluation is refused changes nothing, except that a shrink
-# keeps the vertices it has already moved, with their old values.
-
-RHO, CHI, PSI, SIGMA = 1, 2, 0.5, 0.5  # reflection, expansion, contraction, shrink
-NONZDELT, ZDELT = 0.05, 0.00025  # initial simplex: relative step, step off a zero
-
-
-class SimplexResult(NamedTuple):
-    x: np.ndarray  # best vertex of the final simplex
-    fun: float  # the smallest vertex value, NaN if any is NaN
-    converged: bool  # the xatol/fatol test ended the search, not a cap
-
-
-def _ordered(sim, fsim):
-    ind = np.array(fsim).argsort().tolist()  # np.argsort's sort, without its wrapper
-    return [sim[i] for i in ind], [fsim[i] for i in ind]
-
-
-def nelder_mead(
-    x0, xatol: float, fatol: float, maxfev: int
-) -> Generator[np.ndarray, float, SimplexResult]:
-    """Minimize by simplex search; yields points, receives their values.
-
-    Drive it with ``x = next(search)``, then ``x = search.send(f(x))`` until
-    ``StopIteration``, whose ``value`` is the ``SimplexResult``. At most
-    ``maxfev`` points are yielded.
-    """
-    x0 = np.asarray(x0, dtype=float).ravel().tolist()
-    n = len(x0)
-    sim = [x0]
-    for k in range(n):
-        y = list(x0)
-        if y[k] != 0:
-            y[k] = (1 + NONZDELT) * y[k]
-        else:
-            y[k] = ZDELT
-        sim.append(y)
-
-    nfev = 0
-    fsim = [np.inf] * (n + 1)
-    for k in range(n + 1):
-        if nfev >= maxfev:
-            break
-        nfev += 1
-        fsim[k] = yield np.array(sim[k])
-    # scipy sorts twice here, once in a ``finally`` and once after it
-    sim, fsim = _ordered(*_ordered(sim, fsim))
-
-    converged = False
-    while nfev < maxfev:
-        best = sim[0]
-        fbest = fsim[0]
-        # all(v <= tol) is np.max(...) <= tol: a NaN fails both
-        if all(abs(v - b) <= xatol for vertex in sim[1:] for v, b in zip(vertex, best)) and all(
-            abs(fbest - f) <= fatol for f in fsim[1:]
-        ):
-            converged = True
-            break
-
-        xbar = []
-        for column in zip(*sim[:-1]):
-            total = 0.0
-            for v in column:
-                total += v
-            xbar.append(total / n)
-        worst = sim[-1]
-
-        # the loop condition leaves room for the reflection's evaluation
-        xr = [(1 + RHO) * a - RHO * w for a, w in zip(xbar, worst)]
-        nfev += 1
-        fxr = yield np.array(xr)
-
-        # past the cap, scipy's _MaxFuncCallError refuses the step's evaluation
-        if fxr < fsim[0]:
-            if nfev < maxfev:
-                xe = [(1 + RHO * CHI) * a - RHO * CHI * w for a, w in zip(xbar, worst)]
-                nfev += 1
-                fxe = yield np.array(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif nfev < maxfev:
-            doshrink = False
-            if fxr < fsim[-1]:
-                xc = [(1 + PSI * RHO) * a - PSI * RHO * w for a, w in zip(xbar, worst)]
-                nfev += 1
-                fxc = yield np.array(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    doshrink = True
-            else:
-                xcc = [(1 - PSI) * a + PSI * w for a, w in zip(xbar, worst)]
-                nfev += 1
-                fxcc = yield np.array(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    doshrink = True
-            if doshrink:
-                for j in range(1, n + 1):
-                    sim[j] = [b + SIGMA * (v - b) for b, v in zip(best, sim[j])]
-                    if nfev >= maxfev:
-                        break
-                    nfev += 1
-                    fsim[j] = yield np.array(sim[j])
-        sim, fsim = _ordered(sim, fsim)
-
-    return SimplexResult(np.array(sim[0]), float(np.min(fsim)), converged)

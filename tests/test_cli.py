@@ -134,6 +134,16 @@ def test_a_stamp_centuries_off_exits_2_before_preprocess_writes(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_a_field_over_the_csv_size_limit_exits_2_before_preprocess_writes(tmp_path, capsys):
+    config = make_workspace(tmp_path)
+    with open(tmp_path / "station.csv", "a") as fh:
+        fh.write(f'2014-01-01T00,"{"1" * 200_000}"\n')
+    assert main(["preprocess", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: \S+station\.csv: field larger than field limit \(\d+\)\n", err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_inputs_exit_2(tmp_path):
     config = make_workspace(tmp_path)
     assert main(["calibrate", "--config", str(config)]) == 2
@@ -570,17 +580,21 @@ def test_parallel_workers_reproduce_serial_artifacts(tmp_path):
         ("[run]", "[preprocess]\ndetrend_window_days = inf\n\n[run]"),
         ("[run]", "[preprocess]\ndetrend_window_days = nan\n\n[run]"),
         ("seed = 5", "seed = 5\nworkers = -3"),
+        # no PSRF reaches a NaN or infinite gate; --force is the one way past it
+        ("psrf_gate = 1.5", "psrf_gate = nan"),
+        ("psrf_gate = 1.5", "psrf_gate = inf"),
+        ("return_periods = 10, 100", "return_periods = 10, inf"),
     ],
     ids=["no_median", "level_1", "zero_period", "negative_period", "mixture_size", "thinned_size",
          "one_chain", "short_segment", "small_ensemble", "misspelled_key", "unknown_section",
          "target_acceptance", "repeated_structure", "infinite_window", "nan_window",
-         "negative_workers"],
+         "negative_workers", "nan_gate", "infinite_gate", "infinite_period"],
 )
 def test_bad_config_values_exit_2_before_any_stage(tmp_path, capsys, old, new):
     config = make_workspace(tmp_path, structures="ST")
     config.write_text(config.read_text().replace(old, new))
     assert main(["run-all", "--config", str(config)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert re.fullmatch(r"error: [^\n]+\n", capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

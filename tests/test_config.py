@@ -98,6 +98,21 @@ def test_unknown_structure_rejected(config_dir):
         load_config(config_dir / "bad.ini")
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("thinned_size = 1000", "thinned_size = 1000\npsrf_gate = nan", "psrf_gate must be finite"),
+        ("thinned_size = 1000", "thinned_size = 1000\npsrf_gate = inf", "psrf_gate must be finite"),
+        ("return_periods = 10, 50, 100", "return_periods = 10, inf", "positive finite periods"),
+    ],
+    ids=["nan_gate", "infinite_gate", "infinite_period"],
+)
+def test_values_that_are_not_finite_are_refused(config_dir, old, new, message):
+    (config_dir / "bad.ini").write_text(CONFIG_TEXT.replace(old, new))
+    with pytest.raises(ValueError, match=message):
+        load_config(config_dir / "bad.ini")
+
+
 def test_build_covariates_spans_and_normalization(config_dir):
     config = load_config(config_dir / "run.ini")
     # only the kinds of the run's structures (ST, NS1-time) are built

@@ -1,3 +1,6 @@
+import csv
+import re
+
 import numpy as np
 import pytest
 
@@ -167,4 +170,7 @@ def test_read_annual_and_monthly_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("year,value\n2000,oops\n")
     with pytest.raises(ValueError, match="bad.csv:2"):
+        read_annual_csv(bad)
+    bad.write_text(f'year,value\n2000,"{"1" * (csv.field_size_limit() + 1)}"\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: field larger than"):
         read_annual_csv(bad)

@@ -1,4 +1,6 @@
 import codecs
+import csv
+import re
 import tracemalloc
 
 import numpy as np
@@ -504,6 +506,13 @@ def test_hourly_csv_reader_refuses_what_row_oracle_refuses(tmp_path, monkeypatch
     with pytest.raises(ValueError) as got:
         read_hourly_csv(path)
     assert str(got.value) == str(want.value)
+
+
+def test_hourly_csv_reader_names_the_file_of_a_field_over_the_csv_size_limit(tmp_path):
+    path = tmp_path / "station.csv"
+    path.write_text(LATE + f'2000-03-01T00,"{"1" * (csv.field_size_limit() + 1)}"\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: field larger than"):
+        read_hourly_csv(path)
 
 
 # level forms that a plain chunk may hold, and forms that float reads but that

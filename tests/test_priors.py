@@ -220,8 +220,8 @@ def scipy_best(structure, record, cov, rng):
         if k > 0:
             x0 = base + 0.3 * np.maximum(np.abs(base), 0.05) * rng.standard_normal(base.size)
             x0[positive] = np.abs(x0[positive])
-        res, _ = scipy_nelder_mead(lambda x: -loglik(x), x0, 1e-7, 1e-8, 20000)
-        res, _ = scipy_nelder_mead(lambda x: -loglik(x), res.x, 1e-9, 1e-10, 20000)
+        res = scipy_nelder_mead(lambda x: -loglik(x), x0, 1e-7, 1e-8, 20000)
+        res = scipy_nelder_mead(lambda x: -loglik(x), res.x, 1e-9, 1e-10, 20000)
         best = max(best, -res.fun)
     return best
 
