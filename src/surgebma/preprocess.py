@@ -32,9 +32,10 @@ MAX_ABSENT_HOURS = 100 * 8766
 # and writer (rows): they bound the memory per numpy call and change no result
 READ_CHUNK_CHARS = 1 << 16
 WRITE_CHUNK_ROWS = 1 << 15
-# a plain chunk of an hourly CSV is parsed as bytes, each field shorter than
-# PLAIN_FIELD_BYTES; row k of _FIELD_MASKS, as 64-bit words, keeps the first
-# k bytes of a gathered field and zeroes the rest
+# a plain chunk of an hourly CSV (stamps perhaps with a trailing Z or a space
+# inside) is parsed as bytes, each field shorter than PLAIN_FIELD_BYTES, and
+# any other chunk as csv rows; row k of _FIELD_MASKS, as 64-bit words, keeps
+# the first k bytes of a gathered field and zeroes the rest
 PLAIN_FIELD_BYTES = 32
 _FIELD_MASKS = np.tri(PLAIN_FIELD_BYTES + 1, PLAIN_FIELD_BYTES + 8, -1, np.uint8) * np.uint8(255)
 _FIELD_MASKS = _FIELD_MASKS.view(np.uint64)
@@ -186,12 +187,14 @@ def read_hourly_csv(path) -> HourlySeries:
     Rows are parsed in chunks of about ``READ_CHUNK_CHARS`` whole lines: one
     numpy conversion per column and chunk, with a row-by-row scan only to name
     the line of a bad row. A plain chunk (``_bulk_columns``) is cut into
-    fields as bytes, any other as text. Each chunk is written into two buffers
-    sized by a first pass that counts the file's lines, so the record is held
-    once. The series starts at the earliest stamp and each level goes to its
-    hour: hours absent from the file become NaN, up to ``MAX_ABSENT_HOURS`` of
-    them. A file whose stamps increase hour by hour is returned as read. A
-    leading UTF-8 byte-order mark is skipped.
+    fields as bytes, any other into csv rows. A stamp may end in one ``Z``,
+    which is dropped; a ``Z`` anywhere else in it is a bad timestamp. Each
+    chunk is written into two buffers sized by a first pass that counts the
+    file's lines, so the record is held once. The series starts at the
+    earliest stamp and each level goes to its hour: hours absent from the file
+    become NaN, up to ``MAX_ABSENT_HOURS`` of them. A file whose stamps
+    increase hour by hour is returned as read. A leading UTF-8 byte-order mark
+    is skipped.
     """
     lines_in_file = _count_lines(path)
     with open(path, newline="", encoding="utf-8-sig") as fh, csv_errors_named(path):
@@ -214,19 +217,14 @@ def read_hourly_csv(path) -> HourlySeries:
             text, carry = text[:cut], text[cut:]
             if not text:  # a line longer than the chunk
                 continue
-            rows = lines = columns = None  # the last chunk's, freed
+            rows = columns = None  # the last chunk's, freed
             if (columns := _bulk_columns(text)) is None:
-                lines = io.StringIO(text, newline="").readlines()
-                if (columns := _plain_columns(lines)) is None:
-                    # a quoted field left open reads on, through the carry
-                    rest = io.StringIO(carry + fh.readline(), newline="")
-                    rows = _csv_rows(lines, chain(rest, fh))
-                    carry = rest.read()
-                    columns = _row_columns(rows)
-                columns = ([s.replace("Z", "") for s in columns[0]],
-                           [v or "nan" for v in columns[1]])
+                # a quoted field left open reads on, through the carry
+                rest = io.StringIO(carry + fh.readline(), newline="")
+                rows = _csv_rows(text, chain(rest, fh))
+                carry = rest.read()
             try:
-                t, v = _parse_columns(*columns)
+                t, v = _parse_columns(*(columns or _row_columns(rows)))
             except ValueError:
                 rows = csv.reader(io.StringIO(text, newline="")) if rows is None else rows
                 _raise_bad_row(path, rows, lineno)
@@ -276,45 +274,33 @@ def _count_lines(path) -> int:
     return lines + (last not in b"\r\n")
 
 
-def _plain_columns(lines):
-    """Stripped timestamp and level fields of ``lines``, or None unless every
-    line is a plain ``timestamp,level`` row: no quote, exactly one comma, a
-    non-blank timestamp and no field over the csv module's size limit. Such
-    lines split into fields without a list per row."""
-    joined = ",".join(lines)
-    limit = csv.field_size_limit()
-    if '"' in joined or (len(joined) > limit and max(map(len, lines)) > limit):
-        return None
-    fields = joined.split(",")
-    stamps = fields[0::2]
-    # 2n fields mean n commas in the n lines; no line end in an even (timestamp)
-    # field means an odd number of commas in every line, so one in each
-    heads = "".join(stamps)
-    if len(fields) != 2 * len(lines) or "\n" in heads or "\r" in heads:
-        return None
-    stamps = list(map(str.strip, stamps))
-    if "" in stamps:  # a blank row or a missing timestamp
-        return None
-    return stamps, list(map(str.strip, fields[1::2]))
-
-
 def _bulk_columns(text):
     """Byte arrays of the stamps and the levels of ``text``, whole lines, with
-    ``nan`` for an empty level, made by a fixed number of numpy calls. None
-    unless ``text`` is plain: printable ASCII with no quote, space or ``Z``,
-    each line ending in LF or CRLF and holding one comma, a stamp and a level
-    that is empty or ``-?digits[.digits]``, both shorter than ``PLAIN_FIELD_BYTES``.
+    ``nan`` for an empty level and a stamp's trailing ``Z`` dropped, made by a
+    fixed number of numpy calls. None unless ``text`` is plain: printable ASCII
+    with no quote, each line ending in LF or CRLF and holding one comma, a
+    stamp and a level that is empty or ``-?digits[.digits]``, both shorter than
+    ``PLAIN_FIELD_BYTES``. A space may stand only between two digits, as in
+    ``1928-01-01 00:00:00``, and a ``Z`` only at the end of a stamp; a text
+    with neither pays for no check of them.
     """
-    if '"' in text or "Z" in text or not text.isascii():
+    if '"' in text or not text.isascii():
         return None
     # a byte before the first stamp, and a line end after a last line with none
     raw = b"\n" + text.encode("ascii") + b"\n" + bytes(PLAIN_FIELD_BYTES + 8)
     b = np.frombuffer(raw, np.uint8, len(text) + (not text.endswith("\n")), 1)
     ends, commas = np.flatnonzero(b == ord("\n")), np.flatnonzero(b == ord(","))
     crlf = b[ends - 1] == ord("\r")
-    # no byte below "!" but the line ends, and each \r one of a \r\n
-    if (commas.size != ends.size
-            or np.count_nonzero(b < ord("!")) != ends.size + np.count_nonzero(crlf)):
+    spaces = np.flatnonzero(b == ord(" ")) if " " in text else ()
+    # no byte below "!" but the line ends and the spaces, and each \r one of a \r\n
+    if (commas.size != ends.size or np.count_nonzero(b < ord("!"))
+            != ends.size + np.count_nonzero(crlf) + len(spaces)):
+        return None
+    # a space between two digits lies inside a stamp (a level refuses it
+    # below), and a Z before a comma ends its stamp (the line's one comma)
+    if len(spaces) and not (b[np.r_[spaces - 1, spaces + 1]] - ord("0") < 10).all():
+        return None
+    if "Z" in text and not (b[np.flatnonzero(b == ord("Z")) + 1] == ord(",")).all():
         return None
     starts = np.concatenate(([0], ends[:-1] + 1))
     # with as many commas as lines, both lengths fit only if each line has one
@@ -336,6 +322,8 @@ def _bulk_columns(text):
     if not level_len.all():
         levels[level_len == 0, 1:4] = tuple(b"nan")
     stamps = _gather(raw, starts, stamp_len + 1)  # each from the line end before it
+    if "Z" in text:
+        stamps[stamps == ord("Z")] = 0  # each ends its stamp: zeroed, it is padding
     return (stamps[:, 1:].view(f"S{stamps.shape[1] - 1}")[:, 0],
             levels[:, 1:].view(f"S{levels.shape[1] - 1}")[:, 0])
 
@@ -351,9 +339,10 @@ def _gather(raw, first, count):
     return words.view(np.uint8)
 
 
-def _csv_rows(lines, rest) -> list[list[str]]:
-    """The csv rows of ``lines``, reading on from the lines of ``rest`` to the
-    end of a quoted field left open by the last line."""
+def _csv_rows(text, rest) -> list[list[str]]:
+    """The csv rows of the lines of ``text``, reading on from the lines of
+    ``rest`` to the end of a quoted field left open by its last line."""
+    lines = io.StringIO(text, newline="").readlines()
     reader = csv.reader(chain(lines, rest))
     rows = []
     while reader.line_num < len(lines):
@@ -362,10 +351,14 @@ def _csv_rows(lines, rest) -> list[list[str]]:
 
 
 def _row_columns(rows):
-    """Stripped timestamp and level fields of the non-blank ``rows``."""
+    """Stripped timestamp and level fields of the non-blank ``rows``, with one
+    trailing ``Z`` of a stamp dropped and ``nan`` for an empty level. Raises
+    ValueError if a stamp holds any other ``Z``."""
     kept = [row for row in rows if any(c.strip() for c in row)]
-    return ([row[0].strip() for row in kept],
-            [row[1].strip() if len(row) > 1 else "" for row in kept])
+    stamps = [row[0].strip().removesuffix("Z") for row in kept]
+    if "Z" in "".join(stamps):
+        raise ValueError("a Z inside a timestamp")
+    return stamps, [(row[1].strip() if len(row) > 1 else "") or "nan" for row in kept]
 
 
 def _parse_columns(stamps, levels):
@@ -383,8 +376,9 @@ def _raise_bad_row(path, rows, first_lineno) -> None:
     for lineno, row in enumerate(rows, start=first_lineno):
         if not any(c.strip() for c in row):
             continue
-        try:
-            ts = np.datetime64(row[0].strip().replace("Z", ""), "h")
+        stamp = row[0].strip().removesuffix("Z")
+        try:  # a Z left inside the stamp makes it bad, as NaT does
+            ts = np.datetime64("NaT" if "Z" in stamp else stamp, "h")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc
         if np.isnat(ts):

@@ -245,6 +245,7 @@ def read_hourly_csv_rows(path):
     from the earliest to the latest stamp and the levels on it, NaN where no
     row gives one.
 
+    A stamp may end in one ``Z``; a ``Z`` anywhere else is a bad timestamp.
     It does not refuse a timestamp that numpy reads as NaT (empty, ``NaT``):
     such a row fails later, in ``np.arange``, with no line number.
     """
@@ -259,8 +260,13 @@ def read_hourly_csv_rows(path):
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
+            stamp = row[0].strip()
+            if stamp.endswith("Z"):  # one Z may mark the stamp as UTC
+                stamp = stamp[:-1]
             try:
-                ts = np.datetime64(row[0].strip().replace("Z", ""), "h")
+                if "Z" in stamp:
+                    raise ValueError(f"a Z inside the timestamp {stamp!r}")
+                ts = np.datetime64(stamp, "h")
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc
             raw = row[1].strip() if len(row) > 1 else ""

@@ -372,7 +372,8 @@ H = "timestamp,level_m\n"
 HOURLY_CSV_CASES = {
     "plain": H + "2000-01-01T00,1.0\n2000-01-01T01,-0.25\n2000-01-01T02,0.1\n",
     "blank_lines": H + "\n2000-01-01T00,1.0\n   \n\t\n2000-01-01T01,2.0\n , \n,\n\n",
-    "z_suffix": H + "2000-01-01T00Z,1.0\n2000-01-01T01Z,2.0\nZ2000-01-01T02,3.0\n",
+    "z_suffix": H + "2000-01-01T00Z,1.0\n2000-01-01T01Z,2.0\n2000-01-01T02:00:00Z,3.0\n",
+    "space_in_stamp": H + "2000-01-01 00:00:00,1.0\n2000-01-01 01,2.0\n2000-01-01 02:30Z,3.0\n",
     "minutes": H + "2000-01-01T00:00,1.0\n2000-01-01T01:00:00,2.0\n2000-01-01T02:30,3.0\n",
     "date_only": H + "2000-01-01,1.0\n2000-01-01T01,2.0\n",
     "whitespace": H + "  2000-01-01T00 ,  1.5  \n\t2000-01-01T01\t,\t2.5\t\n",
@@ -488,6 +489,9 @@ BAD_HOURLY_CSV_CASES = {
     "bad_level_after_quoted_newline": LATE + '2000-03-01T00,"1.0\n"\n2000-03-01T01,1,5\n2000-03-01T02,x\n',
     "duplicate_timestamp": LATE + "2000-01-01T05,1.0\n",
     "duplicate_timestamp_z": LATE + "2000-01-01T05Z,1.0\n",
+    "leading_z": LATE + "Z2000-03-01T00,1.0\n",
+    "z_inside_timestamp": LATE + "2000-03Z-01T00,1.0\n",
+    "two_trailing_zs": LATE + "2000-03-01T00ZZ,1.0\n",
     "bad_header": "time,level\n2000-01-01T00,1.0\n",
     "header_only": H,
     "blank_rows_only": H + "\n , \n\n",
@@ -525,14 +529,16 @@ OTHER_LEVELS = ["1e-5", "-2.5E+3", "1e300", "nan", "-inf", "inf", "1_0", "\u0661
 
 def random_hourly_csv(rng, n):
     """An hourly CSV of ``n`` rows with distinct stamps: mostly plain rows,
-    with quoted (some over two lines), ``Z``, padded, blank and CR-ended rows
-    and other level forms mixed in."""
+    with quoted (some over two lines), ``Z``, ``YYYY-MM-DD HH:MM:SS``,
+    ``...T00:00:00Z``, padded, blank and CR-ended rows and other level forms
+    mixed in."""
     hours = np.datetime64("1969-12-31T20", "h") + rng.choice(3 * n, size=n, replace=False)
     if rng.uniform() < 0.5:
         hours.sort()
     end = "\r\n" if rng.uniform() < 0.5 else "\n"
     rows = []
     for stamp in np.datetime_as_string(hours).tolist():
+        seconds = f"{stamp}:00:00"
         if rng.uniform() < 0.3:
             stamp += ":00"
         if rng.uniform() < 0.5:  # 17 significant digits
@@ -555,6 +561,10 @@ def random_hourly_csv(rng, n):
             row = f"{stamp},{level}\r"
         elif odd == 6:  # a quoted line end, perhaps across chunks
             row = f'{stamp},"{level}{end}"{end}'
+        elif odd == 7:  # as pandas writes a stamp
+            row = f"{seconds.replace('T', ' ')},{level}{end}"
+        elif odd == 8:
+            row = f"{seconds}Z,{level}{end}"
         rows.append(row)
     return H + "".join(rows)
 
@@ -606,42 +616,80 @@ def test_a_level_of_the_plain_grammar_is_parsed_as_bytes(level):
 
 
 # forms the plain grammar -?digits[.digits] leaves out, float reads or not:
-# their chunk goes the text path, whatever numpy's cast would make of them
+# their chunk goes the csv path, whatever numpy's cast would make of them
 @pytest.mark.parametrize("level", ["1.2.3", "1..2", "1.", ".5", "-.5", "+1", "-", "--1", "1-2",
-                                   "1e5", "1E5", "1_0", "nan", "inf", "0x1", "1.5x", "1" * 32])
+                                   "1e5", "1E5", "1_0", "nan", "inf", "0x1", "1.5x", "1 5", "1" * 32])
 def test_a_level_outside_the_plain_grammar_goes_the_text_path(level):
     rows = f"2000-01-01T00,1.5\n2000-01-01T01,{level}\n2000-01-01T02,2.5\n"
     assert preprocess._bulk_columns(rows) is None
     assert preprocess._bulk_columns(rows.replace(level, "0.25")) is not None
 
 
+@pytest.mark.parametrize("stamp", ["2000-01-01T00Z", "2000-01-01T00:00:00Z", "2000-01-01Z",
+                                   "1928-01-01 00:00:00", "2000-01-01 00", "2000-01-01 00:00Z"])
+def test_a_stamp_of_the_plain_grammar_is_parsed_as_bytes(stamp):
+    rows = f"2000-01-01T02,2.5\n{stamp},1.5\r\n2000-01-01T03Z,\n"
+    stamps, levels = preprocess._bulk_columns(rows)
+    assert stamps.tolist() == [b"2000-01-01T02", stamp.removesuffix("Z").encode(), b"2000-01-01T03"]
+    assert levels.tolist() == [b"2.5", b"1.5", b"nan"]
+
+
 @pytest.mark.parametrize("rows", [
-    '"2000-01-01T00",1.5\n', "2000-01-01T00Z,1.5\n", " 2000-01-01T00,1.5\n", "2000-01-01T00,1.5 \n",
+    '"2000-01-01T00",1.5\n', " 2000-01-01T00,1.5\n", "2000-01-01T00,1.5 \n",
     "2000-01-01T00\t,1.5\n", "2000-01-01T00,1.5\r2000-01-01T01,1\n",
     "\n2000-01-01T00,1.5\n", ",1.5\n", "2000-01-01T00\n", "2000-01-01T00,1.5,x\n",
     "2000-01-01T00,1.5\n\n", "2000-01-01T00,١\n", "2000-01-01T00\x0b,1.5\n",
+    " 2000-01-01 00,1.5\n", "2000-01-01 00 ,1.5\n", "2000-01-01T00 Z,1.5\n",
+    "2000-01Z-01T00,1.5\n",
 ])
 def test_a_row_that_is_not_plain_sends_its_chunk_the_text_path(rows):
     assert preprocess._bulk_columns("2000-01-01T02,2.5\n" + rows) is None
 
 
+def csv_path(*args):
+    raise AssertionError("a plain chunk went the csv path")
+
+
 def test_hourly_csv_reader_parses_a_written_record_as_bytes(tmp_path, monkeypatch):
     # every chunk of a file that write_hourly_csv writes is plain: none may
-    # fall back to the text path
+    # fall back to the csv path
     rng = np.random.default_rng(12)
     vals = rng.normal(size=20_000).round(3)
     vals[rng.uniform(size=vals.size) < 0.05] = np.nan
     vals[:3] = [-0.0, 12345.5, 0.0]
     path = tmp_path / "station.csv"
     write_hourly_csv(path, hourly(vals, start="1969-12-30T22"))
-
-    def text_path(*args):
-        raise AssertionError("a plain chunk went the text path")
-
-    for name in ("_plain_columns", "_csv_rows", "_row_columns"):
-        monkeypatch.setattr(preprocess, name, text_path)
+    for name in ("_csv_rows", "_row_columns"):
+        monkeypatch.setattr(preprocess, name, csv_path)
     got = read_hourly_csv(path)
     assert got.start == np.datetime64("1969-12-30T22", "h")
+    assert np.array_equal(got.levels.view(np.int64), vals.view(np.int64))
+
+
+@pytest.mark.parametrize("form", ["z_suffix", "space_in_stamp"])
+def test_hourly_csv_reader_parses_z_and_space_stamps_as_bytes(tmp_path, monkeypatch, form):
+    # a written record with its stamps rewritten as other tools write them
+    rng = np.random.default_rng(13)
+    vals = rng.normal(size=20_000).round(3)
+    vals[rng.uniform(size=vals.size) < 0.05] = np.nan
+    path = tmp_path / "station.csv"
+    write_hourly_csv(path, hourly(vals, start="1969-12-30T22"))
+    lines = path.read_text().splitlines(keepends=True)
+    for k, line in enumerate(lines[1:], start=1):
+        stamp, level = line.split(",")
+        lines[k] = (f"{stamp}:00:00Z," if form == "z_suffix"
+                    else f"{stamp.replace('T', ' ')}:00:00,") + level
+    path.write_text("".join(lines))
+    want_times, want_levels = read_hourly_csv_rows(path)
+    bulk_columns = preprocess._bulk_columns
+
+    def bytes_path(text):
+        return bulk_columns(text) or csv_path()
+
+    monkeypatch.setattr(preprocess, "_bulk_columns", bytes_path)
+    got = read_hourly_csv(path)
+    assert np.array_equal(hours(got), want_times)
+    assert np.array_equal(got.levels.view(np.int64), want_levels.view(np.int64))
     assert np.array_equal(got.levels.view(np.int64), vals.view(np.int64))
 
 
@@ -661,6 +709,20 @@ def test_hourly_csv_missing_timestamp_names_its_line(tmp_path, stamp):
     path = tmp_path / "bad.csv"
     path.write_text(f"timestamp,level_m\n2000-01-01T00,1.0\n{stamp},2.0\n")
     with pytest.raises(ValueError, match=f"bad.csv:3: bad timestamp {stamp!r}"):
+        read_hourly_csv(path)
+
+
+# a Z that does not end its stamp: such a chunk never goes the bytes path,
+# and the row is refused whether or not it is padded (csv rows either way)
+@pytest.mark.parametrize("row", ["{},2.0", " {} , 2.0 "])
+@pytest.mark.parametrize("stamp", ["2000-01Z-01T00", "2000-01-01T00ZZ", "Z2000-01-01T01"])
+def test_hourly_csv_z_that_does_not_end_its_timestamp_names_its_line(tmp_path, stamp, row):
+    path = tmp_path / "bad.csv"
+    text = f"timestamp,level_m\n2000-01-01T00,1.0\n{row.format(stamp)}\n"
+    path.write_text(text)
+    assert preprocess._bulk_columns(text.split("\n", 1)[1]) is None
+    field = row.format(stamp).split(",")[0]
+    with pytest.raises(ValueError, match=re.escape(f"bad.csv:3: bad timestamp {field!r}")):
         read_hourly_csv(path)
 
 
