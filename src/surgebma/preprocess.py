@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .utils import csv_errors_named, dump_json, empirical_quantile, load_json, write_csv
+from .utils import csv_errors_named, dump_json, empirical_quantile, load_json
 
 HOURS_PER_DAY = 24
 MIN_VALID_FRACTION = 0.5  # detrending: least share of valid hours in an hour's window
@@ -32,6 +33,12 @@ MAX_ABSENT_HOURS = 100 * 8766
 # and writer (rows): they bound the memory per numpy call and change no result
 READ_CHUNK_CHARS = 1 << 16
 WRITE_CHUNK_ROWS = 1 << 15
+# the writer formats a level exact to the millimetre from the integer digits
+# of its millimetres while they are fewer than this, and any other by repr
+MILLIMETRE_BOUND = 1e12
+# a stamp's hour after its day, T00 to T23, as rows of bytes
+_HOUR_TEXT = np.array([f"T{h:02d}" for h in range(HOURS_PER_DAY)], "S3").view(np.uint8)
+_HOUR_TEXT = _HOUR_TEXT.reshape(HOURS_PER_DAY, 3)
 # a plain chunk of an hourly CSV (stamps perhaps with a trailing Z or a space
 # inside) is parsed as bytes, each field shorter than PLAIN_FIELD_BYTES, and
 # any other chunk as csv rows; row k of _FIELD_MASKS, as 64-bit words, keeps
@@ -39,6 +46,15 @@ WRITE_CHUNK_ROWS = 1 << 15
 PLAIN_FIELD_BYTES = 32
 _FIELD_MASKS = np.tri(PLAIN_FIELD_BYTES + 1, PLAIN_FIELD_BYTES + 8, -1, np.uint8) * np.uint8(255)
 _FIELD_MASKS = _FIELD_MASKS.view(np.uint64)
+# a plain level of at most EXACT_DIGITS digits is read as an integer mantissa
+# over a power of ten, both exact doubles; a chunk with a longer one takes
+# numpy's cast
+EXACT_DIGITS = 15
+_POWERS_OF_TEN = np.array([10 ** k for k in range(EXACT_DIGITS + 1)], dtype=float)
+# after the T or space that starts a stamp's time, anything but its digits,
+# ":" and "." is a zone, which numpy reads with only a warning, applying an
+# offset: searched as two patterns, each found fast from its first character
+_ZONES = (re.compile(r"T[0-9:.]*[^0-9:.,]"), re.compile(r" [0-9:.]*[^0-9:.,]"))
 # ExceedanceSet's array fields and the dtype each is stored in
 _EXCEEDANCE_DTYPES = {
     "years": np.int64, "durations": np.int64, "counts": np.int64,
@@ -275,14 +291,15 @@ def _count_lines(path) -> int:
 
 
 def _bulk_columns(text):
-    """Byte arrays of the stamps and the levels of ``text``, whole lines, with
-    ``nan`` for an empty level and a stamp's trailing ``Z`` dropped, made by a
+    """The stamps of ``text``, whole lines, as a byte array with a trailing
+    ``Z`` dropped, and its levels as float64 (``_plain_levels``), made by a
     fixed number of numpy calls. None unless ``text`` is plain: printable ASCII
     with no quote, each line ending in LF or CRLF and holding one comma, a
     stamp and a level that is empty or ``-?digits[.digits]``, both shorter than
     ``PLAIN_FIELD_BYTES``. A space may stand only between two digits, as in
-    ``1928-01-01 00:00:00``, and a ``Z`` only at the end of a stamp; a text
-    with neither pays for no check of them.
+    ``1928-01-01 00:00:00``, a ``Z`` only at the end of a stamp, and a ``+``
+    or ``-`` only before a stamp's time; a text with no space or ``Z`` pays
+    for no check of them.
     """
     if '"' in text or not text.isascii():
         return None
@@ -308,6 +325,12 @@ def _bulk_columns(text):
     if (min(stamp_len.min() - 1, level_len.min()) < 0
             or max(stamp_len.max(), level_len.max()) >= PLAIN_FIELD_BYTES):
         return None
+    stamps = _gather(raw, starts, stamp_len + 1)  # each from the line end before it
+    # a sign after the T or space that starts a stamp's time is a UTC offset,
+    # which numpy would apply: refused by the csv path
+    timed = _after((stamps == ord("T")) | (stamps == ord(" ")))
+    if (timed & ((stamps == ord("-")) | (stamps == ord("+")))).any():
+        return None
     levels = _gather(raw, commas + 1, level_len + 1)  # each from its comma
     flat = levels.ravel()
     digit, dot = flat - ord("0") < 10, flat == ord(".")
@@ -319,13 +342,55 @@ def _bulk_columns(text):
     dotted = dot.view(np.uint64).reshape(commas.size, -1).any(axis=1)
     if not ok.all() or np.count_nonzero(dot) > np.count_nonzero(dotted):
         return None
-    if not level_len.all():
-        levels[level_len == 0, 1:4] = tuple(b"nan")
-    stamps = _gather(raw, starts, stamp_len + 1)  # each from the line end before it
     if "Z" in text:
         stamps[stamps == ord("Z")] = 0  # each ends its stamp: zeroed, it is padding
-    return (stamps[:, 1:].view(f"S{stamps.shape[1] - 1}")[:, 0],
-            levels[:, 1:].view(f"S{levels.shape[1] - 1}")[:, 0])
+    return stamps[:, 1:].view(f"S{stamps.shape[1] - 1}")[:, 0], _plain_levels(levels, level_len)
+
+
+def _plain_levels(fields, length):
+    """The float64 values of plain levels gathered with their commas, each
+    ``-?digits[.digits]`` of ``length`` bytes or empty (NaN), as ``float``
+    reads them. Each value is its integer mantissa, read digit by digit over
+    the columns, divided by a power of ten: both are exact below 2**53, so the
+    quotient is correctly rounded, as ``float`` is. A chunk with a level of
+    more than ``EXACT_DIGITS`` digits takes numpy's cast instead."""
+    columns = np.ascontiguousarray(fields.T)
+    negative = columns[1] == ord("-")
+    # the column of a level's ".", or 0 (its comma) where it has none
+    dot = np.argmax(fields == ord("."), axis=1)
+    if (length - negative - (dot > 0)).max() > EXACT_DIGITS:
+        return _cast_levels(fields, length)
+    digits = columns - np.uint8(ord("0"))
+    is_digit = digits < 10
+    digits *= is_digit
+    scale = is_digit * np.uint8(9) + np.uint8(1)  # 10 at a digit, 1 elsewhere
+    mantissa = np.zeros(length.size, np.int64)
+    for column in range(1, columns.shape[0]):
+        mantissa *= scale[column]
+        mantissa += digits[column]
+    values = mantissa / _POWERS_OF_TEN[np.where(dot > 0, length - dot, 0)]
+    np.negative(values, out=values, where=negative)
+    values[length == 0] = np.nan
+    return values
+
+
+def _cast_levels(fields, length):
+    """numpy's cast of the gathered plain levels, ``nan`` for an empty one."""
+    text = fields[:, 1:].copy()
+    text[length == 0, :3] = tuple(b"nan")
+    return text.view(f"S{text.shape[1]}")[:, 0].astype(float)
+
+
+def _after(flags):
+    """``flags``, rows of a whole number of 64-bit words, with each byte after
+    a set one in its row set too: a running "or" along each row, by shifts
+    within each word and a carry from each word to the next."""
+    words = flags.view("<u8").copy()
+    for shift in (8, 16, 32):
+        words |= words << np.uint64(shift)
+    for k in range(1, words.shape[1]):
+        words[:, k] |= (words[:, k - 1] >> np.uint64(56)) * np.uint64(0x0101010101010101)
+    return words.view(bool)
 
 
 def _gather(raw, first, count):
@@ -353,18 +418,26 @@ def _csv_rows(text, rest) -> list[list[str]]:
 def _row_columns(rows):
     """Stripped timestamp and level fields of the non-blank ``rows``, with one
     trailing ``Z`` of a stamp dropped and ``nan`` for an empty level. Raises
-    ValueError if a stamp holds any other ``Z``."""
+    ValueError if a stamp is not UTC (``_not_utc``)."""
     kept = [row for row in rows if any(c.strip() for c in row)]
     stamps = [row[0].strip().removesuffix("Z") for row in kept]
-    if "Z" in "".join(stamps):
-        raise ValueError("a Z inside a timestamp")
+    if _not_utc(",".join(stamps)):
+        raise ValueError("a timestamp that is not UTC")
     return stamps, [(row[1].strip() if len(row) > 1 else "") or "nan" for row in kept]
 
 
+def _not_utc(stamps) -> bool:
+    """Whether a stamp of ``stamps`` is not UTC: it holds another ``Z``, or a
+    zone after its time (``_ZONES``), such as ``+0100``, ``-02:00`` or the
+    space of ``T09 Z``. Each stamp is stripped, with its one trailing ``Z``
+    dropped; several are joined by commas, which numpy refuses in any stamp."""
+    return "Z" in stamps or any(zone.search(stamps) for zone in _ZONES)
+
+
 def _parse_columns(stamps, levels):
-    """datetime64[h] and float arrays of the fields, given as lists of str or
-    as byte arrays, with no ``Z`` and ``nan`` for an empty level. Raises
-    ValueError on any bad field."""
+    """datetime64[h] and float arrays of the fields: stamps as a list of str
+    or a byte array, with no ``Z``, and levels as a list of str, with ``nan``
+    for an empty one, or as float64. Raises ValueError on any bad field."""
     t = np.asarray(stamps, dtype="datetime64[h]")
     if np.isnat(t).any():  # numpy reads "" and "NaT" as NaT without raising
         raise ValueError("missing timestamp")
@@ -377,8 +450,8 @@ def _raise_bad_row(path, rows, first_lineno) -> None:
         if not any(c.strip() for c in row):
             continue
         stamp = row[0].strip().removesuffix("Z")
-        try:  # a Z left inside the stamp makes it bad, as NaT does
-            ts = np.datetime64("NaT" if "Z" in stamp else stamp, "h")
+        try:  # a stamp that is not UTC is bad, as NaT is
+            ts = np.datetime64("NaT" if _not_utc(stamp) else stamp, "h")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc
         if np.isnat(ts):
@@ -392,19 +465,72 @@ def _raise_bad_row(path, rows, first_lineno) -> None:
 
 
 def write_hourly_csv(path, series: HourlySeries) -> None:
-    write_csv(path, ["timestamp", "level_m"], chain.from_iterable(
-        _hourly_rows(series.start + i, series.levels[i:i + WRITE_CHUNK_ROWS])
-        for i in range(0, series.levels.size, WRITE_CHUNK_ROWS)
-    ))
+    """Write ``series`` as ``timestamp,level_m`` CSV in the dialect of
+    ``utils.write_csv``: each stamp as ``str`` writes a datetime64[h], each
+    finite level as ``repr`` writes it, any other level empty, and ``\\r\\n``
+    after each row. Each chunk of ``WRITE_CHUNK_ROWS`` rows is built as one
+    byte buffer (``_hourly_bytes``)."""
+    levels = np.asarray(series.levels, dtype=float)
+    with open(path, "wb") as fh:
+        fh.write(b"timestamp,level_m\r\n")
+        for i in range(0, levels.size, WRITE_CHUNK_ROWS):
+            fh.write(_hourly_bytes(series.start + i, levels[i:i + WRITE_CHUNK_ROWS]))
 
 
-def _hourly_rows(start, levels):
-    """CSV rows of one chunk from hour ``start``: timestamps as ``str`` writes
-    them, finite levels in their shortest round-trip form, other levels empty."""
-    texts = list(map(repr, levels.tolist()))
-    for k in np.flatnonzero(~np.isfinite(levels)).tolist():
-        texts[k] = ""
-    return zip(np.datetime_as_string(start + np.arange(levels.size)).tolist(), texts)
+def _hourly_bytes(start, levels) -> np.ndarray:
+    """The rows of one chunk from hour ``start``, as bytes: one zero-padded row
+    of fixed width per level, then one boolean index drops the padding. A stamp
+    is its day, formatted once per day, and its hour from ``_HOUR_TEXT``."""
+    day, hour = np.divmod(start.astype(np.int64) + np.arange(levels.size), HOURS_PER_DAY)
+    days = np.datetime_as_string(np.arange(day[0], day[-1] + 1).astype("datetime64[D]"))
+    day_text = np.array(days.tolist(), "S").view(np.uint8).reshape(days.size, -1)
+    level_text = _level_bytes(levels)
+    width = day_text.shape[1]
+    rows = np.zeros((levels.size, width + 4 + level_text.shape[1] + 2), np.uint8)
+    rows[:, :width] = day_text[day - day[0]]
+    rows[:, width:width + 3] = _HOUR_TEXT[hour]
+    rows[:, width + 3] = ord(",")
+    rows[:, width + 4:-2] = level_text
+    rows[:, -2:] = tuple(b"\r\n")
+    return rows[rows != 0]
+
+
+def _level_bytes(levels) -> np.ndarray:
+    """Each level's text as ``repr`` writes it, empty where it is not finite,
+    as zero-padded rows of bytes.
+
+    A level that is exactly its millimetres ``m`` (``m / 1000 == x``, below
+    ``MILLIMETRE_BOUND``) is written from the digits of ``m``: its sign, its
+    whole metres, a ``.`` and one to three digits with no trailing zero. That
+    is ``repr``'s text, the shortest that reads back as ``x``: below 1e9
+    doubles lie less than 1.2e-7 apart, so no shorter decimal reads back as
+    the same double. Any other finite level takes ``repr`` itself.
+    """
+    with np.errstate(invalid="ignore"):
+        milli = np.rint(levels * 1000)
+        exact = (milli / 1000 == levels) & (np.abs(milli) < MILLIMETRE_BOUND)
+    milli = np.abs(milli, where=exact, out=np.zeros_like(milli)).astype(np.int64)
+    whole, frac = np.divmod(milli, 1000)
+    others = np.flatnonzero(~exact & np.isfinite(levels))
+    texts = np.array(list(map(repr, levels[others].tolist())), dtype="S")
+    places = len(str(whole.max()))  # of the whole metres, the units always written
+    text = np.zeros((levels.size, max(places + 5, texts.itemsize)), np.uint8)
+    text[:, 0] = np.where(exact & np.signbit(levels), ord("-"), 0)
+    for k in range(places - 1):
+        place = 10 ** (places - 1 - k)
+        text[:, 1 + k] = np.where(whole >= place, whole // place % 10 + ord("0"), 0)
+    text[:, places] = whole % 10 + ord("0")
+    text[:, places + 1] = ord(".")
+    # the first fraction digit always, the others up to the last nonzero one
+    tenths, rest = np.divmod(frac, 100)
+    hundredths, thousandths = np.divmod(rest, 10)
+    text[:, places + 2] = tenths + ord("0")
+    text[:, places + 3] = np.where(rest != 0, hundredths + ord("0"), 0)
+    text[:, places + 4] = np.where(thousandths != 0, thousandths + ord("0"), 0)
+    text[~exact] = 0
+    if others.size:
+        text[others, :texts.itemsize] = texts.view(np.uint8).reshape(others.size, -1)
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ and a fresh array for every intermediate. The Nelder-Mead oracle is scipy's own
 
 import csv
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -245,7 +246,9 @@ def read_hourly_csv_rows(path):
     from the earliest to the latest stamp and the levels on it, NaN where no
     row gives one.
 
-    A stamp may end in one ``Z``; a ``Z`` anywhere else is a bad timestamp.
+    A stamp may end in one ``Z``; a ``Z`` anywhere else, a sign after the
+    time's ``T`` or space (a UTC offset) or a space before a dropped ``Z`` is
+    a bad timestamp.
     It does not refuse a timestamp that numpy reads as NaT (empty, ``NaT``):
     such a row fails later, in ``np.arange``, with no line number.
     """
@@ -263,9 +266,13 @@ def read_hourly_csv_rows(path):
             stamp = row[0].strip()
             if stamp.endswith("Z"):  # one Z may mark the stamp as UTC
                 stamp = stamp[:-1]
+            # what follows the T or space that starts the time
+            time = re.split("[T ]", stamp, maxsplit=1)[1:]
             try:
                 if "Z" in stamp:
                     raise ValueError(f"a Z inside the timestamp {stamp!r}")
+                if stamp[-1:].isspace() or "+" in "".join(time) or "-" in "".join(time):
+                    raise ValueError(f"a zone or an offset from UTC in {stamp!r}")
                 ts = np.datetime64(stamp, "h")
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc

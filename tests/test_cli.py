@@ -134,6 +134,18 @@ def test_a_stamp_centuries_off_exits_2_before_preprocess_writes(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("stamp", ["2014-01-01T05+0100", "2014-01-01T07-02:00", "2014-01-01T09 Z"])
+def test_a_stamp_off_utc_exits_2_before_preprocess_writes(tmp_path, capsys, stamp):
+    # numpy would apply the offset (or read the zone) with only a warning
+    config = make_workspace(tmp_path)
+    with open(tmp_path / "station.csv", "a", newline="") as fh:
+        fh.write(f"{stamp},0.5\r\n")
+    assert main(["preprocess", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: \S+station\.csv:\d+: bad timestamp {re.escape(repr(stamp))}\n", err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_field_over_the_csv_size_limit_exits_2_before_preprocess_writes(tmp_path, capsys):
     config = make_workspace(tmp_path)
     with open(tmp_path / "station.csv", "a") as fh:

@@ -38,6 +38,11 @@ def hours(series):
     return series.start + np.arange(series.levels.size)
 
 
+def bits(values):
+    """The float64 bit patterns of ``values``, NaN's and the sign of zero included."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
 def daily(first_day, values, valid=None):
     values = np.asarray(values, dtype=float)
     if valid is None:
@@ -492,6 +497,9 @@ BAD_HOURLY_CSV_CASES = {
     "leading_z": LATE + "Z2000-03-01T00,1.0\n",
     "z_inside_timestamp": LATE + "2000-03Z-01T00,1.0\n",
     "two_trailing_zs": LATE + "2000-03-01T00ZZ,1.0\n",
+    "utc_offset": LATE + "2000-03-01T05+0100,1.0\n",
+    "utc_offset_with_colon": LATE + "2000-03-01T07-02:00,1.0\n",
+    "space_before_z": LATE + "2000-03-01T09 Z,1.0\n",
     "bad_header": "time,level\n2000-01-01T00,1.0\n",
     "header_only": H,
     "blank_rows_only": H + "\n , \n\n",
@@ -583,11 +591,12 @@ def test_hourly_csv_reader_equals_row_oracle_on_random_files(tmp_path, monkeypat
 
 
 BAD_ROWS = ["2000-02-30T00,1.0", "1999-13-01T00,1.0", "not-a-time,1.0", "2000-01-01T00,1.2.3",
-            "2000-01-01T00,-", "2000-01-01T00,1..2", "2000-01-01T00,1-2", "2000-01-01T00,--1"]
+            "2000-01-01T00,-", "2000-01-01T00,1..2", "2000-01-01T00,1-2", "2000-01-01T00,--1",
+            "1969-12-31T23+01,1.0", "1969-12-31T23:00-02:00,1.0", "1969-12-31T23 Z,1.0"]
 
 
 @pytest.mark.parametrize("chunk", [64, 4096])
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(len(BAD_ROWS)))
 def test_hourly_csv_reader_names_a_bad_row_as_row_oracle_on_random_files(
     tmp_path, monkeypatch, seed, chunk
 ):
@@ -612,7 +621,7 @@ def test_a_level_of_the_plain_grammar_is_parsed_as_bytes(level):
     rows = f"2000-01-01T00,1.5\r\n2000-01-01T01,{level}\r\n2000-01-01T02,-2\r\n"
     stamps, levels = preprocess._bulk_columns(rows)
     assert stamps.tolist() == [b"2000-01-01T00", b"2000-01-01T01", b"2000-01-01T02"]
-    assert levels.tolist() == [b"1.5", level.encode() or b"nan", b"-2"]
+    assert bits(levels) == bits([1.5, float(level or "nan"), -2.0])
 
 
 # forms the plain grammar -?digits[.digits] leaves out, float reads or not:
@@ -631,7 +640,7 @@ def test_a_stamp_of_the_plain_grammar_is_parsed_as_bytes(stamp):
     rows = f"2000-01-01T02,2.5\n{stamp},1.5\r\n2000-01-01T03Z,\n"
     stamps, levels = preprocess._bulk_columns(rows)
     assert stamps.tolist() == [b"2000-01-01T02", stamp.removesuffix("Z").encode(), b"2000-01-01T03"]
-    assert levels.tolist() == [b"2.5", b"1.5", b"nan"]
+    assert bits(levels) == bits([2.5, 1.5, np.nan])
 
 
 @pytest.mark.parametrize("rows", [
@@ -640,10 +649,47 @@ def test_a_stamp_of_the_plain_grammar_is_parsed_as_bytes(stamp):
     "\n2000-01-01T00,1.5\n", ",1.5\n", "2000-01-01T00\n", "2000-01-01T00,1.5,x\n",
     "2000-01-01T00,1.5\n\n", "2000-01-01T00,١\n", "2000-01-01T00\x0b,1.5\n",
     " 2000-01-01 00,1.5\n", "2000-01-01 00 ,1.5\n", "2000-01-01T00 Z,1.5\n",
-    "2000-01Z-01T00,1.5\n",
+    "2000-01Z-01T00,1.5\n", "2000-01-01T00+01,1.5\n", "2000-01-01T00:00-0130,1.5\n",
+    "2000-01-01 00-01,1.5\n", "2000-01-01T00+01Z,1.5\n", "2000-01-01T00:00:00.12345-01,1.5\n",
 ])
 def test_a_row_that_is_not_plain_sends_its_chunk_the_text_path(rows):
     assert preprocess._bulk_columns("2000-01-01T02,2.5\n" + rows) is None
+
+
+# plain levels for the mantissa parse: leading zeros, negative zeros, the
+# most digits it takes (15) and the fewest
+MANTISSA_LEVELS = ["", "0", "-0", "-0.000", "000", "007.500", "-0000.0001", "00.10",
+                   "999999999999999", "-99999999.9999999", "0.00000000000001", "123456789012345"]
+
+
+def random_plain_levels(rng, n):
+    """``n`` random ``-?digits[.digits]`` levels of at most 15 digits, leading
+    zeros and ``-0`` forms included."""
+    levels = []
+    for _ in range(n):
+        whole = rng.integers(1, 10)
+        digits = "".join(map(str, rng.integers(0, 10, size=whole + rng.integers(0, 16 - whole))))
+        sign = "-" if rng.uniform() < 0.5 else ""
+        levels.append(sign + digits[:whole] + ("." + digits[whole:] if len(digits) > whole else ""))
+    return levels
+
+
+@pytest.mark.parametrize("longest", [None, "1234567890123456", "-0.0000000000000001",
+                                     "12345678901234567890.5"])
+def test_plain_levels_read_as_mantissas_equal_numpy_bit_for_bit(monkeypatch, longest):
+    # at most 15 digits a level: the mantissa parse alone; one longer level
+    # sends its chunk to numpy's cast
+    rng = np.random.default_rng(16)
+    levels = MANTISSA_LEVELS + random_plain_levels(rng, 3000)
+    if longest is not None:
+        levels.insert(int(rng.integers(len(levels))), longest)
+    text = "".join(f"2000-01-01T00,{level}\n" for level in levels)
+    want = bits([level or "nan" for level in levels])
+    cast = preprocess._cast_levels
+    casts = []
+    monkeypatch.setattr(preprocess, "_cast_levels", lambda *a: casts.append(1) or cast(*a))
+    assert bits(preprocess._bulk_columns(text)[1]) == want
+    assert len(casts) == (longest is not None)
 
 
 def csv_path(*args):
@@ -737,6 +783,29 @@ def test_hourly_csv_writer_equals_row_oracle(tmp_path, monkeypatch, chunk):
     write_hourly_csv(tmp_path / "got.csv", series)
     write_hourly_csv_rows(tmp_path / "want.csv", series)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_hourly_csv_writer_equals_row_oracle_on_thousands_of_levels(tmp_path, monkeypatch):
+    rng = np.random.default_rng(17)
+    millimetres = np.concatenate([
+        rng.integers(-5000, 5000, size=2000),
+        rng.integers(-10**12 + 1, 10**12, size=1000),
+        10 ** rng.integers(0, 12, size=500) * rng.choice([-1, 1], size=500) - 1,
+    ]) / 1000
+    others = rng.normal(size=1500) * 10.0 ** rng.integers(-12, 14, size=1500)
+    edges = [999999999.999, -999999999.999, 1e9, -1e9, 1e12, np.nextafter(1e9, 0),
+             np.nextafter(1e9, 2e9), 999999999.9995, 0.001, -0.001, 0.0005, 1e-4, 1e16,
+             0.0, -0.0, np.nan, np.inf, -np.inf]
+    vals = np.concatenate([millimetres, others, np.repeat(edges, 20)])
+    vals = vals[rng.permutation(vals.size)]
+    vals[rng.uniform(size=vals.size) < 0.05] = np.nan
+    # chunk edges fall inside a day; the record starts before 1970, at 07:00
+    monkeypatch.setattr(preprocess, "WRITE_CHUNK_ROWS", 1000)
+    for start in ("1969-11-30T07", "1899-12-31T20"):
+        series = hourly(vals, start=start)
+        write_hourly_csv(tmp_path / "got.csv", series)
+        write_hourly_csv_rows(tmp_path / "want.csv", series)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_hourly_csv_fills_gaps(tmp_path):
