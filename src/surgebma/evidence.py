@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from .covariates import CovariateKind
 from .models import ModelStructure, NonstatLevel, all_structures
@@ -58,6 +56,8 @@ class BmaWeights:
 
 def _mvn_logpdf(x: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """Log density of N(mean, L L^T) for rows of x."""
+    from scipy.linalg import solve_triangular  # deferred: keeps scipy off the CLI's import path
+
     d = mean.size
     y = solve_triangular(chol, (x - mean).T, lower=True)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
@@ -138,6 +138,8 @@ def bridge_evidence(
 def bma_weights(evidences: list[EvidenceEstimate]) -> BmaWeights:
     """Posterior model probabilities under a uniform model prior, computed in
     log space."""
+    from scipy.special import logsumexp  # deferred: keeps scipy off the CLI's import path
+
     if not evidences:
         raise ValueError("no evidence estimates supplied")
     ids = [e.structure.id for e in evidences]

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .covariates import CovariateKind, CovariateSeries
 from .preprocess import ExceedanceSet
@@ -157,6 +156,8 @@ class LikelihoodData:
         cov: CovariateSeries | None,
         structure: ModelStructure,
     ) -> "LikelihoodData":
+        from scipy.special import gammaln  # deferred: keeps scipy off the CLI's import path
+
         phi = covariate_values(structure, cov, data.years)
         return cls(
             data.counts.astype(float),

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .covariates import CovariateSeries
 from .models import (
@@ -65,6 +64,8 @@ class PriorSpec:
         if self.family == "normal":
             log_norm = math.log(self.p2)
         else:
+            from scipy.special import gammaln  # deferred: keeps scipy off the CLI's import path
+
             log_norm = self.p1 * math.log(self.p2) - float(gammaln(self.p1))
         object.__setattr__(self, "_log_norm", log_norm)
 

@@ -499,12 +499,56 @@ def test_structures_option_reads_as_the_config_key_does(tmp_path, option, fitted
     assert set(load_json(tmp_path / "out" / "priors.json")["structures"]) == fitted
 
 
+def child_env():
+    """The environment for a child interpreter that imports this ``surgebma``:
+    its source directory first on ``PYTHONPATH``, however pytest was started."""
+    source = str(Path(cli.__file__).resolve().parents[1])
+    path = [source, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 def test_console_entrypoint_runs():
     out = subprocess.run(
-        [sys.executable, "-m", "surgebma.cli", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "surgebma.cli", "--version"],
+        capture_output=True, text=True, env=child_env(),
     )
     assert out.returncode == 0
     assert "surgebma" in out.stdout
+
+
+SCIPY_GUARD = """
+import json, sys
+from surgebma.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+years = ["--first-year", "2004", "--last-year", "2013"]
+assert main(["simulate", "station", "--out", "station.csv", *years, "--seed", "21"]) == 0
+assert main(["simulate", "covariates", "--out", "cov", *years,
+             "--projection-year", "2030", "--seed", "22"]) == 0
+assert main(["preprocess", "--config", "run.ini"]) == 0
+before = scipy_modules()
+assert main(["fit-priors", "--config", "run.ini"]) == 0
+print(json.dumps([before, scipy_modules()]))
+"""
+
+
+def test_simulate_and_preprocess_never_load_scipy(tmp_path):
+    # a fresh interpreter, since this one has long since imported scipy
+    (tmp_path / "run.ini").write_text(
+        CONFIG_TEMPLATE.format(structures="ST", gate="1.5").replace(
+            "calibration_start = 1984", "calibration_start = 2004")
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_GUARD],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    before, after = json.loads(out.stdout.splitlines()[-1])
+    assert before == []
+    # fit-priors computes gammaln, so the check above could have failed
+    assert "scipy.special" in after
 
 
 def test_st_desk_scale_calibration_under_budget(tmp_path):
