@@ -75,6 +75,15 @@ class RunConfig:
         if len(set(self.structures)) < len(self.structures):
             # every stage would run a repeat twice, and report would then refuse it
             raise ValueError(f"repeated structures in {', '.join(self.structures)}")
+        # preprocess would refuse these only after reading the whole hourly record
+        if not (math.isfinite(self.detrend_window_days) and self.detrend_window_days >= 1):
+            raise ValueError("[preprocess] detrend_window_days must be a finite number >= 1")
+        if not 1 <= self.min_valid_hours <= 24:
+            raise ValueError("[preprocess] min_valid_hours must be in [1, 24]")
+        if not 0 < self.threshold_quantile < 1:
+            raise ValueError("[preprocess] threshold_quantile must lie in (0, 1)")
+        if self.separation_days < 1:
+            raise ValueError("[preprocess] separation_days must be at least 1")
         if not self.return_periods or not all(0 < t < math.inf for t in self.return_periods):
             raise ValueError("return_periods must list one or more positive finite periods")
         levels = self.quantile_levels

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
@@ -33,6 +34,9 @@ MAX_ABSENT_HOURS = 100 * 8766
 # and writer (rows): they bound the memory per numpy call and change no result
 READ_CHUNK_CHARS = 1 << 16
 WRITE_CHUNK_ROWS = 1 << 15
+# detrending and daily maxima take the record in blocks of this many hours
+# (whole days), which bound their temporaries and change no result
+BLOCK_HOURS = 512 * HOURS_PER_DAY
 # the writer formats a level exact to the millimetre from the integer digits
 # of its millimetres while they are fewer than this, and any other by repr
 MILLIMETRE_BOUND = 1e12
@@ -544,78 +548,129 @@ def detrend_moving_mean(series: HourlySeries, window_days: float) -> HourlySerie
     The window is [t - w/2, t + w/2], shrinking where it overhangs the record
     edges. Hours whose window holds fewer than ``MIN_VALID_FRACTION`` of its
     hours as valid samples are marked missing, as are hours missing in the input.
+
+    The output hours are computed ``BLOCK_HOURS`` at a time, so the output is
+    the one array as long as the record. A window's sum and valid count are
+    those of the hours before its end less those of the hours before its
+    start, from ``_RunningSums``, which makes each running sum once.
     """
     if not (np.isfinite(window_days) and window_days >= 1):
         raise ValueError(f"window_days must be a finite number >= 1, got {window_days!r}")
     levels = series.levels
     n = levels.size
     half = int(round(window_days * HOURS_PER_DAY / 2))
-
-    # each window's valid count, length and sum of valid levels, from running
-    # sums led by a 0, each freed once used; int32 holds any count of hours
-    # below 2**31 (245,000 years)
-    valid = np.isfinite(levels)
-    count = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(valid, dtype=np.int32, out=count[1:])
-    n_valid = _window_sums(count, half)
-    del count
-    # the running count of all hours is the hour index
-    length = _window_sums(np.arange(n + 1, dtype=np.int32), half)
-    # valid hours short of MIN_VALID_FRACTION of the window
-    short = np.less(n_valid, np.multiply(length, MIN_VALID_FRACTION))
-    del length
-
-    total = np.zeros(n + 1)
-    np.copyto(total[1:], levels, where=valid)
-    np.cumsum(total[1:], out=total[1:])
-    out = _window_sums(total, half)
-    del total
-
+    out = np.empty(n)
+    # hour i's window is the hours [max(i - half, 0), min(i + half + 1, n)); the
+    # sums over the first k hours are needed at a window's start for k = 1 ...
+    # n - half - 1, and at its end from k = half + 1 on, so those up to k =
+    # half are made before the first block
+    running = _RunningSums(levels, keep=n - half - 1)
+    lead = min(half, n)
+    for k in range(0, lead, BLOCK_HOURS):
+        running.ahead(min(BLOCK_HOURS, lead - k))
     with np.errstate(invalid="ignore", divide="ignore"):
-        out /= n_valid  # the window mean
-    np.subtract(levels, out, out=out)
-    out[~valid] = np.nan
-    out[short] = np.nan
+        for a in range(0, n, BLOCK_HOURS):
+            b = min(a + BLOCK_HOURS, n)
+            inside = min(max(n - half - a, 0), b - a)  # hours whose window ends before the record does
+            window = np.empty(b - a, dtype=complex)
+            window[:inside] = running.ahead(inside)
+            window[inside:] = running.last
+            # the hours whose window starts at the first hour subtract nothing,
+            # as x - 0.0 is x, bit for bit
+            clipped = min(max(half + 1 - a, 0), b - a)
+            running.subtract_behind(window[clipped:])
+            total, n_valid = window.real, window.imag
+            length = 2 * half + 1  # of a window inside the record
+            if clipped or inside < b - a:
+                hour = np.arange(a, b)
+                length = np.minimum(hour + (half + 1), n) - np.maximum(hour - half, 0)
+            # valid hours short of MIN_VALID_FRACTION of the window
+            short = np.less(n_valid, np.multiply(length, MIN_VALID_FRACTION))
+            block = np.divide(total, n_valid, out=out[a:b])  # the window mean
+            np.subtract(levels[a:b], block, out=block)
+            block[~np.isfinite(levels[a:b])] = np.nan
+            block[short] = np.nan
     return HourlySeries(series.start, out)
 
 
-def _window_sums(running: np.ndarray, half: int) -> np.ndarray:
-    """``running[hi] - running[lo]`` for each hour i of a record of
-    ``running.size - 1`` hours, where ``lo = max(i - half, 0)`` and
-    ``hi = min(i + half + 1, n)`` bound its window, taken by slices."""
-    n = running.size - 1
-    sums = np.empty(n, dtype=running.dtype)
-    inside = max(n - half, 0)  # hours whose window ends before the record does
-    sums[:inside] = running[half + 1:]
-    sums[inside:] = running[n]
-    clipped = min(half, n)  # hours whose window starts at the first hour
-    sums[:clipped] -= running[0]
-    sums[clipped:] -= running[:n - clipped]
-    return sums
+class _RunningSums:
+    """The sums over a record's first k hours, for k = 1, 2, ... in turn, each
+    as one complex number: its real part sums the valid levels, and its
+    imaginary part counts the valid hours. Complex numbers add part by part,
+    each as float64 adds, and a count below 2**53 is exact, so one
+    ``np.cumsum`` makes both.
+
+    ``ahead`` makes the next sums. Each piece's cumsum is seeded with the sum
+    before it, and the first starts at its first level, so each sum is the one
+    that a single ``np.cumsum`` over the whole record makes, bit for bit; a
+    missing hour adds 0.0, which turns a sum of -0.0 into 0.0 there too. The
+    sums for k up to ``keep`` are held until ``subtract_behind`` takes them,
+    in the same order: for ``detrend_moving_mean``, those of about one window
+    and two blocks.
+    """
+
+    def __init__(self, levels: np.ndarray, keep: int):
+        self.levels, self.keep = levels, keep
+        self.k, self.last = 0, 0j  # the sum over the first k hours
+        self.held = deque()
+
+    def ahead(self, m: int) -> np.ndarray:
+        """The sums for the next ``m`` values of k."""
+        hours = self.levels[self.k:self.k + m]
+        valid = np.isfinite(hours)
+        sums = np.zeros(m + 1, dtype=complex)
+        np.copyto(sums.real[1:], hours, where=valid)
+        sums.imag[1:] = valid
+        sums[0] = self.last
+        seeded = sums if self.k else sums[1:]
+        np.cumsum(seeded, out=seeded)
+        held = min(max(self.keep - self.k, 0), m)
+        if held:
+            self.held.append(sums[1:held + 1])
+        self.k, self.last = self.k + m, sums[-1]
+        return sums[1:]
+
+    def subtract_behind(self, window: np.ndarray) -> None:
+        """Subtract the next ``window.size`` held sums from ``window``, in place."""
+        at = 0
+        while at < window.size:
+            sums = self.held.popleft()
+            m = min(sums.size, window.size - at)
+            window[at:at + m] -= sums[:m]
+            if m < sums.size:
+                self.held.appendleft(sums[m:])
+            at += m
 
 
 def daily_maxima(series: HourlySeries, min_valid_hours: int) -> DailySeries:
     """Reduce an hourly series to per-UTC-day maxima.
 
     Days with fewer than ``min_valid_hours`` valid hours are flagged invalid.
+    The days are reduced ``BLOCK_HOURS // HOURS_PER_DAY`` at a time.
     """
     if not 1 <= min_valid_hours <= 24:
         raise ValueError("min_valid_hours must be in [1, 24]")
+    levels = series.levels
     # each day's hours are one run: from the first hour, then from each
     # midnight after it, every 24 hours
     first_midnight = -series.start.astype(np.int64) % HOURS_PER_DAY or HOURS_PER_DAY
-    start = np.r_[0, np.arange(first_midnight, series.levels.size, HOURS_PER_DAY)]
-
-    valid = np.isfinite(series.levels)
-    counts = np.add.reduceat(valid, start, dtype=np.int64)
-    filled = np.where(valid, series.levels, -np.inf)
-    maxima = np.maximum.reduceat(filled, start)
-
+    start = np.r_[0, np.arange(first_midnight, levels.size, HOURS_PER_DAY)]
+    counts = np.empty(start.size, dtype=np.uint8)  # a day has at most 24 hours
+    maxima = np.empty(start.size)
+    per_block = BLOCK_HOURS // HOURS_PER_DAY
+    for d in range(0, start.size, per_block):
+        e = min(d + per_block, start.size)
+        hours = levels[start[d]:start[e] if e < start.size else levels.size]
+        runs = start[d:e] - start[d]
+        valid = np.isfinite(hours)
+        np.add.reduceat(valid.view(np.uint8), runs, out=counts[d:e])
+        filled = hours.copy()
+        np.copyto(filled, -np.inf, where=~valid)
+        np.maximum.reduceat(filled, runs, out=maxima[d:e])
+    # a day with a valid hour has a finite maximum
     ok = counts >= min_valid_hours
-    out = np.where(ok, maxima, np.nan)
-    out[~np.isfinite(out)] = np.nan
-    ok &= np.isfinite(out)
-    return DailySeries(series.start.astype("datetime64[D]"), out, ok)
+    maxima[~ok] = np.nan
+    return DailySeries(series.start.astype("datetime64[D]"), maxima, ok)
 
 
 def compute_threshold(daily: DailySeries, quantile: float) -> float:

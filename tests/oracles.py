@@ -7,7 +7,8 @@ oracle builds clusters by transitive closure in O(n^2), and the sampler oracle
 steps one chain at a time on a row density. The row-kernel, hourly CSV reader
 and writer, detrending and daily-maxima oracles are earlier versions kept as
 the bit-for-bit references: numpy wrappers on numpy scalars, one row at a time,
-and a fresh array for every intermediate. The Nelder-Mead oracle is scipy's own
+a fresh array for every intermediate, and detrending and daily maxima over
+the whole record at once. The Nelder-Mead oracle is scipy's own
 ``minimize``, which serves as the reference optimizer of the MLE tests.
 """
 
@@ -21,7 +22,7 @@ from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from surgebma.models import ACTIVE_PARAMS, DIRECT_SCALE, XI_EPS, NonstatLevel
-from surgebma.preprocess import HOURS_PER_DAY, HourlySeries
+from surgebma.preprocess import HOURS_PER_DAY, MIN_VALID_FRACTION, DailySeries, HourlySeries
 
 
 def gpd_logpdf(x: float, mu: float, sig: float, xi: float) -> float:
@@ -354,3 +355,72 @@ def daily_maxima_unique(series, min_valid_hours):
     out[~np.isfinite(out)] = np.nan
     ok &= np.isfinite(out)
     return uniq, out, ok
+
+
+def detrend_moving_mean_whole(series, window_days):
+    """Centered moving-mean detrending from running sums over the whole record,
+    each window's sum and count taken by ``_window_sums_whole``."""
+    levels = series.levels
+    n = levels.size
+    half = int(round(window_days * HOURS_PER_DAY / 2))
+
+    # each window's valid count, length and sum of valid levels, from running
+    # sums led by a 0, each freed once used; int32 holds any count of hours
+    # below 2**31 (245,000 years)
+    valid = np.isfinite(levels)
+    count = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(valid, dtype=np.int32, out=count[1:])
+    n_valid = _window_sums_whole(count, half)
+    del count
+    # the running count of all hours is the hour index
+    length = _window_sums_whole(np.arange(n + 1, dtype=np.int32), half)
+    # valid hours short of MIN_VALID_FRACTION of the window
+    short = np.less(n_valid, np.multiply(length, MIN_VALID_FRACTION))
+    del length
+
+    total = np.zeros(n + 1)
+    np.copyto(total[1:], levels, where=valid)
+    np.cumsum(total[1:], out=total[1:])
+    out = _window_sums_whole(total, half)
+    del total
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out /= n_valid  # the window mean
+    np.subtract(levels, out, out=out)
+    out[~valid] = np.nan
+    out[short] = np.nan
+    return HourlySeries(series.start, out)
+
+
+def _window_sums_whole(running, half):
+    """``running[hi] - running[lo]`` for each hour i of a record of
+    ``running.size - 1`` hours, where ``lo = max(i - half, 0)`` and
+    ``hi = min(i + half + 1, n)`` bound its window, taken by slices."""
+    n = running.size - 1
+    sums = np.empty(n, dtype=running.dtype)
+    inside = max(n - half, 0)  # hours whose window ends before the record does
+    sums[:inside] = running[half + 1:]
+    sums[inside:] = running[n]
+    clipped = min(half, n)  # hours whose window starts at the first hour
+    sums[:clipped] -= running[0]
+    sums[clipped:] -= running[:n - clipped]
+    return sums
+
+
+def daily_maxima_whole(series, min_valid_hours):
+    """Per-day maxima by one ``reduceat`` over the whole record."""
+    # each day's hours are one run: from the first hour, then from each
+    # midnight after it, every 24 hours
+    first_midnight = -series.start.astype(np.int64) % HOURS_PER_DAY or HOURS_PER_DAY
+    start = np.r_[0, np.arange(first_midnight, series.levels.size, HOURS_PER_DAY)]
+
+    valid = np.isfinite(series.levels)
+    counts = np.add.reduceat(valid, start, dtype=np.int64)
+    filled = np.where(valid, series.levels, -np.inf)
+    maxima = np.maximum.reduceat(filled, start)
+
+    ok = counts >= min_valid_hours
+    out = np.where(ok, maxima, np.nan)
+    out[~np.isfinite(out)] = np.nan
+    ok &= np.isfinite(out)
+    return DailySeries(series.start.astype("datetime64[D]"), out, ok)

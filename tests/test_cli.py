@@ -631,10 +631,14 @@ def test_parallel_workers_reproduce_serial_artifacts(tmp_path):
         ("psrf_gate = ", "target_acceptance = 0.234\npsrf_gate = "),
         # every stage would run ST twice, and report would then refuse the evidence
         ("structures = ST", "structures = ST, ST"),
-        # preprocess refuses a window that is not a finite number of days
-        # before it writes anything
+        # preprocess settings that its functions would refuse only after the
+        # hourly record was read
         ("[run]", "[preprocess]\ndetrend_window_days = inf\n\n[run]"),
         ("[run]", "[preprocess]\ndetrend_window_days = nan\n\n[run]"),
+        ("[run]", "[preprocess]\ndetrend_window_days = 0.5\n\n[run]"),
+        ("[run]", "[preprocess]\nmin_valid_hours = 0\n\n[run]"),
+        ("[run]", "[preprocess]\nthreshold_quantile = 1.5\n\n[run]"),
+        ("[run]", "[preprocess]\nseparation_days = 0\n\n[run]"),
         ("seed = 5", "seed = 5\nworkers = -3"),
         # no PSRF reaches a NaN or infinite gate; --force is the one way past it
         ("psrf_gate = 1.5", "psrf_gate = nan"),
@@ -644,7 +648,7 @@ def test_parallel_workers_reproduce_serial_artifacts(tmp_path):
     ids=["no_median", "level_1", "zero_period", "negative_period", "mixture_size", "thinned_size",
          "one_chain", "short_segment", "small_ensemble", "misspelled_key", "unknown_section",
          "target_acceptance", "repeated_structure", "infinite_window", "nan_window",
-         "negative_workers", "nan_gate", "infinite_gate", "infinite_period"],
+         "short_window", "no_valid_hours", "quantile_above_1", "zero_separation", "negative_workers", "nan_gate", "infinite_gate", "infinite_period"],
 )
 def test_bad_config_values_exit_2_before_any_stage(tmp_path, capsys, old, new):
     config = make_workspace(tmp_path, structures="ST")

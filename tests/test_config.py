@@ -113,6 +113,28 @@ def test_values_that_are_not_finite_are_refused(config_dir, old, new, message):
         load_config(config_dir / "bad.ini")
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("min_valid_hours = 10", "min_valid_hours = 10\ndetrend_window_days = 0.5",
+         "detrend_window_days must be a finite number >= 1"),
+        ("min_valid_hours = 10", "min_valid_hours = 10\ndetrend_window_days = nan",
+         "detrend_window_days must be a finite number >= 1"),
+        ("min_valid_hours = 10", "min_valid_hours = 0", "min_valid_hours must be in [1, 24]"),
+        ("min_valid_hours = 10", "min_valid_hours = 25", "min_valid_hours must be in [1, 24]"),
+        ("threshold_quantile = 0.98", "threshold_quantile = 1.5",
+         "threshold_quantile must lie in (0, 1)"),
+        ("min_valid_hours = 10", "min_valid_hours = 10\nseparation_days = 0",
+         "separation_days must be at least 1"),
+    ],
+    ids=["short_window", "nan_window", "no_hours", "too_many_hours", "quantile", "separation"],
+)
+def test_preprocess_values_are_refused_at_load_by_their_key(config_dir, old, new, message):
+    (config_dir / "bad.ini").write_text(CONFIG_TEXT.replace(old, new))
+    with pytest.raises(ValueError, match=re.escape(f"[preprocess] {message}")):
+        load_config(config_dir / "bad.ini")
+
+
 def test_build_covariates_spans_and_normalization(config_dir):
     config = load_config(config_dir / "run.ini")
     # only the kinds of the run's structures (ST, NS1-time) are built

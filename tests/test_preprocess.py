@@ -9,7 +9,9 @@ import pytest
 from oracles import (
     brute_force_decluster,
     daily_maxima_unique,
+    daily_maxima_whole,
     detrend_moving_mean_temporaries,
+    detrend_moving_mean_whole,
     read_hourly_csv_rows,
     write_hourly_csv_rows,
 )
@@ -209,6 +211,81 @@ def test_detrend_and_daily_maxima_equal_the_temporaries_oracle(n, start, window_
         for field, a, b in zip(("days", "max_level", "valid"),
                                (days(got_days), got_days.max_level, got_days.valid), want_days):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+BLOCK = preprocess.BLOCK_HOURS
+
+
+def reference_record(n, kind, seed):
+    """Hourly levels for the whole-record references: gappy normal levels with
+    a few infinite ones, and then by ``kind`` NaN runs longer than half of a
+    30-day window, signed zeros (all -0.0 for over a block first), or levels
+    near 1e308, whose running sums overflow."""
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=n)
+    if kind == "nan_runs":
+        for first in range(0, n, 3000):
+            vals[first:first + rng.integers(400, 2000)] = np.nan
+    elif kind == "signed_zeros":
+        vals = rng.choice([0.0, -0.0, 1.0, -1.0], size=n, p=[0.45, 0.45, 0.05, 0.05])
+        vals[:BLOCK + 100] = -0.0
+    elif kind == "huge":
+        vals = rng.uniform(-1.0, 1.0, size=n) * 1.7e308
+    gappy = rng.uniform(size=n) < 0.2
+    gappy[:BLOCK + 100] &= kind != "signed_zeros"
+    vals[gappy] = np.nan
+    vals[rng.uniform(size=n) < 0.01 * (kind != "signed_zeros")] = np.inf
+    return vals
+
+
+@pytest.mark.parametrize(
+    "n, start, window_days, kind",
+    [
+        pytest.param(1, "2000-01-01T23", 365.25, "gappy", id="one_hour"),
+        pytest.param(BLOCK, "2000-01-01T00", 365.25, "gappy", id="one_block"),
+        pytest.param(BLOCK - 1, "1999-12-31T07", 30.0, "gappy", id="one_block_less_one"),
+        pytest.param(BLOCK + 1, "1969-12-31T20", 1.0, "gappy", id="one_block_and_one"),
+        pytest.param(7 * BLOCK + 1001, "1987-03-05T13", 365.25, "gappy", id="seven_blocks_and_a_tail"),
+        pytest.param(7 * BLOCK + 1001, "1987-03-05T13", 1000.0, "gappy", id="window_of_blocks"),
+        pytest.param(3 * BLOCK + 5, "1950-06-30T01", 20_000.0, "gappy", id="window_past_the_record"),
+        pytest.param(2 * BLOCK + 7, "2001-02-03T04", 1.0, "gappy", id="one_day_window"),
+        pytest.param(3 * BLOCK + 17, "1990-01-01T05", 30.0, "nan_runs", id="nan_runs"),
+        pytest.param(3 * BLOCK + 17, "1990-01-01T11", 1.0, "signed_zeros", id="signed_zeros"),
+        pytest.param(3 * BLOCK + 17, "1990-01-01T22", 30.0, "huge", id="overflowing_sums"),
+    ],
+)
+def test_detrend_and_daily_maxima_equal_the_whole_record_references(n, start, window_days, kind):
+    series = hourly(reference_record(n, kind, seed=n), start)
+    got = detrend_moving_mean(series, window_days)
+    want = detrend_moving_mean_whole(series, window_days)
+    assert np.array_equal(got.levels.view(np.int64), want.levels.view(np.int64))
+    for min_hours in (1, 12, 24):
+        got_days, want_days = daily_maxima(got, min_hours), daily_maxima_whole(want, min_hours)
+        assert got_days.first_day == want_days.first_day
+        assert np.array_equal(got_days.max_level.view(np.int64), want_days.max_level.view(np.int64))
+        assert np.array_equal(got_days.valid, want_days.valid)
+    # each record holds what it is named for
+    dropped = np.isnan(want.levels) & np.isfinite(series.levels)  # windows short of valid hours
+    zeros = want.levels[want.levels == 0]
+    assert {
+        "nan_runs": dropped.any(),
+        "signed_zeros": 0 < np.count_nonzero(np.signbit(zeros)) < zeros.size,
+        "huge": np.isinf(want.levels).any() and dropped.any(),
+    }.get(kind, True)
+
+
+@pytest.mark.parametrize("block", [24, 25, 72, 1000])
+def test_detrend_and_daily_maxima_do_not_depend_on_the_block_size(monkeypatch, block):
+    n = 24 * 40 + 13
+    series = hourly(reference_record(n, "nan_runs", seed=block), "1999-12-30T19")
+    monkeypatch.setattr(preprocess, "BLOCK_HOURS", block)
+    for window_days in (1.0, 3.0, 20.0, 100.0):
+        got = detrend_moving_mean(series, window_days)
+        want = detrend_moving_mean_whole(series, window_days)
+        assert np.array_equal(got.levels.view(np.int64), want.levels.view(np.int64))
+        got_days, want_days = daily_maxima(got, 6), daily_maxima_whole(want, 6)
+        assert np.array_equal(got_days.max_level.view(np.int64), want_days.max_level.view(np.int64))
+        assert np.array_equal(got_days.valid, want_days.valid)
 
 
 @pytest.mark.parametrize(
@@ -467,6 +544,31 @@ def test_hourly_csv_reader_and_detrend_hold_the_record_about_once(tmp_path):
     assert read_kept <= 17, read_kept
     assert read_kept <= 9, read_kept  # the levels, without a stamp per hour
     assert detrend_peak <= 40, detrend_peak
+
+
+def test_detrend_and_daily_maxima_work_in_blocks():
+    # per row above the input: the detrended levels are 8 bytes, and the daily
+    # maxima a third of a byte; the blocks and a window of running sums add
+    # the rest, which a record of 400,000 hours spreads thin
+    n = 400_000
+    rng = np.random.default_rng(12)
+    vals = rng.normal(size=n)
+    vals[rng.uniform(size=n) < 0.05] = np.nan
+    series = hourly(vals, start="1970-01-01T00")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        detrended = detrend_moving_mean(series, 365.25)
+        detrend_peak = (tracemalloc.get_traced_memory()[1] - before) / n
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        days = daily_maxima(detrended, 12)
+        maxima_peak = (tracemalloc.get_traced_memory()[1] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert days.valid.any()
+    assert detrend_peak <= 12, detrend_peak
+    assert maxima_peak <= 5, maxima_peak
 
 
 def test_hourly_csv_reader_equals_row_oracle_on_a_long_record(tmp_path, monkeypatch):
