@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .utils import csv_errors_named
+from .utils import parse_errors_named
 
 log = logging.getLogger(__name__)
 
@@ -137,7 +137,7 @@ def time_covariate(
 def _read_rows(path, parse: Callable[[list[str]], tuple]) -> list[tuple]:
     """``parse`` of each data row after the header; blank rows are skipped."""
     out = []
-    with open(path, newline="") as fh, csv_errors_named(path):
+    with open(path, newline="") as fh, parse_errors_named(path):
         reader = csv.reader(fh)
         if next(reader, None) is None:
             raise ValueError("empty input")

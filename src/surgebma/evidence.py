@@ -19,7 +19,7 @@ import numpy as np
 from .covariates import CovariateKind
 from .models import ModelStructure, NonstatLevel, all_structures
 from .sampler import PosteriorEnsemble
-from .utils import GateError, dump_json, format_float, load_json, write_csv
+from .utils import GateError, dump_json, format_float, load_json, parse_errors_named, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -210,8 +210,9 @@ def save_evidence(evidences: list[EvidenceEstimate], path, config_sha256: str) -
 
 def load_evidence(path) -> dict[str, EvidenceEstimate]:
     """Estimates saved by ``save_evidence``, keyed by structure id."""
-    stored = load_json(path)["structures"]
-    return {sid: EvidenceEstimate(ModelStructure.parse(sid), **d) for sid, d in stored.items()}
+    with parse_errors_named(path):
+        stored = load_json(path)["structures"]
+        return {sid: EvidenceEstimate(ModelStructure.parse(sid), **d) for sid, d in stored.items()}
 
 
 def save_evidence_report(

@@ -25,7 +25,9 @@ from .covariates import CovariateSeries
 from .evidence import BmaWeights
 from .models import DAYS_PER_YEAR, XI_EPS, covariate_values, effective_params
 from .sampler import PosteriorEnsemble
-from .utils import GateError, dump_json, empirical_quantile, format_float, write_csv
+from .utils import (
+    GateError, dump_json, empirical_quantile, format_float, parse_errors_named, write_csv,
+)
 
 RATE_FLOOR = 1e-8  # per day; extrapolated nonpositive rates clamp here
 
@@ -183,14 +185,17 @@ def save_return_levels(columns: dict[float, ReturnLevelEnsemble], path) -> None:
 
 def load_return_levels(path, year: int) -> dict[float, ReturnLevelEnsemble]:
     """Columns saved by ``save_return_levels``, keyed by period."""
-    with open(path, newline="") as fh:
-        header, flags, *rows = csv.reader(fh)
     out = {}
-    for j, t in enumerate(float(h[1:]) for h in header):
-        # numpy parses each string as float() does
-        samples = np.array([row[j] for row in rows if row[j]], dtype=float)
-        counts = dict(kv.split("=") for kv in flags[j].split(";"))
-        out[t] = ReturnLevelEnsemble(year, t, samples, int(counts["clamped"]), int(counts["flagged"]))
+    with open(path, newline="") as fh, parse_errors_named(path):
+        reader = csv.reader(fh)
+        header, flags, rows = next(reader), next(reader), list(reader)
+        for j, t in enumerate(float(h[1:]) for h in header):
+            # numpy parses each string as float() does
+            samples = np.array([row[j] for row in rows if row[j]], dtype=float)
+            counts = dict(kv.split("=") for kv in flags[j].split(";"))
+            out[t] = ReturnLevelEnsemble(
+                year, t, samples, int(counts["clamped"]), int(counts["flagged"])
+            )
     return out
 
 

@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .utils import csv_errors_named, dump_json, empirical_quantile, load_json
+from .utils import dump_json, empirical_quantile, load_json, parse_errors_named
 
 HOURS_PER_DAY = 24
 MIN_VALID_FRACTION = 0.5  # detrending: least share of valid hours in an hour's window
@@ -55,6 +55,10 @@ _FIELD_MASKS = _FIELD_MASKS.view(np.uint64)
 # numpy's cast
 EXACT_DIGITS = 15
 _POWERS_OF_TEN = np.array([10 ** k for k in range(EXACT_DIGITS + 1)], dtype=float)
+# stamps are cast to datetime64 at most this many per numpy call: a cast of
+# more byte stamps, which numpy seems to run without the GIL, is killed by a
+# signal at a bad one ("2000-02-30T00", "notatime"; numpy 2.4) instead of raising
+CAST_ITEMS = 500
 # after the T or space that starts a stamp's time, anything but its digits,
 # ":" and "." is a zone, which numpy reads with only a warning, applying an
 # offset: searched as two patterns, each found fast from its first character
@@ -89,26 +93,23 @@ class HourlySeries:
 
 @dataclass(frozen=True)
 class DailySeries:
-    """Daily maxima of (detrended) sea level, one per day: entry ``k`` is for
-    ``k`` days after ``first_day`` (datetime64[D]); ``valid`` flags usable days."""
+    """Daily maxima of (detrended) sea level, one per day: ``max_level[k]`` is
+    for ``k`` days after ``first_day`` (datetime64[D]); NaN marks an unusable day."""
 
     first_day: np.datetime64
     max_level: np.ndarray
-    valid: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "first_day", np.datetime64(self.first_day, "D"))
-        if self.max_level.size != self.valid.size:
-            raise ValueError("fields must have equal length")
-        if np.any(~np.isfinite(self.max_level[self.valid])):
-            raise ValueError("valid days must carry finite maxima")
+        if np.isinf(self.max_level).any():
+            raise ValueError("daily maxima must be finite or NaN")
 
     def restrict_years(self, first_year: int, last_year: int) -> "DailySeries":
         # day offsets of 1 January of first_year and of the year after last_year
         bounds = (np.array([first_year, last_year + 1]) - 1970).astype("datetime64[Y]")
         offsets = (bounds.astype("datetime64[D]") - self.first_day).astype(np.int64)
-        lo, hi = np.clip(offsets, 0, self.valid.size).tolist()
-        return DailySeries(self.first_day + lo, self.max_level[lo:hi], self.valid[lo:hi])
+        lo, hi = np.clip(offsets, 0, self.max_level.size).tolist()
+        return DailySeries(self.first_day + lo, self.max_level[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,8 @@ class ExceedanceSet:
 
     @classmethod
     def load(cls, path) -> "ExceedanceSet":
-        return cls.from_dict(load_json(path))
+        with parse_errors_named(path):
+            return cls.from_dict(load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +219,7 @@ def read_hourly_csv(path) -> HourlySeries:
     is skipped.
     """
     lines_in_file = _count_lines(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh, csv_errors_named(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh, parse_errors_named(path):
         header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError("empty input")
@@ -441,8 +443,11 @@ def _not_utc(stamps) -> bool:
 def _parse_columns(stamps, levels):
     """datetime64[h] and float arrays of the fields: stamps as a list of str
     or a byte array, with no ``Z``, and levels as a list of str, with ``nan``
-    for an empty one, or as float64. Raises ValueError on any bad field."""
-    t = np.asarray(stamps, dtype="datetime64[h]")
+    for an empty one, or as float64. Raises ValueError on any bad field. The
+    stamps are cast ``CAST_ITEMS`` at a time."""
+    t = np.empty(len(stamps), dtype="datetime64[h]")
+    for i in range(0, t.size, CAST_ITEMS):
+        t[i:i + CAST_ITEMS] = stamps[i:i + CAST_ITEMS]
     if np.isnat(t).any():  # numpy reads "" and "NaT" as NaT without raising
         raise ValueError("missing timestamp")
     return t, np.asarray(levels, dtype=float)  # float("nan") is np.nan
@@ -645,7 +650,7 @@ class _RunningSums:
 def daily_maxima(series: HourlySeries, min_valid_hours: int) -> DailySeries:
     """Reduce an hourly series to per-UTC-day maxima.
 
-    Days with fewer than ``min_valid_hours`` valid hours are flagged invalid.
+    Days with fewer than ``min_valid_hours`` valid hours are NaN.
     The days are reduced ``BLOCK_HOURS // HOURS_PER_DAY`` at a time.
     """
     if not 1 <= min_valid_hours <= 24:
@@ -668,16 +673,15 @@ def daily_maxima(series: HourlySeries, min_valid_hours: int) -> DailySeries:
         np.copyto(filled, -np.inf, where=~valid)
         np.maximum.reduceat(filled, runs, out=maxima[d:e])
     # a day with a valid hour has a finite maximum
-    ok = counts >= min_valid_hours
-    maxima[~ok] = np.nan
-    return DailySeries(series.start.astype("datetime64[D]"), maxima, ok)
+    maxima[counts < min_valid_hours] = np.nan
+    return DailySeries(series.start.astype("datetime64[D]"), maxima)
 
 
 def compute_threshold(daily: DailySeries, quantile: float) -> float:
-    """Empirical quantile of the valid daily maxima (the GPD threshold)."""
+    """Empirical quantile of the daily maxima that are not NaN (the GPD threshold)."""
     if not 0.0 < quantile < 1.0:
         raise ValueError("quantile must lie in (0, 1)")
-    vals = daily.max_level[daily.valid]
+    vals = daily.max_level[~np.isnan(daily.max_level)]
     if vals.size < 100:
         raise ValueError("insufficient data")
     return float(empirical_quantile(vals, quantile))
@@ -690,13 +694,13 @@ def decluster(daily: DailySeries, threshold: float, separation_days: int) -> Exc
     one cluster; only the cluster maximum survives (earliest day on ties).
     Retained events are therefore pairwise separated by at least
     ``separation_days``, across year boundaries included. Each calendar year
-    with a valid day records its number of valid observed days as its
+    with a usable day (not NaN) records its number of usable days as its
     duration, so gappy years weight the Poisson term proportionally.
     """
     if separation_days < 1:
         raise ValueError("separation_days must be >= 1")
 
-    exceed = daily.valid & (daily.max_level >= threshold)
+    exceed = daily.max_level >= threshold  # False on NaN
     exc_days = np.flatnonzero(exceed)
     exc_heights = daily.max_level[exceed]
 
@@ -710,7 +714,7 @@ def decluster(daily: DailySeries, threshold: float, separation_days: int) -> Exc
         i = j + 1
     kept = np.array(kept, dtype=np.intp)
 
-    valid_dates = daily.first_day + np.flatnonzero(daily.valid)
+    valid_dates = daily.first_day + np.flatnonzero(~np.isnan(daily.max_level))
     valid_years = valid_dates.astype("datetime64[Y]").astype(np.int64) + 1970
     years, durations = np.unique(valid_years, return_counts=True)
     # events are in date order, so each year's events are one run

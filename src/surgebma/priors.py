@@ -30,7 +30,7 @@ from .models import (
     make_loglik,
 )
 from .preprocess import ExceedanceSet
-from .utils import dump_json, load_json
+from .utils import dump_json, load_json, parse_errors_named
 
 log = logging.getLogger(__name__)
 
@@ -388,13 +388,13 @@ def save_priors(priors: dict[str, PriorSet], path, meta: dict) -> None:
 
 
 def load_priors(path) -> dict[str, PriorSet]:
-    payload = load_json(path)
     out = {}
-    for sid, specs in payload["structures"].items():
-        structure = ModelStructure.parse(sid)
-        out[sid] = PriorSet(
-            structure, {name: PriorSpec.from_dict(d) for name, d in specs.items()}
-        )
+    with parse_errors_named(path):
+        for sid, specs in load_json(path)["structures"].items():
+            structure = ModelStructure.parse(sid)
+            out[sid] = PriorSet(
+                structure, {name: PriorSpec.from_dict(d) for name, d in specs.items()}
+            )
     return out
 
 
@@ -413,8 +413,8 @@ def save_mle_table(table: dict[str, np.ndarray], path, meta: dict) -> None:
 
 
 def load_mle_table(path) -> dict[str, np.ndarray]:
-    payload = load_json(path)
-    return {
-        sid: np.asarray(entry["estimates"], dtype=float)
-        for sid, entry in payload["structures"].items()
-    }
+    with parse_errors_named(path):
+        return {
+            sid: np.asarray(entry["estimates"], dtype=float)
+            for sid, entry in load_json(path)["structures"].items()
+        }

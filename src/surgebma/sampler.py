@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .models import ModelStructure
-from .utils import dump_json, write_csv
+from .utils import dump_json, parse_errors_named, write_csv
 
 MIN_CHAINS = 2  # the PSRF compares the spread between chains with that within them
 MIN_SEGMENT = 10  # least post-burn-in iterations per chain for the PSRF
@@ -82,7 +82,7 @@ class PosteriorEnsemble:
     @classmethod
     def load(cls, csv_path, structure: ModelStructure) -> "PosteriorEnsemble":
         """Draws saved by ``save``; the diagnostics file is not read."""
-        with open(csv_path, newline="") as fh:
+        with open(csv_path, newline="") as fh, parse_errors_named(csv_path):
             reader = csv.reader(fh)
             names = tuple(next(reader))
             if names != structure.active_params:

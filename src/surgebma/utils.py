@@ -1,5 +1,5 @@
 """Small shared helpers: the gate error, the package-wide quantile rule,
-stable file output and CSV read errors."""
+stable file output and the errors of a malformed file."""
 
 from __future__ import annotations
 
@@ -59,10 +59,24 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+# what parsing a malformed file raises besides a ValueError: an oversized csv
+# field, a missing key or column, a value of the wrong type, an empty file
+# read with next(), and broken JSON (a ValueError that names no file)
+PARSE_ERRORS = (csv.Error, json.JSONDecodeError, KeyError, TypeError, IndexError, StopIteration)
+
+
 @contextmanager
-def csv_errors_named(path):
-    """Re-raise a ``csv.Error`` (say, an oversized field) as a ``ValueError`` naming ``path``."""
+def parse_errors_named(path):
+    """Re-raise a ``PARSE_ERRORS`` error raised while parsing ``path`` as a
+    ``ValueError`` naming ``path``, so the CLI reports a malformed file as bad
+    input."""
     try:
         yield
-    except csv.Error as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    except PARSE_ERRORS as exc:
+        if isinstance(exc, KeyError):
+            detail = f"missing key {exc}"
+        elif isinstance(exc, StopIteration):
+            detail = "too few rows"
+        else:
+            detail = str(exc)
+        raise ValueError(f"{path}: {detail}") from exc

@@ -342,7 +342,7 @@ def detrend_moving_mean_temporaries(series, window_days, min_valid_fraction=0.5)
 
 def daily_maxima_unique(series, min_valid_hours):
     """Per-day maxima with the day starts taken from ``np.unique``; returns the
-    days, the maxima and the valid flags."""
+    days and the maxima, NaN on a day short of ``min_valid_hours``."""
     times = np.arange(series.start, series.start + series.levels.size, dtype="datetime64[h]")
     days = times.astype("datetime64[D]")
     uniq, start = np.unique(days, return_index=True)
@@ -350,11 +350,9 @@ def daily_maxima_unique(series, min_valid_hours):
     counts = np.add.reduceat(valid.astype(np.int64), start)
     filled = np.where(valid, series.levels, -np.inf)
     maxima = np.maximum.reduceat(filled, start)
-    ok = counts >= min_valid_hours
-    out = np.where(ok, maxima, np.nan)
+    out = np.where(counts >= min_valid_hours, maxima, np.nan)
     out[~np.isfinite(out)] = np.nan
-    ok &= np.isfinite(out)
-    return uniq, out, ok
+    return uniq, out
 
 
 def detrend_moving_mean_whole(series, window_days):
@@ -419,8 +417,6 @@ def daily_maxima_whole(series, min_valid_hours):
     filled = np.where(valid, series.levels, -np.inf)
     maxima = np.maximum.reduceat(filled, start)
 
-    ok = counts >= min_valid_hours
-    out = np.where(ok, maxima, np.nan)
+    out = np.where(counts >= min_valid_hours, maxima, np.nan)
     out[~np.isfinite(out)] = np.nan
-    ok &= np.isfinite(out)
-    return DailySeries(series.start.astype("datetime64[D]"), out, ok)
+    return DailySeries(series.start.astype("datetime64[D]"), out)

@@ -337,7 +337,7 @@ def test_criterion_9_declustering_invariants_randomized():
         vals = rng.normal(0.3, 0.5, size=n_days)
         start = np.datetime64("2000-01-01", "D") + np.timedelta64(int(rng.integers(0, 3000)), "D")
         dates = np.arange(start, start + n_days)
-        daily = DailySeries(dates[0], vals, np.ones(n_days, dtype=bool))
+        daily = DailySeries(dates[0], vals)
         threshold = 0.8
         out = decluster(daily, threshold, sep)
 
@@ -358,7 +358,7 @@ def test_criterion_9_declustering_invariants_randomized():
             span = int(day_ints.max() - day_ints.min()) + 1
             vals2 = np.full(span, threshold - 1.0)
             vals2[day_ints - day_ints.min()] = heights
-            daily2 = DailySeries(out.dates[0], vals2, np.ones(span, dtype=bool))
+            daily2 = DailySeries(out.dates[0], vals2)
             out2 = decluster(daily2, threshold, sep)
             got2 = list(zip(out2.dates.astype(np.int64).tolist(), out2.heights.tolist()))
             assert got2 == list(zip(day_ints.tolist(), heights.tolist()))

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from surgebma import cli
+from oracles import read_hourly_csv_rows
+from surgebma import cli, preprocess
 from surgebma.cli import main
 from surgebma.models import all_structures
 from surgebma.utils import load_json
@@ -189,9 +190,16 @@ def _drop_ns1_time_priors(out):
     (out / "priors.json").write_text(json.dumps(payload))
 
 
+def _overwrite(name, text):
+    """A spoiler that replaces the output ``name`` with ``text``."""
+    return lambda out: (out / name).write_text(text)
+
+
 LOADERS = ("calibrate", "evidence", "project")  # the stages that read exceedances and priors
 # how an earlier stage's output is spoiled (a file to remove, or a function),
-# what the refusal names, and the stages that read that output
+# what the refusal names, and the stages that read that output; a malformed
+# file is named whatever its parse raises (a missing key, a wrong type, too
+# few rows, broken JSON)
 SPOILED_OUTPUTS = {
     "no_exceedances": ("exceedances.json", "exceedances.json", LOADERS),
     "no_priors": ("priors.json", "priors.json", LOADERS),
@@ -199,6 +207,18 @@ SPOILED_OUTPUTS = {
     "no_evidence": ("evidence.json", "evidence.json", ("report",)),
     "no_return_levels": ("return_levels/NS1-time.csv", "NS1-time.csv", ("report",)),
     "priors_without_a_structure": (_drop_ns1_time_priors, "NS1-time", LOADERS),
+    "exceedances_without_a_threshold": (
+        _overwrite("exceedances.json", '{"years": []}'), "exceedances.json", LOADERS),
+    "truncated_exceedances": (
+        _overwrite("exceedances.json", '{"threshold_m": 1.0, "ye'), "exceedances.json", LOADERS),
+    "priors_without_structures": (_overwrite("priors.json", '{"meta": {}}'), "priors.json", LOADERS),
+    "empty_ensemble": (
+        _overwrite("ensembles/NS1-time.csv", ""), "NS1-time.csv", ("evidence", "project")),
+    "evidence_not_an_object": (_overwrite("evidence.json", "[]"), "evidence.json", ("report",)),
+    "empty_return_levels": (
+        _overwrite("return_levels/NS1-time.csv", ""), "NS1-time.csv", ("report",)),
+    "return_levels_without_flags": (
+        _overwrite("return_levels/NS1-time.csv", "T10,T100\r\n"), "NS1-time.csv", ("report",)),
 }
 
 
@@ -549,6 +569,71 @@ def test_simulate_and_preprocess_never_load_scipy(tmp_path):
     assert before == []
     # fit-priors computes gammaln, so the check above could have failed
     assert "scipy.special" in after
+
+
+def test_a_malformed_mle_pack_exits_2_before_fit_priors_writes(tmp_path, capsys):
+    config = make_workspace(tmp_path, structures="ST")
+    (tmp_path / "pack.json").write_text('{"meta": {}}')
+    with open(config, "a") as fh:
+        fh.write("\n[priors]\nmle_pack = pack.json\n")
+    assert main(["fit-priors", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: \S+pack\.json: missing key 'structures'\n", err)
+    assert not (tmp_path / "out").exists()
+
+
+READ_IN_A_CHILD = """
+import sys
+from surgebma.preprocess import read_hourly_csv
+
+try:
+    read_hourly_csv(sys.argv[1])
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def write_plain_hourly_csv(path, n, bad_row, stamp):
+    """``n`` plain rows of hourly levels, the stamp of row ``bad_row`` (from 0)
+    replaced by ``stamp``."""
+    stamps = np.datetime_as_string(np.datetime64("2000-01-01T00") + np.arange(n)).tolist()
+    stamps[bad_row] = stamp
+    path.write_text("timestamp,level_m\n" + "".join(f"{s},1.0\n" for s in stamps))
+
+
+# in one numpy 2.4 cast of more than 500 byte stamps, each of these killed the
+# process instead of raising: so each test reads in a child interpreter
+BAD_PLAIN_STAMPS = ["2000-02-30T00", "notatime", "2000-01-01T", "2000-01-01T05a"]
+
+
+@pytest.mark.parametrize("stamp", BAD_PLAIN_STAMPS)
+def test_hourly_csv_reader_refuses_a_bad_stamp_among_more_than_500(tmp_path, stamp):
+    path = tmp_path / "station.csv"
+    write_plain_hourly_csv(path, 2000, 1000, stamp)
+    rows = path.read_text().split("\n", 1)[1]
+    # one chunk at the default size, read the bytes way
+    assert len(rows) < preprocess.READ_CHUNK_CHARS
+    assert preprocess._bulk_columns(rows) is not None
+    with pytest.raises(ValueError) as want:
+        read_hourly_csv_rows(path)
+    out = subprocess.run(
+        [sys.executable, "-c", READ_IN_A_CHILD, str(path)],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert out.returncode == 0, out.stderr  # a signal reads as a negative code
+    assert out.stdout == f"{want.value}\n"
+
+
+def test_a_bad_stamp_among_more_than_500_exits_2_before_preprocess_writes(tmp_path):
+    config = make_workspace(tmp_path, structures="ST")
+    write_plain_hourly_csv(tmp_path / "station.csv", 5000, 2499, BAD_PLAIN_STAMPS[0])
+    out = subprocess.run(
+        [sys.executable, "-m", "surgebma.cli", "preprocess", "--config", str(config)],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert out.returncode == 2, out.stderr
+    assert re.fullmatch(r"error: \S+station\.csv:2501: bad timestamp '2000-02-30T00'\n", out.stderr)
+    assert not (tmp_path / "out").exists()
 
 
 def test_st_desk_scale_calibration_under_budget(tmp_path):

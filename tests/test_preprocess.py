@@ -45,11 +45,8 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
-def daily(first_day, values, valid=None):
-    values = np.asarray(values, dtype=float)
-    if valid is None:
-        valid = np.isfinite(values)
-    return DailySeries(np.datetime64(first_day, "D"), values, np.asarray(valid))
+def daily(first_day, values):
+    return DailySeries(np.datetime64(first_day, "D"), np.asarray(values, dtype=float))
 
 
 def days(series):
@@ -144,9 +141,16 @@ def test_hourly_series_accepts_one_hour_and_a_minute_grid_on_whole_hours():
 
 
 def test_daily_series_coerces_an_hour_first_day_to_its_day():
-    series = DailySeries(np.datetime64("1969-12-31T20", "h"), np.zeros(3), np.ones(3, dtype=bool))
+    series = DailySeries(np.datetime64("1969-12-31T20", "h"), np.zeros(3))
     assert series.first_day.dtype == np.dtype("datetime64[D]")
     assert series.first_day == np.datetime64("1969-12-31", "D")
+
+
+def test_daily_series_refuses_an_infinite_maximum():
+    daily("2000-01-01", [1.0, np.nan, -2.0])  # NaN marks an unusable day
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite or NaN"):
+            daily("2000-01-01", [1.0, bad, np.nan])
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +162,17 @@ def test_daily_maxima_simple_max():
     vals = np.full(48, np.nan)
     vals[[3, 10, 15]] = [0.1, 0.5, 0.3]
     out = daily_maxima(hourly(vals), min_valid_hours=1)
-    assert out.valid[0] and out.max_level[0] == 0.5
-    assert not out.valid[1]
+    assert out.max_level[0] == 0.5
+    assert np.isnan(out.max_level[1])
 
 
 def test_daily_maxima_min_valid_hours_rule():
     vals = np.full(24, np.nan)
     vals[:10] = 1.0
     out = daily_maxima(hourly(vals), min_valid_hours=12)
-    assert not out.valid[0]
+    assert np.isnan(out.max_level[0])
     out = daily_maxima(hourly(vals), min_valid_hours=10)
-    assert out.valid[0]
+    assert out.max_level[0] == 1.0
 
 
 def test_daily_maxima_matches_naive_scan():
@@ -184,10 +188,9 @@ def test_daily_maxima_matches_naive_scan():
         day = vals[24 * d : 24 * (d + 1)]
         finite = day[np.isfinite(day)]
         if finite.size >= 6:
-            assert out.valid[d]
             assert out.max_level[d] == finite.max()
         else:
-            assert not out.valid[d]
+            assert np.isnan(out.max_level[d])
 
 
 @pytest.mark.parametrize(
@@ -208,8 +211,8 @@ def test_detrend_and_daily_maxima_equal_the_temporaries_oracle(n, start, window_
     for min_hours in (1, 6, 24):
         got_days = daily_maxima(got, min_hours)
         want_days = daily_maxima_unique(want, min_hours)
-        for field, a, b in zip(("days", "max_level", "valid"),
-                               (days(got_days), got_days.max_level, got_days.valid), want_days):
+        got_fields = (days(got_days), got_days.max_level)
+        for field, a, b in zip(("days", "max_level"), got_fields, want_days):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
@@ -263,7 +266,6 @@ def test_detrend_and_daily_maxima_equal_the_whole_record_references(n, start, wi
         got_days, want_days = daily_maxima(got, min_hours), daily_maxima_whole(want, min_hours)
         assert got_days.first_day == want_days.first_day
         assert np.array_equal(got_days.max_level.view(np.int64), want_days.max_level.view(np.int64))
-        assert np.array_equal(got_days.valid, want_days.valid)
     # each record holds what it is named for
     dropped = np.isnan(want.levels) & np.isfinite(series.levels)  # windows short of valid hours
     zeros = want.levels[want.levels == 0]
@@ -285,7 +287,6 @@ def test_detrend_and_daily_maxima_do_not_depend_on_the_block_size(monkeypatch, b
         assert np.array_equal(got.levels.view(np.int64), want.levels.view(np.int64))
         got_days, want_days = daily_maxima(got, 6), daily_maxima_whole(want, 6)
         assert np.array_equal(got_days.max_level.view(np.int64), want_days.max_level.view(np.int64))
-        assert np.array_equal(got_days.valid, want_days.valid)
 
 
 @pytest.mark.parametrize(
@@ -297,7 +298,7 @@ def test_restrict_years_keeps_the_days_of_those_calendar_years(first_year, last_
     years = days(series).astype("datetime64[Y]").astype(np.int64) + 1970
     keep = (years >= first_year) & (years <= last_year)
     assert got.max_level.tolist() == series.max_level[keep].tolist()
-    assert got.valid.size == np.count_nonzero(keep)
+    assert got.max_level.size == np.count_nonzero(keep)
     if keep.any():
         assert got.first_day == days(series)[keep][0]
 
@@ -329,6 +330,15 @@ def test_threshold_requires_enough_days():
         compute_threshold(series, 0.99)
 
 
+def test_threshold_reads_only_the_days_that_are_not_nan():
+    vals = np.full(300, np.nan)
+    vals[::3] = np.arange(1.0, 101.0)
+    assert compute_threshold(daily("2000-01-01", vals), 0.99) == pytest.approx(99.01, abs=1e-12)
+    vals[0] = np.nan  # 99 usable days of 300
+    with pytest.raises(ValueError, match="insufficient data"):
+        compute_threshold(daily("2000-01-01", vals), 0.99)
+
+
 # ---------------------------------------------------------------------------
 # decluster
 # ---------------------------------------------------------------------------
@@ -338,7 +348,7 @@ def make_daily_from_heights(day_heights: dict[int, float], n_days=400, start="20
     vals = np.zeros(n_days)
     for d, h in day_heights.items():
         vals[d] = h
-    return daily(start, vals, valid=np.ones(n_days, dtype=bool))
+    return daily(start, vals)
 
 
 def test_decluster_single_cluster_keeps_max():
@@ -402,9 +412,8 @@ def test_decluster_idempotent_and_separated():
 
 def test_decluster_durations_count_only_valid_days():
     series = make_daily_from_heights({10: 2.0, 400: 2.2}, n_days=730)
-    valid = series.valid.copy()
-    valid[[0, 1, 2, 500]] = False  # three days of 2001, one of 2002
-    out = decluster(DailySeries(series.first_day, series.max_level, valid), 1.5, 3)
+    series.max_level[[0, 1, 2, 500]] = np.nan  # three days of 2001, one of 2002
+    out = decluster(series, 1.5, 3)
     assert out.years.tolist() == [2001, 2002]
     assert out.durations.tolist() == [362, 364]
 
@@ -566,7 +575,7 @@ def test_detrend_and_daily_maxima_work_in_blocks():
         maxima_peak = (tracemalloc.get_traced_memory()[1] - before) / n
     finally:
         tracemalloc.stop()
-    assert days.valid.any()
+    assert not np.isnan(days.max_level).all()
     assert detrend_peak <= 12, detrend_peak
     assert maxima_peak <= 5, maxima_peak
 

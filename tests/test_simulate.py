@@ -116,7 +116,7 @@ def test_simulate_record_survives_declustering():
     grid = np.arange(first, last + np.timedelta64(1, "D"))
     vals = np.zeros(grid.size)
     vals[(dates - first).astype(np.int64)] = heights
-    daily = DailySeries(grid[0], vals, np.ones(grid.size, dtype=bool))
+    daily = DailySeries(grid[0], vals)
     out = decluster(daily, record.threshold, separation_days=3)
     assert out.dates.tolist() == dates.tolist()
     assert out.heights.tolist() == heights.tolist()
