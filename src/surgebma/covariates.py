@@ -148,8 +148,8 @@ def _read_rows(path, parse: Callable[[list[str]], tuple]) -> list[tuple]:
                 out.append(parse(row))
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad row {row!r}") from exc
-    if not out:
-        raise ValueError("empty input")
+        if not out:
+            raise ValueError("empty input")
     return out
 
 

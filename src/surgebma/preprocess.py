@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
-import re
-from collections import deque
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 
@@ -59,10 +58,6 @@ _POWERS_OF_TEN = np.array([10 ** k for k in range(EXACT_DIGITS + 1)], dtype=floa
 # more byte stamps, which numpy seems to run without the GIL, is killed by a
 # signal at a bad one ("2000-02-30T00", "notatime"; numpy 2.4) instead of raising
 CAST_ITEMS = 500
-# after the T or space that starts a stamp's time, anything but its digits,
-# ":" and "." is a zone, which numpy reads with only a warning, applying an
-# offset: searched as two patterns, each found fast from its first character
-_ZONES = (re.compile(r"T[0-9:.]*[^0-9:.,]"), re.compile(r" [0-9:.]*[^0-9:.,]"))
 # ExceedanceSet's array fields and the dtype each is stored in
 _EXCEEDANCE_DTYPES = {
     "years": np.int64, "durations": np.int64, "counts": np.int64,
@@ -210,7 +205,7 @@ def read_hourly_csv(path) -> HourlySeries:
     numpy conversion per column and chunk, with a row-by-row scan only to name
     the line of a bad row. A plain chunk (``_bulk_columns``) is cut into
     fields as bytes, any other into csv rows. A stamp may end in one ``Z``,
-    which is dropped; a ``Z`` anywhere else in it is a bad timestamp. Each
+    which is dropped; ``_cast_stamps`` decides which stamps are bad. Each
     chunk is written into two buffers sized by a first pass that counts the
     file's lines, so the record is held once. The series starts at the
     earliest stamp and each level goes to its hour: hours absent from the file
@@ -245,8 +240,9 @@ def read_hourly_csv(path) -> HourlySeries:
                 rest = io.StringIO(carry + fh.readline(), newline="")
                 rows = _csv_rows(text, chain(rest, fh))
                 carry = rest.read()
+            stamp_fields, level_fields = columns or _row_columns(rows)
             try:
-                t, v = _parse_columns(*(columns or _row_columns(rows)))
+                t, v = _cast_stamps(stamp_fields), np.asarray(level_fields, dtype=float)
             except ValueError:
                 rows = csv.reader(io.StringIO(text, newline="")) if rows is None else rows
                 _raise_bad_row(path, rows, lineno)
@@ -256,7 +252,7 @@ def read_hourly_csv(path) -> HourlySeries:
             n += t.size
             lineno += t.size if rows is None else len(rows)
     if not n:
-        raise ValueError("empty input")
+        raise ValueError(f"{path}: empty input")
     t, vals = stamps[:n], values[:n]
     if t[-1] - t[0] == np.timedelta64(n - 1, "h") and (t[1:] > t[:-1]).all():
         return HourlySeries(t[0], vals)
@@ -272,7 +268,7 @@ def read_hourly_csv(path) -> HourlySeries:
     seen = np.zeros(span, dtype=bool)
     seen[hour] = True
     if np.count_nonzero(seen) < n:
-        raise ValueError("duplicate timestamps in input")
+        raise ValueError(f"{path}: duplicate timestamps in input")
     full = np.full(span, np.nan)
     full[hour] = vals
     return HourlySeries(start, full)
@@ -303,9 +299,8 @@ def _bulk_columns(text):
     with no quote, each line ending in LF or CRLF and holding one comma, a
     stamp and a level that is empty or ``-?digits[.digits]``, both shorter than
     ``PLAIN_FIELD_BYTES``. A space may stand only between two digits, as in
-    ``1928-01-01 00:00:00``, a ``Z`` only at the end of a stamp, and a ``+``
-    or ``-`` only before a stamp's time; a text with no space or ``Z`` pays
-    for no check of them.
+    ``1928-01-01 00:00:00``, and a ``Z`` only at the end of a stamp; a text
+    with no space or ``Z`` pays for no check of them.
     """
     if '"' in text or not text.isascii():
         return None
@@ -332,11 +327,6 @@ def _bulk_columns(text):
             or max(stamp_len.max(), level_len.max()) >= PLAIN_FIELD_BYTES):
         return None
     stamps = _gather(raw, starts, stamp_len + 1)  # each from the line end before it
-    # a sign after the T or space that starts a stamp's time is a UTC offset,
-    # which numpy would apply: refused by the csv path
-    timed = _after((stamps == ord("T")) | (stamps == ord(" ")))
-    if (timed & ((stamps == ord("-")) | (stamps == ord("+")))).any():
-        return None
     levels = _gather(raw, commas + 1, level_len + 1)  # each from its comma
     flat = levels.ravel()
     digit, dot = flat - ord("0") < 10, flat == ord(".")
@@ -387,18 +377,6 @@ def _cast_levels(fields, length):
     return text.view(f"S{text.shape[1]}")[:, 0].astype(float)
 
 
-def _after(flags):
-    """``flags``, rows of a whole number of 64-bit words, with each byte after
-    a set one in its row set too: a running "or" along each row, by shifts
-    within each word and a carry from each word to the next."""
-    words = flags.view("<u8").copy()
-    for shift in (8, 16, 32):
-        words |= words << np.uint64(shift)
-    for k in range(1, words.shape[1]):
-        words[:, k] |= (words[:, k - 1] >> np.uint64(56)) * np.uint64(0x0101010101010101)
-    return words.view(bool)
-
-
 def _gather(raw, first, count):
     """Rows ``raw[first:first + count]``, zero-filled to whole 64-bit words
     with one zero at least."""
@@ -423,34 +401,38 @@ def _csv_rows(text, rest) -> list[list[str]]:
 
 def _row_columns(rows):
     """Stripped timestamp and level fields of the non-blank ``rows``, with one
-    trailing ``Z`` of a stamp dropped and ``nan`` for an empty level. Raises
-    ValueError if a stamp is not UTC (``_not_utc``)."""
+    trailing ``Z`` of a stamp dropped and ``nan`` for an empty level."""
     kept = [row for row in rows if any(c.strip() for c in row)]
     stamps = [row[0].strip().removesuffix("Z") for row in kept]
-    if _not_utc(",".join(stamps)):
-        raise ValueError("a timestamp that is not UTC")
     return stamps, [(row[1].strip() if len(row) > 1 else "") or "nan" for row in kept]
 
 
-def _not_utc(stamps) -> bool:
-    """Whether a stamp of ``stamps`` is not UTC: it holds another ``Z``, or a
-    zone after its time (``_ZONES``), such as ``+0100``, ``-02:00`` or the
-    space of ``T09 Z``. Each stamp is stripped, with its one trailing ``Z``
-    dropped; several are joined by commas, which numpy refuses in any stamp."""
-    return "Z" in stamps or any(zone.search(stamps) for zone in _ZONES)
+def _cast_stamps(stamps) -> np.ndarray:
+    """The datetime64[h] array of ``stamps``, a list of str or a byte array,
+    each stripped and with no trailing ``Z``. Raises ValueError on a stamp
+    that is not a UTC date or hour, the one rule of both reader paths.
 
-
-def _parse_columns(stamps, levels):
-    """datetime64[h] and float arrays of the fields: stamps as a list of str
-    or a byte array, with no ``Z``, and levels as a list of str, with ``nan``
-    for an empty one, or as float64. Raises ValueError on any bad field. The
-    stamps are cast ``CAST_ITEMS`` at a time."""
+    A stamp must start with a digit: numpy reads ``now`` and ``today`` as the
+    clock, ``""`` and ``NaT`` as NaT, and a leading sign as that of the year.
+    The rest is numpy's cast, ``CAST_ITEMS`` stamps at a time, with its
+    warnings raised as errors: numpy reads anything after a stamp's time (an
+    offset such as ``+0100``, a ``Z``, a space, a letter) as a zone, and only
+    warns before it applies it or fails.
+    """
+    # each stamp's first byte; a stamp that is not ASCII fails here to encode,
+    # as numpy's cast would fail to read it
+    first = np.asarray(stamps, dtype="S1").view(np.uint8)
+    if not (first - ord("0") < 10).all():
+        raise ValueError("a timestamp that does not start with a digit")
     t = np.empty(len(stamps), dtype="datetime64[h]")
-    for i in range(0, t.size, CAST_ITEMS):
-        t[i:i + CAST_ITEMS] = stamps[i:i + CAST_ITEMS]
-    if np.isnat(t).any():  # numpy reads "" and "NaT" as NaT without raising
-        raise ValueError("missing timestamp")
-    return t, np.asarray(levels, dtype=float)  # float("nan") is np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            for i in range(0, t.size, CAST_ITEMS):
+                t[i:i + CAST_ITEMS] = stamps[i:i + CAST_ITEMS]
+        except Warning as exc:
+            raise ValueError(f"a timestamp with a zone: {exc}") from exc
+    return t
 
 
 def _raise_bad_row(path, rows, first_lineno) -> None:
@@ -458,13 +440,10 @@ def _raise_bad_row(path, rows, first_lineno) -> None:
     for lineno, row in enumerate(rows, start=first_lineno):
         if not any(c.strip() for c in row):
             continue
-        stamp = row[0].strip().removesuffix("Z")
-        try:  # a stamp that is not UTC is bad, as NaT is
-            ts = np.datetime64("NaT" if _not_utc(stamp) else stamp, "h")
+        try:
+            _cast_stamps([row[0].strip().removesuffix("Z")])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc
-        if np.isnat(ts):
-            raise ValueError(f"{path}:{lineno}: bad timestamp {row[0]!r}")
         raw = row[1].strip() if len(row) > 1 else ""
         if raw:
             try:
@@ -557,7 +536,9 @@ def detrend_moving_mean(series: HourlySeries, window_days: float) -> HourlySerie
     The output hours are computed ``BLOCK_HOURS`` at a time, so the output is
     the one array as long as the record. A window's sum and valid count are
     those of the hours before its end less those of the hours before its
-    start, from ``_RunningSums``, which makes each running sum once.
+    start, both slices of one array of running sums (``_running_sums``): it
+    holds those from the block's first window start to its last window end,
+    and each block appends the next and drops those no later window needs.
     """
     if not (np.isfinite(window_days) and window_days >= 1):
         raise ValueError(f"window_days must be a finite number >= 1, got {window_days!r}")
@@ -565,25 +546,30 @@ def detrend_moving_mean(series: HourlySeries, window_days: float) -> HourlySerie
     n = levels.size
     half = int(round(window_days * HOURS_PER_DAY / 2))
     out = np.empty(n)
-    # hour i's window is the hours [max(i - half, 0), min(i + half + 1, n)); the
-    # sums over the first k hours are needed at a window's start for k = 1 ...
-    # n - half - 1, and at its end from k = half + 1 on, so those up to k =
-    # half are made before the first block
-    running = _RunningSums(levels, keep=n - half - 1)
-    lead = min(half, n)
-    for k in range(0, lead, BLOCK_HOURS):
-        running.ahead(min(BLOCK_HOURS, lead - k))
+    # hour i's window is the hours [max(i - half, 0), min(i + half + 1, n));
+    # sums[j] is the running sum over the hours before hour first + j, and a
+    # block needs those before its windows' starts and ends
+    sums, first = np.empty(0, dtype=complex), 1
     with np.errstate(invalid="ignore", divide="ignore"):
         for a in range(0, n, BLOCK_HOURS):
             b = min(a + BLOCK_HOURS, n)
+            done, keep = first + sums.size - 1, max(a - half, 1)
+            seed = sums[-1] if done else None
+            # the next levels are appended as they are and summed in place, so
+            # the old array and the new one are all the block holds at once
+            piece = levels[done:min(b + half, n)]
+            sums, first = np.concatenate((sums[keep - first:], piece)), keep
+            _running_sums(sums[sums.size - piece.size:], seed)
             inside = min(max(n - half - a, 0), b - a)  # hours whose window ends before the record does
+            end = a + half + 1 - first
             window = np.empty(b - a, dtype=complex)
-            window[:inside] = running.ahead(inside)
-            window[inside:] = running.last
+            window[:inside] = sums[end:end + inside]
+            window[inside:] = sums[-1]
             # the hours whose window starts at the first hour subtract nothing,
             # as x - 0.0 is x, bit for bit
             clipped = min(max(half + 1 - a, 0), b - a)
-            running.subtract_behind(window[clipped:])
+            start = a + clipped - half - first
+            window[clipped:] -= sums[start:start + b - a - clipped]
             total, n_valid = window.real, window.imag
             length = 2 * half + 1  # of a window inside the record
             if clipped or inside < b - a:
@@ -598,53 +584,25 @@ def detrend_moving_mean(series: HourlySeries, window_days: float) -> HourlySerie
     return HourlySeries(series.start, out)
 
 
-class _RunningSums:
-    """The sums over a record's first k hours, for k = 1, 2, ... in turn, each
-    as one complex number: its real part sums the valid levels, and its
-    imaginary part counts the valid hours. Complex numbers add part by part,
-    each as float64 adds, and a count below 2**53 is exact, so one
-    ``np.cumsum`` makes both.
+def _running_sums(levels: np.ndarray, seed) -> None:
+    """Turn ``levels``, a complex array of levels as its real parts, into
+    their running sums in place, each as one complex number: its real part
+    sums the valid levels, and its imaginary part counts the valid hours.
+    Complex numbers add part by part, each as float64 adds, and a count below
+    2**53 is exact, so one ``np.cumsum`` makes both.
 
-    ``ahead`` makes the next sums. Each piece's cumsum is seeded with the sum
-    before it, and the first starts at its first level, so each sum is the one
-    that a single ``np.cumsum`` over the whole record makes, bit for bit; a
-    missing hour adds 0.0, which turns a sum of -0.0 into 0.0 there too. The
-    sums for k up to ``keep`` are held until ``subtract_behind`` takes them,
-    in the same order: for ``detrend_moving_mean``, those of about one window
-    and two blocks.
+    ``seed`` is the sum before the first level, or None for a piece that starts
+    at hour 0, whose first sum is its first level. So each sum is the one that
+    a single ``np.cumsum`` over the whole record makes, bit for bit: a missing
+    hour adds 0.0, which turns a sum of -0.0 into 0.0 there too, but nothing
+    is added before hour 0.
     """
-
-    def __init__(self, levels: np.ndarray, keep: int):
-        self.levels, self.keep = levels, keep
-        self.k, self.last = 0, 0j  # the sum over the first k hours
-        self.held = deque()
-
-    def ahead(self, m: int) -> np.ndarray:
-        """The sums for the next ``m`` values of k."""
-        hours = self.levels[self.k:self.k + m]
-        valid = np.isfinite(hours)
-        sums = np.zeros(m + 1, dtype=complex)
-        np.copyto(sums.real[1:], hours, where=valid)
-        sums.imag[1:] = valid
-        sums[0] = self.last
-        seeded = sums if self.k else sums[1:]
-        np.cumsum(seeded, out=seeded)
-        held = min(max(self.keep - self.k, 0), m)
-        if held:
-            self.held.append(sums[1:held + 1])
-        self.k, self.last = self.k + m, sums[-1]
-        return sums[1:]
-
-    def subtract_behind(self, window: np.ndarray) -> None:
-        """Subtract the next ``window.size`` held sums from ``window``, in place."""
-        at = 0
-        while at < window.size:
-            sums = self.held.popleft()
-            m = min(sums.size, window.size - at)
-            window[at:at + m] -= sums[:m]
-            if m < sums.size:
-                self.held.appendleft(sums[m:])
-            at += m
+    valid = np.isfinite(levels.real)
+    np.copyto(levels.real, 0.0, where=~valid)
+    levels.imag = valid
+    if seed is not None:
+        levels[:1] += seed
+    np.cumsum(levels, out=levels)
 
 
 def daily_maxima(series: HourlySeries, min_valid_hours: int) -> DailySeries:

@@ -1,7 +1,7 @@
 """Forward simulation from known PP/GPD parameters.
 
-Used as ground truth for identifiability experiments, for Monte-Carlo
-validation of the analytic return-level inversion, and to generate the
+Used as ground truth for identifiability experiments, as the sampler of
+the Monte-Carlo return-level oracle of the tests, and to generate the
 synthetic station fixtures that let the full pipeline run without access to
 real tide-gauge archives. Event magnitudes come from the exact inverse-CDF
 generalized Pareto sampler; counts are Poisson.
@@ -18,7 +18,6 @@ import numpy as np
 from .covariates import CovariateKind, CovariateSeries
 from .models import (
     ACTIVE_PARAMS,
-    DAYS_PER_YEAR,
     XI_EPS,
     ModelStructure,
     NonstatLevel,
@@ -27,7 +26,7 @@ from .models import (
     effective_params,
 )
 from .preprocess import ExceedanceSet
-from .utils import empirical_quantile, write_csv
+from .utils import write_csv
 
 EVENT_SPACING_DAYS = 3  # assigned event dates keep at least this separation
 
@@ -116,40 +115,6 @@ def simulate_record(spec: SimulationSpec) -> ExceedanceSet:
     return ExceedanceSet(
         spec.threshold, years, durations, counts, np.concatenate(dates), np.concatenate(heights)
     )
-
-
-def empirical_return_level(
-    row,
-    structure: ModelStructure,
-    phi_year: float,
-    mu: float,
-    period: float,
-    n_sim_years: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte-Carlo return level: the (1 - 1/T) quantile of simulated annual maxima.
-
-    ``row`` holds the active parameters of ``structure``. Years without
-    exceedances contribute an annual maximum of -inf (below the threshold
-    regime). Independent of the analytic inversion.
-    """
-    if n_sim_years < 100 * period:
-        raise ValueError("need at least 100*T simulated years")
-    lam, sig, xi = map(float, effective_params(row, structure.level, phi_year))
-    counts = rng.poisson(lam * DAYS_PER_YEAR, size=n_sim_years)
-    total = int(counts.sum())
-    if total == 0:
-        raise ValueError("no exceedances simulated")
-    heights = mu + gpd_sample(sig, xi, total, rng)
-    maxima = np.full(n_sim_years, -np.inf)
-    nonzero = counts > 0
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    maxima[nonzero] = np.maximum.reduceat(heights, starts[nonzero])
-    level = float(empirical_quantile(maxima, 1.0 - 1.0 / period))
-    if not math.isfinite(level):
-        raise ValueError("too few simulated exceedances for this return period")
-    return level
 
 
 # ---------------------------------------------------------------------------

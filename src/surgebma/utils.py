@@ -67,9 +67,10 @@ PARSE_ERRORS = (csv.Error, json.JSONDecodeError, KeyError, TypeError, IndexError
 
 @contextmanager
 def parse_errors_named(path):
-    """Re-raise a ``PARSE_ERRORS`` error raised while parsing ``path`` as a
+    """Re-raise a ``PARSE_ERRORS`` error, or a ``ValueError`` whose message
+    does not start with ``path``, raised while parsing ``path`` as a
     ``ValueError`` naming ``path``, so the CLI reports a malformed file as bad
-    input."""
+    input and says which file it is."""
     try:
         yield
     except PARSE_ERRORS as exc:
@@ -80,3 +81,7 @@ def parse_errors_named(path):
         else:
             detail = str(exc)
         raise ValueError(f"{path}: {detail}") from exc
+    except ValueError as exc:
+        if str(exc).startswith(str(path)):  # as the hourly reader's <path>:<line> errors
+            raise
+        raise ValueError(f"{path}: {exc}") from exc

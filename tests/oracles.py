@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own code paths: the likelihood oracle is
 a double loop in extended precision, the scalar GPD and Poisson densities and
-the closed-form return level are written out term by term, the declustering
+the closed-form return level are written out term by term, the Monte-Carlo
+return level takes quantiles of simulated annual maxima, the declustering
 oracle builds clusters by transitive closure in O(n^2), and the sampler oracle
 steps one chain at a time on a row density. The row-kernel, hourly CSV reader
 and writer, detrending and daily-maxima oracles are earlier versions kept as
@@ -21,8 +22,12 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
-from surgebma.models import ACTIVE_PARAMS, DIRECT_SCALE, XI_EPS, NonstatLevel
+from surgebma.models import (
+    ACTIVE_PARAMS, DAYS_PER_YEAR, DIRECT_SCALE, XI_EPS, NonstatLevel, effective_params,
+)
 from surgebma.preprocess import HOURS_PER_DAY, MIN_VALID_FRACTION, DailySeries, HourlySeries
+from surgebma.simulate import gpd_sample
+from surgebma.utils import empirical_quantile
 
 
 def gpd_logpdf(x: float, mu: float, sig: float, xi: float) -> float:
@@ -112,6 +117,33 @@ def closed_form_return_level(row, structure, phi, mu, period):
     if abs(xi) < 1e-8:
         return mu + sig * math.log(growth)
     return mu + sig / xi * (growth**xi - 1.0)
+
+
+def empirical_return_level(row, structure, phi_year, mu, period, n_sim_years, rng):
+    """Monte-Carlo return level: the (1 - 1/T) quantile of simulated annual maxima.
+
+    ``row`` holds the active parameters of ``structure``. Years without
+    exceedances contribute an annual maximum of -inf (below the threshold
+    regime). Independent of the analytic inversion; the counts are Poisson
+    and the heights come from ``simulate.gpd_sample``.
+    """
+    if n_sim_years < 100 * period:
+        raise ValueError("need at least 100*T simulated years")
+    lam, sig, xi = map(float, effective_params(row, structure.level, phi_year))
+    counts = rng.poisson(lam * DAYS_PER_YEAR, size=n_sim_years)
+    total = int(counts.sum())
+    if total == 0:
+        raise ValueError("no exceedances simulated")
+    heights = mu + gpd_sample(sig, xi, total, rng)
+    maxima = np.full(n_sim_years, -np.inf)
+    nonzero = counts > 0
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    maxima[nonzero] = np.maximum.reduceat(heights, starts[nonzero])
+    level = float(empirical_quantile(maxima, 1.0 - 1.0 / period))
+    if not math.isfinite(level):
+        raise ValueError("too few simulated exceedances for this return period")
+    return level
 
 
 def brute_force_decluster(days, heights, sep):
@@ -248,19 +280,18 @@ def read_hourly_csv_rows(path):
     row gives one.
 
     A stamp may end in one ``Z``; a ``Z`` anywhere else, a sign after the
-    time's ``T`` or space (a UTC offset) or a space before a dropped ``Z`` is
-    a bad timestamp.
-    It does not refuse a timestamp that numpy reads as NaT (empty, ``NaT``):
-    such a row fails later, in ``np.arange``, with no line number.
+    time's ``T`` or space (a UTC offset), a space before a dropped ``Z`` or a
+    first character that is not a digit (``now``, ``today``, ``NaT``, an empty
+    stamp, a signed year) is a bad timestamp.
     """
     times, levels = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise ValueError("empty input")
+            raise ValueError(f"{path}: empty input")
         if [c.strip().lower() for c in header[:2]] != ["timestamp", "level_m"]:
-            raise ValueError(f"expected header 'timestamp,level_m', got {header!r}")
+            raise ValueError(f"{path}: expected header 'timestamp,level_m', got {header!r}")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -270,6 +301,8 @@ def read_hourly_csv_rows(path):
             # what follows the T or space that starts the time
             time = re.split("[T ]", stamp, maxsplit=1)[1:]
             try:
+                if not "0" <= stamp[:1] <= "9":
+                    raise ValueError(f"the timestamp {stamp!r} does not start with a digit")
                 if "Z" in stamp:
                     raise ValueError(f"a Z inside the timestamp {stamp!r}")
                 if stamp[-1:].isspace() or "+" in "".join(time) or "-" in "".join(time):
@@ -288,12 +321,12 @@ def read_hourly_csv_rows(path):
             times.append(ts)
             levels.append(val)
     if not times:
-        raise ValueError("empty input")
+        raise ValueError(f"{path}: empty input")
     t = np.array(times, dtype="datetime64[h]")
     order = np.argsort(t)
     t, vals = t[order], np.array(levels, dtype=float)[order]
     if np.any(np.diff(t.astype(np.int64)) == 0):
-        raise ValueError("duplicate timestamps in input")
+        raise ValueError(f"{path}: duplicate timestamps in input")
     grid = np.arange(t[0], t[-1] + np.timedelta64(1, "h"), dtype="datetime64[h]")
     full = np.full(grid.size, np.nan)
     full[(t - grid[0]).astype(np.int64)] = vals

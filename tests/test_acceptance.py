@@ -18,7 +18,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from oracles import brute_force_decluster, gpd_logpdf, naive_loglik
+from oracles import brute_force_decluster, empirical_return_level, gpd_logpdf, naive_loglik
 from surgebma.cli import main
 from surgebma.covariates import CovariateSeries
 from surgebma.evidence import aggregate_by_covariate, bma_weights, bridge_evidence
@@ -34,7 +34,7 @@ from surgebma.models import (
 from surgebma.preprocess import DailySeries, ExceedanceSet, decluster
 from surgebma.priors import fit_all_priors, load_mle_table, mle_fit
 from surgebma.sampler import ChainConfig, PosteriorEnsemble, gelman_rubin, pool_and_thin, ram_step, run_chains
-from surgebma.simulate import SimulationSpec, empirical_return_level, simulate_record, synthetic_covariates
+from surgebma.simulate import SimulationSpec, simulate_record, synthetic_covariates
 from surgebma.utils import load_json
 
 ST = ModelStructure(NonstatLevel.ST, None)

@@ -195,11 +195,18 @@ def _overwrite(name, text):
     return lambda out: (out / name).write_text(text)
 
 
+def _word_in_a_draw(out):
+    path = out / "ensembles" / "NS1-time.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = "abc" + lines[1][lines[1].index(","):]
+    path.write_text("".join(lines))
+
+
 LOADERS = ("calibrate", "evidence", "project")  # the stages that read exceedances and priors
 # how an earlier stage's output is spoiled (a file to remove, or a function),
 # what the refusal names, and the stages that read that output; a malformed
 # file is named whatever its parse raises (a missing key, a wrong type, too
-# few rows, broken JSON)
+# few rows, broken JSON, a value that is not a number)
 SPOILED_OUTPUTS = {
     "no_exceedances": ("exceedances.json", "exceedances.json", LOADERS),
     "no_priors": ("priors.json", "priors.json", LOADERS),
@@ -214,6 +221,7 @@ SPOILED_OUTPUTS = {
     "priors_without_structures": (_overwrite("priors.json", '{"meta": {}}'), "priors.json", LOADERS),
     "empty_ensemble": (
         _overwrite("ensembles/NS1-time.csv", ""), "NS1-time.csv", ("evidence", "project")),
+    "word_in_an_ensemble_draw": (_word_in_a_draw, "NS1-time.csv", ("evidence", "project")),
     "evidence_not_an_object": (_overwrite("evidence.json", "[]"), "evidence.json", ("report",)),
     "empty_return_levels": (
         _overwrite("return_levels/NS1-time.csv", ""), "NS1-time.csv", ("report",)),
@@ -305,7 +313,8 @@ def test_calibrate_refuses_a_malformed_exceedance_file(pipeline_dir, tmp_path, c
     doctor(payload["years"], next(b for b in payload["years"] if b["records"]))
     (tmp_path / "out" / "exceedances.json").write_text(json.dumps(payload))
     assert main(["calibrate", "--config", str(tmp_path / "run.ini")]) == 2
-    assert re.search(f"^error: {message}", capsys.readouterr().err, re.MULTILINE)
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: \S+exceedances\.json: {message}\n", err), err
     assert not (tmp_path / "out" / "ensembles").exists()
 
 
@@ -601,9 +610,11 @@ def write_plain_hourly_csv(path, n, bad_row, stamp):
     path.write_text("timestamp,level_m\n" + "".join(f"{s},1.0\n" for s in stamps))
 
 
-# in one numpy 2.4 cast of more than 500 byte stamps, each of these killed the
-# process instead of raising: so each test reads in a child interpreter
-BAD_PLAIN_STAMPS = ["2000-02-30T00", "notatime", "2000-01-01T", "2000-01-01T05a"]
+# in one numpy 2.4 cast of more than 500 byte stamps, each of the first four
+# killed the process instead of raising: so each test reads in a child
+# interpreter; numpy casts the last with a warning, which the cast raises
+BAD_PLAIN_STAMPS = ["2000-02-30T00", "notatime", "2000-01-01T", "2000-01-01T05a",
+                    "2000-01-01T05+0100"]
 
 
 @pytest.mark.parametrize("stamp", BAD_PLAIN_STAMPS)
@@ -624,15 +635,19 @@ def test_hourly_csv_reader_refuses_a_bad_stamp_among_more_than_500(tmp_path, sta
     assert out.stdout == f"{want.value}\n"
 
 
-def test_a_bad_stamp_among_more_than_500_exits_2_before_preprocess_writes(tmp_path):
+# a day out of range, a zone numpy warns of, an offset it would apply, and a
+# stamp numpy reads as the clock: each is the one line on stderr
+@pytest.mark.parametrize("stamp", ["2000-02-30T00", "2000-01-01T05a", "2000-01-01T05+0100", "now"])
+def test_a_bad_stamp_among_more_than_500_exits_2_before_preprocess_writes(tmp_path, stamp):
     config = make_workspace(tmp_path, structures="ST")
-    write_plain_hourly_csv(tmp_path / "station.csv", 5000, 2499, BAD_PLAIN_STAMPS[0])
+    write_plain_hourly_csv(tmp_path / "station.csv", 5000, 2499, stamp)
     out = subprocess.run(
         [sys.executable, "-m", "surgebma.cli", "preprocess", "--config", str(config)],
         capture_output=True, text=True, env=child_env(),
     )
     assert out.returncode == 2, out.stderr
-    assert re.fullmatch(r"error: \S+station\.csv:2501: bad timestamp '2000-02-30T00'\n", out.stderr)
+    want = rf"error: \S+station\.csv:2501: bad timestamp {re.escape(repr(stamp))}\n"
+    assert re.fullmatch(want, out.stderr), out.stderr
     assert not (tmp_path / "out").exists()
 
 

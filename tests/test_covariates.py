@@ -174,3 +174,7 @@ def test_read_annual_and_monthly_csv(tmp_path):
     bad.write_text(f'year,value\n2000,"{"1" * (csv.field_size_limit() + 1)}"\n')
     with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: field larger than"):
         read_annual_csv(bad)
+    for text in ("", "year,value\n\n , \n"):  # no header, or no row after it
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: empty input$"):
+            read_annual_csv(bad)

@@ -2,6 +2,7 @@ import codecs
 import csv
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -223,7 +224,10 @@ def reference_record(n, kind, seed):
     """Hourly levels for the whole-record references: gappy normal levels with
     a few infinite ones, and then by ``kind`` NaN runs longer than half of a
     30-day window, signed zeros (all -0.0 for over a block first), or levels
-    near 1e308, whose running sums overflow."""
+    near 1e308, whose running sums overflow; or, for ``negative_zeros``, -0.0
+    at every hour but the last 5, which are 1.0."""
+    if kind == "negative_zeros":
+        return np.r_[np.full(n - 5, -0.0), np.ones(5)]
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=n)
     if kind == "nan_runs":
@@ -255,6 +259,12 @@ def reference_record(n, kind, seed):
         pytest.param(3 * BLOCK + 17, "1990-01-01T05", 30.0, "nan_runs", id="nan_runs"),
         pytest.param(3 * BLOCK + 17, "1990-01-01T11", 1.0, "signed_zeros", id="signed_zeros"),
         pytest.param(3 * BLOCK + 17, "1990-01-01T22", 30.0, "huge", id="overflowing_sums"),
+        # half a window longer than a block: a later block's running sums
+        # must not add a 0.0 before hour 0, which would turn a sum of -0.0 to 0.0
+        pytest.param(3 * BLOCK + 100, "1990-01-01T00", 1100.0, "negative_zeros",
+                     id="negative_zeros_1100_day_window"),
+        pytest.param(3 * BLOCK + 100, "1990-01-01T00", 2000.0, "negative_zeros",
+                     id="negative_zeros_2000_day_window"),
     ],
 )
 def test_detrend_and_daily_maxima_equal_the_whole_record_references(n, start, window_days, kind):
@@ -272,6 +282,8 @@ def test_detrend_and_daily_maxima_equal_the_whole_record_references(n, start, wi
     assert {
         "nan_runs": dropped.any(),
         "signed_zeros": 0 < np.count_nonzero(np.signbit(zeros)) < zeros.size,
+        # -0.0 less the mean of a window of -0.0 from hour 0 is 0.0
+        "negative_zeros": (~np.signbit(zeros)).any(),
         "huge": np.isinf(want.levels).any() and dropped.any(),
     }.get(kind, True)
 
@@ -760,11 +772,42 @@ def test_a_stamp_of_the_plain_grammar_is_parsed_as_bytes(stamp):
     "\n2000-01-01T00,1.5\n", ",1.5\n", "2000-01-01T00\n", "2000-01-01T00,1.5,x\n",
     "2000-01-01T00,1.5\n\n", "2000-01-01T00,١\n", "2000-01-01T00\x0b,1.5\n",
     " 2000-01-01 00,1.5\n", "2000-01-01 00 ,1.5\n", "2000-01-01T00 Z,1.5\n",
-    "2000-01Z-01T00,1.5\n", "2000-01-01T00+01,1.5\n", "2000-01-01T00:00-0130,1.5\n",
-    "2000-01-01 00-01,1.5\n", "2000-01-01T00+01Z,1.5\n", "2000-01-01T00:00:00.12345-01,1.5\n",
+    "2000-01Z-01T00,1.5\n",
 ])
 def test_a_row_that_is_not_plain_sends_its_chunk_the_text_path(rows):
     assert preprocess._bulk_columns("2000-01-01T02,2.5\n" + rows) is None
+
+
+# a UTC offset after a plain stamp's time: its chunk goes the bytes path, where
+# numpy's cast warns of the zone, and the reader refuses the row by its line
+@pytest.mark.parametrize("stamp", ["2000-01-01T00+01", "2000-01-01T00:00-0130", "2000-01-01 00-01",
+                                   "2000-01-01T00+01Z", "2000-01-01T00:00:00.12345-01"])
+def test_an_offset_is_refused_on_the_bytes_path(tmp_path, stamp):
+    rows = f"2000-01-01T02,2.5\n{stamp},1.5\n"
+    assert preprocess._bulk_columns(rows) is not None
+    path = tmp_path / "bad.csv"
+    path.write_text(H + rows)
+    with pytest.raises(ValueError, match=re.escape(f"bad.csv:3: bad timestamp {stamp!r}")):
+        read_hourly_csv(path)
+
+
+# the zone forms after a stamp's time that README names: the reader refuses
+# each because numpy's cast of it, as the reader casts a list of str and a byte
+# array, warns (UserWarning on numpy 2, DeprecationWarning on numpy 1.24) or
+# fails, and never returns an hour silently
+ZONE_STAMPS = ["2000-01-01T05+0100", "2000-01-01T07-02:00", "2000-01-01T05+01",
+               "2000-01-01T09 Z", "2000-01-01T09 ", "2000-01-01T05Z", "2000-01-01T05a"]
+
+
+@pytest.mark.parametrize("form", ["str", "bytes"])
+@pytest.mark.parametrize("stamp", ZONE_STAMPS)
+def test_numpy_casts_a_stamp_with_a_zone_only_with_a_warning_or_an_error(stamp, form):
+    stamps = [stamp] if form == "str" else np.array([stamp.encode()])
+    t = np.empty(1, dtype="datetime64[h]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((UserWarning, DeprecationWarning, ValueError)):
+            t[:] = stamps
 
 
 # plain levels for the mantissa parse: leading zeros, negative zeros, the
@@ -861,7 +904,7 @@ def test_hourly_csv_reader_skips_a_byte_order_mark(tmp_path):
     assert got.levels.tolist() == want.levels.tolist() == [1.0, 2.0]
 
 
-@pytest.mark.parametrize("stamp", ["", "  ", "NaT", "nat", "Z"])
+@pytest.mark.parametrize("stamp", ["", "  ", "NaT", "nat", "Z", "now", "NOW", "today"])
 def test_hourly_csv_missing_timestamp_names_its_line(tmp_path, stamp):
     path = tmp_path / "bad.csv"
     path.write_text(f"timestamp,level_m\n2000-01-01T00,1.0\n{stamp},2.0\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import empirical_return_level
 from surgebma.covariates import CovariateKind
 from surgebma.hazard import ensemble_return_levels
 from surgebma.models import ModelStructure, NonstatLevel, make_loglik
@@ -11,7 +12,6 @@ from surgebma.preprocess import DailySeries, decluster
 from surgebma.sampler import PosteriorEnsemble
 from surgebma.simulate import (
     SimulationSpec,
-    empirical_return_level,
     gpd_sample,
     simulate_record,
     simulate_year,
