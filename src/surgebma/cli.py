@@ -44,18 +44,13 @@ from .hazard import (
     write_curve_json,
     write_quantile_table_csv,
 )
-# make_logpost is not called in this module; bench/tracing.py wraps the density
-# factories under their names here, so both row factories stay importable from it
-from .models import (
-    ACTIVE_PARAMS,
-    ModelStructure,
-    NonstatLevel,
-    make_logpost,
-    make_logpost_on_active,
-    make_logpost_rows,
-)
+# bench/tracing.py wraps the density factories by these names: make_logpost is not
+# called here, and the evidence stage calls it by a second name to be wrapped apart
+from .models import ACTIVE_PARAMS, ModelStructure, NonstatLevel, make_logpost, make_logpost_rows
+from .models import make_logpost as make_logpost_on_active
 from .preprocess import ExceedanceSet, preprocess_station, read_hourly_csv
 from .priors import (
+    MIN_PRIOR_SAMPLES,
     fit_all_priors,
     load_mle_table,
     load_priors,
@@ -430,6 +425,8 @@ def cmd_run_all(config: RunConfig) -> int:
 def cmd_simulate(args) -> int:
     from . import simulate as sim
 
+    if args.what != "mle-pack" and args.last_year < args.first_year:  # mle-pack's are fixed
+        raise ValueError(f"--last-year {args.last_year} is before --first-year {args.first_year}")
     if args.what == "station":
         mu = sim.write_hourly_fixture(
             args.out, args.first_year, args.last_year, seed=args.seed
@@ -441,12 +438,14 @@ def cmd_simulate(args) -> int:
         )
         print("wrote " + ", ".join(sorted(paths.values())))
     elif args.what == "mle-pack":
+        if args.stations < MIN_PRIOR_SAMPLES:
+            raise ValueError(f"--stations must be at least {MIN_PRIOR_SAMPLES} for fit-priors")
         table = sim.make_mle_fixture_pack(seed=args.seed, n_stations=args.stations)
         years = f"{sim.PACK_FIRST_YEAR}-{sim.PACK_LAST_YEAR}"
         meta = {"seed": args.seed, "stations": args.stations, "years": years}
         save_mle_table(table, args.out, meta=meta)
         print(f"wrote {args.out} ({args.stations} stations x {len(table)} structures)")
-    elif args.what == "record":
+    else:  # record
         structure = ModelStructure.parse(args.structure)
         covs = {} if structure.covariate is None else sim.synthetic_covariates(
             args.first_year, args.last_year, (args.first_year, args.last_year)
@@ -465,8 +464,6 @@ def cmd_simulate(args) -> int:
         )
         sim.simulate_record(spec).save(args.out)
         print(f"wrote {args.out}")
-    else:
-        raise ValueError(f"unknown simulate target {args.what!r}")
     return EXIT_OK
 
 
@@ -483,23 +480,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def pipeline(name, help_text):
+    # each cmd_* is looked up when main builds the parser, so a replaced one runs
+    def pipeline(name, command, help_text):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=command)
         p.add_argument("--config", required=True, help="INI run configuration")
         p.add_argument("--output-dir", help="override [run] output_dir")
         p.add_argument("--seed", type=int, help="override [run] seed")
         p.add_argument("--workers", type=int, help="override [run] workers")
         p.add_argument("--force", action="store_true", help="pool past a failed PSRF gate")
         p.add_argument("--structures", help="comma-separated structure ids")
-        return p
 
-    pipeline("preprocess", "detrend, daily maxima, threshold, decluster")
-    pipeline("fit-priors", "elicit per-structure priors from station MLE estimates")
-    pipeline("calibrate", "run adaptive MCMC per structure")
-    pipeline("evidence", "bridge-sample marginal likelihoods")
-    pipeline("project", "per-structure return levels at the projection year")
-    pipeline("report", "BMA weights, quantile tables, curve data")
-    pipeline("run-all", "full pipeline in one call")
+    pipeline("preprocess", cmd_preprocess, "detrend, daily maxima, threshold, decluster")
+    pipeline("fit-priors", cmd_fit_priors, "elicit per-structure priors from station MLE estimates")
+    pipeline("calibrate", cmd_calibrate, "run adaptive MCMC per structure")
+    pipeline("evidence", cmd_evidence, "bridge-sample marginal likelihoods")
+    pipeline("project", cmd_project, "per-structure return levels at the projection year")
+    pipeline("report", cmd_report, "BMA weights, quantile tables, curve data")
+    pipeline("run-all", cmd_run_all, "full pipeline in one call")
 
     simp = sub.add_parser("simulate", help="generate synthetic fixtures")
     simp.add_argument("what", choices=["station", "covariates", "mle-pack", "record"])
@@ -552,17 +550,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    handlers = {
-        "preprocess": cmd_preprocess,
-        "fit-priors": cmd_fit_priors,
-        "calibrate": cmd_calibrate,
-        "evidence": cmd_evidence,
-        "project": cmd_project,
-        "report": cmd_report,
-        "run-all": cmd_run_all,
-    }
     try:
-        return handlers[args.command](config)
+        return args.run(config)
     except GateError as exc:
         print(f"gate failure: {exc}", file=sys.stderr)
         return EXIT_GATE

@@ -141,7 +141,9 @@ def _read_rows(path, parse: Callable[[list[str]], tuple]) -> list[tuple]:
         reader = csv.reader(fh)
         if next(reader, None) is None:
             raise ValueError("empty input")
-        for lineno, row in enumerate(reader, start=2):
+        read = reader.line_num  # the lines before the row
+        for row in reader:
+            lineno, read = read + 1, reader.line_num  # the line the row starts on
             if not row or all(not c.strip() for c in row):
                 continue
             try:

@@ -90,9 +90,9 @@ def bridge_evidence(
         raise ValueError("non-finite proposal covariance")
     chol = np.linalg.cholesky(cov)
 
-    n1 = it.shape[0]
-    n2 = n1
-    proposal = mean + rng.standard_normal((n2, mean.size)) @ chol.T
+    # as many proposal draws as posterior ones, so each side's share n / (2n) is 0.5
+    n = it.shape[0]
+    proposal = mean + rng.standard_normal((n, mean.size)) @ chol.T
 
     def logq(rows: np.ndarray) -> np.ndarray:
         return np.array([log_density(r) for r in rows])
@@ -103,17 +103,13 @@ def bridge_evidence(
         raise ValueError("non-finite posterior density on ensemble draws")
 
     lstar = float(np.median(l1))
-    s1 = n1 / (n1 + n2)
-    s2 = n2 / (n1 + n2)
     r = 1.0
-    rel = math.inf
-    iterations = 0
     for iterations in range(1, BRIDGE_MAX_ITER + 1):
         # written to stay finite when the exponentials overflow either way
         with np.errstate(over="ignore"):
-            num = 1.0 / (s1 + s2 * r * np.exp(-(l2 - lstar)))
-            den = 1.0 / (s1 * np.exp(l1 - lstar) + s2 * r)
-        r_new = (np.sum(num) / n2) / (np.sum(den) / n1)
+            num = 1.0 / (0.5 + 0.5 * r * np.exp(-(l2 - lstar)))
+            den = 1.0 / (0.5 * np.exp(l1 - lstar) + 0.5 * r)
+        r_new = (np.sum(num) / n) / (np.sum(den) / n)
         if not math.isfinite(r_new) or r_new <= 0.0:
             raise GateError("bridge iteration collapsed; proposal does not overlap the posterior")
         rel = abs(r_new - r) / r_new

@@ -352,11 +352,6 @@ def make_logpost(
     return logpost
 
 
-# a second name for the same factory: the evidence stage calls it by this
-# name, so its density evals can be wrapped apart from other callers'
-make_logpost_on_active = make_logpost
-
-
 def make_logpost_rows(
     structure: ModelStructure,
     data: ExceedanceSet,

@@ -18,7 +18,7 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, tee
 
 import numpy as np
 
@@ -234,23 +234,22 @@ def read_hourly_csv(path) -> HourlySeries:
             text, carry = text[:cut], text[cut:]
             if not text:  # a line longer than the chunk
                 continue
-            rows = columns = None  # the last chunk's, freed
+            rows = columns = lines = None  # the last chunk's, freed
             if (columns := _bulk_columns(text)) is None:
                 # a quoted field left open reads on, through the carry
                 rest = io.StringIO(carry + fh.readline(), newline="")
-                rows = _csv_rows(text, chain(rest, fh))
+                rows, lines = _csv_rows(text, chain(rest, fh))
                 carry = rest.read()
             stamp_fields, level_fields = columns or _row_columns(rows)
             try:
                 t, v = _cast_stamps(stamp_fields), np.asarray(level_fields, dtype=float)
             except ValueError:
-                rows = csv.reader(io.StringIO(text, newline="")) if rows is None else rows
-                _raise_bad_row(path, rows, lineno)
+                _raise_bad_row(path, lines or io.StringIO(text, newline=""), lineno)
                 raise
             stamps[n:n + t.size] = t
             values[n:n + v.size] = v
             n += t.size
-            lineno += t.size if rows is None else len(rows)
+            lineno += t.size if lines is None else len(lines)
     if not n:
         raise ValueError(f"{path}: empty input")
     t, vals = stamps[:n], values[:n]
@@ -388,15 +387,17 @@ def _gather(raw, first, count):
     return words.view(np.uint8)
 
 
-def _csv_rows(text, rest) -> list[list[str]]:
+def _csv_rows(text, rest) -> tuple[list[list[str]], list[str]]:
     """The csv rows of the lines of ``text``, reading on from the lines of
-    ``rest`` to the end of a quoted field left open by its last line."""
+    ``rest`` to the end of a quoted field left open by its last line, and the
+    lines they were read from."""
     lines = io.StringIO(text, newline="").readlines()
+    rest, read_on = tee(rest)
     reader = csv.reader(chain(lines, rest))
     rows = []
     while reader.line_num < len(lines):
         rows.append(next(reader))
-    return rows
+    return rows, [*lines, *islice(read_on, reader.line_num - len(lines))]
 
 
 def _row_columns(rows):
@@ -435,21 +436,21 @@ def _cast_stamps(stamps) -> np.ndarray:
     return t
 
 
-def _raise_bad_row(path, rows, first_lineno) -> None:
-    """Raise the ``path:line`` error of the first bad row, scanning row by row."""
-    for lineno, row in enumerate(rows, start=first_lineno):
-        if not any(c.strip() for c in row):
-            continue
+def _raise_bad_row(path, lines, first_lineno) -> None:
+    """Raise the ``path:line`` error of the first bad csv row of ``lines``, which
+    start at file line ``first_lineno``, named by the line the row starts on."""
+    reader, lineno = csv.reader(lines), first_lineno
+    for row in reader:
+        stamps, levels = _row_columns([row])  # both empty for a blank row
         try:
-            _cast_stamps([row[0].strip().removesuffix("Z")])
+            _cast_stamps(stamps)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from exc
-        raw = row[1].strip() if len(row) > 1 else ""
-        if raw:
-            try:
-                float(raw)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad level {raw!r}") from exc
+        try:
+            np.asarray(levels, dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad level {levels[0]!r}") from exc
+        lineno = first_lineno + reader.line_num
 
 
 def write_hourly_csv(path, series: HourlySeries) -> None:

@@ -44,6 +44,7 @@ BARRIER_WEIGHTS = tuple(10.0**-k for k in range(13))  # the NS rate block's, 1 d
 STENCIL_STEP = 1e-4  # central-difference step, relative to max(|x|, 0.1)
 STENCIL_SHRINKS = 4  # times a stencil step may shrink 16-fold off the support edge
 EIGEN_FLOOR = 1e-8  # least eigenvalue magnitude of a Newton step, relative to the largest
+MIN_PRIOR_SAMPLES = 3  # station estimates a prior is fitted from, at least
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,8 @@ def fit_prior(samples, family: str) -> PriorSpec:
     use method-of-moments (shape = m^2/v, rate = m/v).
     """
     arr = np.asarray(samples, dtype=float)
-    if arr.size < 3:
-        raise ValueError("need at least 3 samples to fit a prior")
+    if arr.size < MIN_PRIOR_SAMPLES:
+        raise ValueError(f"need at least {MIN_PRIOR_SAMPLES} samples to fit a prior")
     m = float(arr.mean())
     v = float(arr.var(ddof=1))
     if v <= 0:

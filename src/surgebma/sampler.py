@@ -140,11 +140,7 @@ def ram_step(
     coef = [eta * (a - TARGET_ACCEPTANCE) / n if n > 0.0 else 0.0 for a, n in zip(alpha, norm2)]
     m = np.array(coef)[:, None, None] * (u[:, :, None] * u[:, None, :])
     m.reshape(k, -1)[:, :: d + 1] += 1.0
-    updated = np.linalg.cholesky(chol @ m @ chol.transpose(0, 2, 1))
-    if min(norm2) > 0.0:
-        chol = updated
-    else:  # u = 0 leaves its chain's factor as it is
-        chol = np.where((np.array(norm2) > 0.0)[:, None, None], updated, chol)
+    chol = np.linalg.cholesky(chol @ m @ chol.transpose(0, 2, 1))
     return theta, log_p, chol, accepted, np.array(alpha)
 
 

@@ -292,7 +292,9 @@ def read_hourly_csv_rows(path):
             raise ValueError(f"{path}: empty input")
         if [c.strip().lower() for c in header[:2]] != ["timestamp", "level_m"]:
             raise ValueError(f"{path}: expected header 'timestamp,level_m', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
+        read = reader.line_num  # the lines before the row
+        for row in reader:
+            lineno, read = read + 1, reader.line_num  # the line the row starts on
             if not row or all(not c.strip() for c in row):
                 continue
             stamp = row[0].strip()

@@ -28,7 +28,7 @@ from surgebma.models import (
     NonstatLevel,
     all_structures,
     make_loglik,
-    make_logpost_on_active,
+    make_logpost,
     make_logpost_rows,
 )
 from surgebma.preprocess import DailySeries, ExceedanceSet, decluster
@@ -209,7 +209,7 @@ def test_criterion_6_identifiability_of_stationary_truth():
             estimates.append(
                 bridge_evidence(
                     ens,
-                    make_logpost_on_active(s, record, cov, priors[s.id]),
+                    make_logpost(s, record, cov, priors[s.id]),
                     np.random.default_rng(seed * 13 + k),
                 )
             )

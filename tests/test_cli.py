@@ -484,6 +484,32 @@ def test_simulate_record_refuses_a_stray_parameter(tmp_path, capsys, structure, 
     assert not out.exists()
 
 
+SWAPPED_YEARS = ["--first-year", "2000", "--last-year", "1990"]
+
+
+@pytest.mark.parametrize(
+    "what, args, message",
+    [("station", SWAPPED_YEARS, "--last-year 1990 is before --first-year 2000"),
+     ("covariates", SWAPPED_YEARS, "--last-year 1990 is before --first-year 2000"),
+     ("record", SWAPPED_YEARS, "--last-year 1990 is before --first-year 2000"),
+     ("mle-pack", ["--stations", "0"], "--stations must be at least 3 for fit-priors"),
+     ("mle-pack", ["--stations", "2"], "--stations must be at least 3 for fit-priors")],
+)
+def test_simulate_refuses_an_input_it_cannot_use(tmp_path, capsys, what, args, message):
+    out = tmp_path / "out"
+    assert main(["simulate", what, "--out", str(out), *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_mle_pack_of_the_fewest_stations_fits_priors(tmp_path):
+    from surgebma.priors import MIN_PRIOR_SAMPLES, fit_all_priors, load_mle_table
+
+    out = tmp_path / "pack.json"
+    assert main(["simulate", "mle-pack", "--out", str(out), "--stations", str(MIN_PRIOR_SAMPLES)]) == 0
+    assert len(fit_all_priors(load_mle_table(out))) == len(all_structures())
+
+
 def test_simulate_mle_pack_rebuilds_the_packaged_table_from_its_meta(tmp_path):
     from importlib import resources
 
@@ -648,6 +674,18 @@ def test_a_bad_stamp_among_more_than_500_exits_2_before_preprocess_writes(tmp_pa
     assert out.returncode == 2, out.stderr
     want = rf"error: \S+station\.csv:2501: bad timestamp {re.escape(repr(stamp))}\n"
     assert re.fullmatch(want, out.stderr), out.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_preprocess_names_the_line_a_bad_row_starts_on(tmp_path, capsys):
+    # the first row's quoted level spans lines 2 and 3
+    config = make_workspace(tmp_path, structures="ST")
+    with open(tmp_path / "station.csv", "w", newline="") as fh:
+        fh.write('timestamp,level_m\n2000-01-01T00,"1.0\n"\n2000-01-01T01,2.0\n'
+                 '2000-01-01T02,3.0\nnotatime,4.0\n')
+    assert main(["preprocess", "--config", str(config)]) == 2
+    want = rf"error: \S+station\.csv:6: bad timestamp 'notatime'\n"
+    assert re.fullmatch(want, capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -827,3 +865,30 @@ def test_calibrate_workers_load_inputs_once_per_process(tmp_path, monkeypatch):
     # one load per worker process, not one per structure
     assert 1 <= len(pids) <= 2 and len(set(pids)) == len(pids)
     assert os.getpid() not in map(int, pids)
+
+
+def test_main_runs_the_commands_and_density_factory_that_cli_holds_when_it_runs(
+    tmp_path, monkeypatch
+):
+    # a tracer replaces cli's stage commands and density factories by name,
+    # after the module is imported: main and the stages must find the
+    # replacements, not what cli held at import
+    config = make_workspace(tmp_path, structures="ST, NS1-time")
+    config.write_text(config.read_text().replace("n_iterations = 1200", "n_iterations = 700"))
+    reports = []
+    monkeypatch.setattr(cli, "cmd_report", lambda c: reports.append(c) or 0)
+    assert main(["report", "--config", str(config)]) == 0
+    assert len(reports) == 1
+    monkeypatch.setattr(cli, "cmd_preprocess", lambda c: 1)
+    assert main(["run-all", "--config", str(config)]) == 1  # stopped at its first stage
+    monkeypatch.undo()
+
+    for stage in ("preprocess", "fit-priors", "calibrate"):
+        assert main([stage, "--config", str(config)]) == 0
+    factories = []
+    factory = cli.make_logpost_on_active
+    monkeypatch.setattr(
+        cli, "make_logpost_on_active", lambda s, *a: factories.append(s.id) or factory(s, *a)
+    )
+    assert main(["evidence", "--config", str(config)]) == 0
+    assert factories == ["ST", "NS1-time"]

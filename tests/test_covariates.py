@@ -178,3 +178,11 @@ def test_read_annual_and_monthly_csv(tmp_path):
         bad.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: empty input$"):
             read_annual_csv(bad)
+
+
+def test_read_annual_csv_names_the_line_a_bad_row_starts_on(tmp_path):
+    # the first row's quoted value spans lines 2 and 3
+    path = tmp_path / "annual.csv"
+    path.write_text('year,value\n2000,"1.0\n"\n2001,2.0\nbad,3.0\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: bad row \\['bad', '3.0'\\]$"):
+        read_annual_csv(path)

@@ -643,6 +643,34 @@ def test_hourly_csv_reader_refuses_what_row_oracle_refuses(tmp_path, monkeypatch
     assert str(got.value) == str(want.value)
 
 
+# a first row whose quoted level spans lines 2 and 3, so that each row after
+# it starts on the line below its row number
+SPANNING = H + '2000-01-01T00,"1.0\n"\n2000-01-01T01,2.0\n2000-01-01T02,3.0\n'
+BAD_ROWS_AFTER_A_SPANNING_ROW = {
+    "bad_timestamp": (SPANNING + "notatime,4.0\n", "6: bad timestamp 'notatime'"),
+    "bad_timestamp_after_plain_chunks": (
+        SPANNING + LATE[len(H):] + "notatime,4.0\n", "36: bad timestamp 'notatime'"),
+    "bad_level_spanning_two_lines": (SPANNING + '2000-01-01T03,"4.0\nx"\n', "6: bad level '4.0\\nx'"),
+    "bad_timestamp_spanning_two_lines": (SPANNING + '"not\na time",4.0\n', "6: bad timestamp 'not\\na time'"),
+}
+# the default size reads each file as one chunk; at 64 characters the bad row
+# lies in a later chunk than the spanning row; at 76 a chunk ends inside the
+# quoted level of bad_level_spanning_two_lines, which then reads on
+@pytest.mark.parametrize("chunk", [preprocess.READ_CHUNK_CHARS, 64, 76])
+@pytest.mark.parametrize("case", list(BAD_ROWS_AFTER_A_SPANNING_ROW))
+def test_hourly_csv_reader_names_the_line_a_bad_row_starts_on(tmp_path, monkeypatch, case, chunk):
+    text, where = BAD_ROWS_AFTER_A_SPANNING_ROW[case]
+    path = tmp_path / "bad.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    want = f"^{re.escape(f'{path}:{where}')}$"
+    with pytest.raises(ValueError, match=want):
+        read_hourly_csv_rows(path)
+    monkeypatch.setattr(preprocess, "READ_CHUNK_CHARS", chunk)
+    with pytest.raises(ValueError, match=want):
+        read_hourly_csv(path)
+
+
 def test_hourly_csv_reader_names_the_file_of_a_field_over_the_csv_size_limit(tmp_path):
     path = tmp_path / "station.csv"
     path.write_text(LATE + f'2000-03-01T00,"{"1" * (csv.field_size_limit() + 1)}"\n')
