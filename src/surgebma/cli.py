@@ -2,8 +2,8 @@
 project, report, plus synthetic-fixture generation and a run-all driver.
 
 Exit codes: 0 success, 1 computation gate failure (unconverged chains without
---force, every draw flagged, a collapsed bridge iteration), 2 input or
-configuration error.
+--force, chains that never moved, every draw flagged, a collapsed bridge
+iteration), 2 input or configuration error.
 """
 
 from __future__ import annotations
@@ -242,12 +242,9 @@ def _calibrate_one(config: RunConfig, sid: str) -> dict:
     chain_config = dataclasses.replace(config.sampler, seed=stage_seed(config.seed, sid, "chains"))
     logpost_rows = make_logpost_rows(structure, data, cov, priors[sid])
     raw = run_chains(structure, logpost_rows, mle, chain_config)
-    try:
-        ensemble = pool_and_thin(
-            raw, np.random.default_rng(stage_seed(config.seed, sid, "thin")), force=config.force
-        )
-    except RuntimeError as exc:
-        raise GateError(str(exc)) from exc
+    ensemble = pool_and_thin(
+        raw, np.random.default_rng(stage_seed(config.seed, sid, "thin")), force=config.force
+    )
     ensemble.diagnostics["config_sha256"] = config.config_hash
     ensemble.diagnostics["mle"] = dict(zip(structure.active_params, mle.tolist()))
 
@@ -379,19 +376,16 @@ def cmd_report(config: RunConfig) -> int:
         f"T={headline:g} return level in {config.projection_year}: "
         f"median {med:.3f} m, 90% range [{lo:.3f}, {hi:.3f}] m"
     )
+    mixture = mixtures[headline]  # its counts are the components' sums
     components = [per_structure[sid][headline] for sid in per_structure]
-    n_flagged = sum(c.n_flagged for c in components)
-    n_clamped = sum(c.n_clamped for c in components)
     n_draws = sum(c.samples.size + c.n_flagged for c in components)
     print(
-        f"T={headline:g} draws: {n_flagged} flagged and dropped, {n_clamped} rate-clamped, "
-        f"of {n_draws} across {len(components)} structures"
+        f"T={headline:g} draws: {mixture.n_flagged} flagged and dropped, "
+        f"{mixture.n_clamped} rate-clamped, of {n_draws} across {len(components)} structures"
     )
     # diagnostic only: the mixture median normally falls inside the span of
     # the component medians; a value outside it flags a lopsided mixture
-    comp_medians = [
-        float(np.median(per_structure[sid][headline].samples)) for sid in per_structure
-    ]
+    comp_medians = [float(np.median(c.samples)) for c in components]
     print(
         f"component medians span [{min(comp_medians):.3f}, {max(comp_medians):.3f}] m "
         f"across {len(comp_medians)} structures"
@@ -433,6 +427,9 @@ def cmd_simulate(args) -> int:
         )
         print(f"wrote {args.out} (target threshold {mu} m)")
     elif args.what == "covariates":
+        if args.projection_year <= args.last_year:  # the annual _proj files would hold no year
+            raise ValueError(f"--projection-year {args.projection_year} "
+                             f"is not after --last-year {args.last_year}")
         paths = sim.write_covariate_fixtures(
             args.out, args.first_year, args.last_year, args.projection_year, seed=args.seed
         )

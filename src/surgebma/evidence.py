@@ -171,17 +171,9 @@ def weights_by_level_within_covariate(
     by_id = {e.structure.id: e for e in evidences}
     out: dict[str, dict[str, float]] = {}
     for kind in CovariateKind:
-        subset = [by_id["ST"]]
-        for level in (NonstatLevel.NS1, NonstatLevel.NS2, NonstatLevel.NS3):
-            subset.append(by_id[ModelStructure(level, kind).id])
-        w = bma_weights(subset)
-        out[kind.value] = {
-            "ST": w.weights["ST"],
-            **{
-                lvl.value: w.weights[ModelStructure(lvl, kind).id]
-                for lvl in (NonstatLevel.NS1, NonstatLevel.NS2, NonstatLevel.NS3)
-            },
-        }
+        ids = {s.level.value: s.id for s in all_structures() if s.covariate in (None, kind)}
+        w = bma_weights([by_id[sid] for sid in ids.values()]).weights
+        out[kind.value] = {lvl: w[sid] for lvl, sid in ids.items()}
     return out
 
 

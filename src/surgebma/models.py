@@ -28,6 +28,7 @@ are.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -307,7 +308,7 @@ def _constant_shape_gpd(xi0: np.ndarray, z: np.ndarray):
 def make_loglik(
     structure: ModelStructure, data: ExceedanceSet, cov: CovariateSeries | None
 ) -> Callable[[np.ndarray], float]:
-    """Precompute the data arrays and return a fast row -> log L closure.
+    """Precompute the data arrays and return a fast row -> log L function.
 
     log L of an active row is the sum of the yearly Poisson count terms and
     the per-event GPD terms; years without events contribute only their
@@ -315,12 +316,7 @@ def make_loglik(
     scale, or an event falls outside the GPD support.
     """
     arrays = LikelihoodData.build(data, cov, structure)
-    level = structure.level
-
-    def loglik(row: np.ndarray) -> float:
-        return _loglik_from_arrays(row, level, arrays)
-
-    return loglik
+    return functools.partial(_loglik_from_arrays, level=structure.level, d=arrays)
 
 
 def _check_priors(priors: "PriorSet", structure: ModelStructure) -> None:

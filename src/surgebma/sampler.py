@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .models import ModelStructure
-from .utils import dump_json, parse_errors_named, write_csv
+from .utils import GateError, dump_json, parse_errors_named, write_csv
 
 MIN_CHAINS = 2  # the PSRF compares the spread between chains with that within them
 MIN_SEGMENT = 10  # least post-burn-in iterations per chain for the PSRF
@@ -108,8 +108,8 @@ def ram_step(
     """One Metropolis step of K chains in lockstep, with rank-one coercion.
 
     ``theta`` is (K, d), ``log_p`` (K,), ``chol`` (K, d, d) lower-triangular
-    with positive diagonal (``check_proposal_factor``; the Cholesky update
-    keeps it so), and ``log_posterior`` maps a (K, d) stack to (K,) values.
+    with positive diagonal (``run_chains`` starts it diagonal; the Cholesky
+    update keeps it so), and ``log_posterior`` maps a (K, d) stack to (K,) values.
     Chain k proposes theta_k + S_k u_k with u_k drawn from ``rngs[k]``,
     accepts with probability alpha_k = min(1, exp(dlogp)), then rescales S_k
     along u_k so its long-run acceptance rate is pulled toward
@@ -144,14 +144,6 @@ def ram_step(
     return theta, log_p, chol, accepted, np.array(alpha)
 
 
-def check_proposal_factor(chol: np.ndarray) -> None:
-    """Refuse a factor (or stack of factors) that is not lower-triangular
-    with a positive diagonal."""
-    diag = np.diagonal(chol, axis1=-2, axis2=-1)
-    if np.any(~(diag > 0)) or np.any(np.triu(chol, 1) != 0.0):
-        raise ValueError("proposal factor must be lower-triangular with positive diagonal")
-
-
 def initial_proposal_factor(start: np.ndarray) -> np.ndarray:
     """Diagonal start for S, scaled to 10% of each component's magnitude."""
     return np.diag(np.maximum(np.abs(start), 0.1) * 0.1)
@@ -177,6 +169,8 @@ def run_chains(
     x0 = np.array(start, dtype=float)
     if x0.shape != (len(names),):
         raise ValueError(f"expected {len(names)} start values for {structure.id}")
+    if not np.all(np.isfinite(x0)):  # so the initial factor is a positive diagonal
+        raise ValueError("chain start has non-finite values")
 
     lp0 = float(log_posterior(x0[None, :])[0])
     if not math.isfinite(lp0):
@@ -187,7 +181,6 @@ def run_chains(
     theta = np.tile(x0, (n_chains, 1))
     log_p = np.full(n_chains, lp0)
     chol = np.tile(initial_proposal_factor(x0), (n_chains, 1, 1))
-    check_proposal_factor(chol)
     chains = np.empty((n_chains, config.n_iterations, d))
     n_accept = np.zeros(n_chains, dtype=np.int64)
     for n in range(1, config.n_iterations + 1):
@@ -221,7 +214,8 @@ def gelman_rubin(chains: np.ndarray, burn_in: int) -> np.ndarray:
     within = seg.var(axis=1, ddof=1).mean(axis=0)  # W per parameter
     between = n * means.var(axis=0, ddof=1)  # B per parameter
     if np.any(within <= 0):
-        raise ValueError("degenerate chains: zero within-chain variance")
+        # chains that never moved: a failed computation, with no PSRF to force past
+        raise GateError("degenerate chains: zero within-chain variance")
     var_hat = (n - 1) / n * within + between / n
     return np.sqrt(var_hat / within)
 
@@ -231,16 +225,16 @@ def pool_and_thin(raw: RawChains, rng: np.random.Generator, force: bool) -> Post
 
     Burn-in, subsample size and PSRF gate are those of ``raw.config``, whose
     construction guarantees the pool holds ``thinned_size`` iterates.
-    Refuses to pool when any parameter's PSRF exceeds the gate, unless
-    ``force`` is set (the offending parameters are then recorded in the
-    diagnostics instead).
+    Refuses to pool, with a ``GateError``, when any parameter's PSRF exceeds
+    the gate, unless ``force`` is set (the offending parameters are then
+    recorded in the diagnostics instead).
     """
     cfg = raw.config
     names = raw.structure.active_params
     psrf = gelman_rubin(raw.chains, cfg.burn_in)
     offenders = [name for name, r in zip(names, psrf) if r >= cfg.psrf_gate]
     if offenders and not force:
-        raise RuntimeError(
+        raise GateError(
             f"PSRF gate {cfg.psrf_gate} violated for {raw.structure.id}: "
             + ", ".join(f"{n}={r:.4f}" for n, r in zip(names, psrf) if n in offenders)
         )

@@ -15,6 +15,7 @@ from oracles import read_hourly_csv_rows
 from surgebma import cli, preprocess
 from surgebma.cli import main
 from surgebma.models import all_structures
+from surgebma.sampler import RawChains
 from surgebma.utils import load_json
 
 CONFIG_TEMPLATE = """
@@ -492,6 +493,8 @@ SWAPPED_YEARS = ["--first-year", "2000", "--last-year", "1990"]
     [("station", SWAPPED_YEARS, "--last-year 1990 is before --first-year 2000"),
      ("covariates", SWAPPED_YEARS, "--last-year 1990 is before --first-year 2000"),
      ("record", SWAPPED_YEARS, "--last-year 1990 is before --first-year 2000"),
+     ("covariates", ["--projection-year", "2013", "--last-year", "2013"],
+      "--projection-year 2013 is not after --last-year 2013"),
      ("mle-pack", ["--stations", "0"], "--stations must be at least 3 for fit-priors"),
      ("mle-pack", ["--stations", "2"], "--stations must be at least 3 for fit-priors")],
 )
@@ -715,6 +718,24 @@ def test_psrf_gate_failure_exit_code_and_force(tmp_path):
     diag = load_json(tmp_path / "out" / "diagnostics" / "ST.json")
     assert diag["forced"] is True
     assert diag["psrf_gate_failed"]
+
+
+def test_chains_that_never_moved_exit_1_also_with_force(tmp_path, monkeypatch, capsys):
+    config = make_workspace(tmp_path, structures="ST")
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["fit-priors", "--config", str(config)]) == 0
+
+    def frozen_chains(structure, log_posterior, start, chain_config):
+        chains = np.tile(start, (chain_config.n_chains, chain_config.n_iterations, 1))
+        return RawChains(structure, chains, np.zeros(chain_config.n_chains), chain_config)
+
+    monkeypatch.setattr(cli, "run_chains", frozen_chains)
+    capsys.readouterr()
+    # no PSRF to force past: zero within-chain variance is a failed computation
+    for force in ([], ["--force"]):
+        assert main(["calibrate", "--config", str(config), *force]) == 1
+        assert "gate failure: degenerate chains" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ensembles" / "ST.csv").exists()
 
 
 def test_seed_override_changes_artifacts(tmp_path):

@@ -14,7 +14,6 @@ from surgebma.sampler import (
     ChainConfig,
     PosteriorEnsemble,
     RawChains,
-    check_proposal_factor,
     gelman_rubin,
     initial_proposal_factor,
     pool_and_thin,
@@ -22,7 +21,7 @@ from surgebma.sampler import (
     run_chains,
 )
 from surgebma.simulate import SimulationSpec, simulate_record
-from surgebma.utils import format_float, write_csv
+from surgebma.utils import GateError, format_float, write_csv
 
 ST = ModelStructure(NonstatLevel.ST, None)
 
@@ -105,13 +104,6 @@ def test_ram_step_steps_chains_independently():
     assert theta.tolist() == [[1.0], [0.0]] and lp.tolist() == [1.0, 0.0]
     assert S[0, 0, 0] > 1.0 > S[1, 0, 0]
     assert rngs[0]._uniforms == [] and rngs[0]._normals == rngs[1]._normals == []
-
-
-def test_check_proposal_factor():
-    check_proposal_factor(np.stack([np.eye(2), np.array([[1.0, 0.0], [0.5, 2.0]])]))
-    for bad in (np.array([[1.0, 0.5], [0.0, 1.0]]), np.diag([1.0, 0.0]), np.diag([1.0, np.nan])):
-        with pytest.raises(ValueError, match="lower-triangular"):
-            check_proposal_factor(bad)
 
 
 def test_ram_acceptance_coerced_on_gaussian():
@@ -203,6 +195,13 @@ def test_run_chains_requires_finite_start():
         run_chains(ST, stacked(toy_logpost), start, config)
     with pytest.raises(ValueError, match="expected 3 start values"):
         run_chains(ST, stacked(toy_logpost), start[:2], config)
+
+    # finite at a NaN xi0, whose proposal scale would be NaN
+    def ignores_xi0(rows):
+        return np.zeros(rows.shape[0])
+
+    with pytest.raises(ValueError, match="non-finite"):
+        run_chains(ST, ignores_xi0, np.array([0.01, 0.1, np.nan]), config)
 
 
 @pytest.mark.parametrize("n_chains", [1, 3])
@@ -326,7 +325,7 @@ def test_pool_and_thin_gate():
     chains = np.concatenate([a, b])
     config = ChainConfig(n_iterations=1000, n_chains=2, burn_in=100, thinned_size=100, seed=0)
     raw = make_raw(chains, config)
-    with pytest.raises(RuntimeError, match="p0"):
+    with pytest.raises(GateError, match="p0"):
         pool_and_thin(raw, np.random.default_rng(3), force=False)
     ens = pool_and_thin(raw, np.random.default_rng(3), force=True)
     assert ens.diagnostics["forced"] and ens.diagnostics["psrf_gate_failed"] == ["p0"]
