@@ -380,8 +380,8 @@ def cmd_report(config: RunConfig) -> int:
     components = [per_structure[sid][headline] for sid in per_structure]
     n_draws = sum(c.samples.size + c.n_flagged for c in components)
     print(
-        f"T={headline:g} draws: {mixture.n_flagged} flagged and dropped, "
-        f"{mixture.n_clamped} rate-clamped, of {n_draws} across {len(components)} structures"
+        f"T={headline:g} draws: {mixture.n_flagged} flagged and dropped ({mixture.n_clamped} "
+        f"with a non-positive rate), of {n_draws} across {len(components)} structures"
     )
     # diagnostic only: the mixture median normally falls inside the span of
     # the component medians; a value outside it flags a lopsided mixture
@@ -403,6 +403,14 @@ def cmd_run_all(config: RunConfig) -> int:
         {
             "config_sha256": config.config_hash,
             "config_text": config.raw_text,
+            # what the command line may override, which config_text does not show
+            "settings": {
+                "seed": config.seed,
+                "structures": [s.id for s in config.structure_list()],
+                "force": config.force,
+                "workers": config.workers,
+                "output_dir": str(config.output_dir),
+            },
             "version": __version__,
             "completed_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         },
@@ -497,6 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline("run-all", cmd_run_all, "full pipeline in one call")
 
     simp = sub.add_parser("simulate", help="generate synthetic fixtures")
+    simp.set_defaults(run=cmd_simulate)
     simp.add_argument("what", choices=["station", "covariates", "mle-pack", "record"])
     simp.add_argument("--out", required=True, help="output file (or directory for covariates)")
     simp.add_argument("--seed", type=int, default=0)
@@ -534,21 +543,16 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
 
-    if args.command == "simulate":
-        try:
-            return cmd_simulate(args)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-
     try:
-        config = _apply_overrides(load_config(args.config), args)
+        # simulate runs on its own arguments, every other command on the run configuration
+        subject = args if args.command == "simulate" else _apply_overrides(
+            load_config(args.config), args)
     except (ValueError, OSError, KeyError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     try:
-        return args.run(config)
+        return args.run(subject)
     except GateError as exc:
         print(f"gate failure: {exc}", file=sys.stderr)
         return EXIT_GATE

@@ -116,10 +116,8 @@ class RunConfig:
         return [ModelStructure.parse(sid) for sid in self.structures]
 
     def out(self, *parts) -> Path:
-        """The path of an artifact to write: creates its directory (read inputs without it)."""
-        path = self.output_dir.joinpath(*parts)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return path
+        """The path of an artifact in the output directory; the writer makes its directory."""
+        return self.output_dir.joinpath(*parts)
 
 
 def _parse_floats(text: str) -> tuple:

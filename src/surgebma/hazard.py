@@ -29,8 +29,6 @@ from .utils import (
     GateError, dump_json, empirical_quantile, format_float, parse_errors_named, write_csv,
 )
 
-RATE_FLOOR = 1e-8  # per day; extrapolated nonpositive rates clamp here
-
 # floats: a period's text form names its mixture seed and its curve.json entry
 DEFAULT_RETURN_PERIODS = (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 DEFAULT_QUANTILE_LEVELS = (0.025, 0.05, 0.25, 0.5, 0.75, 0.95, 0.975)
@@ -44,7 +42,7 @@ class ReturnLevelEnsemble:
     year: int
     period_years: float
     samples: np.ndarray
-    n_clamped: int  # draws whose extrapolated rate was floored
+    n_clamped: int  # draws whose extrapolated rate is not positive, each also flagged
     n_flagged: int  # draws excluded: rate too low for the threshold regime
 
     def __post_init__(self):
@@ -97,10 +95,10 @@ def ensemble_return_levels(
 ) -> ReturnLevelEnsemble:
     """Per-draw return levels for one structure at a target year.
 
-    Draws whose extrapolated event rate is nonpositive are clamped to a tiny
-    floor; draws still below the one-event-per-T-years regime are flagged and
-    excluded from the sample set. A period that is not positive is an input
-    error, not a flagged draw.
+    Draws below the one-event-per-T-years regime, among them every draw whose
+    extrapolated event rate is not positive (counted in ``n_clamped``), are
+    flagged and excluded from the sample set. A period that is not positive is
+    an input error, not a flagged draw.
     """
     if period <= 0:
         raise ValueError("return period must be positive")
@@ -109,7 +107,6 @@ def ensemble_return_levels(
     lam, sig, xi = effective_params(ensemble.draws, structure.level, phi)
 
     n_clamped = int(np.sum(lam <= 0))
-    lam = np.maximum(lam, RATE_FLOOR)
     lam_yr = lam * DAYS_PER_YEAR
     ok = (period * lam_yr > 1.0) & (sig > 0)
     n_flagged = int(np.sum(~ok))
@@ -144,8 +141,6 @@ def bma_mixture(
     counts = rng.multinomial(mixture_size, probs / probs.sum())
     parts = []
     for sid, m in zip(ids, counts):
-        if m == 0:
-            continue
         pool = ensembles[sid].samples
         parts.append(pool[rng.integers(0, pool.size, size=m)])
     samples = np.concatenate(parts)

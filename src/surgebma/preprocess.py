@@ -22,7 +22,7 @@ from itertools import chain, islice, tee
 
 import numpy as np
 
-from .utils import dump_json, empirical_quantile, load_json, parse_errors_named
+from .utils import dump_json, empirical_quantile, load_json, parse_errors_named, writable
 
 HOURS_PER_DAY = 24
 MIN_VALID_FRACTION = 0.5  # detrending: least share of valid hours in an hour's window
@@ -457,10 +457,10 @@ def write_hourly_csv(path, series: HourlySeries) -> None:
     """Write ``series`` as ``timestamp,level_m`` CSV in the dialect of
     ``utils.write_csv``: each stamp as ``str`` writes a datetime64[h], each
     finite level as ``repr`` writes it, any other level empty, and ``\\r\\n``
-    after each row. Each chunk of ``WRITE_CHUNK_ROWS`` rows is built as one
-    byte buffer (``_hourly_bytes``)."""
+    after each row, making the file's directory. Each chunk of
+    ``WRITE_CHUNK_ROWS`` rows is built as one byte buffer (``_hourly_bytes``)."""
     levels = np.asarray(series.levels, dtype=float)
-    with open(path, "wb") as fh:
+    with open(writable(path), "wb") as fh:
         fh.write(b"timestamp,level_m\r\n")
         for i in range(0, levels.size, WRITE_CHUNK_ROWS):
             fh.write(_hourly_bytes(series.start + i, levels[i:i + WRITE_CHUNK_ROWS]))

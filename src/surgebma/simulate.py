@@ -266,7 +266,6 @@ def write_covariate_fixtures(
     from pathlib import Path
 
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     years_all = np.arange(first_year, projection_year + 1)
     x = (years_all - first_year) / max(last_year - first_year, 1)

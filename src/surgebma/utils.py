@@ -1,5 +1,5 @@
 """Small shared helpers: the gate error, the package-wide quantile rule,
-stable file output and the errors of a malformed file."""
+stable file output into a directory it makes, and the errors of a malformed file."""
 
 from __future__ import annotations
 
@@ -36,9 +36,17 @@ def sha256_of_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def writable(path) -> Path:
+    """``path`` as a ``Path``, its directory made: each writer of the package
+    calls it at the moment it writes, so a refused command makes no directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def dump_json(obj, path) -> None:
     """Write JSON with sorted keys and a trailing newline; byte-stable for equal input."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    writable(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def load_json(path):
@@ -48,7 +56,7 @@ def load_json(path):
 def write_csv(path, header, rows) -> None:
     """Write a header row, then ``rows``, in the one CSV dialect of every artifact
     (the csv module's default: comma-separated, ``\\r\\n`` line ends)."""
-    with open(path, "w", newline="") as fh:
+    with open(writable(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

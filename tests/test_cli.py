@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import multiprocessing
@@ -6,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ from oracles import read_hourly_csv_rows
 from surgebma import cli, preprocess
 from surgebma.cli import main
 from surgebma.models import all_structures
-from surgebma.sampler import RawChains
+from surgebma.sampler import PosteriorEnsemble, RawChains
 from surgebma.utils import load_json
 
 CONFIG_TEMPLATE = """
@@ -196,11 +199,21 @@ def _overwrite(name, text):
     return lambda out: (out / name).write_text(text)
 
 
-def _word_in_a_draw(out):
-    path = out / "ensembles" / "NS1-time.csv"
-    lines = path.read_text().splitlines(keepends=True)
-    lines[1] = "abc" + lines[1][lines[1].index(","):]
-    path.write_text("".join(lines))
+def _first_value_of_a_draw(text, row):
+    """A spoiler that makes ``text`` the first value (``lam0``) of draw ``row``
+    of the NS1-time ensemble."""
+    def spoil(out):
+        path = out / "ensembles" / "NS1-time.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[row] = text + lines[row][lines[row].index(","):]
+        path.write_text("".join(lines))
+    return spoil
+
+
+def _evidence_of_st_alone(out):
+    """``evidence --structures ST`` rewrites evidence.json for ST alone."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["evidence", "--config", str(out.parent / "run.ini"), "--structures", "ST"]) == 0
 
 
 LOADERS = ("calibrate", "evidence", "project")  # the stages that read exceedances and priors
@@ -222,8 +235,15 @@ SPOILED_OUTPUTS = {
     "priors_without_structures": (_overwrite("priors.json", '{"meta": {}}'), "priors.json", LOADERS),
     "empty_ensemble": (
         _overwrite("ensembles/NS1-time.csv", ""), "NS1-time.csv", ("evidence", "project")),
-    "word_in_an_ensemble_draw": (_word_in_a_draw, "NS1-time.csv", ("evidence", "project")),
+    "word_in_an_ensemble_draw": (
+        _first_value_of_a_draw("abc", 1), "NS1-time.csv", ("evidence", "project")),
+    # the last draw is one that the bridge iteration evaluates
+    "negative_rate_in_an_ensemble_draw": (
+        _first_value_of_a_draw("-0.001", -1), "non-finite posterior density on ensemble draws",
+        ("evidence",)),
     "evidence_not_an_object": (_overwrite("evidence.json", "[]"), "evidence.json", ("report",)),
+    "evidence_of_one_structure": (
+        _evidence_of_st_alone, "evidence missing for structures: ['NS1-time']", ("report",)),
     "empty_return_levels": (
         _overwrite("return_levels/NS1-time.csv", ""), "NS1-time.csv", ("report",)),
     "return_levels_without_flags": (
@@ -347,7 +367,7 @@ def test_report_prints_flagged_and_clamped_draws(pipeline_dir, capsys):
         flagged += int(counts["flagged"])
         clamped += int(counts["clamped"])
     assert line == [
-        f"T=100 draws: {flagged} flagged and dropped, {clamped} rate-clamped, "
+        f"T=100 draws: {flagged} flagged and dropped ({clamped} with a non-positive rate), "
         "of 2000 across 2 structures"
     ]
 
@@ -362,6 +382,26 @@ def test_all_draws_flagged_exits_1(pipeline_dir, tmp_path, capsys):
     ens.write_text("\n".join([header] + ["1e-9," + r.split(",", 1)[1] for r in rows]) + "\n")
     assert main(["project", "--config", str(work / "run.ini"), "--structures", "ST"]) == 1
     assert "all draws flagged for ST" in capsys.readouterr().err
+
+
+def test_a_collapsed_bridge_iteration_exits_1_before_evidence_writes(
+    pipeline_dir, tmp_path, capsys, monkeypatch
+):
+    shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+    out = tmp_path / "out"
+
+    def on_the_draws_alone(structure, *args):
+        # finite on the ensemble's draws, -inf on every proposal draw
+        path = out / "ensembles" / f"{structure.id}.csv"
+        draws = {tuple(row) for row in PosteriorEnsemble.load(path, structure).draws.tolist()}
+        return lambda row: 0.0 if tuple(row.tolist()) in draws else -math.inf
+
+    monkeypatch.setattr(cli, "make_logpost_on_active", on_the_draws_alone)
+    before = _files(out)
+    assert main(["evidence", "--config", str(tmp_path / "run.ini")]) == 1
+    assert capsys.readouterr().err == (
+        "gate failure: bridge iteration collapsed; proposal does not overlap the posterior\n")
+    assert _files(out) == before
 
 
 def test_weights_csv_row_sums_to_one(pipeline_dir):
@@ -384,6 +424,19 @@ def test_run_metadata_written(pipeline_dir):
     meta = load_json(pipeline_dir / "out" / "run_metadata.json")
     assert meta["version"]
     assert "completed_utc" in meta
+    assert meta["settings"] == {"seed": 5, "structures": ["ST", "NS1-time"], "force": False,
+                                "workers": 1, "output_dir": str(pipeline_dir / "out")}
+
+
+def test_run_metadata_records_what_the_command_line_overrode(tmp_path):
+    config = make_workspace(tmp_path, structures="NS1-time")
+    out = tmp_path / "elsewhere"
+    assert main(["run-all", "--config", str(config), "--seed", "6", "--structures", "ST",
+                 "--force", "--workers", "2", "--output-dir", str(out)]) == 0
+    meta = load_json(out / "run_metadata.json")
+    assert meta["config_text"] == config.read_text()  # which names none of them
+    assert meta["settings"] == {"seed": 6, "structures": ["ST"], "force": True, "workers": 2,
+                                "output_dir": str(out)}
 
 
 def add_station_archive(tmp_path):
@@ -478,11 +531,11 @@ def test_simulate_record_roundtrips_through_ingest_format(tmp_path):
      ("NS1-time", ["--sig1", "0.1", "--xi1", "-0.2"], "sig1, xi1 not active at level NS1")],
 )
 def test_simulate_record_refuses_a_stray_parameter(tmp_path, capsys, structure, stray, message):
-    out = tmp_path / "record.json"
+    out = tmp_path / "new" / "record.json"
     code = main(["simulate", "record", "--out", str(out), "--structure", structure, *stray])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
+    assert not (tmp_path / "new").exists()
 
 
 SWAPPED_YEARS = ["--first-year", "2000", "--last-year", "1990"]
@@ -499,10 +552,23 @@ SWAPPED_YEARS = ["--first-year", "2000", "--last-year", "1990"]
      ("mle-pack", ["--stations", "2"], "--stations must be at least 3 for fit-priors")],
 )
 def test_simulate_refuses_an_input_it_cannot_use(tmp_path, capsys, what, args, message):
-    out = tmp_path / "out"
+    out = tmp_path / "new" / "out"
     assert main(["simulate", what, "--out", str(out), *args]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize(
+    "what, args, written",
+    [("station", ["--first-year", "2010", "--last-year", "2013"], "out"),
+     ("covariates", ["--first-year", "2010", "--last-year", "2013"], "out/nao_proj.csv"),
+     ("mle-pack", ["--stations", "3"], "out"),
+     ("record", [], "out")],
+)
+def test_simulate_writes_into_a_directory_it_makes(tmp_path, capsys, what, args, written):
+    assert main(["simulate", what, "--out", str(tmp_path / "new" / "dir" / "out"), *args]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "new" / "dir" / written).is_file()
 
 
 def test_simulate_mle_pack_of_the_fewest_stations_fits_priors(tmp_path):
@@ -618,6 +684,37 @@ def test_a_malformed_mle_pack_exits_2_before_fit_priors_writes(tmp_path, capsys)
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: \S+pack\.json: missing key 'structures'\n", err)
     assert not (tmp_path / "out").exists()
+
+
+def _pack_without_st(tmp_path):
+    packaged = load_json(resources.files("surgebma").joinpath(cli.PACKAGED_MLE_PACK))
+    del packaged["structures"]["ST"]
+    (tmp_path / "pack.json").write_text(json.dumps(packaged))
+    return "[priors]\nmle_pack = pack.json\n"
+
+
+def _empty_stations_dir(tmp_path):
+    (tmp_path / "stations").mkdir()
+    return "[priors]\nstations_dir = stations\n"
+
+
+@pytest.mark.parametrize(
+    "priors, message",
+    [(_pack_without_st, r"MLE pack \S+pack\.json lacks structures: \['ST'\]"),
+     (_empty_stations_dir, r"no station CSVs in \S+stations")],
+)
+def test_fit_priors_refuses_a_source_without_the_estimates_it_needs(
+    tmp_path, capsys, priors, message
+):
+    config = make_workspace(tmp_path, structures="ST")
+    with open(config, "a") as fh:
+        fh.write("\n" + priors(tmp_path))
+    assert main(["preprocess", "--config", str(config)]) == 0
+    before = _files(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["fit-priors", "--config", str(config)]) == 2
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert _files(tmp_path / "out") == before
 
 
 READ_IN_A_CHILD = """
@@ -769,51 +866,75 @@ def test_parallel_workers_reproduce_serial_artifacts(tmp_path):
     assert artifacts(tmp_path / "out2") == serial
 
 
+QUANTILE_LEVELS_REFUSED = "quantile_levels must lie in (0, 1) and include 0.05, 0.5, 0.95"
+PERIODS_REFUSED = "return_periods must list one or more positive finite periods"
+WINDOW_DAYS_REFUSED = "[preprocess] detrend_window_days must be a finite number >= 1"
+
+
 @pytest.mark.parametrize(
-    "old, new",
+    "old, new, message",
     [
-        ("mixture_size = 20000", "mixture_size = 20000\nquantile_levels = 0.25, 0.75"),
-        ("mixture_size = 20000", "mixture_size = 20000\nquantile_levels = 0.05, 0.5, 0.95, 1"),
-        ("return_periods = 10, 100", "return_periods = 0, 100"),
-        ("return_periods = 10, 100", "return_periods = -5, 100"),
-        ("mixture_size = 20000", "mixture_size = 0"),
+        ("mixture_size = 20000", "mixture_size = 20000\nquantile_levels = 0.25, 0.75",
+         QUANTILE_LEVELS_REFUSED),
+        ("mixture_size = 20000", "mixture_size = 20000\nquantile_levels = 0.05, 0.5, 0.95, 1",
+         QUANTILE_LEVELS_REFUSED),
+        ("return_periods = 10, 100", "return_periods = 0, 100", PERIODS_REFUSED),
+        ("return_periods = 10, 100", "return_periods = -5, 100", PERIODS_REFUSED),
+        ("mixture_size = 20000", "mixture_size = 0", "mixture_size must be at least 1"),
         # 2 chains x (400 - 200) iterations cannot pool thinned_size = 1000 draws
-        ("n_iterations = 1200", "n_iterations = 400"),
+        ("n_iterations = 1200", "n_iterations = 400",
+         "thinned_size 1000 exceeds the pooled sample of "
+         "n_chains x (n_iterations - burn_in) = 400"),
         # the PSRF needs two chains and 10 post-burn-in iterations of each
-        ("n_chains = 2", "n_chains = 1"),
-        ("burn_in = 200\nthinned_size = 1000", "burn_in = 1195\nthinned_size = 10"),
+        ("n_chains = 2", "n_chains = 1", "n_chains must be at least 2 for the PSRF"),
+        ("burn_in = 200\nthinned_size = 1000", "burn_in = 1195\nthinned_size = 10",
+         "n_iterations - burn_in must be at least 10 for the PSRF"),
         # bridge sampling needs 1000 draws
-        ("thinned_size = 1000", "thinned_size = 500"),
+        ("thinned_size = 1000", "thinned_size = 500",
+         "thinned_size must be at least 1000 for bridge sampling"),
         # a key or section that no setting reads would leave the default in force
-        ("n_iterations = 1200", "n_iteration = 1200"),
-        ("[run]", "[bogus]\nseed = 1\n\n[run]"),
-        ("psrf_gate = ", "target_acceptance = 0.234\npsrf_gate = "),
+        ("n_iterations = 1200", "n_iteration = 1200", "unknown config option [sampler] n_iteration"),
+        ("[run]", "[bogus]\nseed = 1\n\n[run]", "unknown config section [bogus]"),
+        ("psrf_gate = ", "target_acceptance = 0.234\npsrf_gate = ",
+         "unknown config option [sampler] target_acceptance"),
         # every stage would run ST twice, and report would then refuse the evidence
-        ("structures = ST", "structures = ST, ST"),
+        ("structures = ST", "structures = ST, ST", "repeated structures in ST, ST"),
         # preprocess settings that its functions would refuse only after the
         # hourly record was read
-        ("[run]", "[preprocess]\ndetrend_window_days = inf\n\n[run]"),
-        ("[run]", "[preprocess]\ndetrend_window_days = nan\n\n[run]"),
-        ("[run]", "[preprocess]\ndetrend_window_days = 0.5\n\n[run]"),
-        ("[run]", "[preprocess]\nmin_valid_hours = 0\n\n[run]"),
-        ("[run]", "[preprocess]\nthreshold_quantile = 1.5\n\n[run]"),
-        ("[run]", "[preprocess]\nseparation_days = 0\n\n[run]"),
-        ("seed = 5", "seed = 5\nworkers = -3"),
+        ("[run]", "[preprocess]\ndetrend_window_days = inf\n\n[run]", WINDOW_DAYS_REFUSED),
+        ("[run]", "[preprocess]\ndetrend_window_days = nan\n\n[run]", WINDOW_DAYS_REFUSED),
+        ("[run]", "[preprocess]\ndetrend_window_days = 0.5\n\n[run]", WINDOW_DAYS_REFUSED),
+        ("[run]", "[preprocess]\nmin_valid_hours = 0\n\n[run]",
+         "[preprocess] min_valid_hours must be in [1, 24]"),
+        ("[run]", "[preprocess]\nthreshold_quantile = 1.5\n\n[run]",
+         "[preprocess] threshold_quantile must lie in (0, 1)"),
+        ("[run]", "[preprocess]\nseparation_days = 0\n\n[run]",
+         "[preprocess] separation_days must be at least 1"),
+        ("seed = 5", "seed = 5\nworkers = -3", "workers must be at least 1"),
         # no PSRF reaches a NaN or infinite gate; --force is the one way past it
-        ("psrf_gate = 1.5", "psrf_gate = nan"),
-        ("psrf_gate = 1.5", "psrf_gate = inf"),
-        ("return_periods = 10, 100", "return_periods = 10, inf"),
+        ("psrf_gate = 1.5", "psrf_gate = nan", "psrf_gate must be finite, got nan"),
+        ("psrf_gate = 1.5", "psrf_gate = inf", "psrf_gate must be finite, got inf"),
+        ("return_periods = 10, 100", "return_periods = 10, inf", PERIODS_REFUSED),
+        # no chain keeps an iteration past its burn-in
+        ("burn_in = 200", "burn_in = 1200", "burn_in must be smaller than n_iterations"),
+        ("[station]\nhourly_csv = station.csv\n", "", "config needs [station] hourly_csv"),
+        ("calibration_start = 1984", "calibration_start = 2013",
+         "window years must satisfy start < end <= projection"),
     ],
     ids=["no_median", "level_1", "zero_period", "negative_period", "mixture_size", "thinned_size",
          "one_chain", "short_segment", "small_ensemble", "misspelled_key", "unknown_section",
          "target_acceptance", "repeated_structure", "infinite_window", "nan_window",
-         "short_window", "no_valid_hours", "quantile_above_1", "zero_separation", "negative_workers", "nan_gate", "infinite_gate", "infinite_period"],
+         "short_window", "no_valid_hours", "quantile_above_1", "zero_separation",
+         "negative_workers", "nan_gate", "infinite_gate", "infinite_period",
+         "burn_in_of_every_iteration", "no_station", "window_not_ordered"],
 )
-def test_bad_config_values_exit_2_before_any_stage(tmp_path, capsys, old, new):
+def test_bad_config_values_exit_2_before_any_stage(tmp_path, capsys, old, new, message):
     config = make_workspace(tmp_path, structures="ST")
-    config.write_text(config.read_text().replace(old, new))
+    text = config.read_text()
+    assert old in text
+    config.write_text(text.replace(old, new))
     assert main(["run-all", "--config", str(config)]) == 2
-    assert re.fullmatch(r"error: [^\n]+\n", capsys.readouterr().err)
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,9 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from surgebma import evidence
 from surgebma.evidence import (
     WEIGHT_SUM_TOL,
     BmaWeights,
@@ -96,6 +98,22 @@ def test_bridge_recovers_proposal_normalizer():
 
     est = bridge_evidence(ens, log_density, np.random.default_rng(9))
     assert est.log_evidence == pytest.approx(log_c, abs=0.02)
+
+
+def test_bridge_warns_when_it_stops_at_the_iteration_cap(monkeypatch, caplog):
+    model = ConjugateNormalMean(seed=1)
+    ens = model.ensemble(4000, 2)
+    converged = bridge_evidence(ens, model.log_density, np.random.default_rng(3))
+    assert converged.iterations_used > 2
+    monkeypatch.setattr(evidence, "BRIDGE_MAX_ITER", 2)
+    with caplog.at_level(logging.WARNING, logger=evidence.__name__):
+        est = bridge_evidence(ens, model.log_density, np.random.default_rng(3))
+    assert est.iterations_used == 2
+    assert [r.getMessage() for r in caplog.records] == [
+        f"bridge sampling for ST stopped at relative change {est.relative_change_at_stop:.3e} "
+        "after 2 iterations"
+    ]
+    assert est.relative_change_at_stop >= 1e-10
 
 
 def test_bridge_requires_minimum_ensemble():

@@ -133,6 +133,11 @@ def test_ensemble_flags_and_clamps_bad_rates():
     assert out.n_clamped == 1
     assert out.n_flagged == 1
     assert out.samples.size == 2
+    # a period long enough for any positive rate leaves the negative one flagged
+    far = ensemble_return_levels(ens, cov, 2065, 1.0, 1e6)
+    assert (far.n_clamped, far.n_flagged) == (1, 1)
+    assert far.samples.tobytes() == ensemble_return_levels(
+        make_ensemble(NS1, [rows[0], rows[2]]), cov, 2065, 1.0, 1e6).samples.tobytes()
 
     all_bad = make_ensemble(NS1, [[0.005, -0.02, 0.2, 0.1]])
     with pytest.raises(ValueError, match="all draws flagged"):
@@ -213,6 +218,27 @@ def test_mixture_uniform_weights_over_identical_ensembles():
         a = np.quantile(pool, q)
         b = np.quantile(out.samples, q)
         assert abs(a - b) < 0.03
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_an_empty_integers_draw_leaves_the_generator_where_it_was(n):
+    # what lets bma_mixture draw for a structure of zero count without a branch
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    assert rng.integers(0, n, size=0).shape == (0,)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_mixture_takes_nothing_from_a_structure_drawn_no_times():
+    ensembles = {"A": rl([1.0, 2.0, 3.0]), "B": rl([5.0, 6.0]), "C": rl([7.0, 8.0, 9.0, 10.0])}
+    weights = BmaWeights({"A": 0.5, "B": 0.0, "C": 0.5})
+    out = bma_mixture(ensembles, weights, 1000, np.random.default_rng(4))
+    # the mixture of the two structures with a count, drawn from the same stream
+    rng = np.random.default_rng(4)
+    counts = rng.multinomial(1000, [0.5, 0.0, 0.5])
+    assert counts[1] == 0
+    pools = [ensembles["A"].samples, ensembles["C"].samples]
+    want = [pool[rng.integers(0, pool.size, size=m)] for pool, m in zip(pools, counts[[0, 2]])]
+    assert out.samples.tobytes() == np.concatenate(want).tobytes()
 
 
 def test_mixture_validates_coverage():
