@@ -273,18 +273,18 @@ def cmd_calibrate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_inputs_and_ensembles(config: RunConfig) -> tuple:
-    """What evidence and project read: ``_load_inputs`` and every configured
-    structure's ensemble, all loaded before either stage computes."""
-    structures = config.structure_list()
-    paths = _inputs(config, "preprocess/fit-priors/calibrate", "exceedances.json", "priors.json",
-                    *(f"ensembles/{s.id}.csv" for s in structures))
-    inputs = _load_inputs(config)
-    return *inputs, [PosteriorEnsemble.load(p, s) for p, s in zip(paths[2:], structures)]
+def _inputs_and_ensembles(config: RunConfig, earlier: str, *names) -> tuple[list, list]:
+    """``_inputs`` of ``names`` and of every configured structure's ensemble:
+    the paths of ``names``, and the ensembles, all loaded before the stage computes."""
+    structures, k = config.structure_list(), len(names)
+    paths = _inputs(config, earlier, *names, *(f"ensembles/{s.id}.csv" for s in structures))
+    return paths[:k], [PosteriorEnsemble.load(p, s) for p, s in zip(paths[k:], structures)]
 
 
 def cmd_evidence(config: RunConfig) -> int:
-    data, priors, covs, ensembles = _load_inputs_and_ensembles(config)
+    _, ensembles = _inputs_and_ensembles(
+        config, "preprocess/fit-priors/calibrate", "exceedances.json", "priors.json")
+    data, priors, covs = _load_inputs(config)
     estimates = []
     for ensemble in ensembles:
         structure = ensemble.structure
@@ -304,14 +304,15 @@ def cmd_evidence(config: RunConfig) -> int:
 
 
 def cmd_project(config: RunConfig) -> int:
-    data, _, covs, ensembles = _load_inputs_and_ensembles(config)
+    (exceedances_path,), ensembles = _inputs_and_ensembles(
+        config, "preprocess/calibrate", "exceedances.json")
+    threshold = ExceedanceSet.load(exceedances_path).threshold
+    covs = build_covariates(config)
     paths = []
     for ensemble in ensembles:
         cov = covs.get(ensemble.structure.covariate)
         columns = {
-            period: ensemble_return_levels(
-                ensemble, cov, config.projection_year, data.threshold, period
-            )
+            period: ensemble_return_levels(ensemble, cov, config.projection_year, threshold, period)
             for period in config.return_periods
         }
         path = config.out("return_levels", f"{ensemble.structure.id}.csv")
@@ -350,11 +351,10 @@ def cmd_report(config: RunConfig) -> int:
         log.warning("aggregated weight tables need all 13 structures; skipping")
 
     # model-averaged return-level mixture per period
-    mixtures = {}
-    for period in config.return_periods:
-        components = {sid: per_structure[sid][period] for sid in per_structure}
-        rng = np.random.default_rng(stage_seed(config.seed, "mixture", period))
-        mixtures[period] = bma_mixture(components, weights, config.mixture_size, rng)
+    mixtures = {
+        period: bma_mixture({sid: levels[period] for sid, levels in per_structure.items()}, weights)
+        for period in config.return_periods
+    }
     report = hazard_report(mixtures, tuple(config.quantile_levels))
 
     table_path = config.out("table_s2.csv")

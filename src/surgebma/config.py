@@ -56,7 +56,6 @@ class RunConfig:
 
     return_periods: tuple = DEFAULT_RETURN_PERIODS
     quantile_levels: tuple = DEFAULT_QUANTILE_LEVELS
-    mixture_size: int = 100_000
 
     structures: tuple = ()  # empty -> all 13
     seed: int = 0
@@ -72,9 +71,11 @@ class RunConfig:
         for sid in self.structures:
             if sid not in known:
                 raise ValueError(f"unknown structure {sid!r}")
-        if len(set(self.structures)) < len(self.structures):
-            # every stage would run a repeat twice, and report would then refuse it
-            raise ValueError(f"repeated structures in {', '.join(self.structures)}")
+        # each stage would run a repeated structure twice; table_s2.csv would show a level twice
+        for name in ("structures", "return_periods", "quantile_levels"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"repeated {name} in {', '.join(map(str, values))}")
         # preprocess would refuse these only after reading the whole hourly record
         if not (math.isfinite(self.detrend_window_days) and self.detrend_window_days >= 1):
             raise ValueError("[preprocess] detrend_window_days must be a finite number >= 1")
@@ -92,8 +93,6 @@ class RunConfig:
                 "quantile_levels must lie in (0, 1) and include "
                 + ", ".join(f"{q:g}" for q in REPORTED_QUANTILE_LEVELS)
             )
-        if self.mixture_size < 1:
-            raise ValueError("mixture_size must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         # ChainConfig allows these (one chain runs fine), but the PSRF and the
@@ -134,8 +133,7 @@ _RUN_OPTIONS = {
     "window": dict.fromkeys(("calibration_start", "calibration_end", "projection_year"), int),
     "preprocess": {"detrend_window_days": float, "min_valid_hours": int,
                    "threshold_quantile": float, "separation_days": int},
-    "projection": {"return_periods": _parse_floats, "quantile_levels": _parse_floats,
-                   "mixture_size": int},
+    "projection": dict.fromkeys(("return_periods", "quantile_levels"), _parse_floats),
     "run": {"seed": int, "workers": int, "structures": _parse_structures},
 }
 # [sampler] option -> parser; each option sets the ChainConfig field of its name

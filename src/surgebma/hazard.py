@@ -7,10 +7,11 @@ lam_yr = lam * 365.25 this inverts in closed form (Coles 2001, ch. 4):
     z = mu + (sig/xi) * ((T * lam_yr)^xi - 1)      for xi != 0
     z = mu + sig * ln(T * lam_yr)                  in the exponential limit
 
-The Bayesian-model-averaged hazard is realized as a mixture distribution:
-structures are drawn with their BMA weights, then return-level samples are
-drawn from the chosen structure's posterior ensemble. The mean of that
-mixture is the weight-averaged return level.
+The Bayesian-model-averaged hazard is the mixture of the structures'
+return-level ensembles in which each of structure s's n_s samples carries
+mass w_s / n_s. Its quantiles are read off exactly, as the inverse of the
+weighted empirical CDF (Hyndman & Fan 1996, type 1); nothing is drawn at
+random. The mean of that mixture is the weight-averaged return level.
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ from .covariates import CovariateSeries
 from .evidence import BmaWeights
 from .models import DAYS_PER_YEAR, XI_EPS, covariate_values, effective_params
 from .sampler import PosteriorEnsemble
-from .utils import (
-    GateError, dump_json, empirical_quantile, format_float, parse_errors_named, write_csv,
-)
+from .utils import GateError, dump_json, format_float, parse_errors_named, write_csv
 
-# floats: a period's text form names its mixture seed and its curve.json entry
+# floats: a period's text form names its return-level column and its curve.json entry
 DEFAULT_RETURN_PERIODS = (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 DEFAULT_QUANTILE_LEVELS = (0.025, 0.05, 0.25, 0.5, 0.75, 0.95, 0.975)
 REPORTED_QUANTILE_LEVELS = (0.05, 0.5, 0.95)  # the median and the 90% credible range
@@ -48,6 +47,18 @@ class ReturnLevelEnsemble:
     def __post_init__(self):
         if self.samples.size == 0:
             raise ValueError("empty return-level ensemble")
+
+
+@dataclass(frozen=True)
+class BmaMixture:
+    """The BMA mixture of one period's per-structure return levels (meters)."""
+
+    year: int
+    period_years: float
+    samples: np.ndarray  # ascending
+    cum_mass: np.ndarray  # the mass of samples[:i + 1]; the last entry is the total
+    n_clamped: int  # the components' sums
+    n_flagged: int
 
 
 @dataclass(frozen=True)
@@ -121,49 +132,37 @@ def ensemble_return_levels(
 # ---------------------------------------------------------------------------
 
 
-def bma_mixture(
-    ensembles: dict[str, ReturnLevelEnsemble],
-    weights: BmaWeights,
-    mixture_size: int,
-    rng: np.random.Generator,
-) -> ReturnLevelEnsemble:
-    """Sample the BMA predictive mixture of per-structure return levels."""
-    if mixture_size < 1:
-        raise ValueError("mixture_size must be positive")
+def bma_mixture(ensembles: dict[str, ReturnLevelEnsemble], weights: BmaWeights) -> BmaMixture:
+    """The BMA predictive mixture of per-structure return levels: each of
+    structure s's n_s samples carries mass w_s / n_s."""
     ids = sorted(ensembles)
     if set(ids) != set(weights.weights):
         raise ValueError("ensembles and weights cover different structures")
-    ref = next(iter(ensembles.values()))
-    if any(e.year != ref.year or e.period_years != ref.period_years for e in ensembles.values()):
+    parts = [ensembles[sid] for sid in ids]
+    ref = parts[0]
+    if any(e.year != ref.year or e.period_years != ref.period_years for e in parts):
         raise ValueError("component ensembles target different years or periods")
 
-    probs = np.array([weights.weights[sid] for sid in ids])
-    counts = rng.multinomial(mixture_size, probs / probs.sum())
-    parts = []
-    for sid, m in zip(ids, counts):
-        pool = ensembles[sid].samples
-        parts.append(pool[rng.integers(0, pool.size, size=m)])
-    samples = np.concatenate(parts)
-    return ReturnLevelEnsemble(
-        ref.year,
-        ref.period_years,
-        samples,
-        sum(e.n_clamped for e in ensembles.values()),
-        sum(e.n_flagged for e in ensembles.values()),
-    )
+    sizes = [e.samples.size for e in parts]
+    mass = np.repeat([weights.weights[sid] / n for sid, n in zip(ids, sizes)], sizes)
+    samples = np.concatenate([e.samples for e in parts])
+    order = np.argsort(samples, kind="stable")
+    return BmaMixture(ref.year, ref.period_years, samples[order], np.cumsum(mass[order]),
+                      sum(e.n_clamped for e in parts), sum(e.n_flagged for e in parts))
 
 
-def hazard_report(
-    mixtures: dict[float, ReturnLevelEnsemble], levels: tuple[float, ...]
-) -> HazardReport:
-    """Empirical quantile table of the mixture ensembles, one row per period."""
+def hazard_report(mixtures: dict[float, BmaMixture], levels: tuple[float, ...]) -> HazardReport:
+    """Quantile table of the mixtures, one row per period. The q-quantile is
+    the first sample whose cumulative mass reaches q times the total: the
+    inverse of the weighted empirical CDF (Hyndman & Fan 1996, type 1)."""
     if not mixtures:
-        raise ValueError("no return-level ensembles supplied")
+        raise ValueError("no return-level mixtures supplied")
     periods = tuple(sorted(mixtures))
     year = next(iter(mixtures.values())).year
     table = np.empty((len(periods), len(levels)))
     for i, t in enumerate(periods):
-        table[i] = empirical_quantile(mixtures[t].samples, list(levels))
+        m = mixtures[t]
+        table[i] = m.samples[np.searchsorted(m.cum_mass, np.multiply(levels, m.cum_mass[-1]))]
     return HazardReport(year, periods, tuple(levels), table)
 
 

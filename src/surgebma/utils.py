@@ -1,4 +1,4 @@
-"""Small shared helpers: the gate error, the package-wide quantile rule,
+"""Small shared helpers: the gate error, the threshold's quantile rule,
 stable file output into a directory it makes, and the errors of a malformed file."""
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ class GateError(ValueError):
 def empirical_quantile(values, q):
     """Empirical quantile with linear interpolation between order statistics.
 
-    This is the single quantile convention used everywhere (threshold
-    selection, return-level tables), so that all modules agree on the rule.
-    Accepts a scalar or a sequence of probability levels.
+    The quantile rule of the threshold selection. The return-level tables
+    read their quantiles off the weighted empirical CDF of the BMA mixture
+    instead (``hazard.hazard_report``). Accepts a scalar or a sequence of
+    probability levels.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:

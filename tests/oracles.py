@@ -3,7 +3,8 @@
 These deliberately avoid the package's own code paths: the likelihood oracle is
 a double loop in extended precision, the scalar GPD and Poisson densities and
 the closed-form return level are written out term by term, the Monte-Carlo
-return level takes quantiles of simulated annual maxima, the declustering
+return level takes quantiles of simulated annual maxima, the mixture quantile
+walks (value, mass) pairs in plain Python, the declustering
 oracle builds clusters by transitive closure in O(n^2), and the sampler oracle
 steps one chain at a time on a row density. The row-kernel, hourly CSV reader
 and writer, detrending and daily-maxima oracles are earlier versions kept as
@@ -144,6 +145,29 @@ def empirical_return_level(row, structure, phi_year, mu, period, n_sim_years, rn
     if not math.isfinite(level):
         raise ValueError("too few simulated exceedances for this return period")
     return level
+
+
+def weighted_inverse_cdf(components, weights, q):
+    """The q-quantile of the mixture in which each of component s's n_s values
+    carries mass ``weights[s] / n_s``: the first value, walking the (value,
+    mass) pairs in ascending order, at which the running mass reaches q times
+    the total (Hyndman & Fan 1996, type 1).
+
+    The pairs are listed by component id, then sorted stably by value, and the
+    masses are added one at a time (``sum`` rounds otherwise from Python 3.12),
+    so that every running mass is the float a left-to-right cumulative sum gives.
+    """
+    pairs = [(float(v), weights[sid] / len(values))
+             for sid, values in sorted(components.items()) for v in values]
+    pairs.sort(key=lambda pair: pair[0])
+    running, total = [], 0.0
+    for _, mass in pairs:
+        total += mass
+        running.append(total)
+    for (value, _), reached in zip(pairs, running):
+        if reached >= q * total:
+            return value
+    raise ValueError(f"level {q} above 1")
 
 
 def brute_force_decluster(days, heights, sep):

@@ -297,7 +297,6 @@ psrf_gate = 2.0
 
 [projection]
 return_periods = 10, 100
-mixture_size = 20000
 
 [run]
 seed = 17

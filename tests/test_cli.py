@@ -47,7 +47,6 @@ psrf_gate = {gate}
 
 [projection]
 return_periods = 10, 100
-mixture_size = 20000
 
 [run]
 seed = 5
@@ -216,23 +215,25 @@ def _evidence_of_st_alone(out):
         assert main(["evidence", "--config", str(out.parent / "run.ini"), "--structures", "ST"]) == 0
 
 
-LOADERS = ("calibrate", "evidence", "project")  # the stages that read exceedances and priors
+LOADERS = ("calibrate", "evidence", "project")  # the stages that read exceedances.json
+PRIORS_READERS = ("calibrate", "evidence")
 # how an earlier stage's output is spoiled (a file to remove, or a function),
 # what the refusal names, and the stages that read that output; a malformed
 # file is named whatever its parse raises (a missing key, a wrong type, too
 # few rows, broken JSON, a value that is not a number)
 SPOILED_OUTPUTS = {
     "no_exceedances": ("exceedances.json", "exceedances.json", LOADERS),
-    "no_priors": ("priors.json", "priors.json", LOADERS),
+    "no_priors": ("priors.json", "priors.json", PRIORS_READERS),
     "no_ensemble": ("ensembles/NS1-time.csv", "NS1-time.csv", ("evidence", "project")),
     "no_evidence": ("evidence.json", "evidence.json", ("report",)),
     "no_return_levels": ("return_levels/NS1-time.csv", "NS1-time.csv", ("report",)),
-    "priors_without_a_structure": (_drop_ns1_time_priors, "NS1-time", LOADERS),
+    "priors_without_a_structure": (_drop_ns1_time_priors, "NS1-time", PRIORS_READERS),
     "exceedances_without_a_threshold": (
         _overwrite("exceedances.json", '{"years": []}'), "exceedances.json", LOADERS),
     "truncated_exceedances": (
         _overwrite("exceedances.json", '{"threshold_m": 1.0, "ye'), "exceedances.json", LOADERS),
-    "priors_without_structures": (_overwrite("priors.json", '{"meta": {}}'), "priors.json", LOADERS),
+    "priors_without_structures": (
+        _overwrite("priors.json", '{"meta": {}}'), "priors.json", PRIORS_READERS),
     "empty_ensemble": (
         _overwrite("ensembles/NS1-time.csv", ""), "NS1-time.csv", ("evidence", "project")),
     "word_in_an_ensemble_draw": (
@@ -370,6 +371,29 @@ def test_report_prints_flagged_and_clamped_draws(pipeline_dir, capsys):
         f"T=100 draws: {flagged} flagged and dropped ({clamped} with a non-positive rate), "
         "of 2000 across 2 structures"
     ]
+
+
+def test_report_writes_the_same_tables_at_any_seed(pipeline_dir, tmp_path):
+    # the mixture quantiles are read off the weighted components: nothing is drawn
+    shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+    written = []
+    for seed in ("1", "2"):
+        assert main(["report", "--config", str(tmp_path / "run.ini"), "--seed", seed]) == 0
+        written.append([(tmp_path / "out" / name).read_bytes()
+                        for name in ("table_s2.csv", "curve.json")])
+    assert written[0] == written[1]
+
+
+def test_project_reads_no_priors(pipeline_dir, tmp_path):
+    shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+    out = tmp_path / "out"
+    (out / "priors.json").unlink()
+    shutil.rmtree(out / "return_levels")
+    assert main(["project", "--config", str(tmp_path / "run.ini")]) == 0
+    want = pipeline_dir / "out" / "return_levels"
+    assert sorted(p.name for p in (out / "return_levels").iterdir()) == ["NS1-time.csv", "ST.csv"]
+    for path in (out / "return_levels").iterdir():
+        assert path.read_bytes() == (want / path.name).read_bytes()
 
 
 def test_all_draws_flagged_exits_1(pipeline_dir, tmp_path, capsys):
@@ -874,13 +898,16 @@ WINDOW_DAYS_REFUSED = "[preprocess] detrend_window_days must be a finite number 
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("mixture_size = 20000", "mixture_size = 20000\nquantile_levels = 0.25, 0.75",
+        ("return_periods = 10, 100", "return_periods = 10, 100\nquantile_levels = 0.25, 0.75",
          QUANTILE_LEVELS_REFUSED),
-        ("mixture_size = 20000", "mixture_size = 20000\nquantile_levels = 0.05, 0.5, 0.95, 1",
+        ("return_periods = 10, 100",
+         "return_periods = 10, 100\nquantile_levels = 0.05, 0.5, 0.95, 1",
          QUANTILE_LEVELS_REFUSED),
         ("return_periods = 10, 100", "return_periods = 0, 100", PERIODS_REFUSED),
         ("return_periods = 10, 100", "return_periods = -5, 100", PERIODS_REFUSED),
-        ("mixture_size = 20000", "mixture_size = 0", "mixture_size must be at least 1"),
+        # report reads its quantiles off the weighted components and draws nothing
+        ("return_periods = 10, 100", "return_periods = 10, 100\nmixture_size = 20000",
+         "unknown config option [projection] mixture_size"),
         # 2 chains x (400 - 200) iterations cannot pool thinned_size = 1000 draws
         ("n_iterations = 1200", "n_iterations = 400",
          "thinned_size 1000 exceeds the pooled sample of "
@@ -899,6 +926,12 @@ WINDOW_DAYS_REFUSED = "[preprocess] detrend_window_days must be a finite number 
          "unknown config option [sampler] target_acceptance"),
         # every stage would run ST twice, and report would then refuse the evidence
         ("structures = ST", "structures = ST, ST", "repeated structures in ST, ST"),
+        # table_s2.csv would show a repeated level twice, and curve.json once
+        ("return_periods = 10, 100",
+         "return_periods = 10, 100\nquantile_levels = 0.05, 0.5, 0.95, 0.5",
+         "repeated quantile_levels in 0.05, 0.5, 0.95, 0.5"),
+        ("return_periods = 10, 100", "return_periods = 10, 100, 100.0",
+         "repeated return_periods in 10.0, 100.0, 100.0"),
         # preprocess settings that its functions would refuse only after the
         # hourly record was read
         ("[run]", "[preprocess]\ndetrend_window_days = inf\n\n[run]", WINDOW_DAYS_REFUSED),
@@ -923,9 +956,9 @@ WINDOW_DAYS_REFUSED = "[preprocess] detrend_window_days must be a finite number 
     ],
     ids=["no_median", "level_1", "zero_period", "negative_period", "mixture_size", "thinned_size",
          "one_chain", "short_segment", "small_ensemble", "misspelled_key", "unknown_section",
-         "target_acceptance", "repeated_structure", "infinite_window", "nan_window",
-         "short_window", "no_valid_hours", "quantile_above_1", "zero_separation",
-         "negative_workers", "nan_gate", "infinite_gate", "infinite_period",
+         "target_acceptance", "repeated_structure", "repeated_level", "repeated_period",
+         "infinite_window", "nan_window", "short_window", "no_valid_hours", "quantile_above_1",
+         "zero_separation", "negative_workers", "nan_gate", "infinite_gate", "infinite_period",
          "burn_in_of_every_iteration", "no_station", "window_not_ordered"],
 )
 def test_bad_config_values_exit_2_before_any_stage(tmp_path, capsys, old, new, message):

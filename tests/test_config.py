@@ -1,12 +1,16 @@
 import codecs
+import configparser
 import dataclasses
 import hashlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from surgebma.config import SAMPLER_PROFILES, RunConfig, build_covariates, load_config
+from surgebma.config import (
+    _KNOWN_OPTIONS, _RUN_OPTIONS, SAMPLER_PROFILES, RunConfig, build_covariates, load_config,
+)
 from surgebma.covariates import CovariateKind
 from surgebma.sampler import ChainConfig
 from surgebma.simulate import write_covariate_fixtures
@@ -41,13 +45,15 @@ thinned_size = 1000
 
 [projection]
 return_periods = 10, 50, 100
-mixture_size = 5000
 
 [run]
 seed = 99
 structures = ST, NS1-time
 output_dir = results
 """
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -69,7 +75,6 @@ def test_load_config_fields(config_dir):
     assert config.sampler.n_chains == 2
     assert config.seed == 99
     assert config.return_periods == (10.0, 50.0, 100.0)
-    assert config.mixture_size == 5000
     assert config.structures == ("ST", "NS1-time")
     assert config.output_dir == config_dir / "results"
     assert len(config.config_hash) == 64
@@ -178,6 +183,24 @@ def test_omitted_options_take_the_dataclass_defaults(tmp_path):
         assert getattr(config, f.name) == default, f.name
     assert config.sampler == ChainConfig()
     assert config.return_periods and all(type(t) is float for t in config.return_periods)
+
+
+def test_readme_configuration_reference_shows_every_option_at_its_default(tmp_path):
+    # the ini block under "## Configuration reference"; paths are placeholders
+    text = README.read_text(encoding="utf-8").split("## Configuration reference", 1)[1]
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "run.ini").write_text(block)
+    config = load_config(tmp_path / "run.ini")
+    shown = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    shown.read_string(block)
+    assert {name: set(shown[name]) for name in shown.sections()} == _KNOWN_OPTIONS
+    default = RunConfig(station_csv=config.station_csv)
+    for options in _RUN_OPTIONS.values():
+        for key in options:
+            assert getattr(config, key) == getattr(default, key), key
+    assert config.output_dir == tmp_path / default.output_dir
+    assert config.force == default.force
+    assert config.sampler == ChainConfig()
 
 
 def test_sampler_profiles(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import closed_form_return_level
+from oracles import closed_form_return_level, weighted_inverse_cdf
 from surgebma.covariates import CovariateKind, CovariateSeries
 from surgebma.evidence import BmaWeights
 from surgebma.hazard import (
@@ -193,58 +193,97 @@ def rl(samples, year=2065, period=100.0):
     return ReturnLevelEnsemble(year, period, np.asarray(samples, dtype=float), 0, 0)
 
 
-def test_mixture_single_model_resamples_it():
-    pool = np.linspace(1.0, 2.0, 50)
-    weights = BmaWeights({"A": 1.0})
-    out = bma_mixture({"A": rl(pool)}, weights, 5000, np.random.default_rng(1))
-    assert set(np.unique(out.samples)).issubset(set(pool))
+def mix(samples, period=100.0):
+    """The mixture of one structure's samples."""
+    return bma_mixture({"A": rl(samples, period=period)}, BmaWeights({"A": 1.0}))
 
 
-def test_mixture_of_point_masses_has_weighted_mean():
-    weights = BmaWeights({"A": 0.75, "B": 0.25})
-    ensembles = {"A": rl([2.0]), "B": rl([3.0])}
-    out = bma_mixture(ensembles, weights, 100_000, np.random.default_rng(2))
-    se = math.sqrt(0.75 * 0.25) * 1.0 / math.sqrt(100_000)
-    assert abs(out.samples.mean() - 2.25) < 3.0 * se
+# the reported levels, levels between them, and levels at a point mass's jump
+MIXTURE_LEVELS = (0.001, 0.025, 0.05, 0.1, 0.25, 1 / 3, 0.5, 0.6, 0.75, 0.8, 0.95, 0.975, 0.999)
 
 
-def test_mixture_uniform_weights_over_identical_ensembles():
-    rng = np.random.default_rng(3)
-    pool = rng.normal(2.0, 0.3, size=2000)
-    ids = ["A", "B", "C"]
-    weights = BmaWeights({i: 1 / 3 for i in ids})
-    out = bma_mixture({i: rl(pool) for i in ids}, weights, 50_000, rng)
-    for q in (0.05, 0.5, 0.95):
-        a = np.quantile(pool, q)
-        b = np.quantile(out.samples, q)
-        assert abs(a - b) < 0.03
+def assert_quantiles_match_the_oracle(components, weights, levels=MIXTURE_LEVELS):
+    ensembles = {sid: rl(values) for sid, values in components.items()}
+    report = hazard_report({100.0: bma_mixture(ensembles, BmaWeights(weights))}, levels)
+    want = [weighted_inverse_cdf(components, weights, q) for q in levels]
+    assert report.table[0].tolist() == want
+    return want
 
 
-@pytest.mark.parametrize("n", [1, 7, 1000])
-def test_an_empty_integers_draw_leaves_the_generator_where_it_was(n):
-    # what lets bma_mixture draw for a structure of zero count without a branch
-    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-    assert rng.integers(0, n, size=0).shape == (0,)
-    assert rng.bit_generator.state == twin.bit_generator.state
+def test_mixture_quantiles_of_ties_across_structures():
+    components = {"A": [1.0, 2.0, 3.0, 3.0], "B": [2.0, 3.0, 4.0], "C": [3.0, 3.0]}
+    want = assert_quantiles_match_the_oracle(components, {"A": 0.5, "B": 0.3, "C": 0.2})
+    # cumulative mass: 1 -> 0.125, 2 -> 0.35, 3 -> 0.9, 4 -> 1
+    assert want == [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0, 4.0, 4.0, 4.0]
 
 
-def test_mixture_takes_nothing_from_a_structure_drawn_no_times():
-    ensembles = {"A": rl([1.0, 2.0, 3.0]), "B": rl([5.0, 6.0]), "C": rl([7.0, 8.0, 9.0, 10.0])}
-    weights = BmaWeights({"A": 0.5, "B": 0.0, "C": 0.5})
-    out = bma_mixture(ensembles, weights, 1000, np.random.default_rng(4))
-    # the mixture of the two structures with a count, drawn from the same stream
-    rng = np.random.default_rng(4)
-    counts = rng.multinomial(1000, [0.5, 0.0, 0.5])
-    assert counts[1] == 0
-    pools = [ensembles["A"].samples, ensembles["C"].samples]
-    want = [pool[rng.integers(0, pool.size, size=m)] for pool, m in zip(pools, counts[[0, 2]])]
-    assert out.samples.tobytes() == np.concatenate(want).tobytes()
+def test_mixture_quantiles_take_nothing_from_a_structure_of_zero_weight():
+    # the weightless structure holds the lowest value and one between the others
+    components = {"A": [1.0, 2.0, 3.0], "B": [0.5, 2.5], "C": [7.0, 8.0, 9.0, 10.0]}
+    levels = tuple(np.linspace(0.005, 0.995, 199))
+    want = assert_quantiles_match_the_oracle(components, {"A": 0.5, "B": 0.0, "C": 0.5}, levels)
+    assert not {0.5, 2.5} & set(want)
+    assert set(want) == {1.0, 2.0, 3.0, 7.0, 8.0, 9.0, 10.0}
+
+
+def test_mixture_quantiles_of_one_structure_are_its_inverse_cdf():
+    pool = np.random.default_rng(1).normal(2.0, 0.3, size=50)
+    levels = tuple((k + 0.5) / 50 for k in range(50))
+    want = assert_quantiles_match_the_oracle({"A": pool.tolist()}, {"A": 1.0}, levels)
+    # the ceil(50 q)-th smallest sample
+    assert want == np.sort(pool).tolist()
+
+
+def test_mixture_quantiles_of_point_masses():
+    want = assert_quantiles_match_the_oracle({"A": [2.0], "B": [3.0]}, {"A": 0.75, "B": 0.25})
+    # the first level above 0.75 is the first to reach B
+    assert want == [2.0] * 9 + [3.0] * 4
+    mixture = bma_mixture({"A": rl([2.0]), "B": rl([3.0])}, BmaWeights({"A": 0.75, "B": 0.25}))
+    assert (mixture.samples.tolist(), mixture.cum_mass.tolist()) == ([2.0, 3.0], [0.75, 1.0])
+
+
+def test_mixture_weighs_each_structure_by_its_retained_draws():
+    # unequal ensembles whose flagged draws (a rate below one event in T
+    # years) are dropped: each kept draw of a structure carries w / kept
+    rng = np.random.default_rng(6)
+    ensembles = {}
+    for sid, (n, n_low) in {"A": (40, 0), "B": (25, 7), "C": (13, 12)}.items():
+        rows = np.column_stack([rng.uniform(0.005, 0.02, n), rng.uniform(0.1, 0.2, n),
+                                rng.uniform(-0.2, 0.2, n)])
+        rows[:n_low, 0] = 1e-7  # 1e-7 * 365.25 * 100 < 1
+        ensembles[sid] = ensemble_return_levels(make_ensemble(ST, rows), None, 2065, 1.0, 100.0)
+    assert [e.samples.size for e in ensembles.values()] == [40, 18, 1]
+    weights = {"A": 0.2, "B": 0.45, "C": 0.35}
+    mixture = bma_mixture(ensembles, BmaWeights(weights))
+    assert (mixture.n_flagged, mixture.n_clamped) == (19, 0)
+    assert mixture.samples.size == 59 and np.all(np.diff(mixture.samples) >= 0)
+    assert mixture.cum_mass[-1] == pytest.approx(1.0, abs=1e-12)
+    levels = tuple(np.linspace(0.005, 0.995, 199))
+    report = hazard_report({100.0: mixture}, levels)
+    components = {sid: e.samples.tolist() for sid, e in ensembles.items()}
+    assert report.table[0].tolist() == [weighted_inverse_cdf(components, weights, q)
+                                        for q in levels]
+    # C's one kept draw carries all of C's weight
+    masses = np.diff(mixture.cum_mass, prepend=0.0)
+    assert masses[mixture.samples == ensembles["C"].samples[0]] == pytest.approx([0.35])
+
+
+def test_mixture_quantiles_of_many_unequal_structures_with_ties():
+    rng = np.random.default_rng(7)
+    # values on a 1 cm grid tie within and across structures
+    components = {f"S{i}": np.round(rng.normal(2.0 + 0.1 * i, 0.2, rng.integers(1, 60)), 2).tolist()
+                  for i in range(13)}
+    weights = dict(zip(components, rng.dirichlet(np.ones(13)).tolist()))
+    weights["S3"] = 0.0
+    total = sum(weights.values())
+    weights = {sid: w / total for sid, w in weights.items()}
+    assert_quantiles_match_the_oracle(components, weights, tuple(np.linspace(0.001, 0.999, 999)))
 
 
 def test_mixture_validates_coverage():
     weights = BmaWeights({"A": 0.5, "B": 0.5})
     with pytest.raises(ValueError, match="different structures"):
-        bma_mixture({"A": rl([1.0])}, weights, 100, np.random.default_rng(0))
+        bma_mixture({"A": rl([1.0])}, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +292,7 @@ def test_mixture_validates_coverage():
 
 
 def test_report_point_mass_quantiles_collapse():
-    mixtures = {t: rl(np.full(100, 2.5), period=t) for t in (2.0, 100.0)}
+    mixtures = {t: mix(np.full(100, 2.5), period=t) for t in (2.0, 100.0)}
     report = hazard_report(mixtures, DEFAULT_QUANTILE_LEVELS)
     assert np.allclose(report.table, 2.5)
 
@@ -261,7 +300,7 @@ def test_report_point_mass_quantiles_collapse():
 def test_report_rows_nondecreasing_and_shape():
     rng = np.random.default_rng(4)
     mixtures = {
-        float(t): rl(rng.normal(2 + math.log(t), 0.3, size=4000), period=float(t))
+        float(t): mix(rng.normal(2 + math.log(t), 0.3, size=4000), period=float(t))
         for t in DEFAULT_RETURN_PERIODS
     }
     report = hazard_report(mixtures, DEFAULT_QUANTILE_LEVELS)
@@ -276,7 +315,7 @@ def test_report_rows_nondecreasing_and_shape():
 def test_report_csv_and_curve_json(tmp_path):
     rng = np.random.default_rng(5)
     mixtures = {
-        float(t): rl(rng.normal(2.0, 0.2, size=500), period=float(t))
+        float(t): mix(rng.normal(2.0, 0.2, size=500), period=float(t))
         for t in DEFAULT_RETURN_PERIODS
     }
     report = hazard_report(mixtures, DEFAULT_QUANTILE_LEVELS)
