@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import simulate as sim
 from .config import RunConfig, _parse_structures, build_covariates, load_config
 from .evidence import (
     aggregate_by_covariate,
@@ -424,51 +425,61 @@ def cmd_run_all(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    from . import simulate as sim
-
-    if args.what != "mle-pack" and args.last_year < args.first_year:  # mle-pack's are fixed
+def _check_years(args) -> None:
+    if args.last_year < args.first_year:
         raise ValueError(f"--last-year {args.last_year} is before --first-year {args.first_year}")
-    if args.what == "station":
-        mu = sim.write_hourly_fixture(
-            args.out, args.first_year, args.last_year, seed=args.seed
-        )
-        print(f"wrote {args.out} (target threshold {mu} m)")
-    elif args.what == "covariates":
-        if args.projection_year <= args.last_year:  # the annual _proj files would hold no year
-            raise ValueError(f"--projection-year {args.projection_year} "
-                             f"is not after --last-year {args.last_year}")
-        paths = sim.write_covariate_fixtures(
-            args.out, args.first_year, args.last_year, args.projection_year, seed=args.seed
-        )
-        print("wrote " + ", ".join(sorted(paths.values())))
-    elif args.what == "mle-pack":
-        if args.stations < MIN_PRIOR_SAMPLES:
-            raise ValueError(f"--stations must be at least {MIN_PRIOR_SAMPLES} for fit-priors")
-        table = sim.make_mle_fixture_pack(seed=args.seed, n_stations=args.stations)
-        years = f"{sim.PACK_FIRST_YEAR}-{sim.PACK_LAST_YEAR}"
-        meta = {"seed": args.seed, "stations": args.stations, "years": years}
-        save_mle_table(table, args.out, meta=meta)
-        print(f"wrote {args.out} ({args.stations} stations x {len(table)} structures)")
-    else:  # record
-        structure = ModelStructure.parse(args.structure)
-        covs = {} if structure.covariate is None else sim.synthetic_covariates(
-            args.first_year, args.last_year, (args.first_year, args.last_year)
-        )
-        # the one place where parameters arrive by name: refuse a nonzero
-        # inactive one rather than drop it
-        named = {name: getattr(args, name) for name in ACTIVE_PARAMS[NonstatLevel.NS3]}
-        stray = [name for name, value in named.items()
-                 if value and name not in structure.active_params]
-        if stray:
-            raise ValueError(f"{', '.join(stray)} not active at level {structure.level.value}")
-        row = np.array([named[name] for name in structure.active_params])
-        spec = sim.SimulationSpec(
-            row, structure, covs.get(structure.covariate), args.first_year, args.last_year,
-            args.threshold, args.seed,
-        )
-        sim.simulate_record(spec).save(args.out)
-        print(f"wrote {args.out}")
+
+
+def cmd_simulate_station(args) -> int:
+    _check_years(args)
+    mu = sim.write_hourly_fixture(args.out, args.first_year, args.last_year, seed=args.seed)
+    print(f"wrote {args.out} (target threshold {mu} m)")
+    return EXIT_OK
+
+
+def cmd_simulate_covariates(args) -> int:
+    _check_years(args)
+    if args.projection_year <= args.last_year:  # the annual _proj files would hold no year
+        raise ValueError(f"--projection-year {args.projection_year} "
+                         f"is not after --last-year {args.last_year}")
+    paths = sim.write_covariate_fixtures(
+        args.out, args.first_year, args.last_year, args.projection_year, seed=args.seed
+    )
+    print("wrote " + ", ".join(sorted(paths.values())))
+    return EXIT_OK
+
+
+def cmd_simulate_mle_pack(args) -> int:
+    if args.stations < MIN_PRIOR_SAMPLES:
+        raise ValueError(f"--stations must be at least {MIN_PRIOR_SAMPLES} for fit-priors")
+    table = sim.make_mle_fixture_pack(seed=args.seed, n_stations=args.stations)
+    years = f"{sim.PACK_FIRST_YEAR}-{sim.PACK_LAST_YEAR}"
+    meta = {"seed": args.seed, "stations": args.stations, "years": years}
+    save_mle_table(table, args.out, meta=meta)
+    print(f"wrote {args.out} ({args.stations} stations x {len(table)} structures)")
+    return EXIT_OK
+
+
+def cmd_simulate_record(args) -> int:
+    _check_years(args)
+    structure = ModelStructure.parse(args.structure)
+    covs = {} if structure.covariate is None else sim.synthetic_covariates(
+        args.first_year, args.last_year, (args.first_year, args.last_year)
+    )
+    # the one place where parameters arrive by name: refuse a nonzero
+    # inactive one rather than drop it
+    named = {name: getattr(args, name) for name in ACTIVE_PARAMS[NonstatLevel.NS3]}
+    stray = [name for name, value in named.items()
+             if value and name not in structure.active_params]
+    if stray:
+        raise ValueError(f"{', '.join(stray)} not active at level {structure.level.value}")
+    row = np.array([named[name] for name in structure.active_params])
+    spec = sim.SimulationSpec(
+        row, structure, covs.get(structure.covariate), args.first_year, args.last_year,
+        args.threshold, args.seed,
+    )
+    sim.simulate_record(spec).save(args.out)
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -504,23 +515,33 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline("report", cmd_report, "BMA weights, quantile tables, curve data")
     pipeline("run-all", cmd_run_all, "full pipeline in one call")
 
-    simp = sub.add_parser("simulate", help="generate synthetic fixtures")
-    simp.set_defaults(run=cmd_simulate)
-    simp.add_argument("what", choices=["station", "covariates", "mle-pack", "record"])
-    simp.add_argument("--out", required=True, help="output file (or directory for covariates)")
-    simp.add_argument("--seed", type=int, default=0)
-    simp.add_argument("--first-year", type=int, default=1928)
-    simp.add_argument("--last-year", type=int, default=2013)
-    simp.add_argument("--projection-year", type=int, default=2065)
-    simp.add_argument("--stations", type=int, default=28)
-    simp.add_argument("--structure", default="ST", help="record: structure id to simulate from")
-    simp.add_argument("--lam0", type=float, default=0.008)
-    simp.add_argument("--lam1", type=float, default=0.0)
-    simp.add_argument("--sig0", type=float, default=0.12)
-    simp.add_argument("--sig1", type=float, default=0.0)
-    simp.add_argument("--xi0", type=float, default=0.1)
-    simp.add_argument("--xi1", type=float, default=0.0)
-    simp.add_argument("--threshold", type=float, default=1.0)
+    # each simulate kind takes only the options it reads
+    kinds = sub.add_parser("simulate", help="generate synthetic fixtures").add_subparsers(
+        dest="kind", required=True)
+
+    def simulate(name, command, help_text, out="output file", years=True):
+        p = kinds.add_parser(name, help=help_text)
+        p.set_defaults(run=command)
+        p.add_argument("--out", required=True, help=out)
+        p.add_argument("--seed", type=int, default=0)
+        if years:
+            p.add_argument("--first-year", type=int, default=1928)
+            p.add_argument("--last-year", type=int, default=2013)
+        return p
+
+    simulate("station", cmd_simulate_station, "synthetic hourly tide-gauge CSV")
+    covariates = simulate("covariates", cmd_simulate_covariates,
+                          "annual and monthly covariate CSVs, history and projection",
+                          out="output directory")
+    covariates.add_argument("--projection-year", type=int, default=2065)
+    pack = simulate("mle-pack", cmd_simulate_mle_pack, "station MLE table for fit-priors",
+                    years=False)
+    pack.add_argument("--stations", type=int, default=28)
+    record = simulate("record", cmd_simulate_record, "exceedance-set JSON from known parameters")
+    record.add_argument("--structure", default="ST", help="structure id to simulate from")
+    for name, default in zip(ACTIVE_PARAMS[NonstatLevel.NS3], (0.008, 0.0, 0.12, 0.0, 0.1, 0.0)):
+        record.add_argument(f"--{name}", type=float, default=default)
+    record.add_argument("--threshold", type=float, default=1.0)
     return parser
 
 

@@ -56,10 +56,8 @@ class BmaWeights:
 
 def _mvn_logpdf(x: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """Log density of N(mean, L L^T) for rows of x."""
-    from scipy.linalg import solve_triangular  # deferred: keeps scipy off the CLI's import path
-
     d = mean.size
-    y = solve_triangular(chol, (x - mean).T, lower=True)
+    y = np.linalg.solve(chol, (x - mean).T)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     return -0.5 * (d * math.log(2.0 * math.pi) + logdet + np.sum(y * y, axis=0))
 
@@ -134,8 +132,6 @@ def bridge_evidence(
 def bma_weights(evidences: list[EvidenceEstimate]) -> BmaWeights:
     """Posterior model probabilities under a uniform model prior, computed in
     log space."""
-    from scipy.special import logsumexp  # deferred: keeps scipy off the CLI's import path
-
     if not evidences:
         raise ValueError("no evidence estimates supplied")
     ids = [e.structure.id for e in evidences]
@@ -143,7 +139,8 @@ def bma_weights(evidences: list[EvidenceEstimate]) -> BmaWeights:
         raise ValueError("duplicate structures in evidence list")
     log_prior = math.log(1.0 / len(ids))
     logw = np.array([e.log_evidence + log_prior for e in evidences])
-    weights = np.exp(logw - logsumexp(logw))
+    shift = logw.max()  # every exp(logw - shift) is at most 1, so the sum cannot overflow
+    weights = np.exp(logw - (shift + math.log(np.sum(np.exp(logw - shift)))))
     return BmaWeights(dict(zip(ids, weights)))
 
 

@@ -65,9 +65,7 @@ class PriorSpec:
         if self.family == "normal":
             log_norm = math.log(self.p2)
         else:
-            from scipy.special import gammaln  # deferred: keeps scipy off the CLI's import path
-
-            log_norm = self.p1 * math.log(self.p2) - float(gammaln(self.p1))
+            log_norm = self.p1 * math.log(self.p2) - math.lgamma(self.p1)
         object.__setattr__(self, "_log_norm", log_norm)
 
     def logpdf(self, x: float) -> float:

@@ -583,6 +583,23 @@ def test_simulate_refuses_an_input_it_cannot_use(tmp_path, capsys, what, args, m
 
 
 @pytest.mark.parametrize(
+    "what, stray",
+    [("station", ["--projection-year", "2050"]),
+     ("covariates", ["--stations", "2", "--lam0", "9", "--structure", "NS3-nao",
+                     "--threshold", "7"]),
+     ("mle-pack", ["--first-year", "2020", "--last-year", "1900"]),
+     ("record", ["--stations", "3"])],
+)
+def test_simulate_refuses_an_option_its_kind_does_not_read(tmp_path, capsys, what, stray):
+    out = tmp_path / "new" / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", what, "--out", str(out), *stray])
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(stray)}\n" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize(
     "what, args, written",
     [("station", ["--first-year", "2010", "--last-year", "2013"], "out"),
      ("covariates", ["--first-year", "2010", "--last-year", "2013"], "out/nao_proj.csv"),
@@ -668,35 +685,36 @@ SCIPY_GUARD = """
 import json, sys
 from surgebma.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-years = ["--first-year", "2004", "--last-year", "2013"]
-assert main(["simulate", "station", "--out", "station.csv", *years, "--seed", "21"]) == 0
-assert main(["simulate", "covariates", "--out", "cov", *years,
-             "--projection-year", "2030", "--seed", "22"]) == 0
-assert main(["preprocess", "--config", "run.ini"]) == 0
-before = scipy_modules()
-assert main(["fit-priors", "--config", "run.ini"]) == 0
-print(json.dumps([before, scipy_modules()]))
+years = ["--first-year", "1984", "--last-year", "2013"]
+commands = [
+    ["simulate", "station", "--out", "station.csv", *years, "--seed", "21"],
+    ["simulate", "covariates", "--out", "cov", *years, "--projection-year", "2030", "--seed", "22"],
+    *([stage, "--config", "run.ini"]
+      for stage in ("preprocess", "fit-priors", "calibrate", "evidence", "project", "report")),
+]
+loaded = {}
+for argv in commands:
+    assert main(argv) == 0, argv
+    command = " ".join(argv[:2]) if argv[0] == "simulate" else argv[0]
+    loaded[command] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(loaded))
 """
 
 
-def test_simulate_and_preprocess_never_load_scipy(tmp_path):
-    # a fresh interpreter, since this one has long since imported scipy
-    (tmp_path / "run.ini").write_text(
-        CONFIG_TEMPLATE.format(structures="ST", gate="1.5").replace(
-            "calibration_start = 1984", "calibration_start = 2004")
-    )
+def test_simulate_and_every_stage_never_load_scipy(tmp_path):
+    # a fresh interpreter, since this one has long since imported scipy; the
+    # workspace and config of pipeline_dir, which run-all runs end to end
+    (tmp_path / "run.ini").write_text(CONFIG_TEMPLATE.format(structures="ST, NS1-time", gate="1.5"))
     out = subprocess.run(
         [sys.executable, "-c", SCIPY_GUARD],
         capture_output=True, text=True, cwd=tmp_path, env=child_env(),
     )
     assert out.returncode == 0, out.stderr
-    before, after = json.loads(out.stdout.splitlines()[-1])
-    assert before == []
-    # fit-priors computes gammaln, so the check above could have failed
-    assert "scipy.special" in after
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert list(loaded) == ["simulate station", "simulate covariates", "preprocess",
+                            "fit-priors", "calibrate", "evidence", "project", "report"]
+    # scipy modules loaded by the end of each command: the first listed here loaded them
+    assert [command for command, modules in loaded.items() if modules] == []
 
 
 def test_a_malformed_mle_pack_exits_2_before_fit_priors_writes(tmp_path, capsys):

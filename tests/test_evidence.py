@@ -154,6 +154,41 @@ def test_weights_invariant_to_common_shift():
     assert sum(a.weights.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "logz",
+    [
+        # spread over +-1e4, three of them within 20 of the largest: unshifted,
+        # exp of each of them overflows or underflows
+        np.concatenate([1e4 - np.array([0.0, 0.5, 3.0, 20.0]), np.linspace(-1e4, 5e3, 9)]),
+        np.full(13, -4321.0),
+        np.random.default_rng(12).normal(-500, 5, size=13),
+    ],
+    ids=["spread_1e4", "equal", "desk_like"],
+)
+def test_weights_match_scipy_logsumexp(logz):
+    from scipy.special import logsumexp
+
+    ids = [s.id for s in all_structures()]
+    with np.errstate(over="raise", invalid="raise"):
+        w = bma_weights([evidence_for(s, z) for s, z in zip(ids, logz)])
+    logw = logz + math.log(1.0 / len(ids))
+    np.testing.assert_allclose(
+        [w.weights[s] for s in ids], np.exp(logw - logsumexp(logw)), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_mvn_logpdf_matches_scipy(d):
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(d, d))
+    cov = a @ a.T + d * np.eye(d)
+    mean = rng.normal(size=d)
+    chol = np.linalg.cholesky(cov)
+    x = mean + 2.0 * rng.normal(size=(200, d)) @ chol.T  # out to the proposal's tails
+    got = evidence._mvn_logpdf(x, mean, chol)
+    np.testing.assert_allclose(
+        got, stats.multivariate_normal.logpdf(x, mean, cov), rtol=1e-12, atol=0)
+
+
 def test_weights_must_sum_to_one_within_the_tolerance():
     BmaWeights({"ST": 0.5, "NS1-time": 0.5 + 0.5 * WEIGHT_SUM_TOL})
     with pytest.raises(ValueError, match="sum to 1"):

@@ -171,6 +171,26 @@ def test_poisson_pmf_sums_to_one():
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def test_lgamma_counts_matches_scipy_gammaln():
+    from scipy.special import gammaln
+
+    counts = np.arange(201)
+    years = 1800 + np.arange(counts.size)
+    data = ExceedanceSet(
+        1.0, years, [365] * counts.size, counts,
+        np.repeat([np.datetime64(f"{year}-06-01") for year in years], counts),
+        np.full(counts.sum(), 1.5),
+    )
+    want = float(np.sum(gammaln(counts + 1)))
+    assert LikelihoodData.build(data, None, ST).lgamma_counts == pytest.approx(want, rel=1e-13)
+    # up to 12 events a year (the benchmark's records hold at most 11) it is gammaln's very sum
+    n = int(counts[:13].sum())
+    small = ExceedanceSet(1.0, years[:13], [365] * 13, counts[:13], data.dates[:n],
+                          data.heights[:n])
+    want = float(np.sum(gammaln(counts[:13] + 1)))
+    assert LikelihoodData.build(small, None, ST).lgamma_counts == want
+
+
 # ---------------------------------------------------------------------------
 # joint likelihood
 # ---------------------------------------------------------------------------
