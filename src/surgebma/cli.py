@@ -156,15 +156,17 @@ def _station_mles(
     config: RunConfig, covs: dict, station: Path | ExceedanceSet, index: int
 ) -> dict[str, list]:
     """All-structure MLE fits for one station, given as an hourly CSV to
-    preprocess or as an already preprocessed record; order-independent."""
+    preprocess or as an already preprocessed record. Each fit has its own
+    generator, so it depends neither on the order of the stations nor on
+    which other structures are configured."""
     structures = config.structure_list()
     if isinstance(station, ExceedanceSet):
         record, name = station, "target station"
     else:
         record, name = _preprocess(config, station), station.name
-    rng = np.random.default_rng(stage_seed(config.seed, "station-mle", index))
     out = {}
     for s in structures:
+        rng = np.random.default_rng(stage_seed(config.seed, "station-mle", index, s.id))
         out[s.id] = mle_fit(s, record, covs.get(s.covariate), rng=rng).tolist()
     log.info("fitted %s (%d structures)", name, len(structures))
     return out
@@ -331,7 +333,7 @@ def cmd_report(config: RunConfig) -> int:
     stored = load_evidence(evidence_path)
     if missing := [s.id for s in structures if s.id not in stored]:
         raise ValueError(f"evidence missing for structures: {missing}")
-    per_structure = {s.id: load_return_levels(path, config.projection_year)
+    per_structure = {s.id: load_return_levels(path, config.return_periods)
                      for s, path in zip(structures, level_paths)}
     estimates = [stored[s.id] for s in structures]
     weights = bma_weights(estimates)
@@ -361,7 +363,7 @@ def cmd_report(config: RunConfig) -> int:
     table_path = config.out("table_s2.csv")
     write_quantile_table_csv(report, table_path)
     curve_path = config.out("curve.json")
-    write_curve_json(report, curve_path)
+    write_curve_json(report, config.projection_year, curve_path)
     paths += [table_path, curve_path]
     _note_artifacts(config, *paths)
 

@@ -36,10 +36,8 @@ REPORTED_QUANTILE_LEVELS = (0.05, 0.5, 0.95)  # the median and the 90% credible 
 
 @dataclass(frozen=True)
 class ReturnLevelEnsemble:
-    """Return-level samples (meters) for one target year and period."""
+    """Return-level samples (meters) of one structure, filed under its period."""
 
-    year: int
-    period_years: float
     samples: np.ndarray
     n_clamped: int  # draws whose extrapolated rate is not positive, each also flagged
     n_flagged: int  # draws excluded: rate too low for the threshold regime
@@ -53,8 +51,6 @@ class ReturnLevelEnsemble:
 class BmaMixture:
     """The BMA mixture of one period's per-structure return levels (meters)."""
 
-    year: int
-    period_years: float
     samples: np.ndarray  # ascending
     cum_mass: np.ndarray  # the mass of samples[:i + 1]; the last entry is the total
     n_clamped: int  # the components' sums
@@ -65,18 +61,17 @@ class BmaMixture:
 class HazardReport:
     """Quantile table over return periods; rows ordered as ``periods``."""
 
-    year: int
     periods: tuple[float, ...]
     levels: tuple[float, ...]
     table: np.ndarray  # (n_periods, n_levels)
 
     @property
     def medians(self) -> np.ndarray:
-        return self.table[:, self.levels.index(0.5)]
+        return self.table[:, self.levels.index(REPORTED_QUANTILE_LEVELS[1])]
 
     def credible_range_90(self) -> np.ndarray:
-        lo, hi = self.levels.index(0.05), self.levels.index(0.95)
-        return self.table[:, [lo, hi]]
+        lo, _, hi = REPORTED_QUANTILE_LEVELS
+        return self.table[:, [self.levels.index(lo), self.levels.index(hi)]]
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +119,7 @@ def ensemble_return_levels(
     if not np.any(ok):
         raise GateError(f"all draws flagged for {structure.id} at T={period}")
     samples = _invert_rate(lam_yr[ok], sig[ok], xi[ok], mu, period)
-    return ReturnLevelEnsemble(year, period, samples, n_clamped, n_flagged)
+    return ReturnLevelEnsemble(samples, n_clamped, n_flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +134,11 @@ def bma_mixture(ensembles: dict[str, ReturnLevelEnsemble], weights: BmaWeights) 
     if set(ids) != set(weights.weights):
         raise ValueError("ensembles and weights cover different structures")
     parts = [ensembles[sid] for sid in ids]
-    ref = parts[0]
-    if any(e.year != ref.year or e.period_years != ref.period_years for e in parts):
-        raise ValueError("component ensembles target different years or periods")
-
     sizes = [e.samples.size for e in parts]
     mass = np.repeat([weights.weights[sid] / n for sid, n in zip(ids, sizes)], sizes)
     samples = np.concatenate([e.samples for e in parts])
     order = np.argsort(samples, kind="stable")
-    return BmaMixture(ref.year, ref.period_years, samples[order], np.cumsum(mass[order]),
+    return BmaMixture(samples[order], np.cumsum(mass[order]),
                       sum(e.n_clamped for e in parts), sum(e.n_flagged for e in parts))
 
 
@@ -158,12 +149,11 @@ def hazard_report(mixtures: dict[float, BmaMixture], levels: tuple[float, ...]) 
     if not mixtures:
         raise ValueError("no return-level mixtures supplied")
     periods = tuple(sorted(mixtures))
-    year = next(iter(mixtures.values())).year
     table = np.empty((len(periods), len(levels)))
     for i, t in enumerate(periods):
         m = mixtures[t]
         table[i] = m.samples[np.searchsorted(m.cum_mass, np.multiply(levels, m.cum_mass[-1]))]
-    return HazardReport(year, periods, tuple(levels), table)
+    return HazardReport(periods, tuple(levels), table)
 
 
 def save_return_levels(columns: dict[float, ReturnLevelEnsemble], path) -> None:
@@ -177,19 +167,22 @@ def save_return_levels(columns: dict[float, ReturnLevelEnsemble], path) -> None:
     write_csv(path, [f"T{t:g}" for t in periods], [flags, *samples])
 
 
-def load_return_levels(path, year: int) -> dict[float, ReturnLevelEnsemble]:
-    """Columns saved by ``save_return_levels``, keyed by period."""
-    out = {}
+def load_return_levels(path, periods) -> dict[float, ReturnLevelEnsemble]:
+    """The columns of ``periods`` saved by ``save_return_levels``, keyed by
+    period; refuses a file that lacks one of them."""
     with open(path, newline="") as fh, parse_errors_named(path):
         reader = csv.reader(fh)
         header, flags, rows = next(reader), next(reader), list(reader)
-        for j, t in enumerate(float(h[1:]) for h in header):
+        column = {float(h[1:]): j for j, h in enumerate(header)}
+        if missing := [f"T{t:g}" for t in periods if t not in column]:
+            raise ValueError(f"no return levels for {', '.join(missing)} (run project first)")
+        out = {}
+        for t in periods:
+            j = column[t]
             # numpy parses each string as float() does
             samples = np.array([row[j] for row in rows if row[j]], dtype=float)
             counts = dict(kv.split("=") for kv in flags[j].split(";"))
-            out[t] = ReturnLevelEnsemble(
-                year, t, samples, int(counts["clamped"]), int(counts["flagged"])
-            )
+            out[t] = ReturnLevelEnsemble(samples, int(counts["clamped"]), int(counts["flagged"]))
     return out
 
 
@@ -199,10 +192,10 @@ def write_quantile_table_csv(report: HazardReport, path) -> None:
                              for t, row in zip(report.periods, report.table)))
 
 
-def write_curve_json(report: HazardReport, path) -> None:
+def write_curve_json(report: HazardReport, year: int, path) -> None:
     rows = []
     for t, row in zip(report.periods, report.table):
         entry = {"T": t}
         entry.update({f"q{100 * lv:g}": float(v) for lv, v in zip(report.levels, row)})
         rows.append(entry)
-    dump_json({"year": report.year, "curve": rows}, path)
+    dump_json({"year": year, "curve": rows}, path)

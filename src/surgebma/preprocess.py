@@ -22,7 +22,7 @@ from itertools import chain, islice, tee
 
 import numpy as np
 
-from .utils import dump_json, empirical_quantile, load_json, parse_errors_named, writable
+from .utils import dump_json, load_json, parse_errors_named, writable
 
 HOURS_PER_DAY = 24
 MIN_VALID_FRACTION = 0.5  # detrending: least share of valid hours in an hour's window
@@ -637,13 +637,14 @@ def daily_maxima(series: HourlySeries, min_valid_hours: int) -> DailySeries:
 
 
 def compute_threshold(daily: DailySeries, quantile: float) -> float:
-    """Empirical quantile of the daily maxima that are not NaN (the GPD threshold)."""
+    """Empirical quantile of the daily maxima that are not NaN (the GPD
+    threshold), interpolated linearly between order statistics."""
     if not 0.0 < quantile < 1.0:
         raise ValueError("quantile must lie in (0, 1)")
     vals = daily.max_level[~np.isnan(daily.max_level)]
     if vals.size < 100:
         raise ValueError("insufficient data")
-    return float(empirical_quantile(vals, quantile))
+    return float(np.quantile(vals, quantile))
 
 
 def decluster(daily: DailySeries, threshold: float, separation_days: int) -> ExceedanceSet:

@@ -412,8 +412,13 @@ def save_mle_table(table: dict[str, np.ndarray], path, meta: dict) -> None:
 
 
 def load_mle_table(path) -> dict[str, np.ndarray]:
+    """The estimates of a table saved by ``save_mle_table``, keyed by structure
+    id; refuses an entry whose columns are not its structure's active parameters."""
+    table = {}
     with parse_errors_named(path):
-        return {
-            sid: np.asarray(entry["estimates"], dtype=float)
-            for sid, entry in load_json(path)["structures"].items()
-        }
+        for sid, entry in load_json(path)["structures"].items():
+            names = list(ACTIVE_PARAMS[ModelStructure.parse(sid).level])
+            if entry["param_names"] != names:
+                raise ValueError(f"{sid} lists param_names {entry['param_names']}, not {names}")
+            table[sid] = np.asarray(entry["estimates"], dtype=float)
+    return table

@@ -12,10 +12,11 @@ from __future__ import annotations
 import calendar
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .covariates import CovariateKind, CovariateSeries
+from .covariates import CovariateKind, CovariateSeries, normalize_minmax, time_covariate
 from .models import (
     ACTIVE_PARAMS,
     XI_EPS,
@@ -25,7 +26,8 @@ from .models import (
     covariate_values,
     effective_params,
 )
-from .preprocess import ExceedanceSet
+from .preprocess import ExceedanceSet, HourlySeries, write_hourly_csv
+from .priors import mle_fit
 from .utils import write_csv
 
 EVENT_SPACING_DAYS = 3  # assigned event dates keep at least this separation
@@ -126,8 +128,6 @@ def synthetic_covariates(
     first_year: int, last_year: int, historical_range: tuple[int, int]
 ) -> dict[CovariateKind, CovariateSeries]:
     """Deterministic stand-ins for the four covariates, normalized on the window."""
-    from .covariates import normalize_minmax, time_covariate
-
     years = np.arange(first_year, last_year + 1)
     x = (years - first_year) / max(last_year - first_year, 1)
     rng = np.random.default_rng(COVARIATE_NOISE_SEED)
@@ -180,8 +180,6 @@ def make_mle_fixture_pack(seed: int, n_stations: int) -> dict[str, np.ndarray]:
     structures is fit to every station, mirroring how priors would be
     elicited from a long-record station archive.
     """
-    from .priors import mle_fit
-
     first_year, last_year = PACK_FIRST_YEAR, PACK_LAST_YEAR
     rng = np.random.default_rng(seed)
     covs = synthetic_covariates(first_year, last_year, (first_year, last_year))
@@ -218,8 +216,6 @@ def write_hourly_fixture(path, first_year: int, last_year: int, seed: int) -> fl
     quantile at 1 - ``FIXTURE_EXCEEDANCE_PROB`` lands at the threshold up to
     sampling noise. Returns ``FIXTURE_THRESHOLD``.
     """
-    from .preprocess import HourlySeries, write_hourly_csv
-
     rng = np.random.default_rng(seed)
     start = np.datetime64(f"{first_year}-01-01T00", "h")
     end = np.datetime64(f"{last_year + 1}-01-01T00", "h")
@@ -263,8 +259,6 @@ def write_covariate_fixtures(
 
     Returns the file paths keyed by config option name.
     """
-    from pathlib import Path
-
     outdir = Path(outdir)
     rng = np.random.default_rng(seed)
     years_all = np.arange(first_year, projection_year + 1)

@@ -1,5 +1,5 @@
-"""Small shared helpers: the gate error, the threshold's quantile rule,
-stable file output into a directory it makes, and the errors of a malformed file."""
+"""Small shared helpers: the gate error, stable file output into a directory
+it makes, and the errors of a malformed file."""
 
 from __future__ import annotations
 
@@ -9,28 +9,12 @@ import json
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 
 class GateError(ValueError):
     """A computation failed a convergence or coverage gate; the CLI exits 1.
 
     A ``ValueError`` so that library callers catching bad input still catch it.
     """
-
-
-def empirical_quantile(values, q):
-    """Empirical quantile with linear interpolation between order statistics.
-
-    The quantile rule of the threshold selection. The return-level tables
-    read their quantiles off the weighted empirical CDF of the BMA mixture
-    instead (``hazard.hazard_report``). Accepts a scalar or a sequence of
-    probability levels.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty input")
-    return np.quantile(arr, q)
 
 
 def sha256_of_text(text: str) -> str:

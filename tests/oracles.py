@@ -28,7 +28,6 @@ from surgebma.models import (
 )
 from surgebma.preprocess import HOURS_PER_DAY, MIN_VALID_FRACTION, DailySeries, HourlySeries
 from surgebma.simulate import gpd_sample
-from surgebma.utils import empirical_quantile
 
 
 def gpd_logpdf(x: float, mu: float, sig: float, xi: float) -> float:
@@ -141,7 +140,7 @@ def empirical_return_level(row, structure, phi_year, mu, period, n_sim_years, rn
     ends = np.cumsum(counts)
     starts = ends - counts
     maxima[nonzero] = np.maximum.reduceat(heights, starts[nonzero])
-    level = float(empirical_quantile(maxima, 1.0 - 1.0 / period))
+    level = float(np.quantile(maxima, 1.0 - 1.0 / period))
     if not math.isfinite(level):
         raise ValueError("too few simulated exceedances for this return period")
     return level

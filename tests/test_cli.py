@@ -209,6 +209,13 @@ def _first_value_of_a_draw(text, row):
     return spoil
 
 
+def _add_a_return_period(out):
+    """The config asks for a period that ``project`` did not write."""
+    config = out.parent / "run.ini"
+    config.write_text(config.read_text().replace("return_periods = 10, 100",
+                                                 "return_periods = 10, 50, 100"))
+
+
 def _evidence_of_st_alone(out):
     """``evidence --structures ST`` rewrites evidence.json for ST alone."""
     with contextlib.redirect_stdout(io.StringIO()):
@@ -249,6 +256,8 @@ SPOILED_OUTPUTS = {
         _overwrite("return_levels/NS1-time.csv", ""), "NS1-time.csv", ("report",)),
     "return_levels_without_flags": (
         _overwrite("return_levels/NS1-time.csv", "T10,T100\r\n"), "NS1-time.csv", ("report",)),
+    "return_levels_without_a_configured_period": (
+        _add_a_return_period, "ST.csv: no return levels for T50 (run project first)", ("report",)),
 }
 
 
@@ -504,6 +513,19 @@ def test_fit_priors_from_station_directory(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "mle_table.json").read_bytes() == serial
 
 
+def test_station_priors_of_a_structure_do_not_depend_on_the_others_configured(tmp_path):
+    config = make_workspace(tmp_path)
+    add_station_archive(tmp_path)
+    assert main(["preprocess", "--config", str(config)]) == 0
+
+    def fitted(structures):
+        assert main(["fit-priors", "--config", str(config), "--structures", structures]) == 0
+        mles = load_json(tmp_path / "out" / "mle_table.json")["structures"]["NS1-time"]
+        return mles, load_json(tmp_path / "out" / "priors.json")["structures"]["NS1-time"]
+
+    assert fitted("NS1-time") == fitted("ST, NS1-time")
+
+
 def test_fit_priors_from_station_directory_needs_preprocess_first(tmp_path, capsys):
     config = make_workspace(tmp_path)
     add_station_archive(tmp_path)
@@ -735,6 +757,16 @@ def _pack_without_st(tmp_path):
     return "[priors]\nmle_pack = pack.json\n"
 
 
+def _pack_with_permuted_ns2_columns(tmp_path):
+    """NS2-time's sig1 and xi0 columns swapped, and its param_names with them."""
+    packaged = load_json(resources.files("surgebma").joinpath(cli.PACKAGED_MLE_PACK))
+    entry = packaged["structures"]["NS2-time"]
+    entry["param_names"] = ["lam0", "lam1", "sig0", "xi0", "sig1"]
+    entry["estimates"] = [row[:3] + [row[4], row[3]] for row in entry["estimates"]]
+    (tmp_path / "pack.json").write_text(json.dumps(packaged))
+    return "[priors]\nmle_pack = pack.json\n"
+
+
 def _empty_stations_dir(tmp_path):
     (tmp_path / "stations").mkdir()
     return "[priors]\nstations_dir = stations\n"
@@ -743,6 +775,9 @@ def _empty_stations_dir(tmp_path):
 @pytest.mark.parametrize(
     "priors, message",
     [(_pack_without_st, r"MLE pack \S+pack\.json lacks structures: \['ST'\]"),
+     (_pack_with_permuted_ns2_columns,
+      r"\S+pack\.json: NS2-time lists param_names \['lam0', 'lam1', 'sig0', 'xi0', 'sig1'\], "
+      r"not \['lam0', 'lam1', 'sig0', 'sig1', 'xi0'\]"),
      (_empty_stations_dir, r"no station CSVs in \S+stations")],
 )
 def test_fit_priors_refuses_a_source_without_the_estimates_it_needs(

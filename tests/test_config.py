@@ -203,6 +203,15 @@ def test_readme_configuration_reference_shows_every_option_at_its_default(tmp_pa
     assert config.sampler == ChainConfig()
 
 
+def test_readme_library_use_block_runs(tmp_path, monkeypatch):
+    # the python block under "## Library use", run as a reader would run it
+    text = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {})
+    assert (tmp_path / "demo" / "curve.json").exists()
+
+
 def test_sampler_profiles(tmp_path):
     def sampler(profile_lines):
         (tmp_path / "run.ini").write_text(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,13 +190,13 @@ def test_ensemble_median_nondecreasing_in_period():
 # ---------------------------------------------------------------------------
 
 
-def rl(samples, year=2065, period=100.0):
-    return ReturnLevelEnsemble(year, period, np.asarray(samples, dtype=float), 0, 0)
+def rl(samples):
+    return ReturnLevelEnsemble(np.asarray(samples, dtype=float), 0, 0)
 
 
-def mix(samples, period=100.0):
+def mix(samples):
     """The mixture of one structure's samples."""
-    return bma_mixture({"A": rl(samples, period=period)}, BmaWeights({"A": 1.0}))
+    return bma_mixture({"A": rl(samples)}, BmaWeights({"A": 1.0}))
 
 
 # the reported levels, levels between them, and levels at a point mass's jump
@@ -292,7 +293,7 @@ def test_mixture_validates_coverage():
 
 
 def test_report_point_mass_quantiles_collapse():
-    mixtures = {t: mix(np.full(100, 2.5), period=t) for t in (2.0, 100.0)}
+    mixtures = {t: mix(np.full(100, 2.5)) for t in (2.0, 100.0)}
     report = hazard_report(mixtures, DEFAULT_QUANTILE_LEVELS)
     assert np.allclose(report.table, 2.5)
 
@@ -300,7 +301,7 @@ def test_report_point_mass_quantiles_collapse():
 def test_report_rows_nondecreasing_and_shape():
     rng = np.random.default_rng(4)
     mixtures = {
-        float(t): mix(rng.normal(2 + math.log(t), 0.3, size=4000), period=float(t))
+        float(t): mix(rng.normal(2 + math.log(t), 0.3, size=4000))
         for t in DEFAULT_RETURN_PERIODS
     }
     report = hazard_report(mixtures, DEFAULT_QUANTILE_LEVELS)
@@ -315,7 +316,7 @@ def test_report_rows_nondecreasing_and_shape():
 def test_report_csv_and_curve_json(tmp_path):
     rng = np.random.default_rng(5)
     mixtures = {
-        float(t): mix(rng.normal(2.0, 0.2, size=500), period=float(t))
+        float(t): mix(rng.normal(2.0, 0.2, size=500))
         for t in DEFAULT_RETURN_PERIODS
     }
     report = hazard_report(mixtures, DEFAULT_QUANTILE_LEVELS)
@@ -328,7 +329,7 @@ def test_report_csv_and_curve_json(tmp_path):
     import json
 
     curve_path = tmp_path / "curve.json"
-    write_curve_json(report, curve_path)
+    write_curve_json(report, 2065, curve_path)
     curve = json.loads(curve_path.read_text())
     assert curve["year"] == 2065
     assert [row["T"] for row in curve["curve"]] == sorted(DEFAULT_RETURN_PERIODS)
@@ -337,21 +338,20 @@ def test_report_csv_and_curve_json(tmp_path):
 
 def test_return_level_csv_text_is_format_float_of_each_value(tmp_path):
     samples = [np.array([1.0 / 3.0, -0.0, 5e-324, 1e300]), np.array([0.7]), np.array([2.5, np.inf])]
-    columns = {t: ReturnLevelEnsemble(2065, t, v, 1, 2)
-               for t, v in zip((2.0, 10.0, 500.0), samples)}
+    columns = {t: ReturnLevelEnsemble(v, 1, 2) for t, v in zip((2.0, 10.0, 500.0), samples)}
     save_return_levels(columns, tmp_path / "got.csv")
     rows = [[format_float(v[i]) if i < v.size else "" for v in samples] for i in range(4)]
     write_csv(tmp_path / "want.csv", ["T2", "T10", "T500"], [["flagged=2;clamped=1"] * 3, *rows])
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    loaded = load_return_levels(tmp_path / "got.csv", 2065)
+    loaded = load_return_levels(tmp_path / "got.csv", sorted(columns))
     for t, want in zip(sorted(columns), samples):
         assert loaded[t].samples.tobytes() == want.tobytes()
 
 
 def test_return_levels_save_load_roundtrip(tmp_path):
     columns = {
-        10.0: ReturnLevelEnsemble(2065, 10.0, np.array([1.25, 1.5, 1.0 / 3.0]), 2, 4),
-        100.0: ReturnLevelEnsemble(2065, 100.0, np.array([2.5, 0.1]), 0, 5),
+        10.0: ReturnLevelEnsemble(np.array([1.25, 1.5, 1.0 / 3.0]), 2, 4),
+        100.0: ReturnLevelEnsemble(np.array([2.5, 0.1]), 0, 5),
     }
     path = tmp_path / "NS1-time.csv"
     save_return_levels(columns, path)
@@ -359,10 +359,14 @@ def test_return_levels_save_load_roundtrip(tmp_path):
         b"T10,T100", b"flagged=4;clamped=2,flagged=5;clamped=0"
     ]
     assert path.read_bytes().endswith(b"0.3333333333333333,\r\n")  # the shorter column ends empty
-    loaded = load_return_levels(path, 2065)
+    loaded = load_return_levels(path, (10.0, 100.0))
     assert list(loaded) == [10.0, 100.0]
     for t, want in columns.items():
         got = loaded[t]
-        assert (got.year, got.period_years) == (2065, t)
         assert (got.n_clamped, got.n_flagged) == (want.n_clamped, want.n_flagged)
         assert np.array_equal(got.samples, want.samples)
+    # exactly the periods asked for, and every one of them
+    assert list(load_return_levels(path, (100.0,))) == [100.0]
+    want = f"{path}: no return levels for T2.5, T50 (run project first)"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        load_return_levels(path, (2.5, 10.0, 50.0))

@@ -329,11 +329,7 @@ def test_threshold_interpolated_99th():
 def test_threshold_degenerate_and_median():
     series = daily("2000-01-01", np.full(100, 3.3))
     assert compute_threshold(series, 0.99) == pytest.approx(3.3)
-
-    vals = np.array([1.0, 2.0, 3.0])
-    from surgebma.utils import empirical_quantile
-
-    assert empirical_quantile(vals, 0.5) == pytest.approx(2.0)
+    assert compute_threshold(daily("2000-01-01", np.arange(1.0, 102.0)), 0.5) == 51.0
 
 
 def test_threshold_requires_enough_days():
